@@ -8,13 +8,13 @@ parameters (for example one quantizer scale feeding many cores) accumulate
 additively.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
-everything else is an exact vector-Jacobian product.
+everything else is an exact vector-Jacobian product.  Contractions, forward
+and backward, run through BLAS matrix products.
 """
 
 from __future__ import annotations
 
-import string
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -191,12 +191,12 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation (smooth everywhere)."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         dt = (1.0 - t * t) * dinner
         return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
@@ -235,8 +235,15 @@ def take(a, indices, axis: int = 0) -> Tensor:
     out = np.take(a.data, idx, axis=axis)
 
     def vjp(g):
+        # Scatter-add as one reduceat over the slices grouped by index;
+        # np.add.at takes a slow unbuffered path on multi-axis slices.
+        # Negative indices are wrapped first so that -1 and n-1 share a group.
+        rows = idx % a.data.shape[axis]
+        order = np.argsort(rows, kind="stable")
+        rows, starts = np.unique(rows[order], return_index=True)
         ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
+        sums = np.add.reduceat(np.moveaxis(g, axis, 0)[order], starts, axis=0)
+        np.moveaxis(ga, axis, 0)[rows] = sums
         return (ga,)
 
     return _make(out, (a,), vjp)
@@ -285,11 +292,6 @@ def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; batched on leading axes when both operands carry them."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -310,7 +312,8 @@ def einsum(subscripts: str, *operands) -> Tensor:
 
     Subscripts must be explicit (no ellipsis), and every input index must
     appear in the output or another operand, which holds for all tensor-train
-    contractions used here.
+    contractions used here.  The forward and each operand's VJP are
+    contracted along an optimized path, so they run as BLAS matrix products.
     """
     ins, out_sub = subscripts.replace(" ", "").split("->")
     in_subs = ins.split(",")
@@ -321,7 +324,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
         elsewhere = set(out_sub) | {c for j, s in enumerate(in_subs) if j != i for c in s}
         if not set(sub) <= elsewhere:
             raise ValueError(f"operand {i} has an index private to it; VJP undefined")
-    result = np.einsum(subscripts, *[t.data for t in tensors])
+    result = np.einsum(subscripts, *[t.data for t in tensors], optimize=True)
 
     def vjp(g):
         grads = []
@@ -329,7 +332,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
             other_subs = [s for j, s in enumerate(in_subs) if j != i]
             other_ops = [tensors[j].data for j in range(len(tensors)) if j != i]
             call = ",".join([out_sub] + other_subs) + "->" + sub
-            grads.append(np.einsum(call, g, *other_ops))
+            grads.append(np.einsum(call, g, *other_ops, optimize=True))
         return tuple(grads)
 
     return _make(result, tensors, vjp)
@@ -402,15 +405,11 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
     out = q.fake_quant_forward(x.data, s, bits)
 
     def vjp(g):
-        gx = g * q.ste_grad_input(x.data, s, bits).astype(g.dtype)
-        gs = np.asarray((g * q.ste_grad_scale(x.data, s, bits)).sum(), dtype=scale_t.data.dtype)
-        return (gx, gs.reshape(scale_t.data.shape))
+        in_range, grad_scale = q.ste_grads(x.data, s, bits)
+        gs = np.asarray((g * grad_scale).sum(), dtype=scale_t.data.dtype)
+        return (g * in_range, gs.reshape(scale_t.data.shape))
 
     return _make(out, (x, scale_t), vjp)
-
-
-def stop_gradient(a) -> Tensor:
-    return _as_tensor(a).detach()
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +472,3 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
             grads[id(node)] = g if node.grad is None else node.grad + g
             node.grad = grads[id(node)]
     return grads
-
-
-# ---------------------------------------------------------------------------
-# Convenience: letters for generated einsum subscripts
-
-
-def fresh_letters(n: int, used: Iterable[str] = ()) -> list[str]:
-    pool = [c for c in string.ascii_lowercase if c not in set(used)]
-    if n > len(pool):
-        raise ValueError("ran out of einsum letters")
-    return pool[:n]

@@ -43,8 +43,16 @@ def code_bounds(bits: int) -> tuple[int, int]:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to nearest integer, ties away from zero.
+
+    Bitwise equal, signed zeros included, to ``sign(x) * floor(|x| + 0.5)``:
+    x + 0.5*sign(x) has the magnitude of |x| + 0.5 and turns -0.0 into +0.0.
+    """
+    x = np.asarray(x)
+    out = np.sign(x, dtype=np.result_type(x, 0.5))
+    out *= 0.5
+    out += x
+    return np.trunc(out, out=out)
 
 
 @dataclass
@@ -140,6 +148,29 @@ def ste_grad_scale(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     grad = np.where(ratio < lo, float(lo), grad)
     grad = np.where(ratio > hi, float(hi), grad)
     return grad
+
+
+def ste_grads(x: np.ndarray, scale: float, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both straight-through surrogates from one float64 ratio x / scale.
+
+    For a quantized bit width (not the full-precision sentinel), returns the
+    in-range mask, equal to ``ste_grad_input`` as booleans, and the
+    elementwise scale surrogate, bit-identical to ``ste_grad_scale``.  Out of
+    range the clipped ratio is already the saturation value.
+    """
+    if scale <= 0:
+        raise QuantParamError(f"scale must be positive, got {scale}")
+    lo, hi = code_bounds(bits)
+    x = np.asarray(x, dtype=np.float64)
+    ratio = x / scale
+    codes = np.clip(ratio, lo, hi)
+    in_range = codes == ratio
+    codes = round_half_away(codes)
+    grad = np.multiply(scale, codes, out=ratio)
+    grad -= x
+    grad /= scale
+    np.copyto(grad, codes, where=~in_range)
+    return in_range, grad
 
 
 def init_scale(x: np.ndarray, bits: int) -> float:

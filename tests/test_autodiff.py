@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttq import autodiff as ad
-from ttq.quant import ste_grad_input, ste_grad_scale
+from ttq.quant import code_bounds, ste_grad_input, ste_grad_scale
 
 
 def finite_diff(f, x, h=1e-6):
@@ -73,6 +75,16 @@ class TestShapeOps:
         idx = np.array([0, 2, 2, 4])
         check_op(lambda: ad.sum_all(ad.pow_const(ad.take(a, idx, axis=0), 2.0)), [a])
 
+    def test_take_axis1_scatter_matches_add_at(self):
+        # integer-valued upstream gradients make every summation order exact
+        a = randp(3, 5, 2, 4)
+        idx = np.array([4, 0, -1, 4, 2, 0, 4, 1, -3, 4])  # -1 is row 4, -3 is row 2
+        w = rng.integers(-9, 10, size=(3, idx.size, 2, 4)).astype(np.float64)
+        ad.backward(ad.sum_all(ad.mul(ad.take(a, idx, axis=1), w)))
+        ref = np.zeros_like(a.data)
+        np.add.at(np.moveaxis(ref, 1, 0), idx, np.moveaxis(w, 1, 0))
+        np.testing.assert_array_equal(a.grad, ref)
+
     def test_slice_and_pad(self):
         a = randp(4, 6)
         check_op(lambda: ad.sum_all(ad.pow_const(ad.slice_axis(ad.pad_axis(a, 1, 3), 1, 2, 7), 2.0)), [a])
@@ -102,6 +114,30 @@ class TestContractionOps:
     def test_einsum_batched_tt_stage(self):
         x, core = randp(5, 4, 3), randp(2, 4, 3)
         check_op(lambda: ad.sum_all(ad.pow_const(ad.einsum("bnr,pnr->bp", x, core), 2.0)), [x, core])
+
+    @pytest.mark.parametrize("subscripts", [
+        "bln,rn->blr", "blnr,qnr->blq", "brt,qmr->bqmt",  # tt_chain_apply
+        "blp,pbnq->blnq",  # ttm_gather_apply
+    ])
+    @given(sizes=st.lists(st.integers(1, 5), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_einsum_matches_plain_numpy(self, subscripts, sizes, seed):
+        """Forward and every operand's VJP equal unoptimized np.einsum."""
+        size = dict(zip("blnrqmpt", sizes))
+        r = np.random.default_rng(seed)
+        ins, out = subscripts.split("->")
+        in_subs = ins.split(",")
+        ops = [ad.Parameter(r.normal(size=[size[c] for c in sub])) for sub in in_subs]
+        res = ad.einsum(subscripts, *ops)
+        np.testing.assert_allclose(res.data, np.einsum(subscripts, *[o.data for o in ops]),
+                                   rtol=1e-10, atol=0)
+        w = r.normal(size=res.shape)
+        ad.backward(ad.sum_all(ad.mul(res, w)))
+        for i, sub in enumerate(in_subs):
+            other = in_subs[1 - i]
+            ref = np.einsum(f"{out},{other}->{sub}", w, ops[1 - i].data)
+            np.testing.assert_allclose(ops[i].grad, ref, rtol=1e-10, atol=0)
 
     def test_einsum_private_index_rejected(self):
         a = randp(3, 4)
@@ -156,6 +192,25 @@ class TestFakeQuantNode:
         ad.backward(loss)
         expected = sum(ste_grad_scale(x.data, 0.3, 4).sum() for x in xs)
         np.testing.assert_allclose(s.grad, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [0.25, 0.37])
+    def test_gradients_bit_identical_to_ste_references(self, bits, dtype, scale):
+        lo, hi = code_bounds(bits)
+        ratios = np.concatenate([
+            [lo, hi, lo - 0.5, hi + 0.5, lo + 0.5, hi - 0.5, 0.5, -0.5, 1.5, -1.5, 0.0, -0.0],
+            rng.uniform(lo - 4, hi + 4, size=200),
+        ])
+        x = ad.Parameter((ratios * scale).astype(dtype))
+        s = ad.Parameter(np.asarray(scale))
+        up = rng.normal(size=x.shape).astype(dtype)
+        ad.backward(ad.sum_all(ad.mul(ad.fake_quant(x, s, bits), up)))
+        gx = up * ste_grad_input(x.data, scale, bits).astype(dtype)
+        gs = (up * ste_grad_scale(x.data, scale, bits)).sum()
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad.view(f"u{x.grad.itemsize}"), gx.view(f"u{gx.itemsize}"))
+        assert s.grad.tobytes() == np.asarray(gs).tobytes()
 
     def test_full_precision_sentinel_passthrough(self):
         x = randp(4)

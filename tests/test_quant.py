@@ -224,3 +224,20 @@ def test_round_half_away_behaviour():
         round_half_away(np.array([-2.5, -0.5, 0.0, 0.5, 2.5, 2.4])),
         [-3.0, -1.0, 0.0, 1.0, 3.0, 2.0],
     )
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.lists(st.one_of(
+        st.floats(allow_nan=False, width=32),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 127.5, -128.5,
+                         0.49999999999999994, -0.49999999999999994]),
+    ), min_size=1, max_size=32),
+)
+@settings(max_examples=200, deadline=None)
+def test_round_half_away_bitwise_equals_sign_floor_form(dtype, values):
+    x = np.array(values, dtype=dtype)
+    ref = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    got = round_half_away(x)
+    assert got.dtype == ref.dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"))
