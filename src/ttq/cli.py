@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -146,15 +147,11 @@ def cmd_eval(args) -> int:
     if split is None:
         raise DataFormatError(f"split {args.split!r} not present in {cfg.data_dir}")
     if args.int8:
-        batches = list(split.batches(cfg.train.batch_size))[:4]
-        model.calibrate_int([(ids, mask) for ids, mask, _, _ in batches])
-        correct = total = 0
-        for ids, mask, intents, _ in split.batches(cfg.train.batch_size):
-            with ad.no_grad():
-                trace = model.forward(ids, mask, mode="infer_int")
-            correct += int((trace.intent_logits.data.argmax(axis=-1) == intents).sum())
-            total += len(intents)
-        metrics = {"intent_accuracy": correct / max(total, 1), "mode": "infer_int"}
+        if "train" not in data:
+            raise DataFormatError(f"--int8 calibrates on the train split, absent from {cfg.data_dir}")
+        batches = itertools.islice(data["train"].batches(cfg.train.batch_size), 4)
+        model.calibrate_int((ids, mask) for ids, mask, _, _ in batches)
+        metrics = {**evaluate(model, split, mode="infer_int"), "mode": "infer_int"}
     else:
         metrics = evaluate(model, split)
     record = {"split": args.split, **metrics}

@@ -227,6 +227,7 @@ def _distill_stage(teacher: TransformerModel, student: TransformerModel, dataset
     state = AdamState()
     curve = []
     idx = min(stage.index, num_layers)
+    last_good = snapshot_params(student)
     for epoch in range(stage.epochs):
         order = rng.permutation(len(dataset))
         total, batches = 0.0, 0
@@ -241,12 +242,13 @@ def _distill_stage(teacher: TransformerModel, student: TransformerModel, dataset
             val = loss.item()
             if not math.isfinite(val):
                 raise DivergenceError(f"distillation diverged in stage {stage.index}, "
-                                      f"epoch {epoch}")
+                                      f"epoch {epoch}", last_good=last_good)
             grads = ad.backward(loss)
             adam_step(params, grads, state, tc, scale_ids)
             total += val
             batches += 1
         curve.append(total / max(batches, 1))
+        last_good = snapshot_params(student)
         if log:
             log({"stage": stage.index, "epoch": epoch, "loss": curve[-1]})
     return curve

@@ -38,6 +38,8 @@ from .tt import (
     init_tt_cores,
     init_ttm_cores,
     plan_factorization,
+    tt_chain,
+    tt_stages,
 )
 
 MODES = ("train", "infer_fp", "infer_int")
@@ -154,26 +156,15 @@ class ForwardTrace:
 
 
 def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan) -> ad.Tensor:
-    """Batched y = W x for TT cores, sweeping cores last-to-first."""
-    d = plan.order
+    """Batched y = W x for TT cores along the ``tt_stages`` schedule."""
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
-    x = ad.pad_axis(x2d, 1, pad) if pad else x2d
-    nf = plan.col_factors
-    acc = ad.reshape(x, (batch, plan.padded_cols // nf[-1], nf[-1]))
-    last = ad.reshape(cores[2 * d - 1], cores[2 * d - 1].shape[:2])
-    acc = ad.einsum("bln,rn->blr", acc, last)
-    for k in range(2 * d - 1, d, -1):
-        core = cores[k - 1]  # (r_{k-1}, n_{k-d}, r_k)
-        n_k = core.shape[1]
-        length = acc.shape[1] // n_k
-        acc = ad.reshape(acc, (batch, length, n_k, core.shape[2]))
-        acc = ad.einsum("blnr,qnr->blq", acc, core)
-    acc = ad.reshape(acc, (batch, cores[d - 1].shape[2], 1))  # (b, r_d, 1)
-    for k in range(d, 0, -1):
-        core = cores[k - 1]  # (r_{k-1}, m_k, r_k)
-        acc = ad.einsum("brt,qmr->bqmt", acc, core)
-        acc = ad.reshape(acc, (batch, core.shape[0], -1))
+    acc = ad.pad_axis(x2d, 1, pad) if pad else x2d
+    for stage in tt_stages(plan):
+        core = cores[stage.core]
+        if core.shape != stage.core_shape:
+            core = ad.reshape(core, stage.core_shape)
+        acc = ad.einsum(stage.subscripts, ad.reshape(acc, (batch,) + stage.in_shape), core)
     out = ad.reshape(acc, (batch, plan.padded_rows))
     if plan.padded_rows != plan.rows:
         out = ad.slice_axis(out, 1, 0, plan.rows)
@@ -300,11 +291,12 @@ class TTLinearLayer:
         xq = q.fake_quant_forward(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits)
         scales: list[float] = []
 
-        def post(out, idx, is_last):
+        def record(i, stage, acc, core):
+            out = np.einsum(stage.subscripts, acc, core)
             scales.append(max(float(np.max(np.abs(out))), 1e-12) / 127.0)
             return out
 
-        _chain_walk(xq, deq, self.plan, post)
+        tt_chain(xq, deq, self.plan, record)
         self.stage_scales = scales
 
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
@@ -314,65 +306,24 @@ class TTLinearLayer:
         int_cores = [c.astype(np.int64) for c in codes]
         a_scale = float(self.act_scale.data)
         x_codes = q.quantize(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits).codes
-        state = {"scale": a_scale}
+        last = len(tt_stages(self.plan)) - 1
+        in_scale = a_scale
 
-        def post(out, idx, is_last):
-            real_scale = state["scale"] * w_scale
-            if is_last:
-                return out.astype(np.float64) * real_scale
-            s = self.stage_scales[idx]
-            requant = q.round_half_away(np.clip(out * (real_scale / s), -128, 127))
-            state["scale"] = s
-            return requant.astype(np.int64)
-
-        y = _chain_walk(x_codes.astype(np.int64), int_cores, self.plan, post,
-                        check_overflow=True, name=self.name)
-        y = y[:, : self.plan.rows]
-        return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
-
-
-def _chain_walk(x2d: np.ndarray, cores: list[np.ndarray], plan: TensorShapePlan,
-                post, check_overflow: bool = False, name: str = "tt"):
-    """The tt_chain_apply contraction order in plain numpy.
-
-    ``post(out, stage_idx, is_last)`` transforms each stage's raw contraction
-    output (requantize, record, or pass through) before the walk continues.
-    Returns the (batch, padded_rows) result of whatever ``post`` left behind.
-    """
-    d = plan.order
-    batch = x2d.shape[0]
-    pad = plan.padded_cols - plan.cols
-    if pad and x2d.shape[1] == plan.cols:
-        x2d = np.concatenate([x2d, np.zeros((batch, pad), dtype=x2d.dtype)], axis=1)
-    n_stages = 2 * d
-    idx = 0
-
-    def contract(subs, acc, core):
-        if check_overflow:
+        def requantize(i, stage, acc, core):
+            nonlocal in_scale
             peak_x = int(np.max(np.abs(acc))) if acc.size else 0
             peak_w = int(np.max(np.abs(core))) if core.size else 0
-            inner = core.shape[1] * (core.shape[2] if subs != "bln,rn->blr" else 1)
-            if peak_x * peak_w * inner >= 2 ** 31:
-                raise q.KernelError(f"{name}: stage {idx} exceeds the 32-bit accumulator bound")
-        return np.einsum(subs, acc, core)
+            if peak_x * peak_w * math.prod(core.shape[1:]) >= 2 ** 31:
+                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
+            out = np.einsum(stage.subscripts, acc, core)
+            real_scale = in_scale * w_scale
+            if i == last:
+                return out.astype(np.float64) * real_scale
+            in_scale = self.stage_scales[i]
+            return q.round_half_away(np.clip(out * (real_scale / in_scale), -128, 127)).astype(np.int64)
 
-    acc = x2d.reshape(batch, plan.padded_cols // plan.col_factors[-1], plan.col_factors[-1])
-    out = contract("bln,rn->blr", acc, cores[2 * d - 1].reshape(cores[2 * d - 1].shape[:2]))
-    acc = post(out, idx, idx == n_stages - 1)
-    idx += 1
-    for k in range(2 * d - 1, d, -1):
-        core = cores[k - 1]
-        n_k = core.shape[1]
-        acc = acc.reshape(batch, acc.shape[1] // n_k, n_k, core.shape[2])
-        acc = post(contract("blnr,qnr->blq", acc, core), idx, idx == n_stages - 1)
-        idx += 1
-    acc = acc.reshape(batch, -1, 1)  # (b, r_d, 1)
-    for k in range(d, 0, -1):
-        core = cores[k - 1]
-        acc = post(contract("brt,qmr->bqmt", acc, core), idx, idx == n_stages - 1)
-        idx += 1
-        acc = acc.reshape(batch, core.shape[0], -1)
-    return acc.reshape(batch, plan.padded_rows)
+        y = tt_chain(x_codes.astype(np.int64), int_cores, self.plan, requantize)
+        return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
 
 
 class DenseLinear:

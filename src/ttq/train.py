@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import Dataset, pad_batch
 from .model import ForwardTrace, TransformerModel
 from .quant import MIN_SCALE
-from .tt import TensorShapePlan, TTCores, _check_tt_cores
+from .tt import TensorShapePlan, TTFormat, _check_cores
 
 
 class DivergenceError(RuntimeError):
@@ -70,8 +70,8 @@ def tt_matvec_vjp(cores, plan: TensorShapePlan, x: np.ndarray, upstream: np.ndar
     Forward intermediates are recomputed by the same sweep used in the
     contraction; adjoints then flow back stage by stage.
     """
-    core_list = list(cores.cores if isinstance(cores, TTCores) else cores)
-    _check_tt_cores(core_list, plan)
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TT)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (plan.cols,):
         raise ValueError(f"expected input of length {plan.cols}, got {x.shape}")
@@ -195,14 +195,16 @@ def intent_slot_loss(trace: ForwardTrace, intents: np.ndarray, slots: np.ndarray
     return ad.add(intent_ce, slot_ce)
 
 
-def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64) -> dict:
-    """Intent accuracy and token-level slot F1 (micro, non-outside labels)."""
+def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64,
+             mode: str = "train") -> dict:
+    """Intent accuracy and token-level slot F1 (micro, non-outside labels)
+    of the ``mode`` forward."""
     correct = 0
     total = 0
     tp = fp = fn = 0
     for ids, mask, intents, slots in dataset.batches(batch_size, shuffle=False):
         with ad.no_grad():
-            trace = model.forward(ids, mask, mode="train")
+            trace = model.forward(ids, mask, mode=mode)
         pred_int = trace.intent_logits.data.argmax(axis=-1)
         correct += int((pred_int == intents).sum())
         total += len(intents)

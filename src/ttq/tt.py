@@ -6,6 +6,12 @@ multiply to a padded column count.  The TT format stores 2d order-3 cores
 (row cores followed by column cores); the TTM format stores d order-4 cores,
 each carrying one row mode and one column mode jointly.
 
+``tt_stages(plan)`` is the one TT contraction schedule: a list of stages,
+each a reshape of the running product, one core contraction and its multiply
+count.  The autodiff forward (``model.tt_chain_apply``), integer inference
+and its calibration (``tt_chain`` with a per-stage hook), ``tt_matvec`` and
+the op counts behind ``flops_estimate`` all follow it.
+
 Dense reconstruction here is the reference path: it is used by oracles and
 tests, never by the training or inference hot path.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -215,20 +221,9 @@ def plan_factorization(
 # Core containers
 
 
-def _check_tt_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan):
-    if plan.format is not TTFormat.TT:
-        raise StructureError("plan is not TT format")
-    shapes = plan.core_shapes()
-    if len(cores) != len(shapes):
-        raise StructureError(f"expected {len(shapes)} cores, got {len(cores)}")
-    for i, (core, shape) in enumerate(zip(cores, shapes)):
-        if tuple(core.shape) != shape:
-            raise StructureError(f"core {i} has shape {core.shape}, expected {shape}")
-
-
-def _check_ttm_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan):
-    if plan.format is not TTFormat.TTM:
-        raise StructureError("plan is not TTM format")
+def _check_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan, fmt: TTFormat):
+    if plan.format is not fmt:
+        raise StructureError(f"plan is not {fmt.name} format")
     shapes = plan.core_shapes()
     if len(cores) != len(shapes):
         raise StructureError(f"expected {len(shapes)} cores, got {len(cores)}")
@@ -238,37 +233,31 @@ def _check_ttm_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan):
 
 
 @dataclass
-class TTCores:
+class _Cores:
+    cores: list[np.ndarray]
+    plan: TensorShapePlan = field(repr=False)
+    format: ClassVar[TTFormat]
+
+    def __post_init__(self):
+        _check_cores(self.cores, self.plan, self.format)
+
+    def __iter__(self):
+        return iter(self.cores)
+
+    def __len__(self):
+        return len(self.cores)
+
+
+class TTCores(_Cores):
     """2d order-3 factors of a TT-compressed matrix."""
 
-    cores: list[np.ndarray]
-    plan: TensorShapePlan = field(repr=False)
-
-    def __post_init__(self):
-        _check_tt_cores(self.cores, self.plan)
-
-    def __iter__(self):
-        return iter(self.cores)
-
-    def __len__(self):
-        return len(self.cores)
+    format = TTFormat.TT
 
 
-@dataclass
-class TTMCores:
+class TTMCores(_Cores):
     """d order-4 factors of a TTM-compressed matrix."""
 
-    cores: list[np.ndarray]
-    plan: TensorShapePlan = field(repr=False)
-
-    def __post_init__(self):
-        _check_ttm_cores(self.cores, self.plan)
-
-    def __iter__(self):
-        return iter(self.cores)
-
-    def __len__(self):
-        return len(self.cores)
+    format = TTFormat.TTM
 
 
 def init_tt_cores(
@@ -320,9 +309,8 @@ def tt_to_dense(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan) ->
     Slice-product reconstruction: chain the cores into the order-2d tensor,
     reshape to the padded matrix, crop to the logical shape.
     """
-    core_list = list(cores.cores if isinstance(cores, TTCores) else cores)
-    _check_tt_cores(core_list, plan)
-    d = plan.order
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TT)
     out = np.asarray(core_list[0], dtype=np.float64)  # (1, m1, r1)
     acc = out.reshape(out.shape[1], out.shape[2])
     modes = [core_list[0].shape[1]]
@@ -337,8 +325,8 @@ def tt_to_dense(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan) ->
 
 def ttm_to_dense(cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
     """Materialize the full matrix from TTM cores via joint (row, col) slices."""
-    core_list = list(cores.cores if isinstance(cores, TTMCores) else cores)
-    _check_ttm_cores(core_list, plan)
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TTM)
     first = np.asarray(core_list[0], dtype=np.float64)
     acc = first.reshape(first.shape[1], first.shape[2], first.shape[3])  # (m1, n1, p1)
     row_modes = [first.shape[1]]
@@ -357,7 +345,67 @@ def ttm_to_dense(cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan) 
 
 
 # ---------------------------------------------------------------------------
-# Factorized matvec / lookup (hot path)
+# The TT contraction schedule and the factorized matvec / lookup (hot path)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of the TT matvec: the running product, reshaped to
+    ``(batch, *in_shape)``, is contracted with core ``core`` viewed as
+    ``core_shape`` by ``subscripts``; ``mults`` counts the multiplies per
+    input vector."""
+
+    core: int
+    in_shape: tuple[int, ...]
+    core_shape: tuple[int, ...]
+    subscripts: str
+    mults: int
+
+
+def tt_stages(plan: TensorShapePlan) -> list[Stage]:
+    """The contraction order of every TT matvec (see the module docstring).
+
+    The padded input is split into its column modes and the column cores run
+    from the last one down to core d, each consuming one mode and leaving a
+    (remaining modes x rank) intermediate; the row cores then run from core
+    d-1 down to core 0, each emitting one output mode.  The first stage's
+    trailing rank is 1, so its core is viewed as (rank, mode).
+    """
+    if plan.format is not TTFormat.TT:
+        raise StructureError("plan is not TT format")
+    d = plan.order
+    shapes = plan.core_shapes()
+    r, n, _ = shapes[2 * d - 1]
+    length = plan.padded_cols // n
+    stages = [Stage(2 * d - 1, (length, n), (r, n), "bln,rn->blr", length * n * r)]
+    for k in range(2 * d - 2, d - 1, -1):
+        q, n, r = shapes[k]
+        length //= n
+        stages.append(Stage(k, (length, n, r), shapes[k], "blnr,qnr->blq", length * n * r * q))
+    tail = 1
+    for k in range(d - 1, -1, -1):
+        q, m, r = shapes[k]
+        stages.append(Stage(k, (r, tail), shapes[k], "brt,qmr->bqmt", r * tail * q * m))
+        tail *= m
+    return stages
+
+
+def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
+             contract=None) -> np.ndarray:
+    """Batched y = W x in plain numpy along ``tt_stages(plan)``.
+
+    ``contract(i, stage, acc, core)`` replaces stage i's ``np.einsum`` of the
+    reshaped running product with the core view, to record, bound-check or
+    requantize it.  Returns the (batch, rows) result.
+    """
+    batch = x2d.shape[0]
+    pad = plan.padded_cols - plan.cols
+    acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
+    for i, stage in enumerate(tt_stages(plan)):
+        acc = acc.reshape((batch,) + stage.in_shape)
+        core = cores[stage.core].reshape(stage.core_shape)
+        acc = contract(i, stage, acc, core) if contract else np.einsum(stage.subscripts, acc, core)
+    return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 
 def tt_matvec(
@@ -366,59 +414,34 @@ def tt_matvec(
     x: np.ndarray,
     count_ops: bool = False,
 ):
-    """y = W x without materializing W.
+    """y = W x without materializing W, along ``tt_stages(plan)``.
 
-    x (length cols) is zero-padded to the padded column count, reshaped into
-    the column modes, and the cores are contracted from the last one down to
-    the first, keeping an intermediate of size (rank x remaining modes).
-    Returns the length-rows result, optionally with the multiply count.
+    Returns the length-rows result, optionally with the multiply count
+    measured from the arrays each stage contracts.
     """
-    core_list = list(cores.cores if isinstance(cores, TTCores) else cores)
-    _check_tt_cores(core_list, plan)
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TT)
     x = np.asarray(x)
     if x.shape != (plan.cols,):
         raise ValueError(f"expected input of length {plan.cols}, got shape {x.shape}")
-    d = plan.order
-    if plan.padded_cols != plan.cols:
-        x = np.concatenate([x, np.zeros(plan.padded_cols - plan.cols, dtype=x.dtype)])
+    if not count_ops:
+        return tt_chain(x[None], core_list, plan)[0]
     mults = 0
-    acc = x.reshape(plan.col_factors)  # (n1, ..., nd)
-    # column sweep: contract cores 2d..d+1, consuming modes right to left
-    for k in range(2 * d, d, -1):
-        core = core_list[k - 1]  # (r_{k-1}, n_{k-d}, r_k)
-        # acc: (n1, ..., n_{k-d}, r_k) with the trailing rank absent on the first step
-        if k == 2 * d:
-            acc = np.tensordot(acc, core[:, :, 0].T, axes=([acc.ndim - 1], [0]))
-        else:
-            acc = np.tensordot(acc, core, axes=([acc.ndim - 2, acc.ndim - 1], [1, 2]))
-        mults += acc.size * core.shape[1] * (core.shape[2] if k != 2 * d else 1)
-    v = acc.reshape(-1)  # (r_d,)
-    # row sweep: cores d..1 emit output modes
-    out = v
-    for k in range(d, 0, -1):
-        core = core_list[k - 1]  # (r_{k-1}, m_k, r_k)
-        out = np.tensordot(core, out, axes=([2], [0]))  # (r_{k-1}, m_k, out_modes...)
-        mults += out.size * core.shape[2]
-        out = out.reshape((core.shape[0], -1)) if k > 1 else out
-    y = out.reshape(plan.padded_rows)[: plan.rows]
-    if count_ops:
-        return y, mults
-    return y
+
+    def count(i, stage, acc, core):
+        nonlocal mults
+        out = np.einsum(stage.subscripts, acc, core)
+        # one multiply per output entry per combination of the summed indices
+        acc_subs, kept = stage.subscripts.split(",")[0], stage.subscripts.split("->")[1]
+        mults += out.size * math.prod(n for c, n in zip(acc_subs, acc.shape) if c not in kept)
+        return out
+
+    return tt_chain(x[None], core_list, plan, count)[0], mults
 
 
 def tt_matvec_mult_count(plan: TensorShapePlan) -> int:
-    """Analytic multiply count of the tt_matvec contraction order."""
-    d = plan.order
-    nf, mf, ranks = plan.col_factors, plan.row_factors, plan.ranks
-    mults = 0
-    for k in range(2 * d, d, -1):
-        left = math.prod(nf[: k - d - 1]) if k - d - 1 > 0 else 1
-        mults += left * ranks[k - 1] * nf[k - d - 1] * ranks[k]
-    out_modes = 1
-    for k in range(d, 0, -1):
-        mults += ranks[k - 1] * mf[k - 1] * ranks[k] * out_modes
-        out_modes *= mf[k - 1]
-    return mults
+    """Analytic multiply count of one TT matvec."""
+    return sum(s.mults for s in tt_stages(plan))
 
 
 def ttm_lookup_mult_count(plan: TensorShapePlan) -> int:
@@ -445,8 +468,8 @@ def ttm_row_lookup(
     cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan, row: int
 ) -> np.ndarray:
     """Row ``row`` of the represented matrix, from core slices only."""
-    core_list = list(cores.cores if isinstance(cores, TTMCores) else cores)
-    _check_ttm_cores(core_list, plan)
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TTM)
     if not 0 <= row < plan.rows:
         raise IndexError(f"row {row} out of range [0, {plan.rows})")
     digits = row_digits(row, plan.row_factors)

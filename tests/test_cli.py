@@ -8,6 +8,7 @@ import pytest
 
 from ttq.cli import main
 from ttq.checkpoint import checkpoint_load
+from ttq.data import read_corpus
 from ttq.model import ModelConfig, TransformerModel, model_size_bytes
 
 
@@ -94,16 +95,37 @@ class TestTrainEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
-    def test_int8_eval_path(self, tmp_path, corpus):
+    def test_int8_eval_path(self, tmp_path, corpus, monkeypatch):
         out = tmp_path / "run"
         cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, epochs=2))
         main(["train", str(cfg_path)])
+        seen, modes = [], []
+        calibrate, forward = TransformerModel.calibrate_int, TransformerModel.forward
+
+        def recording_calibrate(self, batches):
+            batches = list(batches)
+            seen.extend(batches)
+            return calibrate(self, batches)
+
+        def recording_forward(self, ids, mask=None, mode="train"):
+            modes.append(mode)
+            return forward(self, ids, mask, mode)
+
+        monkeypatch.setattr(TransformerModel, "calibrate_int", recording_calibrate)
+        monkeypatch.setattr(TransformerModel, "forward", recording_forward)
         code = main(["eval", str(cfg_path), "--checkpoint", str(out / "model.ttq"),
                      "--split", "dev", "--int8"])
         assert code == 0
         record = json.loads((out / "eval_report.jsonl").read_text().strip())
         assert record["mode"] == "infer_int"
         assert 0.0 <= record["intent_accuracy"] <= 1.0
+        assert 0.0 <= record["slot_f1"] <= 1.0
+        assert modes[-1] == "infer_int"
+        train_batches = list(read_corpus(corpus)["train"].batches(16))[:4]
+        assert len(seen) == len(train_batches)
+        for (ids, mask), (t_ids, t_mask, _, _) in zip(seen, train_batches):
+            np.testing.assert_array_equal(ids, t_ids)
+            np.testing.assert_array_equal(mask, t_mask)
 
 
 class TestDistillCommand:

@@ -16,7 +16,7 @@ from ttq.distill import (
     stage_loss,
 )
 from ttq.model import ModelConfig, PlanSpec, TransformerModel, tt_model_from_dense
-from ttq.train import snapshot_params
+from ttq.train import DivergenceError, snapshot_params
 from ttq.tt import TTFormat
 
 
@@ -143,6 +143,19 @@ class TestStageLoss:
 
 
 class TestRunDistillation:
+    def test_divergence_carries_last_good_student(self):
+        teacher, data = toy_teacher_and_data()
+        teacher.pos_emb.data[:] = np.nan
+        student = TransformerModel(student_config(teacher.config), 2)
+        before = snapshot_params(student)
+        cfg = DistillConfig(stage_epochs=1, final_epochs=1, batch_size=16, seed=1)
+        with pytest.raises(DivergenceError) as info:
+            run_distillation(teacher, student, data["train"], cfg)
+        last_good = info.value.last_good
+        assert set(last_good) == {name for name, _ in student.params()}
+        for name, value in before.items():
+            np.testing.assert_array_equal(last_good[name], value)
+
     def test_zero_epochs_leaves_student_unchanged(self):
         teacher, data = toy_teacher_and_data()
         student = TransformerModel(student_config(teacher.config), 2)

@@ -133,6 +133,9 @@ class TestTTDense:
         bad[1] = np.zeros((3, 9, 9))
         with pytest.raises(StructureError):
             tt_to_dense(bad, plan)
+        ttm_plan = plan_factorization(4, 4, 2, 2, fmt=TTFormat.TTM)
+        with pytest.raises(StructureError, match="not TT format"):
+            TTCores([np.zeros(s) for s in ttm_plan.core_shapes()], ttm_plan)
 
 
 class TestTTMDense:
