@@ -33,6 +33,7 @@ from .config import ConfigError, RunConfig
 from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_corpus
 from .distill import compare_schedules, run_distillation
 from .model import TransformerModel, architecture_flops, model_size_bytes
+from .quant import FULL_PRECISION
 from .train import DivergenceError, TrainConfig, evaluate, train_end_to_end
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 2, 3, 4, 5
@@ -208,18 +209,22 @@ def cmd_bench(args) -> int:
     dense = TransformerModel(dense_cfg, cfg.seed)
     ids = rng.integers(0, cfg.model.vocab_size, size=(batch, seq))
     mask = np.ones((batch, seq))
+    runs = [("dense", dense, "train"), ("tensor_compressed", compressed, "train")]
+    if cfg.model.compress and FULL_PRECISION not in (cfg.model.weight_bits, cfg.model.act_bits):
+        compressed.calibrate_int([(ids, mask)])
+        runs.append(("infer_int", compressed, "infer_int"))
     records = []
     text_lines = [f"bench: batch={batch} seq={seq} repeats={repeats} (informational only)"]
-    for name, model in (("dense", dense), ("tensor_compressed", compressed)):
+    for name, model, mode in runs:
         times = []
         with ad.no_grad():
-            model.forward(ids, mask, mode="train")  # warm-up
+            model.forward(ids, mask, mode=mode)  # warm-up
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                model.forward(ids, mask, mode="train")
+                model.forward(ids, mask, mode=mode)
                 times.append(time.perf_counter() - t0)
-        rec = {"model": name, "mean_s": float(np.mean(times)), "std_s": float(np.std(times)),
-               "repeats": repeats}
+        rec = {"model": name, "mode": mode, "mean_s": float(np.mean(times)),
+               "std_s": float(np.std(times)), "repeats": repeats}
         records.append(rec)
         text_lines.append(f"  {name:18s} mean {rec['mean_s']*1e3:8.2f} ms  "
                           f"std {rec['std_s']*1e3:6.2f} ms")

@@ -244,7 +244,11 @@ def _distill_stage(teacher: TransformerModel, student: TransformerModel, dataset
                 raise DivergenceError(f"distillation diverged in stage {stage.index}, "
                                       f"epoch {epoch}", last_good=last_good)
             grads = ad.backward(loss)
-            adam_step(params, grads, state, tc, scale_ids)
+            try:
+                adam_step(params, grads, state, tc, scale_ids)
+            except DivergenceError as exc:
+                exc.last_good = last_good
+                raise
             total += val
             batches += 1
         curve.append(total / max(batches, 1))

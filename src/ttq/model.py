@@ -11,6 +11,9 @@ Three forward modes:
 * ``infer_fp``  - raw master parameters, no quantization,
 * ``infer_int`` - integer core contractions with per-stage INT8 requantization
                   using scales calibrated from training-time activations.
+                  The integer codes are contracted as exact float64 GEMMs
+                  (BLAS): a per-stage check keeps every accumulator below
+                  2**31, so no sum leaves float64's exact-integer range.
 
 Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
@@ -276,7 +279,8 @@ class TTLinearLayer:
     # -- integer inference -------------------------------------------------
 
     def _int_codes(self):
-        """Frozen integer codes for every core plus the shared scale."""
+        """Integer codes of every core, requantized from the current master
+        cores on each call, plus the shared weight scale."""
         if self.bits == q.FULL_PRECISION or self.act_bits == q.FULL_PRECISION:
             raise ModeError(f"{self.name}: integer inference needs quantized weights and inputs")
         w_scale = float(self.weight_scale.data)
@@ -291,8 +295,7 @@ class TTLinearLayer:
         xq = q.fake_quant_forward(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits)
         scales: list[float] = []
 
-        def record(i, stage, acc, core):
-            out = np.einsum(stage.subscripts, acc, core)
+        def record(i, stage, acc, core, out):
             scales.append(max(float(np.max(np.abs(out))), 1e-12) / 127.0)
             return out
 
@@ -303,26 +306,29 @@ class TTLinearLayer:
         if self.stage_scales is None:
             raise ModeError(f"{self.name}: calibrate_int must run before integer inference")
         codes, w_scale = self._int_codes()
-        int_cores = [c.astype(np.int64) for c in codes]
+        # Codes ride in float64 so each stage is a BLAS GEMM.  The bound check
+        # keeps every partial sum an integer below 2**31 < 2**53, so the GEMM
+        # is exact in any summation order: bit-identical to an int64 walk.
+        int_cores = [c.astype(np.float64) for c in codes]
         a_scale = float(self.act_scale.data)
         x_codes = q.quantize(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits).codes
         last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
 
-        def requantize(i, stage, acc, core):
+        def requantize(i, stage, acc, core, out):
             nonlocal in_scale
             peak_x = int(np.max(np.abs(acc))) if acc.size else 0
             peak_w = int(np.max(np.abs(core))) if core.size else 0
             if peak_x * peak_w * math.prod(core.shape[1:]) >= 2 ** 31:
                 raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
-            out = np.einsum(stage.subscripts, acc, core)
             real_scale = in_scale * w_scale
             if i == last:
-                return out.astype(np.float64) * real_scale
+                return out * real_scale
             in_scale = self.stage_scales[i]
-            return q.round_half_away(np.clip(out * (real_scale / in_scale), -128, 127)).astype(np.int64)
+            out *= real_scale / in_scale
+            return q.round_half_away(np.clip(out, -128, 127, out=out))
 
-        y = tt_chain(x_codes.astype(np.int64), int_cores, self.plan, requantize)
+        y = tt_chain(x_codes.astype(np.float64), int_cores, self.plan, requantize)
         return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
 
 

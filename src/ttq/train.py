@@ -144,8 +144,15 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
     """One Adam update with bias correction.
 
     Quantizer scale parameters (ids in ``scale_params``) are clamped to stay
-    positive after the step; they may use their own learning rate.
+    positive after the step; they may use their own learning rate.  Every
+    gradient is checked before any update, so a non-finite one raises
+    ``DivergenceError`` with the parameters and the state untouched.
     """
+    for p in params:
+        g = grads.get(id(p))
+        if g is not None and not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for parameter {p.name!r} "
+                                  f"at step {state.step + 1}")
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
@@ -153,8 +160,6 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
         g = grads.get(id(p))
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {p.name!r} at step {t}")
         key = id(p)
         m = state.m.get(key)
         if m is None:
@@ -260,7 +265,11 @@ def train_end_to_end(model: TransformerModel, train_set: Dataset, dev_set: Datas
                 raise DivergenceError(
                     f"training loss diverged at epoch {epoch}", last_good=last_good)
             grads = ad.backward(loss)
-            adam_step(params, grads, state, config, scale_ids)
+            try:
+                adam_step(params, grads, state, config, scale_ids)
+            except DivergenceError as exc:
+                exc.last_good = last_good
+                raise
             epoch_loss += loss_val
             n_batches += 1
         entry = {"epoch": epoch, "train_loss": epoch_loss / max(n_batches, 1)}

@@ -10,7 +10,8 @@ each carrying one row mode and one column mode jointly.
 each a reshape of the running product, one core contraction and its multiply
 count.  The autodiff forward (``model.tt_chain_apply``), integer inference
 and its calibration (``tt_chain`` with a per-stage hook), ``tt_matvec`` and
-the op counts behind ``flops_estimate`` all follow it.
+the op counts behind ``flops_estimate`` all follow it; ``tt_chain`` holds
+the one plain-numpy stage contraction.
 
 Dense reconstruction here is the reference path: it is used by oracles and
 tests, never by the training or inference hot path.
@@ -391,12 +392,14 @@ def tt_stages(plan: TensorShapePlan) -> list[Stage]:
 
 
 def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
-             contract=None) -> np.ndarray:
+             post=None) -> np.ndarray:
     """Batched y = W x in plain numpy along ``tt_stages(plan)``.
 
-    ``contract(i, stage, acc, core)`` replaces stage i's ``np.einsum`` of the
-    reshaped running product with the core view, to record, bound-check or
-    requantize it.  Returns the (batch, rows) result.
+    Every stage contracts the reshaped running product with its core view
+    through one BLAS-lowered ``np.einsum``.  ``post(i, stage, acc, core,
+    out)`` sees stage i's operands and output and returns what the next
+    stage consumes, to record, count, bound-check or requantize it.
+    Returns the (batch, rows) result.
     """
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
@@ -404,7 +407,8 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     for i, stage in enumerate(tt_stages(plan)):
         acc = acc.reshape((batch,) + stage.in_shape)
         core = cores[stage.core].reshape(stage.core_shape)
-        acc = contract(i, stage, acc, core) if contract else np.einsum(stage.subscripts, acc, core)
+        out = np.einsum(stage.subscripts, acc, core, optimize=True)
+        acc = post(i, stage, acc, core, out) if post else out
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 
@@ -428,9 +432,8 @@ def tt_matvec(
         return tt_chain(x[None], core_list, plan)[0]
     mults = 0
 
-    def count(i, stage, acc, core):
+    def count(i, stage, acc, core, out):
         nonlocal mults
-        out = np.einsum(stage.subscripts, acc, core)
         # one multiply per output entry per combination of the summed indices
         acc_subs, kept = stage.subscripts.split(",")[0], stage.subscripts.split("->")[1]
         mults += out.size * math.prod(n for c, n in zip(acc_subs, acc.shape) if c not in kept)

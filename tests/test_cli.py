@@ -198,9 +198,17 @@ class TestReports:
         assert main(["bench", str(cfg_path), "--repeats", "2"]) == 0
         lines = (out / "bench_report.jsonl").read_text().strip().split("\n")
         recs = [json.loads(l) for l in lines]
-        assert {r["model"] for r in recs} == {"dense", "tensor_compressed"}
+        assert {r["model"]: r["mode"] for r in recs} == {
+            "dense": "train", "tensor_compressed": "train", "infer_int": "infer_int"}
         for r in recs:
             assert r["mean_s"] > 0
+
+    def test_bench_times_infer_int_only_for_quantized_models(self, tmp_path, corpus):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, weight_bits=32))
+        assert main(["bench", str(cfg_path), "--repeats", "1"]) == 0
+        lines = (out / "bench_report.jsonl").read_text().strip().split("\n")
+        assert {json.loads(l)["model"] for l in lines} == {"dense", "tensor_compressed"}
 
 
 class TestErrorPaths:

@@ -156,6 +156,28 @@ class TestRunDistillation:
         for name, value in before.items():
             np.testing.assert_array_equal(last_good[name], value)
 
+    def test_nan_gradient_carries_last_good_student(self, monkeypatch):
+        teacher, data = toy_teacher_and_data()
+        student = TransformerModel(student_config(teacher.config), 2)
+        (_, first), (_, second) = student.params()[:2]
+        before = snapshot_params(student)
+        backward = ad.backward
+
+        def poisoned(loss):
+            grads = backward(loss)
+            grads[id(second)] = np.full_like(grads[id(second)], np.nan)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        cfg = DistillConfig(stage_epochs=1, final_epochs=1, batch_size=16, seed=1)
+        with pytest.raises(DivergenceError, match=f"{second.name!r}") as info:
+            run_distillation(teacher, student, data["train"], cfg)
+        np.testing.assert_array_equal(first.data, before[first.name])
+        last_good = info.value.last_good
+        assert set(last_good) == set(before)
+        for name, value in before.items():
+            np.testing.assert_array_equal(last_good[name], value)
+
     def test_zero_epochs_leaves_student_unchanged(self):
         teacher, data = toy_teacher_and_data()
         student = TransformerModel(student_config(teacher.config), 2)

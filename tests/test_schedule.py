@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttq import autodiff as ad
+from ttq import quant as q
 from ttq.model import TTLinearLayer
 from ttq.tt import (
     TensorShapePlan,
@@ -50,3 +51,86 @@ def test_every_walk_of_the_schedule_matches_dense(plan, batch, seed):
     quantized = TTLinearLayer(plan, 8, 8, rng, dtype=np.float64)
     quantized.calibrate_int(x)
     assert len(quantized.stage_scales) == len(tt_stages(plan))
+
+
+def int64_walk(layer, x):
+    """The integer walk in int64: plain ``np.einsum`` over the codes, then the
+    same requantization as ``TTLinearLayer._forward_int``."""
+    plan, w_scale, in_scale = layer.plan, float(layer.weight_scale.data), float(layer.act_scale.data)
+    cores = [q.quantize(c.data, w_scale, layer.bits).codes.astype(np.int64) for c in layer.cores]
+    acc = q.quantize(x, in_scale, layer.act_bits).codes.astype(np.int64)
+    acc = np.pad(acc, ((0, 0), (0, plan.padded_cols - plan.cols)))
+    stages = tt_stages(plan)
+    for i, stage in enumerate(stages):
+        acc = acc.reshape((len(x),) + stage.in_shape)
+        out = np.einsum(stage.subscripts, acc, cores[stage.core].reshape(stage.core_shape))
+        real_scale = in_scale * w_scale
+        if i == len(stages) - 1:
+            acc = out.astype(np.float64) * real_scale
+        else:
+            in_scale = layer.stage_scales[i]
+            acc = q.round_half_away(np.clip(out * (real_scale / in_scale), -128, 127)).astype(np.int64)
+    y = acc.reshape(len(x), plan.padded_rows)[:, : plan.rows]
+    return y + layer.bias.data
+
+
+def calibrated_int8_layer(plan, rng, batch):
+    layer = TTLinearLayer(plan, 8, 8, rng, dtype=np.float64)
+    layer.bias.data = rng.normal(size=plan.rows)
+    x = rng.normal(size=(batch, plan.cols))
+    layer.forward(ad.Tensor(x), mode="train")  # sets the input scale
+    layer.calibrate_int(x)
+    return layer
+
+
+def assert_bitwise_equal(got, ref):
+    assert got.dtype == ref.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_integer_walk_is_bit_identical_to_int64(plan, batch, seed):
+    rng = np.random.default_rng(seed)
+    layer = calibrated_int8_layer(plan, rng, batch)
+    # wider than the calibration batch, so inputs and stages saturate too
+    x = 2.0 * rng.normal(size=(batch, plan.cols))
+    assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x))
+
+
+def test_integer_walk_exact_next_to_the_accumulator_bound():
+    # d=1 with rank 2**17: the last stage sums 2**17 products of saturated
+    # codes, reaching 128 * 127 * 2**17 = 2**31 - 2**24, just inside the
+    # bound.  One input code of +127 makes the sum odd, so it is not a
+    # float32 value: a contraction that is not exact cannot match.
+    r = 2 ** 17
+    plan = TensorShapePlan(1, 2, (1,), (2,), (1, r, 1))
+    layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(3), dtype=np.float64)
+    layer.cores[0].data = np.full((1, 1, r), -127.0)
+    layer.cores[1].data = np.zeros((r, 2, 1))
+    layer.cores[1].data[:, 0, 0] = 1.0
+    layer.cores[1].data[0, 0, 0] = -1.0  # stage 0 gives code 127 here, -128 elsewhere
+    layer.weight_scale.data = np.asarray(1.0)
+    layer.act_scale.data = np.asarray(1.0)
+    layer.stage_scales = [1.0, 1.0]
+    x = np.array([[-1000.0, -1000.0], [1000.0, 0.0]])
+    got = layer._forward_int(x)
+    assert_bitwise_equal(got, int64_walk(layer, x))
+    assert got[:, 0].tolist() == [(r - 1) * 128 * 127 - 127 * 127, -(r - 2) * 127 * 127]
+
+
+@given(plan=tt_plans(), batch=st.integers(1, 5), extra=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_integer_layer_rows_do_not_depend_on_batch_mates(plan, batch, extra, seed):
+    rng = np.random.default_rng(seed)
+    layer = calibrated_int8_layer(plan, rng, batch)
+    x = 2.0 * rng.normal(size=(batch + extra, plan.cols))
+
+    def infer(rows):
+        return layer.forward(ad.Tensor(rows), mode="infer_int").data
+
+    together = infer(x[:batch])
+    for i in range(batch):
+        assert_bitwise_equal(infer(x[i:i + 1])[0], together[i])
+    assert_bitwise_equal(infer(x)[:batch], together)

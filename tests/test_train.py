@@ -130,9 +130,15 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
     def test_nan_gradient_aborts(self):
-        p = ad.Parameter(np.zeros(2), name="w")
-        with pytest.raises(DivergenceError):
-            adam_step([p], {id(p): np.array([np.nan, 0.0])}, AdamState(), TrainConfig(epochs=1))
+        # the finite gradient comes first: no parameter moves before the raise
+        first = ad.Parameter(np.ones(3), name="first")
+        second = ad.Parameter(np.zeros(2), name="w")
+        state = AdamState()
+        grads = {id(first): np.ones(3), id(second): np.array([np.nan, 0.0])}
+        with pytest.raises(DivergenceError, match="'w' at step 1"):
+            adam_step([first, second], grads, state, TrainConfig(epochs=1))
+        np.testing.assert_array_equal(first.data, np.ones(3))
+        assert state.step == 0 and not state.m
 
     def test_scale_param_clamped_positive(self):
         s = ad.Parameter(np.asarray(1e-9))
@@ -187,6 +193,26 @@ class TestTrainLoop:
         report = train_end_to_end(model, data["train"], None, cfg)
         losses = [e["train_loss"] for e in report["epochs"]]
         assert losses[-1] < losses[0]
+
+    def test_nan_gradient_carries_last_good(self, monkeypatch):
+        model, data = tiny_model_and_data()
+        (_, first), (_, second) = model.params()[:2]
+        before = snapshot_params(model)
+        backward = ad.backward
+
+        def poisoned(loss):
+            grads = backward(loss)
+            grads[id(second)] = np.full_like(grads[id(second)], np.nan)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(DivergenceError, match=f"{second.name!r}") as info:
+            train_end_to_end(model, data["train"], None, TrainConfig(epochs=1, batch_size=16))
+        np.testing.assert_array_equal(first.data, before[first.name])
+        last_good = info.value.last_good
+        assert set(last_good) == set(before)
+        for name, value in before.items():
+            np.testing.assert_array_equal(last_good[name], value)
 
     def test_empty_dataset_rejected(self):
         model, data = tiny_model_and_data()
