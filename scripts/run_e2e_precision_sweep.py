@@ -7,22 +7,21 @@ Usage: python scripts/run_e2e_precision_sweep.py [--epochs N] [--seed N]
 
 import argparse
 import time
+from dataclasses import replace
+from pathlib import Path
 
+from ttq.config import RunConfig
 from ttq.data import gen_synthetic_dataset
-from ttq.model import ModelConfig, PlanSpec, TransformerModel, model_size_bytes
+from ttq.model import TransformerModel, model_size_bytes
 from ttq.train import TrainConfig, evaluate, train_end_to_end
-from ttq.tt import TTFormat
+
+TOY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_int8.json"
 
 
 def model_config(compress, weight_bits, act_bits):
-    return ModelConfig(
-        vocab_size=120, hidden=32, ffn_dim=64, num_layers=2, num_heads=2,
-        max_seq=16, num_intents=6, num_slots=9, compress=compress,
-        weight_bits=weight_bits, act_bits=act_bits, dtype="float32",
-        emb_spec=PlanSpec(d=2, rank=6, fmt=TTFormat.TTM),
-        attn_spec=PlanSpec(d=2, rank=4), ffn_spec=PlanSpec(d=2, rank=4),
-        head_spec=PlanSpec(d=2, rank=4),
-    )
+    """The desk model of ``configs/toy_int8.json`` at the given precision."""
+    return replace(RunConfig.load(TOY_CONFIG).model, compress=compress,
+                   weight_bits=weight_bits, act_bits=act_bits)
 
 
 def main():

@@ -9,12 +9,15 @@ Usage: python scripts/run_layerwise_distillation.py [--seed N] [--compare]
 import argparse
 import time
 from dataclasses import replace
+from pathlib import Path
 
+from ttq.config import RunConfig
 from ttq.data import gen_synthetic_dataset
 from ttq.distill import DistillConfig, compare_schedules, run_distillation
-from ttq.model import ModelConfig, PlanSpec, TransformerModel
+from ttq.model import TransformerModel
 from ttq.train import TrainConfig, evaluate, train_end_to_end
-from ttq.tt import TTFormat
+
+TOY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_int8.json"
 
 
 def main():
@@ -26,9 +29,10 @@ def main():
 
     data = gen_synthetic_dataset(seed=11, vocab_size=120, num_intents=6,
                                  num_slots=8, num_examples=2000)
-    teacher_cfg = ModelConfig(
-        vocab_size=120, hidden=32, ffn_dim=64, num_layers=2, num_heads=2,
-        max_seq=16, num_intents=6, num_slots=9, compress=False, dtype="float32")
+    # the desk model of configs/toy_int8.json: a dense FP32 teacher, and an
+    # INT8 TT student with a rank-4 embedding
+    toy = RunConfig.load(TOY_CONFIG).model
+    teacher_cfg = replace(toy, compress=False, weight_bits=32, act_bits=32)
     t0 = time.time()
     teacher = TransformerModel(teacher_cfg, args.seed)
     train_end_to_end(teacher, data["train"], None,
@@ -38,11 +42,7 @@ def main():
     print(f"teacher trained in {time.time()-t0:.0f}s: "
           f"intent {t_metrics['intent_accuracy']:.4f} slot f1 {t_metrics['slot_f1']:.4f}")
 
-    student_cfg = replace(
-        teacher_cfg, compress=True, weight_bits=8, act_bits=8,
-        emb_spec=PlanSpec(d=2, rank=4, fmt=TTFormat.TTM),
-        attn_spec=PlanSpec(d=2, rank=4), ffn_spec=PlanSpec(d=2, rank=4),
-        head_spec=PlanSpec(d=2, rank=4))
+    student_cfg = replace(toy, emb_spec=replace(toy.emb_spec, rank=4))
     dcfg = DistillConfig(stage_epochs=3, final_epochs=8, stage_lr=1e-3,
                          final_lr=1e-3, batch_size=32, seed=args.seed)
 

@@ -393,21 +393,21 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
     """Quantize-dequantize with straight-through gradients.
 
-    Forward emits the dequantized surrogate.  Backward passes the upstream
-    gradient through in-range elements to x, and routes the branch-value
-    surrogate, summed over every element sharing the scale, to ``scale_t``.
+    Forward emits the dequantized surrogate in ``x``'s dtype and keeps only
+    the int8 codes.  Backward passes the upstream gradient through in-range
+    elements to x, and routes the branch-value surrogate, summed over every
+    element sharing the scale, to ``scale_t``.
     """
     x = _as_tensor(x)
     scale_t = _as_tensor(scale_t)
     if bits == q.FULL_PRECISION:
         return x
     s = float(scale_t.data)
-    out = q.fake_quant_forward(x.data, s, bits)
+    codes, out = q.quantize_blocks(x.data, s, bits, np.int8, x.data.dtype)
 
     def vjp(g):
-        in_range, grad_scale = q.ste_grads(x.data, s, bits)
-        gs = np.asarray((g * grad_scale).sum(), dtype=scale_t.data.dtype)
-        return (g * in_range, gs.reshape(scale_t.data.shape))
+        gx, gs = q.ste_backward(x.data, codes, s, bits, g)
+        return (gx, np.asarray(gs, dtype=scale_t.data.dtype).reshape(scale_t.data.shape))
 
     return _make(out, (x, scale_t), vjp)
 

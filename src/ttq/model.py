@@ -260,7 +260,7 @@ class TTLinearLayer:
                                              dtype=self.act_scale.data.dtype)
             self.act_scale_ready = True
         if self._capture is not None:
-            self._capture.append(np.asarray(x2d.data, dtype=np.float64))
+            self._capture.append(x2d.data)
         return ad.fake_quant(x2d, self.act_scale, self.act_bits)
 
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
@@ -279,20 +279,21 @@ class TTLinearLayer:
     # -- integer inference -------------------------------------------------
 
     def _int_codes(self):
-        """Integer codes of every core, requantized from the current master
-        cores on each call, plus the shared weight scale."""
+        """Integer codes of every core as float64, requantized from the current
+        master cores on each call, plus the shared weight scale."""
         if self.bits == q.FULL_PRECISION or self.act_bits == q.FULL_PRECISION:
             raise ModeError(f"{self.name}: integer inference needs quantized weights and inputs")
         w_scale = float(self.weight_scale.data)
-        return [q.quantize(c.data, w_scale, self.bits).codes for c in self.cores], w_scale
+        codes = [q.quantize_blocks(c.data, w_scale, self.bits, np.float64)[0] for c in self.cores]
+        return codes, w_scale
 
     def calibrate_int(self, x2d: np.ndarray):
         """Derive static per-stage INT8 requantization scales from the max-abs
         of each stage's real-valued intermediate on a calibration batch."""
         codes, w_scale = self._int_codes()
-        deq = [w_scale * c.astype(np.float64) for c in codes]
+        deq = [w_scale * c for c in codes]
         a_scale = float(self.act_scale.data)
-        xq = q.fake_quant_forward(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits)
+        _, xq = q.quantize_blocks(x2d, a_scale, self.act_bits, np.int8, np.float64)
         scales: list[float] = []
 
         def record(i, stage, acc, core, out):
@@ -305,13 +306,12 @@ class TTLinearLayer:
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
         if self.stage_scales is None:
             raise ModeError(f"{self.name}: calibrate_int must run before integer inference")
-        codes, w_scale = self._int_codes()
         # Codes ride in float64 so each stage is a BLAS GEMM.  The bound check
         # keeps every partial sum an integer below 2**31 < 2**53, so the GEMM
         # is exact in any summation order: bit-identical to an int64 walk.
-        int_cores = [c.astype(np.float64) for c in codes]
+        int_cores, w_scale = self._int_codes()
         a_scale = float(self.act_scale.data)
-        x_codes = q.quantize(np.asarray(x2d, dtype=np.float64), a_scale, self.act_bits).codes
+        x_codes, _ = q.quantize_blocks(x2d, a_scale, self.act_bits, np.float64)
         last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
 
@@ -328,7 +328,7 @@ class TTLinearLayer:
             out *= real_scale / in_scale
             return q.round_half_away(np.clip(out, -128, 127, out=out))
 
-        y = tt_chain(x_codes.astype(np.float64), int_cores, self.plan, requantize)
+        y = tt_chain(x_codes, int_cores, self.plan, requantize)
         return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
 
 

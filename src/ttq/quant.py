@@ -2,9 +2,25 @@
 
 The quantizer maps x to scale * round(clip(x / scale, -2**(b-1), 2**(b-1)-1)).
 Rounding ties go half-away-from-zero.  Gradients through the rounding are the
-straight-through surrogates: the input gradient is an in-range indicator, and
-the scale gradient follows the clipped-branch rule (quantization residual over
-the scale in range, saturation values outside).
+straight-through surrogates of learned step size quantization (Esser et al.
+2020): the input gradient is an in-range indicator, and the scale gradient
+follows the clipped-branch rule (quantization residual over the scale in
+range, saturation values outside).
+
+One blocked kernel, ``quantize_blocks``, does every quantization: it walks
+the input in blocks of ``BLOCK`` elements so its float64 scratch stays in
+cache, and stores the integer codes (and, on request, the dequantized values)
+block by block.  ``quantize``, ``fake_quant_forward``, the autodiff
+``fake_quant`` node and integer inference all call it, so rounding lives in
+one place.  The autodiff node keeps only the int8 codes (1 byte per element)
+between forward and backward; ``ste_backward`` rebuilds the in-range mask and
+the scale surrogate from them, also block by block.  Two exactness notes:
+
+* the ratio is ``np.divide(x, scale, dtype=float64)``.  Under NEP 50 a
+  float32 input divided with ``out=`` but no ``dtype`` computes in float32,
+  even into a float64 buffer, and some codes then differ;
+* a code that rounds to -0.0 is stored as +0.0, as an integer round trip
+  gives, so ``scale * code`` is never -0.0.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -19,6 +35,7 @@ import numpy as np
 ALLOWED_BITS = (2, 4, 8, 32)
 FULL_PRECISION = 32
 MIN_SCALE = 1e-8
+BLOCK = 1 << 14  # elements per kernel block: each float64 scratch buffer is 128 KiB
 
 
 class QuantParamError(ValueError):
@@ -42,14 +59,17 @@ def code_bounds(bits: int) -> tuple[int, int]:
     return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero.
+def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer, ties away from zero, into ``out`` if given
+    (``out`` must not share memory with ``x``).
 
     Bitwise equal, signed zeros included, to ``sign(x) * floor(|x| + 0.5)``:
     x + 0.5*sign(x) has the magnitude of |x| + 0.5 and turns -0.0 into +0.0.
     """
     x = np.asarray(x)
-    out = np.sign(x, dtype=np.result_type(x, 0.5))
+    if out is None:  # an array even for 0-d x, so the in-place steps below work
+        out = np.empty(x.shape, dtype=np.result_type(x, 0.5))
+    np.sign(x, out=out, dtype=out.dtype)
     out *= 0.5
     out += x
     return np.trunc(out, out=out)
@@ -97,25 +117,108 @@ class QuantizedTensor:
         return self.scale * self.codes.astype(np.float64)
 
 
-def quantize(x: np.ndarray, scale: float, bits: int) -> QuantizedTensor:
-    """Quantize to integer codes: round(clip(x/scale, lo, hi))."""
+def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
+                    value_dtype=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The quantizer kernel: codes round(clip(x/scale, lo, hi)) shaped like x.
+
+    Returns ``(codes, values)``: the codes stored as ``code_dtype`` and, when
+    ``value_dtype`` is given, the dequantized surrogate ``scale * codes``
+    computed in float64 and stored as ``value_dtype`` (else ``None``).  Each
+    block of ``BLOCK`` elements runs divide, clip, round and store into
+    reused buffers.
+    """
     _check_bits(bits)
     if scale <= 0:
         raise QuantParamError(f"scale must be positive, got {scale}")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise QuantInputError("input contains non-finite values")
     lo, hi = code_bounds(bits)
-    codes = round_half_away(np.clip(x / scale, lo, hi)).astype(np.int32)
+    if np.dtype(code_dtype).kind == "i" and np.iinfo(code_dtype).max < hi:
+        raise QuantParamError(f"{np.dtype(code_dtype)} cannot hold {bits}-bit codes")
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    n = flat.size
+    codes = np.empty(n, dtype=code_dtype)
+    values = None if value_dtype is None else np.empty(n, dtype=value_dtype)
+    width = min(n, BLOCK)
+    finite = np.empty(width, dtype=bool)
+    ratio = np.empty(width, dtype=np.float64)
+    code = np.empty(width, dtype=np.float64)
+    for start in range(0, n, BLOCK):
+        xb = flat[start:start + BLOCK]
+        k = xb.size
+        if not np.isfinite(xb, out=finite[:k]).all():
+            raise QuantInputError("input contains non-finite values")
+        r, c = ratio[:k], code[:k]
+        np.divide(xb, scale, out=r, dtype=np.float64)
+        np.clip(r, lo, hi, out=r)
+        round_half_away(r, out=c)
+        c += 0.0  # a code rounded to -0.0 becomes +0.0
+        codes[start:start + k] = c
+        if values is not None:
+            np.multiply(c, scale, out=values[start:start + k], casting="unsafe")
+    if n and (codes.min() < lo or codes.max() > hi):
+        raise QuantParamError(f"codes outside [{lo}, {hi}] for {bits}-bit")
+    return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
+
+
+def quantize(x: np.ndarray, scale: float, bits: int) -> QuantizedTensor:
+    """Quantize to integer codes: round(clip(x/scale, lo, hi))."""
+    codes, _ = quantize_blocks(x, scale, bits, np.int32)
     return QuantizedTensor(codes=codes, scale=scale, bits=bits)
 
 
 def fake_quant_forward(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     """Quantize-dequantize surrogate used inside training-mode forwards."""
+    x = np.asarray(x)
     if bits == FULL_PRECISION:
-        return np.asarray(x)
-    q = quantize(x, scale, bits)
-    return (q.scale * q.codes).astype(np.asarray(x).dtype)
+        return x
+    return quantize_blocks(x, scale, bits, np.int8, x.dtype)[1]
+
+
+def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
+                 g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Straight-through vector-Jacobian product of ``fake_quant_forward``.
+
+    ``codes`` are the forward's codes of ``x``.  Returns ``g`` masked to the
+    in-range elements (``g * ste_grad_input``, in ``g``'s dtype) and the
+    float64 scale gradient ``(g * ste_grad_scale(x)).sum()``, bit for bit:
+    the product fills one C-ordered float64 array shaped like ``x``, the
+    layout numpy gives that expression, so ``.sum()`` adds in the same order.
+    """
+    lo, hi = code_bounds(bits)
+    flat, cflat = x.reshape(-1), codes.reshape(-1)
+    g = np.asarray(g)
+    gflat = g.reshape(-1)
+    n = flat.size
+    gx = np.empty(n, dtype=g.dtype)
+    prod = np.empty(n, dtype=np.float64)
+    width = min(n, BLOCK)
+    x64 = np.empty(width, dtype=np.float64)
+    g64 = np.empty(width, dtype=np.float64)
+    ratio = np.empty(width, dtype=np.float64)
+    surr = np.empty(width, dtype=np.float64)
+    inside = np.empty(width, dtype=bool)
+    outside = np.empty(width, dtype=bool)
+    for start in range(0, n, BLOCK):
+        sl = slice(start, start + BLOCK)
+        xb, cb, gb = flat[sl], cflat[sl], gflat[sl]
+        k = xb.size
+        xd, gd, r, s, m, o = x64[:k], g64[:k], ratio[:k], surr[:k], inside[:k], outside[:k]
+        xd[...] = xb  # float64 copies of x and g: the values dtype promotion uses
+        np.divide(xd, scale, out=r)
+        np.greater_equal(r, lo, out=m)
+        np.less_equal(r, hi, out=o)
+        m &= o
+        # in range (scale*code - x)/scale; out of range the code, lo or hi
+        s[...] = cb
+        s *= scale
+        s -= xd
+        s /= scale
+        np.logical_not(m, out=o)
+        np.copyto(s, cb, where=o)
+        gd[...] = gb
+        np.multiply(gd, s, out=prod[sl])
+        np.multiply(gb, m, out=gx[sl])
+    return gx.reshape(x.shape), prod.sum()
 
 
 def ste_grad_input(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
@@ -148,29 +251,6 @@ def ste_grad_scale(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     grad = np.where(ratio < lo, float(lo), grad)
     grad = np.where(ratio > hi, float(hi), grad)
     return grad
-
-
-def ste_grads(x: np.ndarray, scale: float, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both straight-through surrogates from one float64 ratio x / scale.
-
-    For a quantized bit width (not the full-precision sentinel), returns the
-    in-range mask, equal to ``ste_grad_input`` as booleans, and the
-    elementwise scale surrogate, bit-identical to ``ste_grad_scale``.  Out of
-    range the clipped ratio is already the saturation value.
-    """
-    if scale <= 0:
-        raise QuantParamError(f"scale must be positive, got {scale}")
-    lo, hi = code_bounds(bits)
-    x = np.asarray(x, dtype=np.float64)
-    ratio = x / scale
-    codes = np.clip(ratio, lo, hi)
-    in_range = codes == ratio
-    codes = round_half_away(codes)
-    grad = np.multiply(scale, codes, out=ratio)
-    grad -= x
-    grad /= scale
-    np.copyto(grad, codes, where=~in_range)
-    return in_range, grad
 
 
 def init_scale(x: np.ndarray, bits: int) -> float:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_quant import KERNEL_SHAPES, bits_of, kernel_input
 from ttq import autodiff as ad
-from ttq.quant import code_bounds, ste_grad_input, ste_grad_scale
+from ttq.quant import code_bounds, quantize, ste_grad_input, ste_grad_scale
 
 
 def finite_diff(f, x, h=1e-6):
@@ -211,6 +212,37 @@ class TestFakeQuantNode:
         assert x.grad.dtype == dtype
         np.testing.assert_array_equal(x.grad.view(f"u{x.grad.itemsize}"), gx.view(f"u{gx.itemsize}"))
         assert s.grad.tobytes() == np.asarray(gs).tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNEL_SHAPES),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([2, 4, 8]),
+           st.floats(1e-3, 10.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_backward_bit_identical_to_references(self, seed, shape, dtype, bits,
+                                                              scale, transposed):
+        x = ad.Parameter(kernel_input(seed, shape, dtype, bits, scale))
+        s = ad.Parameter(np.asarray(scale, dtype=dtype))
+        scale = float(s.data)
+        out = ad.fake_quant(x, s, bits)
+        up_rng = np.random.default_rng(seed + 1)
+        if transposed and x.ndim == 2:
+            # the upstream gradient reaches the node as a transposed view
+            up = up_rng.normal(size=shape[::-1]).astype(dtype)
+            loss = ad.sum_all(ad.mul(ad.transpose(out, (1, 0)), up))
+            g = up.T
+            assert not g.flags.c_contiguous or g.size <= 1
+        else:
+            up = up_rng.normal(size=shape).astype(dtype)
+            loss = ad.sum_all(ad.mul(out, up))
+            g = up
+        ad.backward(loss)
+        expected = (scale * quantize(x.data, scale, bits).codes).astype(dtype)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(bits_of(out.data), bits_of(expected))
+        gx = g * ste_grad_input(x.data, scale, bits).astype(dtype)
+        assert x.grad.dtype == dtype and x.grad.shape == shape
+        np.testing.assert_array_equal(bits_of(x.grad), bits_of(gx))
+        gs = np.asarray((g * ste_grad_scale(x.data, scale, bits)).sum(), dtype=dtype)
+        assert s.grad.tobytes() == gs.tobytes()
 
     def test_full_precision_sentinel_passthrough(self):
         x = randp(4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttq.quant import (
+    BLOCK,
     KernelError,
     QuantInputError,
     QuantParamError,
@@ -17,6 +18,7 @@ from ttq.quant import (
     init_scale,
     int_matvec,
     quantize,
+    quantize_blocks,
     round_half_away,
     ste_grad_input,
     ste_grad_scale,
@@ -64,6 +66,104 @@ class TestQuantize:
         lo, hi = code_bounds(bits)
         assert q.codes.min(initial=0) >= lo
         assert q.codes.max(initial=0) <= hi
+
+
+def kernel_input(seed: int, shape: tuple, dtype, bits: int, scale: float) -> np.ndarray:
+    """Random ratios with ties, signed zeros, small negatives (codes -0.0
+    before the integer store), the clip bounds and saturation, times scale."""
+    lo, hi = code_bounds(bits)
+    rng = np.random.default_rng(seed)
+    special = np.array([lo, hi, lo - 0.5, hi + 0.5, lo + 0.5, hi - 0.5, 0.5, -0.5, 1.5,
+                        -1.5, 0.0, -0.0, -0.3, 0.3, -1e6, 1e6])
+    ratios = np.array(rng.uniform(lo - 4, hi + 4, size=shape))
+    flat = ratios.reshape(-1)
+    pick = rng.random(flat.size) < 0.5
+    flat[pick] = rng.choice(special, size=int(pick.sum()))
+    ties = rng.random(flat.size) < 0.25
+    flat[ties] = rng.integers(lo, hi, size=int(ties.sum())) + 0.5
+    x = np.array(ratios * scale, dtype=dtype)
+    x[x == 0] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=int((x == 0).sum())))
+    return x
+
+
+def sign_floor_codes(x, scale: float, bits: int) -> np.ndarray:
+    """The reference codes: the float64 ratio, clipped, rounded by
+    sign(r) * floor(|r| + 0.5), stored as int32."""
+    lo, hi = code_bounds(bits)
+    r = np.clip(np.asarray(x, dtype=np.float64) / scale, lo, hi)
+    return (np.sign(r) * np.floor(np.abs(r) + 0.5)).astype(np.int32)
+
+
+def bits_of(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a).view(f"u{np.asarray(a).itemsize}")
+
+
+# sizes 0, 0-d, 1-D, one block, and several blocks with a remainder
+KERNEL_SHAPES = [(0,), (), (1,), (37,), (3, 5), (BLOCK,), (2, BLOCK + 7), (3, 2, BLOCK // 3 + 11)]
+
+
+class TestKernel:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNEL_SHAPES),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([2, 4, 8]),
+           st.floats(1e-3, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_codes_and_values_bit_identical_to_sign_floor_reference(self, seed, shape, dtype,
+                                                                    bits, scale):
+        x = kernel_input(seed, shape, dtype, bits, scale)
+        ref = sign_floor_codes(x, scale, bits)
+        for code_dtype in (np.int8, np.int32, np.float64):
+            codes, values = quantize_blocks(x, scale, bits, code_dtype)
+            assert values is None
+            assert codes.dtype == code_dtype and codes.shape == x.shape
+            # float64 codes are +0.0 where the integer round trip gives 0
+            np.testing.assert_array_equal(bits_of(codes), bits_of(ref.astype(code_dtype)))
+        for value_dtype in (dtype, np.float64):
+            _, values = quantize_blocks(x, scale, bits, np.int8, value_dtype)
+            expected = (scale * ref).astype(value_dtype)
+            assert values.dtype == value_dtype and values.shape == x.shape
+            np.testing.assert_array_equal(bits_of(values), bits_of(expected))
+        got = fake_quant_forward(x, scale, bits)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(bits_of(got), bits_of((scale * ref).astype(dtype)))
+        q = quantize(x, scale, bits)
+        assert q.codes.dtype == np.int32
+        np.testing.assert_array_equal(q.codes, ref)
+
+    def test_float32_ratio_is_divided_in_float64(self):
+        # float32 inputs near ties: dividing in float32 lands some ratios
+        # exactly on k + 0.5, which then round away from the float64 code
+        scale, bits = 0.0371, 8
+        lo, hi = code_bounds(bits)
+        x = ((np.arange(lo, hi) + 0.5) * scale).astype(np.float32)
+        ref = sign_floor_codes(x, scale, bits)
+        codes, _ = quantize_blocks(x, scale, bits, np.int32)
+        np.testing.assert_array_equal(codes, ref)
+        assert (np.sign(x / np.float32(scale)) * np.floor(np.abs(x / np.float32(scale)) + 0.5)
+                != ref).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, BLOCK + 3])
+    def test_nonfinite_raises_in_any_block(self, bad, where):
+        x = np.zeros(2 * BLOCK, dtype=np.float32)
+        x[where] = bad
+        for call in (lambda: quantize_blocks(x, 0.1, 8, np.int8),
+                     lambda: quantize(x, 0.1, 8),
+                     lambda: fake_quant_forward(x, 0.1, 8)):
+            with pytest.raises(QuantInputError):
+                call()
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5])
+    def test_nonpositive_scale_raises(self, scale):
+        x = np.ones(4, dtype=np.float32)
+        for call in (lambda: quantize_blocks(x, scale, 8, np.int8),
+                     lambda: quantize(x, scale, 8),
+                     lambda: fake_quant_forward(x, scale, 8)):
+            with pytest.raises(QuantParamError):
+                call()
+
+    def test_code_dtype_too_narrow_rejected(self):
+        with pytest.raises(QuantParamError):
+            quantize_blocks(np.ones(3), 1.0, 32, np.int8)
 
 
 class TestFakeQuant:

@@ -1,9 +1,14 @@
 """Training machinery: TT adjoints, Adam, loop determinism, divergence guard."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ttq import autodiff as ad
+from ttq import quant as q
+from ttq import train
+from ttq.config import RunConfig
 from ttq.data import gen_synthetic_dataset
 from ttq.model import ModelConfig, PlanSpec, TransformerModel
 from ttq.train import (
@@ -226,6 +231,69 @@ class TestTrainLoop:
         metrics = evaluate(model, data["dev"])
         assert 0.0 <= metrics["intent_accuracy"] <= 1.0
         assert 0.0 <= metrics["slot_f1"] <= 1.0
+
+
+def reference_fake_quant(x, scale_t, bits):
+    """The fake-quant node spelled with ``quantize`` and the elementwise STE
+    references, as a check on the blocked kernel inside ``ad.fake_quant``."""
+    x, scale_t = ad._as_tensor(x), ad._as_tensor(scale_t)
+    if bits == q.FULL_PRECISION:
+        return x
+    s = float(scale_t.data)
+    codes = q.quantize(x.data, s, bits).codes
+    out = (s * codes).astype(x.data.dtype)
+
+    def vjp(g):
+        gx = g * q.ste_grad_input(x.data, s, bits).astype(g.dtype)
+        gs = np.asarray((g * q.ste_grad_scale(x.data, s, bits)).sum(), dtype=scale_t.data.dtype)
+        return gx, gs.reshape(scale_t.data.shape)
+
+    reference_fake_quant.calls += 1
+    return ad._make(out, (x, scale_t), vjp)
+
+
+def toy_int8_qat_steps(monkeypatch, steps=2):
+    """Loss, every gradient and every Adam-updated parameter of the first
+    ``steps`` steps of ``train_end_to_end`` on the toy INT8 config."""
+    cfg = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "toy_int8.json")
+    data = gen_synthetic_dataset(seed=11, vocab_size=120, num_intents=6, num_slots=8,
+                                 num_examples=200)
+    batch = cfg.train.batch_size
+    data["train"].examples = data["train"].examples[:steps * batch]
+    records = []
+    loss_fn, adam = train.intent_slot_loss, train.adam_step
+
+    def loss_hook(*args):
+        loss = loss_fn(*args)
+        records.append({"loss": [loss.data.copy()]})
+        return loss
+
+    def adam_hook(params, grads, *args, **kwargs):
+        records[-1]["grads"] = [grads[id(p)].copy() for p in params if id(p) in grads]
+        adam(params, grads, *args, **kwargs)
+        records[-1]["params"] = [p.data.copy() for p in params]
+
+    monkeypatch.setattr(train, "intent_slot_loss", loss_hook)
+    monkeypatch.setattr(train, "adam_step", adam_hook)
+    model = TransformerModel(cfg.model, cfg.seed)
+    train_end_to_end(model, data["train"], None,
+                     TrainConfig(epochs=1, batch_size=batch, seed=cfg.seed))
+    assert len(records) == steps
+    return records
+
+
+def test_qat_steps_bit_identical_to_reference_fake_quant(monkeypatch):
+    kernel = toy_int8_qat_steps(monkeypatch)
+    reference_fake_quant.calls = 0
+    monkeypatch.setattr(ad, "fake_quant", reference_fake_quant)
+    reference = toy_int8_qat_steps(monkeypatch)
+    assert reference_fake_quant.calls > 0
+    for got, want in zip(kernel, reference):
+        for key in ("loss", "grads", "params"):
+            assert len(got[key]) == len(want[key])
+            for a, b in zip(got[key], want[key]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), key
 
 
 class TestLossFunction:
