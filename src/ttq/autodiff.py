@@ -9,7 +9,9 @@ additively.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
-and backward, run through BLAS matrix products.
+and backward, run through BLAS matrix products.  A TT linear map is one
+node, ``tt_linear``, whose backward runs the stage adjoints of
+``tt.tt_chain_vjp``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quant as q
+from .tt import TensorShapePlan, tt_chain_vjp
 
 _grad_enabled = True
 
@@ -263,17 +266,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     return _make(a.data[sl], (a,), vjp)
 
 
-def pad_axis(a, axis: int, after: int) -> Tensor:
-    """Append zeros along one axis (input padding up to the factor product)."""
-    a = _as_tensor(a)
-    if after == 0:
-        return a
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (0, after)
-    n = a.data.shape[axis]
-    return _make(np.pad(a.data, widths), (a,), lambda g: (np.take(g, range(n), axis=axis),))
-
-
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
@@ -336,6 +328,14 @@ def einsum(subscripts: str, *operands) -> Tensor:
         return tuple(grads)
 
     return _make(result, tensors, vjp)
+
+
+def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan) -> Tensor:
+    """Batched y = W x, (batch, cols) to (batch, rows), for the TT cores of ``plan``."""
+    x2d = _as_tensor(x2d)
+    cores = [_as_tensor(c) for c in cores]
+    out, pullback = tt_chain_vjp(x2d.data, [c.data for c in cores], plan)
+    return _make(out, (x2d, *cores), pullback)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Three forward modes:
 * ``infer_int`` - integer core contractions with per-stage INT8 requantization
                   using scales calibrated from training-time activations.
                   The integer codes are contracted as exact float64 GEMMs
-                  (BLAS): a per-stage check keeps every accumulator below
-                  2**31, so no sum leaves float64's exact-integer range.
+                  (BLAS): a static per-stage check on the core codes keeps
+                  every accumulator below 2**31, so no sum leaves float64's
+                  exact-integer range.
 
 Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
@@ -159,19 +160,8 @@ class ForwardTrace:
 
 
 def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan) -> ad.Tensor:
-    """Batched y = W x for TT cores along the ``tt_stages`` schedule."""
-    batch = x2d.shape[0]
-    pad = plan.padded_cols - plan.cols
-    acc = ad.pad_axis(x2d, 1, pad) if pad else x2d
-    for stage in tt_stages(plan):
-        core = cores[stage.core]
-        if core.shape != stage.core_shape:
-            core = ad.reshape(core, stage.core_shape)
-        acc = ad.einsum(stage.subscripts, ad.reshape(acc, (batch,) + stage.in_shape), core)
-    out = ad.reshape(acc, (batch, plan.padded_rows))
-    if plan.padded_rows != plan.rows:
-        out = ad.slice_axis(out, 1, 0, plan.rows)
-    return out
+    """Batched y = W x for TT cores: one ``ad.tt_linear`` node."""
+    return ad.tt_linear(x2d, cores, plan)
 
 
 def ttm_gather_apply(ids: np.ndarray, cores: list[ad.Tensor], plan: TensorShapePlan) -> ad.Tensor:
@@ -306,21 +296,22 @@ class TTLinearLayer:
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
         if self.stage_scales is None:
             raise ModeError(f"{self.name}: calibrate_int must run before integer inference")
-        # Codes ride in float64 so each stage is a BLAS GEMM.  The bound check
-        # keeps every partial sum an integer below 2**31 < 2**53, so the GEMM
-        # is exact in any summation order: bit-identical to an int64 walk.
+        # Codes ride in float64 so each stage is a BLAS GEMM.  Stage inputs are
+        # codes in [-128, 127], so this static check keeps every partial sum an
+        # integer below 2**31 < 2**53: exact in any order, as an int64 walk.
         int_cores, w_scale = self._int_codes()
+        stages = tt_stages(self.plan)
+        for i, stage in enumerate(stages):
+            peak_w = int(np.max(np.abs(int_cores[stage.core])))
+            if 128 * peak_w * math.prod(stage.core_shape[1:]) >= 2 ** 31:
+                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
         a_scale = float(self.act_scale.data)
         x_codes, _ = q.quantize_blocks(x2d, a_scale, self.act_bits, np.float64)
-        last = len(tt_stages(self.plan)) - 1
+        last = len(stages) - 1
         in_scale = a_scale
 
         def requantize(i, stage, acc, core, out):
             nonlocal in_scale
-            peak_x = int(np.max(np.abs(acc))) if acc.size else 0
-            peak_w = int(np.max(np.abs(core))) if core.size else 0
-            if peak_x * peak_w * math.prod(core.shape[1:]) >= 2 ** 31:
-                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
             real_scale = in_scale * w_scale
             if i == last:
                 return out * real_scale

@@ -1,4 +1,4 @@
-"""Training: exact TT contraction adjoints, Adam, and the end-to-end loop.
+"""Training: the TT matvec adjoint, Adam, and the end-to-end loop.
 
 The loop minimizes the sum of two cross-entropies (sequence-level intent plus
 token-level slots) over shuffled mini-batches, with deterministic behaviour
@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import Dataset, pad_batch
 from .model import ForwardTrace, TransformerModel
 from .quant import MIN_SCALE
-from .tt import TensorShapePlan, TTFormat, _check_cores
+from .tt import TensorShapePlan, TTFormat, _check_cores, tt_chain_vjp
 
 
 class DivergenceError(RuntimeError):
@@ -60,16 +60,13 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Exact adjoints of the TT matvec (standalone; cross-checks the engine path)
+# Exact adjoints of the TT matvec
 
 
 def tt_matvec_vjp(cores, plan: TensorShapePlan, x: np.ndarray, upstream: np.ndarray):
     """Gradients of upstream . (W x) w.r.t. every core and x, without
-    materializing W.
-
-    Forward intermediates are recomputed by the same sweep used in the
-    contraction; adjoints then flow back stage by stage.
-    """
+    materializing W: the batch-1 case of the ``ad.tt_linear`` backward
+    (``tt.tt_chain_vjp``)."""
     core_list = list(cores)
     _check_cores(core_list, plan, TTFormat.TT)
     x = np.asarray(x, dtype=np.float64)
@@ -78,54 +75,9 @@ def tt_matvec_vjp(cores, plan: TensorShapePlan, x: np.ndarray, upstream: np.ndar
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (plan.rows,):
         raise ValueError(f"expected upstream of length {plan.rows}, got {upstream.shape}")
-    d = plan.order
-    xp = x
-    if plan.padded_cols != plan.cols:
-        xp = np.concatenate([x, np.zeros(plan.padded_cols - plan.cols)])
-    up = upstream
-    if plan.padded_rows != plan.rows:
-        up = np.concatenate([upstream, np.zeros(plan.padded_rows - plan.rows)])
-
-    # forward sweep, saving inputs of every stage
-    saved = []
-    acc = xp.reshape(1, plan.padded_cols // plan.col_factors[-1], plan.col_factors[-1])
-    saved.append(acc)
-    acc = np.einsum("bln,rn->blr", acc, core_list[2 * d - 1][:, :, 0])
-    for k in range(2 * d - 1, d, -1):
-        core = core_list[k - 1]
-        acc = acc.reshape(1, acc.shape[1] // core.shape[1], core.shape[1], core.shape[2])
-        saved.append(acc)
-        acc = np.einsum("blnr,qnr->blq", acc, core)
-    acc = acc.reshape(1, -1, 1)
-    for k in range(d, 0, -1):
-        core = core_list[k - 1]
-        saved.append(acc)
-        acc = np.einsum("brt,qmr->bqmt", acc, core)
-        acc = acc.reshape(1, core.shape[0], -1)
-
-    grads = [None] * (2 * d)
-    g = up.reshape(1, 1, core_list[0].shape[1], -1)  # adjoint of last stage output
-    for k in range(1, d + 1):
-        core = core_list[k - 1]
-        inp = saved.pop()
-        grads[k - 1] = np.einsum("bqmt,brt->qmr", g, inp)
-        g = np.einsum("bqmt,qmr->brt", g, core)
-        if k < d:
-            # adjoint of (b, r_k, m_{k+1}*tail); split the flattened mode axis
-            g = g.reshape(1, core_list[k].shape[0], core_list[k].shape[1], -1)
-    # g is now the adjoint of the column-sweep result (b, r_d, 1)
-    g = g.reshape(1, 1, -1)
-    for k in range(d + 1, 2 * d):
-        core = core_list[k - 1]
-        inp = saved.pop()
-        grads[k - 1] = np.einsum("blq,blnr->qnr", g, inp)
-        g = np.einsum("blq,qnr->blnr", g, core)
-        g = g.reshape(1, -1, core.shape[2])
-    core = core_list[2 * d - 1]
-    inp = saved.pop()
-    grads[2 * d - 1] = np.einsum("blr,bln->rn", g, inp)[:, :, None]
-    gx = np.einsum("blr,rn->bln", g, core[:, :, 0]).reshape(plan.padded_cols)
-    return grads, gx[: plan.cols]
+    _, pullback = tt_chain_vjp(x[None], core_list, plan)
+    gx, *grads = pullback(upstream[None])
+    return grads, gx[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ multiply to a padded column count.  The TT format stores 2d order-3 cores
 (row cores followed by column cores); the TTM format stores d order-4 cores,
 each carrying one row mode and one column mode jointly.
 
-``tt_stages(plan)`` is the one TT contraction schedule: a list of stages,
-each a reshape of the running product, one core contraction and its multiply
-count.  The autodiff forward (``model.tt_chain_apply``), integer inference
-and its calibration (``tt_chain`` with a per-stage hook), ``tt_matvec`` and
-the op counts behind ``flops_estimate`` all follow it; ``tt_chain`` holds
-the one plain-numpy stage contraction.
+``tt_stages(plan)`` is the one TT contraction schedule: a tuple of stages,
+each one matmul with one core, holding its forward, its adjoint and its
+multiply count.  ``tt_chain`` walks it forward for ``tt_matvec``, integer
+inference and its calibration; ``tt_chain_vjp`` adds the reverse walk, the
+backward of the ``ad.tt_linear`` node and of ``train.tt_matvec_vjp``.  The
+op counts behind ``flops_estimate`` follow the same stages.
 
 Dense reconstruction here is the reference path: it is used by oracles and
 tests, never by the training or inference hot path.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -351,95 +352,123 @@ def ttm_to_dense(cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan) 
 
 @dataclass(frozen=True)
 class Stage:
-    """One step of the TT matvec: the running product, reshaped to
-    ``(batch, *in_shape)``, is contracted with core ``core`` viewed as
-    ``core_shape`` by ``subscripts``; ``mults`` counts the multiplies per
-    input vector."""
+    """One GEMM of the TT matvec.  Core ``core``, of shape ``core_shape`` =
+    (q, mode, r), meets the running product, ``in_shape`` per input vector:
+    a column stage computes ``acc (B*l, mode*r) @ core (q, mode*r)^T``, a row
+    stage ``core (q*mode, r) @ acc (B, r, t)`` (2-D for the first, t = 1).
+    Each stage's input is a view of the previous stage's output, so no path
+    search or transposed copy runs.  ``mults`` counts multiplies per vector.
+    """
 
     core: int
-    in_shape: tuple[int, ...]
-    core_shape: tuple[int, ...]
-    subscripts: str
+    core_shape: tuple[int, int, int]
+    in_shape: tuple[int, int]
+    row: bool
     mults: int
 
+    def _operands(self, acc, core):
+        """(acc, core) as the matmul operands, and whether the product is batched."""
+        q, mode, r = self.core_shape
+        c = core.reshape(q * mode, r) if self.row else core.reshape(q, mode * r)
+        if self.row and self.in_shape[1] > 1:
+            return acc.reshape((-1,) + self.in_shape), c, True
+        return acc.reshape(-1, c.shape[1]), c, False
 
-def tt_stages(plan: TensorShapePlan) -> list[Stage]:
+    def forward(self, acc: np.ndarray, core: np.ndarray) -> np.ndarray:
+        a, c, batched = self._operands(acc, core)
+        return c @ a if batched else a @ c.T
+
+    def adjoint(self, acc: np.ndarray, core: np.ndarray, g: np.ndarray):
+        """Gradients of ``sum(g * forward(acc, core))`` with respect to acc and
+        core, in their shapes; ``g`` may have any shape of the output's size."""
+        a, c, batched = self._operands(acc, core)
+        if batched:
+            g = g.reshape(a.shape[0], c.shape[0], -1)
+            g_acc, g_core = c.T @ g, (g @ a.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            g = g.reshape(a.shape[0], -1)
+            g_acc, g_core = g @ c, g.T @ a
+        return g_acc.reshape(acc.shape), g_core.reshape(core.shape)
+
+
+@lru_cache(maxsize=64)
+def tt_stages(plan: TensorShapePlan) -> tuple[Stage, ...]:
     """The contraction order of every TT matvec (see the module docstring).
 
     The padded input is split into its column modes and the column cores run
     from the last one down to core d, each consuming one mode and leaving a
     (remaining modes x rank) intermediate; the row cores then run from core
-    d-1 down to core 0, each emitting one output mode.  The first stage's
-    trailing rank is 1, so its core is viewed as (rank, mode).
+    d-1 down to core 0, each emitting one output mode.  Built once per plan.
     """
     if plan.format is not TTFormat.TT:
         raise StructureError("plan is not TT format")
     d = plan.order
     shapes = plan.core_shapes()
-    r, n, _ = shapes[2 * d - 1]
-    length = plan.padded_cols // n
-    stages = [Stage(2 * d - 1, (length, n), (r, n), "bln,rn->blr", length * n * r)]
-    for k in range(2 * d - 2, d - 1, -1):
+    stages = []
+    length = plan.padded_cols
+    for k in range(2 * d - 1, d - 1, -1):
         q, n, r = shapes[k]
         length //= n
-        stages.append(Stage(k, (length, n, r), shapes[k], "blnr,qnr->blq", length * n * r * q))
+        stages.append(Stage(k, shapes[k], (length, n * r), False, length * n * r * q))
     tail = 1
     for k in range(d - 1, -1, -1):
         q, m, r = shapes[k]
-        stages.append(Stage(k, (r, tail), shapes[k], "brt,qmr->bqmt", r * tail * q * m))
+        stages.append(Stage(k, shapes[k], (r, tail), True, r * tail * q * m))
         tail *= m
-    return stages
+    return tuple(stages)
 
 
 def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
              post=None) -> np.ndarray:
     """Batched y = W x in plain numpy along ``tt_stages(plan)``.
 
-    Every stage contracts the reshaped running product with its core view
-    through one BLAS-lowered ``np.einsum``.  ``post(i, stage, acc, core,
-    out)`` sees stage i's operands and output and returns what the next
-    stage consumes, to record, count, bound-check or requantize it.
-    Returns the (batch, rows) result.
+    Every stage is one ``Stage.forward`` matmul.  ``post(i, stage, acc, core,
+    out)`` sees stage i's input, core and output and returns what the next
+    stage consumes, to keep, count or requantize it.  Returns the
+    (batch, rows) result.
     """
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
     acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
     for i, stage in enumerate(tt_stages(plan)):
-        acc = acc.reshape((batch,) + stage.in_shape)
-        core = cores[stage.core].reshape(stage.core_shape)
-        out = np.einsum(stage.subscripts, acc, core, optimize=True)
+        core = cores[stage.core]
+        out = stage.forward(acc, core)
         acc = post(i, stage, acc, core, out) if post else out
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 
-def tt_matvec(
-    cores: TTCores | Sequence[np.ndarray],
-    plan: TensorShapePlan,
-    x: np.ndarray,
-    count_ops: bool = False,
-):
-    """y = W x without materializing W, along ``tt_stages(plan)``.
+def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan):
+    """``tt_chain`` plus its pullback: the map from the gradient of the
+    (batch, rows) result to the gradients ``(x2d, *cores)``, running each
+    stage's ``adjoint`` in reverse over the kept stage inputs."""
+    inputs = []
 
-    Returns the length-rows result, optionally with the multiply count
-    measured from the arrays each stage contracts.
-    """
+    def keep(i, stage, acc, core, out):
+        inputs.append(acc)
+        return out
+
+    y = tt_chain(x2d, cores, plan, keep)
+
+    def pullback(g: np.ndarray) -> tuple:
+        pad = plan.padded_rows - plan.rows
+        g = np.pad(g, ((0, 0), (0, pad))) if pad else g
+        grads = [None] * len(cores)
+        for stage, acc in zip(reversed(tt_stages(plan)), reversed(inputs)):
+            g, grads[stage.core] = stage.adjoint(acc, cores[stage.core], g)
+        return (g[:, : plan.cols], *grads)
+
+    return y, pullback
+
+
+def tt_matvec(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan,
+              x: np.ndarray) -> np.ndarray:
+    """y = W x without materializing W, along ``tt_stages(plan)``."""
     core_list = list(cores)
     _check_cores(core_list, plan, TTFormat.TT)
     x = np.asarray(x)
     if x.shape != (plan.cols,):
         raise ValueError(f"expected input of length {plan.cols}, got shape {x.shape}")
-    if not count_ops:
-        return tt_chain(x[None], core_list, plan)[0]
-    mults = 0
-
-    def count(i, stage, acc, core, out):
-        nonlocal mults
-        # one multiply per output entry per combination of the summed indices
-        acc_subs, kept = stage.subscripts.split(",")[0], stage.subscripts.split("->")[1]
-        mults += out.size * math.prod(n for c, n in zip(acc_subs, acc.shape) if c not in kept)
-        return out
-
-    return tt_chain(x[None], core_list, plan, count)[0], mults
+    return tt_chain(x[None], core_list, plan)[0]
 
 
 def tt_matvec_mult_count(plan: TensorShapePlan) -> int:

@@ -1,0 +1,66 @@
+"""The TT matvec written stage by stage as einsum contractions, independent
+of ``tt.Stage``'s matmul layouts.
+
+``einsum_stages`` spells out the contraction order of ``tt.tt_stages`` with
+one einsum per stage.  ``measured_mults`` walks them and counts multiplies
+from the arrays each one contracts.  ``composite_tt_linear`` chains them as
+``ad.reshape`` + ``ad.einsum`` autodiff nodes, which is how a TT layer was
+built before the fused ``ad.tt_linear`` node, and serves as its oracle.
+"""
+
+import math
+
+import numpy as np
+
+from ttq import autodiff as ad
+
+
+def einsum_stages(plan):
+    """(core index, per-vector input shape, core view, subscripts) of every
+    stage, in the order of ``tt_stages(plan)``."""
+    d = plan.order
+    shapes = plan.core_shapes()
+    r, n, _ = shapes[2 * d - 1]
+    length = plan.padded_cols // n
+    stages = [(2 * d - 1, (length, n), (r, n), "bln,rn->blr")]
+    for k in range(2 * d - 2, d - 1, -1):
+        q, n, r = shapes[k]
+        length //= n
+        stages.append((k, (length, n, r), shapes[k], "blnr,qnr->blq"))
+    tail = 1
+    for k in range(d - 1, -1, -1):
+        q, m, r = shapes[k]
+        stages.append((k, (r, tail), shapes[k], "brt,qmr->bqmt"))
+        tail *= m
+    return stages
+
+
+def measured_mults(cores, plan) -> int:
+    """Multiplies of one matvec: for every einsum stage, one per output entry
+    per combination of the indices it sums."""
+    cores = list(cores)
+    acc = np.ones(plan.padded_cols)
+    mults = 0
+    for k, in_shape, core_shape, subscripts in einsum_stages(plan):
+        acc = acc.reshape((1,) + in_shape)
+        out = np.einsum(subscripts, acc, np.asarray(cores[k]).reshape(core_shape))
+        acc_subs, kept = subscripts.split(",")[0], subscripts.split("->")[1]
+        mults += out.size * math.prod(n for c, n in zip(acc_subs, acc.shape) if c not in kept)
+        acc = out
+    return mults
+
+
+def composite_tt_linear(x2d, cores, plan):
+    """Batched y = W x as a chain of reshape and einsum autodiff nodes."""
+    batch = x2d.shape[0]
+    # zero-pad the columns by a 0/1 matmul: exact, and its gradient is the crop
+    acc = ad.matmul(x2d, ad.Tensor(np.eye(plan.cols, plan.padded_cols)))
+    for k, in_shape, core_shape, subscripts in einsum_stages(plan):
+        core = cores[k]
+        if core.shape != core_shape:
+            core = ad.reshape(core, core_shape)
+        acc = ad.einsum(subscripts, ad.reshape(acc, (batch,) + in_shape), core)
+    out = ad.reshape(acc, (batch, plan.padded_rows))
+    if plan.padded_rows != plan.rows:
+        out = ad.slice_axis(out, 1, 0, plan.rows)
+    return out

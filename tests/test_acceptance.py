@@ -6,7 +6,8 @@ the whole suite stays well inside its runtime budgets.
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from ttq import autodiff as ad
 from ttq.accounting import param_count
 from ttq.checkpoint import checkpoint_load, checkpoint_save, payload_bytes
+from ttq.config import RunConfig
 from ttq.data import gen_synthetic_dataset
 from ttq.distill import (
     DistillConfig,
@@ -55,8 +57,23 @@ def report(num, ok, detail):
 # Shared desk-scale experiment setup
 
 
+TOY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_int8.json"
+
+
 def desk_model_config(compress, weight_bits, act_bits, rank=4, emb_rank=6):
-    return ModelConfig(
+    """The desk model of ``configs/toy_int8.json`` at the given precision and ranks."""
+    cfg = RunConfig.load(TOY_CONFIG).model
+    return replace(cfg, compress=compress, weight_bits=weight_bits, act_bits=act_bits,
+                   emb_spec=replace(cfg.emb_spec, rank=emb_rank),
+                   attn_spec=replace(cfg.attn_spec, rank=rank),
+                   ffn_spec=replace(cfg.ffn_spec, rank=rank),
+                   head_spec=replace(cfg.head_spec, rank=rank))
+
+
+@pytest.mark.parametrize("compress, weight_bits, act_bits, rank, emb_rank", [
+    (False, 32, 32, 4, 6), (True, 8, 8, 4, 6), (True, 2, 8, 4, 6), (True, 8, 8, 4, 4)])
+def test_desk_config_is_the_spelled_out_desk_model(compress, weight_bits, act_bits, rank, emb_rank):
+    spelled_out = ModelConfig(
         vocab_size=120, hidden=32, ffn_dim=64, num_layers=2, num_heads=2,
         max_seq=16, num_intents=6, num_slots=9, compress=compress,
         weight_bits=weight_bits, act_bits=act_bits, dtype="float32",
@@ -64,6 +81,9 @@ def desk_model_config(compress, weight_bits, act_bits, rank=4, emb_rank=6):
         attn_spec=PlanSpec(d=2, rank=rank), ffn_spec=PlanSpec(d=2, rank=rank),
         head_spec=PlanSpec(d=2, rank=rank),
     )
+    resolved = desk_model_config(compress, weight_bits, act_bits, rank=rank, emb_rank=emb_rank)
+    for f in fields(ModelConfig):
+        assert getattr(resolved, f.name) == getattr(spelled_out, f.name), f.name
 
 
 DESK_TRAIN = dict(learning_rate=1e-3, epochs=30, batch_size=32, seed=42)

@@ -86,9 +86,9 @@ class TestShapeOps:
         np.add.at(np.moveaxis(ref, 1, 0), idx, np.moveaxis(w, 1, 0))
         np.testing.assert_array_equal(a.grad, ref)
 
-    def test_slice_and_pad(self):
+    def test_slice_axis(self):
         a = randp(4, 6)
-        check_op(lambda: ad.sum_all(ad.pow_const(ad.slice_axis(ad.pad_axis(a, 1, 3), 1, 2, 7), 2.0)), [a])
+        check_op(lambda: ad.sum_all(ad.pow_const(ad.slice_axis(a, 1, 2, 5), 2.0)), [a])
 
     def test_sum_axis_keepdims(self):
         a = randp(3, 5)
@@ -117,7 +117,7 @@ class TestContractionOps:
         check_op(lambda: ad.sum_all(ad.pow_const(ad.einsum("bnr,pnr->bp", x, core), 2.0)), [x, core])
 
     @pytest.mark.parametrize("subscripts", [
-        "bln,rn->blr", "blnr,qnr->blq", "brt,qmr->bqmt",  # tt_chain_apply
+        "bln,rn->blr", "blnr,qnr->blq", "brt,qmr->bqmt",  # tests/reference_tt.py
         "blp,pbnq->blnq",  # ttm_gather_apply
     ])
     @given(sizes=st.lists(st.integers(1, 5), min_size=8, max_size=8),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_dense import reference_forward
 
@@ -264,6 +266,58 @@ class TestIntInferenceModelLevel:
         scale = max(np.abs(ref.intent_logits.data).max(), 1.0)
         err = np.abs(out.intent_logits.data - ref.intent_logits.data).max() / scale
         assert err < 0.2  # documented model-level requantization bound
+
+
+class TestBatchAndPaddingInvariance:
+    """An utterance's logits do not depend on its batch mates or on extra
+    padded positions, in every forward mode.
+
+    The runs differ only in summation order: BLAS may block a GEMM
+    differently for another row count, and padded positions add exact zeros
+    (a masked attention weight underflows to 0.0; pooling multiplies by a
+    zero mask).  In float64 a reordered sum of K terms moves by at most
+    K * 2**-53 of the sum of their magnitudes: about 7e-15 for K <= 64
+    (``ffn_dim``).  About 30 such sums lie in sequence from the embedding to
+    the logits, so with the layer norms' gain the logits can move by some
+    1e-13 of the largest one; ``TOL`` = 1e-9 leaves margin for that and is
+    still far below any real dependence, which moves logits by percents.
+    The integer TT walk is exact and sees the same input codes unless an
+    activation lies within ~1e-15 of a rounding boundary.
+    """
+
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("mode", ["train", "infer_fp", "infer_int"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           extra=st.integers(1, 3))
+    @settings(max_examples=12, deadline=None)
+    def test_logits_do_not_depend_on_batch_mates_or_padding(self, mode, seed, lengths, extra):
+        cfg = toy_config(weight_bits=8, act_bits=8)
+        model = TransformerModel(cfg, seed)
+        rng = np.random.default_rng(seed)
+        calib = random_batch(cfg, batch=4, seq=cfg.max_seq, seed=seed)
+        with ad.no_grad():
+            model.forward(*calib, mode="train")  # sets the activation scales
+        model.calibrate_int([calib])
+
+        def logits(ids, mask):
+            with ad.no_grad():
+                trace = model.forward(ids, mask, mode=mode)
+            return trace.intent_logits.data, trace.slot_logits.data
+
+        width = max(lengths) + extra
+        ids = rng.integers(0, cfg.vocab_size, size=(len(lengths), width))  # pads hold any id
+        mask = (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
+        batch_intent, batch_slots = logits(ids, mask)
+        for i, n in enumerate(lengths):
+            alone_intent, alone_slots = logits(ids[i:i + 1, :n], mask[i:i + 1, :n])
+            padded_intent, padded_slots = logits(ids[i:i + 1, :n + extra], mask[i:i + 1, :n + extra])
+            atol = self.TOL * max(np.abs(alone_intent).max(), np.abs(alone_slots).max())
+            for intent, slots in ((batch_intent[i], batch_slots[i, :n]),
+                                  (padded_intent[0], padded_slots[0, :n])):
+                np.testing.assert_allclose(intent, alone_intent[0], rtol=0, atol=atol)
+                np.testing.assert_allclose(slots, alone_slots[0], rtol=0, atol=atol)
 
 
 class TestAccounting:

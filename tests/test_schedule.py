@@ -1,4 +1,5 @@
-"""The TT contraction schedule: every walk of ``tt_stages`` matches the dense oracle."""
+"""The TT contraction schedule: every walk of ``tt_stages`` matches the dense
+oracle, and the ``ad.tt_linear`` node matches the composite einsum chain."""
 
 import math
 
@@ -6,9 +7,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_tt import composite_tt_linear, einsum_stages, measured_mults
+
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.model import TTLinearLayer
+from ttq.train import tt_matvec_vjp
 from ttq.tt import (
     TensorShapePlan,
     tt_chain,
@@ -45,12 +49,41 @@ def test_every_walk_of_the_schedule_matches_dense(plan, batch, seed):
     np.testing.assert_allclose(np.stack([tt_matvec(cores, plan, row) for row in x]), ref, **tol)
     np.testing.assert_allclose(layer.forward(ad.Tensor(x), mode="infer_fp").data, ref, **tol)
 
-    _, mults = tt_matvec(cores, plan, x[0], count_ops=True)
-    assert mults == tt_matvec_mult_count(plan)
+    assert measured_mults(cores, plan) == tt_matvec_mult_count(plan)
 
     quantized = TTLinearLayer(plan, 8, 8, rng, dtype=np.float64)
     quantized.calibrate_int(x)
     assert len(quantized.stage_scales) == len(tt_stages(plan))
+
+
+@given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tt_linear_matches_the_composite_chain(plan, batch, seed):
+    rng = np.random.default_rng(seed)
+    cores = [c.data for c in TTLinearLayer(plan, 32, 32, rng, dtype=np.float64).cores]
+    x = rng.normal(size=(batch, plan.cols))
+    u = rng.normal(size=(batch, plan.rows))
+
+    def run(chain, rows):
+        """The chain's output, then the input gradient and every core gradient."""
+        xt = ad.Parameter(x[rows].copy())
+        params = [ad.Parameter(c.copy()) for c in cores]
+        y = chain(xt, params, plan)
+        ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u[rows]))))
+        return [y.data, xt.grad] + [p.grad for p in params]
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * max(np.abs(ref).max(), 1.0))
+
+    for got, ref in zip(run(ad.tt_linear, slice(None)), run(composite_tt_linear, slice(None))):
+        close(got, ref)
+    # the reference adjoint is the single-vector case of the same backward
+    grads, gx = tt_matvec_vjp(cores, plan, x[0], u[0])
+    _, gx_ref, *grads_ref = run(composite_tt_linear, slice(0, 1))
+    close(gx, gx_ref[0])
+    for g, g_ref in zip(grads, grads_ref):
+        close(g, g_ref)
 
 
 def int64_walk(layer, x):
@@ -60,10 +93,10 @@ def int64_walk(layer, x):
     cores = [q.quantize(c.data, w_scale, layer.bits).codes.astype(np.int64) for c in layer.cores]
     acc = q.quantize(x, in_scale, layer.act_bits).codes.astype(np.int64)
     acc = np.pad(acc, ((0, 0), (0, plan.padded_cols - plan.cols)))
-    stages = tt_stages(plan)
-    for i, stage in enumerate(stages):
-        acc = acc.reshape((len(x),) + stage.in_shape)
-        out = np.einsum(stage.subscripts, acc, cores[stage.core].reshape(stage.core_shape))
+    stages = einsum_stages(plan)
+    for i, (k, in_shape, core_shape, subscripts) in enumerate(stages):
+        acc = acc.reshape((len(x),) + in_shape)
+        out = np.einsum(subscripts, acc, cores[k].reshape(core_shape))
         real_scale = in_scale * w_scale
         if i == len(stages) - 1:
             acc = out.astype(np.float64) * real_scale
