@@ -33,7 +33,8 @@ def main():
         cfg = RunConfig.from_dict(json.loads((CONFIGS / f"atis_shaped_{bits}.json").read_text()))
         report = model_size_bytes(TransformerModel(cfg.model, 0))
         print(f"  {bits:5s} {report.bytes/1e6:6.2f} MB "
-              f"(param ratio {report.compression_ratio:5.1f}x)")
+              f"(param ratio {report.compression_ratio:5.1f}x, "
+              f"byte ratio {report.byte_ratio:5.1f}x)")
 
     print("\nencoder flops at seq 128 (12 encoders, hidden 768):")
     for rank in (50, 30):

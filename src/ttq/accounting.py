@@ -36,6 +36,11 @@ class CostReport:
     convention: str = FLOPS_CONVENTION
     items: list = field(default_factory=list)
 
+    @property
+    def byte_ratio(self) -> float:
+        """Dense FP32 bytes (4 per dense parameter) over stored bytes."""
+        return 4 * self.param_count_dense / self.bytes
+
     def to_dict(self) -> dict:
         return {
             "param_count_compressed": self.param_count_compressed,

@@ -150,11 +150,6 @@ def div(a, b) -> Tensor:
     ))
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     return _make(a.data * c, (a,), lambda g: (g * c,))

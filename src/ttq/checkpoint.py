@@ -20,6 +20,13 @@ Record:
             (two's complement within each field, little-endian within bytes)
     kind 2: len u32, utf8 JSON
 
+Record order follows ``TransformerModel.layers()``: for each leaf layer, a
+TT/TTM layer's JSON ``<layer>.meta`` record first, then one record per entry
+of ``layer.params()``, kind 1 where ``stored_bits`` is below 32, else kind 0
+(a 0-d scale is written with dims (1,)).  A missing record, a record of the
+wrong kind, shape or width, or a plan for another matrix is a
+``CheckpointError`` that names the record.
+
 Quantized layers store integer codes, not master floats: reloading yields the
 dequantized surrogate, which forwards identically to the saved model by
 quantizer idempotence.
@@ -36,14 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import quant as q
-from .model import (
-    DenseEmbedding,
-    DenseLinear,
-    ModelConfig,
-    TransformerModel,
-    TTLinearLayer,
-    TTMEmbedding,
-)
+from .accounting import packed_code_bytes
+from .model import CoreLayer, ModelConfig, TransformerModel, TTLinearLayer, stored_bits
 from .tt import TensorShapePlan
 
 MAGIC = b"TTQ1"
@@ -99,63 +100,27 @@ def unpack_codes(raw: bytes, bits: int, count: int) -> np.ndarray:
 # Record walk
 
 
+def _meta(layer) -> dict:
+    """The plan and quantizer state a plan layer is rebuilt from."""
+    meta = {"plan": layer.plan.to_dict(), "bits": layer.bits}
+    if isinstance(layer, TTLinearLayer):
+        meta.update(act_bits=layer.act_bits, act_ready=layer.act_scale_ready,
+                    stage_scales=layer.stage_scales)
+    return meta
+
+
 def _records_for_model(model: TransformerModel):
-    """Deterministic (name, kind, value) record stream covering every
-    parameter and the per-layer metadata needed to rebuild it."""
-
-    def tt_linear_records(layer: TTLinearLayer):
-        meta = {
-            "plan": layer.plan.to_dict(),
-            "bits": layer.bits,
-            "act_bits": layer.act_bits,
-            "act_ready": layer.act_scale_ready,
-            "stage_scales": layer.stage_scales,
-        }
-        yield f"{layer.name}.meta", 2, meta
-        for i, core in enumerate(layer.cores):
-            if layer.bits != q.FULL_PRECISION:
-                yield f"{layer.name}.core{i}", 1, (core.data, float(layer.weight_scale.data), layer.bits)
+    """Deterministic (name, kind, value) record stream: for each leaf layer in
+    ``model.layers()`` order, a plan layer's metadata, then its parameters."""
+    for layer in model.layers():
+        if isinstance(layer, CoreLayer):
+            yield f"{layer.name}.meta", 2, _meta(layer)
+        for name, param in layer.params():
+            bits = stored_bits(layer, param)
+            if bits < q.FULL_PRECISION:
+                yield name, 1, (param.data, float(layer.weight_scale.data), bits)
             else:
-                yield f"{layer.name}.core{i}", 0, core.data
-        yield f"{layer.name}.bias", 0, layer.bias.data
-        if layer.weight_scale is not None:
-            yield f"{layer.name}.wscale", 0, np.asarray(layer.weight_scale.data)
-        if layer.act_scale is not None:
-            yield f"{layer.name}.ascale", 0, np.asarray(layer.act_scale.data)
-
-    emb = model.embedding
-    if isinstance(emb, TTMEmbedding):
-        yield "embedding.meta", 2, {"plan": emb.plan.to_dict(), "bits": emb.bits}
-        for i, core in enumerate(emb.cores):
-            if emb.bits != q.FULL_PRECISION:
-                yield f"embedding.core{i}", 1, (core.data, float(emb.weight_scale.data), emb.bits)
-            else:
-                yield f"embedding.core{i}", 0, core.data
-        if emb.weight_scale is not None:
-            yield "embedding.wscale", 0, np.asarray(emb.weight_scale.data)
-    else:
-        yield "embedding.table", 0, emb.table.data
-    yield "pos_emb", 0, model.pos_emb.data
-    yield "ln_emb.gamma", 0, model.ln_emb.gamma.data
-    yield "ln_emb.beta", 0, model.ln_emb.beta.data
-    for enc in model.encoders:
-        for sub in enc.sublayers():
-            if isinstance(sub, TTLinearLayer):
-                yield from tt_linear_records(sub)
-            else:
-                yield f"{sub.name}.weight", 0, sub.weight.data
-                yield f"{sub.name}.bias", 0, sub.bias.data
-        for ln in (enc.ln_attn, enc.ln_ffn):
-            yield f"{ln.name}.gamma", 0, ln.gamma.data
-            yield f"{ln.name}.beta", 0, ln.beta.data
-    for head in (model.intent_head, model.slot_head):
-        if isinstance(head.first, TTLinearLayer):
-            yield from tt_linear_records(head.first)
-        else:
-            yield f"{head.first.name}.weight", 0, head.first.weight.data
-            yield f"{head.first.name}.bias", 0, head.first.bias.data
-        yield f"{head.top.name}.weight", 0, head.top.weight.data
-        yield f"{head.top.name}.bias", 0, head.top.bias.data
+                yield name, 0, param.data
 
 
 def checkpoint_save(model: TransformerModel, path: str | Path) -> int:
@@ -211,9 +176,8 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _read_records(reader: _Reader, n: int):
+def _read_records(reader: _Reader, n: int) -> dict:
     records = {}
-    order = []
     for _ in range(n):
         (name_len,) = reader.unpack("<H")
         name = reader.take(name_len).decode()
@@ -239,8 +203,7 @@ def _read_records(reader: _Reader, n: int):
             records[name] = ("json", json.loads(reader.take(blen).decode()))
         else:
             raise CheckpointError(f"unknown record kind {kind}")
-        order.append(name)
-    return records, order
+    return records
 
 
 def checkpoint_load(path: str | Path, rng_seed: int = 0) -> TransformerModel:
@@ -268,84 +231,59 @@ def checkpoint_load(path: str | Path, rng_seed: int = 0) -> TransformerModel:
         raise CheckpointError("config digest mismatch")
     config = ModelConfig.from_dict(json.loads(cfg_bytes.decode()))
     (n_rec,) = reader.unpack("<I")
-    records, _ = _read_records(reader, n_rec)
+    records = _read_records(reader, n_rec)
     model = TransformerModel(config, rng_seed)
-    _restore_model(model, records, config)
+    _restore_model(model, records)
     return model
 
 
-def _restore_model(model: TransformerModel, records: dict, config: ModelConfig):
-    dtype = config.np_dtype
+def _restore_model(model: TransformerModel, records: dict):
+    """Mirror of ``_records_for_model``: fill every leaf layer from its records."""
+    dtype = model.config.np_dtype
 
-    def get_array(name):
-        kind, value = records[name]
-        if kind != "array":
-            raise CheckpointError(f"record {name} has unexpected kind {kind}")
-        return value.astype(dtype)
+    def take(name, kind):
+        if name not in records:
+            raise CheckpointError(f"record {name} is missing")
+        got, value = records[name]
+        if got != kind:
+            raise CheckpointError(f"record {name} is {got}, expected {kind}")
+        return value
 
-    def restore_core(name, param):
-        kind, value = records[name]
-        if kind == "array":
-            param.data = value.astype(dtype)
-        else:
-            codes, scale, bits = value
-            param.data = (scale * codes.astype(np.float64)).astype(dtype)
-
-    def restore_tt_linear(layer: TTLinearLayer):
-        meta = records[f"{layer.name}.meta"][1]
-        plan = TensorShapePlan.from_dict(meta["plan"])
-        if plan != layer.plan:
-            from . import autodiff as ad
-            layer.plan = plan
-            layer.cores = [ad.Parameter(np.zeros(s, dtype=dtype), name=f"{layer.name}.core{i}")
-                           for i, s in enumerate(plan.core_shapes())]
-        for i, core in enumerate(layer.cores):
-            restore_core(f"{layer.name}.core{i}", core)
-        layer.bias.data = get_array(f"{layer.name}.bias")
-        if layer.weight_scale is not None:
-            layer.weight_scale.data = get_array(f"{layer.name}.wscale").reshape(())
-        if layer.act_scale is not None:
-            layer.act_scale.data = get_array(f"{layer.name}.ascale").reshape(())
-            layer.act_scale_ready = bool(meta.get("act_ready", True))
-        stage_scales = meta.get("stage_scales")
-        layer.stage_scales = list(stage_scales) if stage_scales else None
-
-    emb = model.embedding
-    if isinstance(emb, TTMEmbedding):
-        meta = records["embedding.meta"][1]
-        plan = TensorShapePlan.from_dict(meta["plan"])
-        if plan != emb.plan:
-            from . import autodiff as ad
-            emb.plan = plan
-            emb.cores = [ad.Parameter(np.zeros(s, dtype=dtype), name=f"embedding.core{i}")
-                         for i, s in enumerate(plan.core_shapes())]
-        for i, core in enumerate(emb.cores):
-            restore_core(f"embedding.core{i}", core)
-        if emb.weight_scale is not None:
-            emb.weight_scale.data = get_array("embedding.wscale").reshape(())
-    else:
-        emb.table.data = get_array("embedding.table")
-    model.pos_emb.data = get_array("pos_emb")
-    model.ln_emb.gamma.data = get_array("ln_emb.gamma")
-    model.ln_emb.beta.data = get_array("ln_emb.beta")
-    for enc in model.encoders:
-        for sub in enc.sublayers():
-            if isinstance(sub, TTLinearLayer):
-                restore_tt_linear(sub)
+    for layer in model.layers():
+        if isinstance(layer, CoreLayer):
+            _restore_meta(layer, take(f"{layer.name}.meta", "json"), dtype)
+        for name, param in layer.params():
+            bits = stored_bits(layer, param)
+            if bits < q.FULL_PRECISION:
+                codes, scale, stored = take(name, "packed")
+                if stored != bits:
+                    raise CheckpointError(f"record {name} holds {stored}-bit codes, expected {bits}")
+                value = scale * codes.astype(np.float64)
             else:
-                sub.weight.data = get_array(f"{sub.name}.weight")
-                sub.bias.data = get_array(f"{sub.name}.bias")
-        for ln in (enc.ln_attn, enc.ln_ffn):
-            ln.gamma.data = get_array(f"{ln.name}.gamma")
-            ln.beta.data = get_array(f"{ln.name}.beta")
-    for head in (model.intent_head, model.slot_head):
-        if isinstance(head.first, TTLinearLayer):
-            restore_tt_linear(head.first)
-        else:
-            head.first.weight.data = get_array(f"{head.first.name}.weight")
-            head.first.bias.data = get_array(f"{head.first.name}.bias")
-        head.top.weight.data = get_array(f"{head.top.name}.weight")
-        head.top.bias.data = get_array(f"{head.top.name}.bias")
+                value = take(name, "array")
+            # the writer stores a 0-d scale as shape (1,)
+            if value.shape != (param.data.shape or (1,)):
+                raise CheckpointError(
+                    f"record {name} has shape {value.shape}, expected {param.data.shape}")
+            param.data = value.reshape(param.data.shape).astype(dtype)
+
+
+def _restore_meta(layer, meta, dtype):
+    name = f"{layer.name}.meta"
+    try:
+        plan = TensorShapePlan.from_dict(meta["plan"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"record {name} holds no valid plan: {exc!r}") from exc
+    if (plan.rows, plan.cols, plan.format) != (layer.plan.rows, layer.plan.cols, layer.plan.format):
+        raise CheckpointError(f"record {name} plans a {plan.rows}x{plan.cols} {plan.format.value} "
+                              f"matrix, expected {layer.plan.rows}x{layer.plan.cols} "
+                              f"{layer.plan.format.value}")
+    if plan != layer.plan:
+        layer.set_cores([np.zeros(s, dtype=dtype) for s in plan.core_shapes()], plan)
+    if isinstance(layer, TTLinearLayer):
+        if layer.act_scale is not None:
+            layer.act_scale_ready = bool(meta.get("act_ready", True))
+        layer.stage_scales = list(meta["stage_scales"]) if meta.get("stage_scales") else None
 
 
 def payload_bytes(model: TransformerModel) -> int:
@@ -357,6 +295,5 @@ def payload_bytes(model: TransformerModel) -> int:
             total += 4 * int(np.asarray(value).size)
         elif kind == 1:
             data, _, bits = value
-            from .accounting import packed_code_bytes
             total += packed_code_bytes(int(np.asarray(data).size), bits)
     return total

@@ -171,11 +171,12 @@ def cmd_report_size(args) -> int:
     lines.append(f"  compressed params:  {report.param_count_compressed}")
     lines.append(f"  dense params:       {report.param_count_dense}")
     lines.append(f"  compression ratio:  {report.compression_ratio:.2f}x")
-    lines.append("  per-component bytes:")
+    lines.append(f"  byte ratio:         {report.byte_ratio:.2f}x (dense FP32 bytes / stored bytes)")
+    lines.append("  per-layer bytes:")
     for item in report.items:
         lines.append(f"    {item['name']:40s} {item['bytes']}")
     text = "\n".join(lines) + "\n"
-    _write_report(cfg, "size_report", text, [report.to_dict()])
+    _write_report(cfg, "size_report", text, [dict(report.to_dict(), byte_ratio=report.byte_ratio)])
     print(text, end="")
     return 0
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import quant as q
-from .accounting import CostReport, FLOPS_CONVENTION, flops_estimate, packed_code_bytes, plan_param_count
+from .accounting import CostReport, FLOPS_CONVENTION, flops_estimate, packed_code_bytes
 from .tt import (
     TensorShapePlan,
     TTFormat,
@@ -190,18 +190,35 @@ def ttm_gather_apply(ids: np.ndarray, cores: list[ad.Tensor], plan: TensorShapeP
 # Layers
 
 
-class TTLinearLayer:
+def stored_bits(layer, param: ad.Tensor) -> int:
+    """Storage width of one of ``layer``'s parameters: a quantized layer's
+    cores are kept as ``layer.bits``-wide codes, everything else as FP32."""
+    if isinstance(layer, CoreLayer) and any(param is c for c in layer.cores):
+        return layer.bits
+    return q.FULL_PRECISION
+
+
+class CoreLayer:
+    """A layer whose weight is a plan's TT/TTM cores."""
+
+    name: str
+
+    def set_cores(self, cores: list[np.ndarray], plan: TensorShapePlan):
+        """Adopt ``plan`` and ``cores`` as fresh parameters named after the layer."""
+        self.plan = plan
+        self.cores = [ad.Parameter(c, name=f"{self.name}.core{i}") for i, c in enumerate(cores)]
+
+
+class TTLinearLayer(CoreLayer):
     """TT-compressed linear map with one shared weight scale and an INT8
     input quantizer (when ``act_bits`` < 32)."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, act_bits: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "tt_linear"):
-        self.plan = plan
         self.bits = bits
         self.act_bits = act_bits
         self.name = name
-        init = init_tt_cores(plan, rng, dtype=dtype)
-        self.cores = [ad.Parameter(c, name=f"{name}.core{i}") for i, c in enumerate(init.cores)]
+        self.set_cores(init_tt_cores(plan, rng, dtype=dtype).cores, plan)
         self.bias = ad.Parameter(np.zeros(plan.rows, dtype=dtype), name=f"{name}.bias")
         if bits != q.FULL_PRECISION:
             flat = np.concatenate([c.data.ravel() for c in self.cores])
@@ -355,16 +372,14 @@ class DenseLinear:
         return ad.add(y, self.bias)
 
 
-class TTMEmbedding:
+class TTMEmbedding(CoreLayer):
     """TTM-compressed embedding table, looked up by digit-indexed core slices."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
                  dtype=np.float32, name: str = "embedding"):
-        self.plan = plan
         self.bits = bits
         self.name = name
-        init = init_ttm_cores(plan, rng, dtype=dtype)
-        self.cores = [ad.Parameter(c, name=f"{name}.core{i}") for i, c in enumerate(init.cores)]
+        self.set_cores(init_ttm_cores(plan, rng, dtype=dtype).cores, plan)
         if bits != q.FULL_PRECISION:
             flat = np.concatenate([c.data.ravel() for c in self.cores])
             self.weight_scale = ad.Parameter(np.asarray(q.init_scale(flat, bits), dtype=dtype),
@@ -435,8 +450,32 @@ class LayerNorm:
     def params(self):
         return [(self.gamma.name, self.gamma), (self.beta.name, self.beta)]
 
+    def scale_params(self):
+        return []
+
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
+
+
+class ParamLeaf:
+    """One bare parameter (the position table) as a leaf layer of its own."""
+
+    def __init__(self, param: ad.Parameter):
+        self.name = param.name
+        self.param = param
+
+    def params(self):
+        return [(self.name, self.param)]
+
+    def scale_params(self):
+        return []
+
+
+def encoder_linear_shapes(config: ModelConfig) -> list[tuple[str, int, int, PlanSpec]]:
+    """(tag, rows, cols, spec) of an encoder's six linear maps, in sublayer order."""
+    h, f, attn = config.hidden, config.ffn_dim, config.attn_spec
+    return [("q", h, h, attn), ("k", h, h, attn), ("v", h, h, attn), ("o", h, h, attn),
+            ("ffn_up", f, h, config.ffn_spec.transposed()), ("ffn_down", h, f, config.ffn_spec)]
 
 
 class EncoderBlock:
@@ -448,33 +487,24 @@ class EncoderBlock:
         self.hidden = config.hidden
         dtype = config.np_dtype
 
-        def make_linear(rows, cols, spec, tag):
+        def make_linear(tag, rows, cols, spec):
             if config.compress:
                 plan = spec.resolve(rows, cols)
                 return TTLinearLayer(plan, config.weight_bits, config.act_bits, rng,
                                      dtype=dtype, name=f"{name}.{tag}")
             return DenseLinear(cols, rows, rng, dtype=dtype, name=f"{name}.{tag}")
 
-        h, f = config.hidden, config.ffn_dim
-        self.q_proj = make_linear(h, h, config.attn_spec, "q")
-        self.k_proj = make_linear(h, h, config.attn_spec, "k")
-        self.v_proj = make_linear(h, h, config.attn_spec, "v")
-        self.o_proj = make_linear(h, h, config.attn_spec, "o")
-        self.ffn_up = make_linear(f, h, config.ffn_spec.transposed(), "ffn_up")
-        self.ffn_down = make_linear(h, f, config.ffn_spec, "ffn_down")
-        self.ln_attn = LayerNorm(h, dtype, name=f"{name}.ln_attn")
-        self.ln_ffn = LayerNorm(h, dtype, name=f"{name}.ln_ffn")
+        (self.q_proj, self.k_proj, self.v_proj, self.o_proj, self.ffn_up,
+         self.ffn_down) = [make_linear(*shape) for shape in encoder_linear_shapes(config)]
+        self.ln_attn = LayerNorm(config.hidden, dtype, name=f"{name}.ln_attn")
+        self.ln_ffn = LayerNorm(config.hidden, dtype, name=f"{name}.ln_ffn")
 
     def sublayers(self):
         return [self.q_proj, self.k_proj, self.v_proj, self.o_proj, self.ffn_up, self.ffn_down]
 
-    def params(self):
-        out = []
-        for sub in self.sublayers():
-            out.extend(sub.params())
-        out.extend(self.ln_attn.params())
-        out.extend(self.ln_ffn.params())
-        return out
+    def layers(self):
+        """Leaf layers in parameter order: the six linears, then both norms."""
+        return self.sublayers() + [self.ln_attn, self.ln_ffn]
 
     def forward(self, x: ad.Tensor, mask: np.ndarray, mode: str):
         """x: (batch, seq, hidden); mask: (batch, seq) of {0,1}.
@@ -519,8 +549,8 @@ class ClassifierHead:
             self.first = DenseLinear(h, h, rng, dtype=dtype, name=f"{name}.first")
         self.top = DenseLinear(h, out_classes, rng, dtype=dtype, name=f"{name}.top")
 
-    def params(self):
-        return self.first.params() + self.top.params()
+    def layers(self):
+        return [self.first, self.top]
 
     def forward(self, x2d: ad.Tensor, mode: str) -> ad.Tensor:
         # head inputs stay full precision; integer mode falls back to surrogate
@@ -548,22 +578,20 @@ class TransformerModel:
         self.intent_head = ClassifierHead(config, config.num_intents, rng, "intent_head")
         self.slot_head = ClassifierHead(config, config.num_slots, rng, "slot_head")
 
-    def params(self) -> list[tuple[str, ad.Tensor]]:
-        out = list(self.embedding.params())
-        out.append((self.pos_emb.name, self.pos_emb))
-        out.extend(self.ln_emb.params())
-        for enc in self.encoders:
-            out.extend(enc.params())
-        out.extend(self.intent_head.params())
-        out.extend(self.slot_head.params())
+    def layers(self) -> list:
+        """Every leaf layer, in parameter order.  The parameter list, the
+        checkpoint records, size accounting and dense->TT conversion all walk
+        this one list."""
+        out = [self.embedding, ParamLeaf(self.pos_emb), self.ln_emb]
+        for block in self.encoders + [self.intent_head, self.slot_head]:
+            out.extend(block.layers())
         return out
 
+    def params(self) -> list[tuple[str, ad.Tensor]]:
+        return [named for layer in self.layers() for named in layer.params()]
+
     def scale_params(self) -> list[ad.Tensor]:
-        out = list(self.embedding.scale_params())
-        for enc in self.encoders:
-            for sub in enc.sublayers():
-                out.extend(sub.scale_params())
-        return out
+        return [p for layer in self.layers() for p in layer.scale_params()]
 
     def tt_layers(self) -> list[TTLinearLayer]:
         out = []
@@ -641,37 +669,20 @@ def tt_model_from_dense(dense: TransformerModel, emb_factors: tuple | None = Non
             return linear_factors[(rows, cols)]
         return _plan_axis(rows, 2), _plan_axis(cols, 2)
 
-    def replace_linear(tt_layer: TTLinearLayer, dense_layer: DenseLinear):
-        w = dense_layer.weight.data
-        rf, cf = factors_for(w.shape[0], w.shape[1])
-        cores, plan = tt_from_dense_exact(np.asarray(w, dtype=w.dtype), rf, cf)
-        tt_layer.plan = plan
-        tt_layer.cores = [ad.Parameter(c, name=f"{tt_layer.name}.core{i}")
-                          for i, c in enumerate(cores.cores)]
-        tt_layer.bias.data = dense_layer.bias.data.copy()
-
-    table = dense.embedding.table.data
-    if emb_factors is None:
-        emb_factors = (_plan_axis(table.shape[0], 2), _plan_axis(table.shape[1], 2))
-    mcores, mplan = ttm_from_dense_exact(table, emb_factors[0], emb_factors[1])
-    student.embedding.plan = mplan
-    student.embedding.cores = [ad.Parameter(c, name=f"embedding.core{i}")
-                               for i, c in enumerate(mcores.cores)]
-    student.pos_emb.data = dense.pos_emb.data.copy()
-    for ln_s, ln_d in [(student.ln_emb, dense.ln_emb)]:
-        ln_s.gamma.data = ln_d.gamma.data.copy()
-        ln_s.beta.data = ln_d.beta.data.copy()
-    for enc_s, enc_d in zip(student.encoders, dense.encoders):
-        for sub_s, sub_d in zip(enc_s.sublayers(), enc_d.sublayers()):
-            replace_linear(sub_s, sub_d)
-        for ln_s, ln_d in [(enc_s.ln_attn, enc_d.ln_attn), (enc_s.ln_ffn, enc_d.ln_ffn)]:
-            ln_s.gamma.data = ln_d.gamma.data.copy()
-            ln_s.beta.data = ln_d.beta.data.copy()
-    for head_s, head_d in [(student.intent_head, dense.intent_head),
-                           (student.slot_head, dense.slot_head)]:
-        replace_linear(head_s.first, head_d.first)
-        head_s.top.weight.data = head_d.top.weight.data.copy()
-        head_s.top.bias.data = head_d.top.bias.data.copy()
+    for layer, source in zip(student.layers(), dense.layers()):
+        if isinstance(layer, TTLinearLayer):
+            w = source.weight.data
+            cores, plan = tt_from_dense_exact(w, *factors_for(*w.shape))
+            layer.set_cores(cores.cores, plan)
+            layer.bias.data = source.bias.data.copy()
+        elif isinstance(layer, TTMEmbedding):
+            table = source.table.data
+            factors = emb_factors or (_plan_axis(table.shape[0], 2), _plan_axis(table.shape[1], 2))
+            cores, plan = ttm_from_dense_exact(table, *factors)
+            layer.set_cores(cores.cores, plan)
+        else:
+            for (_, p), (_, src) in zip(layer.params(), source.params()):
+                p.data = src.data.copy()
     return student
 
 
@@ -688,53 +699,19 @@ def _masked_mean(x: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
 
 
 def model_size_bytes(model: TransformerModel) -> CostReport:
-    """Bit-packed storage cost: quantized cores at their code width, one FP32
-    scale per quantizer, FP32 for everything uncompressed."""
-    items = []
-
-    def add_item(name, nbytes):
-        items.append({"name": name, "bytes": int(nbytes)})
-
-    emb = model.embedding
-    if isinstance(emb, TTMEmbedding):
-        core_bytes = sum(packed_code_bytes(c.data.size, emb.bits) for c in emb.cores)
-        add_item("embedding.cores", core_bytes)
-        if emb.weight_scale is not None:
-            add_item("embedding.scale", 4)
-    else:
-        add_item("embedding.table", 4 * emb.table.data.size)
-    add_item("pos_emb", 4 * model.pos_emb.data.size)
-    add_item("ln_emb", 4 * sum(p.data.size for _, p in model.ln_emb.params()))
-    for enc in model.encoders:
-        for sub in enc.sublayers():
-            if isinstance(sub, TTLinearLayer):
-                core_bytes = sum(packed_code_bytes(c.data.size, sub.bits) for c in sub.cores)
-                add_item(f"{sub.name}.cores", core_bytes)
-                add_item(f"{sub.name}.bias", 4 * sub.bias.data.size)
-                n_scales = (sub.weight_scale is not None) + (sub.act_scale is not None)
-                if n_scales:
-                    add_item(f"{sub.name}.scales", 4 * n_scales)
-            else:
-                add_item(f"{sub.name}", 4 * (sub.weight.data.size + sub.bias.data.size))
-        add_item(f"{enc.name}.layer_norms",
-                 4 * sum(p.data.size for ln in (enc.ln_attn, enc.ln_ffn) for _, p in ln.params()))
-    for head in (model.intent_head, model.slot_head):
-        if isinstance(head.first, TTLinearLayer):
-            add_item(f"{head.name}.first.cores",
-                     4 * sum(c.data.size for c in head.first.cores))
-            add_item(f"{head.name}.first.bias", 4 * head.first.bias.data.size)
-        else:
-            add_item(f"{head.name}.first",
-                     4 * (head.first.weight.data.size + head.first.bias.data.size))
-        add_item(f"{head.name}.top", 4 * (head.top.weight.data.size + head.top.bias.data.size))
-    total = sum(it["bytes"] for it in items)
+    """Bit-packed storage cost, one item per leaf layer: quantized cores at
+    their code width, everything else (scales included) FP32."""
+    items = [{"name": layer.name,
+              "bytes": sum(packed_code_bytes(p.data.size, stored_bits(layer, p))
+                           for _, p in layer.params())}
+             for layer in model.layers()]
     compressed = _model_param_count(model)
     dense = _dense_param_count(model.config)
     return CostReport(
         param_count_compressed=compressed,
         param_count_dense=dense,
         compression_ratio=dense / compressed,
-        bytes=total,
+        bytes=sum(it["bytes"] for it in items),
         items=items,
     )
 
@@ -745,52 +722,48 @@ def _model_param_count(model: TransformerModel) -> int:
 
 def _dense_param_count(config: ModelConfig) -> int:
     """Parameter count of the architecturally congruent uncompressed model."""
-    h, f = config.hidden, config.ffn_dim
+    h = config.hidden
     total = config.vocab_size * h
     total += config.max_seq * h + 2 * h
-    per_enc = 4 * (h * h + h) + (h * f + f) + (f * h + h) + 2 * 2 * h
-    total += config.num_layers * per_enc
+    per_enc = sum(rows * cols + rows for _, rows, cols, _ in encoder_linear_shapes(config))
+    total += config.num_layers * (per_enc + 2 * 2 * h)
     for classes in (config.num_intents, config.num_slots):
         total += (h * h + h) + (h * classes + classes)
     return total
 
 
+def _linear_flops(rows: int, cols: int, seq_len: int, plan: TensorShapePlan | None = None,
+                  bits: int = 32, act_bits: int = 32) -> CostReport:
+    """Weighted ops of one linear map over ``seq_len`` tokens: the TT walk of
+    ``plan``, or the dense matvec when there is none."""
+    if plan is None:
+        ops = 2.0 * cols * rows * seq_len
+        return CostReport(flops=ops, flops_dense=ops)
+    return flops_estimate(plan, bits, act_bits, seq_len=seq_len)
+
+
+def _sum_flops(reports: Iterable[CostReport], times: int = 1) -> CostReport:
+    reports = list(reports)
+    return CostReport(flops=sum((r.flops for r in reports), 0.0) * times,
+                      flops_dense=sum((r.flops_dense for r in reports), 0.0) * times,
+                      fixed_point=any(r.fixed_point for r in reports),
+                      convention=FLOPS_CONVENTION)
+
+
 def model_flops(model: TransformerModel, seq_len: int) -> CostReport:
     """Weighted op count per forward pass, encoder linear layers only."""
-    total = 0.0
-    dense_total = 0.0
-    fixed = False
-    for enc in model.encoders:
-        for sub in enc.sublayers():
-            if isinstance(sub, TTLinearLayer):
-                rep = flops_estimate(sub.plan, sub.bits, sub.act_bits, seq_len=seq_len)
-                total += rep.flops
-                dense_total += rep.flops_dense
-                fixed = fixed or rep.fixed_point
-            else:
-                dense_total += 2.0 * sub.in_dim * sub.out_dim * seq_len
-                total += 2.0 * sub.in_dim * sub.out_dim * seq_len
-    return CostReport(flops=total, flops_dense=dense_total, fixed_point=fixed,
-                      convention=FLOPS_CONVENTION)
+    return _sum_flops(
+        _linear_flops(sub.out_dim, sub.in_dim, seq_len, sub.plan, sub.bits, sub.act_bits)
+        if isinstance(sub, TTLinearLayer) else _linear_flops(sub.out_dim, sub.in_dim, seq_len)
+        for enc in model.encoders for sub in enc.sublayers())
 
 
 def architecture_flops(config: ModelConfig, seq_len: int) -> CostReport:
     """model_flops computed from the plan specs alone (no cores allocated);
     lets large published-shape configs be costed instantly."""
-    h, f = config.hidden, config.ffn_dim
-    if not config.compress:
-        per_enc = 2.0 * (4 * h * h + 2 * h * f) * seq_len
-        total = config.num_layers * per_enc
-        return CostReport(flops=total, flops_dense=total, convention=FLOPS_CONVENTION)
-    plans = ([config.attn_spec.resolve(h, h)] * 4
-             + [config.ffn_spec.transposed().resolve(f, h), config.ffn_spec.resolve(h, f)])
-    total = 0.0
-    dense_total = 0.0
-    fixed = False
-    for plan in plans:
-        rep = flops_estimate(plan, config.weight_bits, config.act_bits, seq_len=seq_len)
-        total += rep.flops
-        dense_total += rep.flops_dense
-        fixed = fixed or rep.fixed_point
-    return CostReport(flops=total * config.num_layers, flops_dense=dense_total * config.num_layers,
-                      fixed_point=fixed, convention=FLOPS_CONVENTION)
+    c = config
+    per_encoder = (
+        _linear_flops(rows, cols, seq_len, spec.resolve(rows, cols), c.weight_bits, c.act_bits)
+        if c.compress else _linear_flops(rows, cols, seq_len)
+        for _, rows, cols, spec in encoder_linear_shapes(c))
+    return _sum_flops(per_encoder, c.num_layers)

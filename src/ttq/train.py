@@ -186,11 +186,6 @@ def snapshot_params(model: TransformerModel) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.params()}
 
 
-def restore_params(model: TransformerModel, snap: dict[str, np.ndarray]):
-    for name, p in model.params():
-        p.data = snap[name].copy()
-
-
 def train_end_to_end(model: TransformerModel, train_set: Dataset, dev_set: Dataset | None,
                      config: TrainConfig, log=None) -> dict:
     """Train on the joint intent+slot objective; returns the training report."""

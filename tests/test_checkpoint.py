@@ -1,10 +1,14 @@
 """Checkpoint round-trips, checksums, packing, and size cross-checks."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttq import checkpoint as ckpt_module
 from ttq.checkpoint import (
     CheckpointError,
     checkpoint_load,
@@ -18,6 +22,9 @@ from ttq.data import gen_synthetic_dataset
 from ttq.model import ModelConfig, PlanSpec, TransformerModel, model_size_bytes, tt_model_from_dense
 from ttq.train import TrainConfig, evaluate, train_end_to_end
 from ttq.tt import TTFormat
+
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "toy_int8_calibrated.ttq"
 
 
 def small_config(**kw):
@@ -157,3 +164,86 @@ class TestSizeCrossCheck:
         cfg = small_config()
         assert config_digest(cfg) == config_digest(small_config())
         assert config_digest(cfg) != config_digest(small_config(weight_bits=8))
+
+
+def save_edited_records(model, path, monkeypatch, edit):
+    """Write ``model`` with its record stream rewritten by ``edit``; framing,
+    digest and checksum stay valid, so only the record check can object."""
+    records = edit(list(ckpt_module._records_for_model(model)))
+    monkeypatch.setattr(ckpt_module, "_records_for_model", lambda m: iter(records))
+    checkpoint_save(model, path)
+
+
+def replace_record(name, kind, value):
+    return lambda records: [(n, kind, value) if n == name else (n, k, v) for n, k, v in records]
+
+
+class TestMalformedRecords:
+    def test_missing_record_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ttq"
+        save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
+                            lambda records: [r for r in records if r[0] != "encoder0.q.bias"])
+        with pytest.raises(CheckpointError, match="encoder0.q.bias"):
+            checkpoint_load(p)
+
+    def test_meta_of_wrong_kind_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ttq"
+        save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
+                            replace_record("encoder0.q.meta", 0, np.zeros(3)))
+        with pytest.raises(CheckpointError, match="encoder0.q.meta"):
+            checkpoint_load(p)
+
+    def test_array_of_wrong_shape_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ttq"
+        save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
+                            replace_record("encoder0.q.bias", 0, np.zeros(3)))
+        with pytest.raises(CheckpointError, match=r"encoder0.q.bias has shape \(3,\)"):
+            checkpoint_load(p)
+
+    def test_codes_of_wrong_width_name_the_record(self, tmp_path, monkeypatch):
+        model = TransformerModel(small_config(weight_bits=4), 0)
+        core = model.embedding.cores[0]
+        p = tmp_path / "m.ttq"
+        save_edited_records(model, p, monkeypatch, replace_record(
+            core.name, 1, (core.data, float(model.embedding.weight_scale.data), 8)))
+        with pytest.raises(CheckpointError, match=f"{core.name} holds 8-bit codes"):
+            checkpoint_load(p)
+
+    def test_plan_for_another_matrix_names_the_meta(self, tmp_path, monkeypatch):
+        model = TransformerModel(small_config(), 0)
+        other = TransformerModel(small_config(hidden=8, ffn_dim=16), 0).tt_layers()[0]
+        meta = ckpt_module._meta(model.tt_layers()[0])
+        meta["plan"] = other.plan.to_dict()
+        p = tmp_path / "m.ttq"
+        save_edited_records(model, p, monkeypatch, replace_record("encoder0.q.meta", 2, meta))
+        with pytest.raises(CheckpointError, match="encoder0.q.meta plans a 8x8"):
+            checkpoint_load(p)
+
+
+def file_record_names(raw: bytes) -> list[str]:
+    """Record names of a checkpoint in file order."""
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    start = 12 + cfg_len + 32
+    (n_rec,) = struct.unpack("<I", raw[start:start + 4])
+    reader = ckpt_module._Reader(raw[start + 4:-12])
+    return list(ckpt_module._read_records(reader, n_rec))
+
+
+class TestFormatStability:
+    def test_committed_checkpoint_resaves_byte_identical(self, tmp_path):
+        # toy_int8 after one calibrate_int, written before the record walk
+        # went through TransformerModel.layers()
+        model = checkpoint_load(FIXTURE)
+        assert all(l.stage_scales and l.act_scale_ready for l in model.tt_layers())
+        out = tmp_path / "resaved.ttq"
+        checkpoint_save(model, out)
+        assert out.read_bytes() == FIXTURE.read_bytes()
+
+    def test_records_follow_layers_with_meta_first(self):
+        model = checkpoint_load(FIXTURE)
+        expected = []
+        for layer in model.layers():
+            if hasattr(layer, "plan"):
+                expected.append(f"{layer.name}.meta")
+            expected += [name for name, _ in layer.params()]
+        assert file_record_names(FIXTURE.read_bytes()) == expected

@@ -174,6 +174,14 @@ class TestReports:
         model = TransformerModel(cfg, 5)
         assert rec["bytes"] == model_size_bytes(model).bytes
 
+    def test_report_size_prints_byte_ratio(self, tmp_path, corpus, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, weight_bits=4))
+        assert main(["report-size", str(cfg_path)]) == 0
+        rec = json.loads((out / "size_report.jsonl").read_text().strip())
+        assert rec["byte_ratio"] == 4 * rec["param_count_dense"] / rec["bytes"]
+        assert f"byte ratio:         {rec['byte_ratio']:.2f}x" in capsys.readouterr().out
+
     def test_atis_shaped_int2_close_to_int4(self, tmp_path, monkeypatch):
         records = {}
         for name in ("int2", "int4"):
@@ -235,3 +243,15 @@ class TestErrorPaths:
         raw[len(raw) // 2] ^= 0xFF
         ckpt.write_bytes(bytes(raw))
         assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
+
+    def test_malformed_checkpoint_exit_code(self, tmp_path, corpus, monkeypatch, capsys):
+        from ttq import checkpoint as ckpt_module
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        model = TransformerModel(ModelConfig.from_dict(toy_cfg_dict(corpus, out)["model"]), 0)
+        records = [r for r in ckpt_module._records_for_model(model) if r[0] != "ln_emb.beta"]
+        monkeypatch.setattr(ckpt_module, "_records_for_model", lambda m: iter(records))
+        ckpt = tmp_path / "malformed.ttq"
+        ckpt_module.checkpoint_save(model, ckpt)
+        assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
+        assert "ln_emb.beta" in capsys.readouterr().err

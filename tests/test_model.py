@@ -366,6 +366,44 @@ class TestAccounting:
         model = TransformerModel(cfg, 15)
         assert architecture_flops(cfg, 4).flops == model_flops(model, 4).flops
 
+    def test_dense_architecture_flops_matches_model_flops(self):
+        from ttq.model import architecture_flops
+        cfg = toy_config(compress=False)
+        model = TransformerModel(cfg, 15)
+        assert architecture_flops(cfg, 4).to_dict() == model_flops(model, 4).to_dict()
+
+    def test_encoder_linears_follow_the_shape_list(self):
+        from ttq.model import encoder_linear_shapes
+        for compress in (True, False):
+            cfg = toy_config(compress=compress)
+            enc = TransformerModel(cfg, 15).encoders[0]
+            shapes = encoder_linear_shapes(cfg)
+            assert len(shapes) == len(enc.sublayers())
+            for (tag, rows, cols, _), sub in zip(shapes, enc.sublayers()):
+                assert (sub.name, sub.out_dim, sub.in_dim) == (f"{enc.name}.{tag}", rows, cols)
+
+    def test_size_items_are_the_leaf_layers(self):
+        from ttq.accounting import packed_code_bytes
+        model = TransformerModel(toy_config(weight_bits=4, act_bits=8), 10)
+        report = model_size_bytes(model)
+        assert [it["name"] for it in report.items] == [l.name for l in model.layers()]
+        by_name = {it["name"]: it["bytes"] for it in report.items}
+        q = model.encoders[0].q_proj
+        cores = sum(c.data.size for c in q.cores)
+        # 4-bit cores, then the FP32 bias and the two FP32 scales
+        assert by_name[q.name] == packed_code_bytes(cores, 4) + 4 * (q.bias.data.size + 2)
+        first = model.intent_head.first
+        assert by_name[first.name] == 4 * sum(p.data.size for _, p in first.params())
+
+    def test_params_walk_the_leaf_layers(self):
+        model = TransformerModel(toy_config(weight_bits=8, act_bits=8), 10)
+        layers = model.layers()
+        assert [l.name for l in layers[:3]] == ["embedding", "pos_emb", "ln_emb"]
+        assert layers[1].params() == [("pos_emb", model.pos_emb)]
+        assert model.params() == [named for l in layers for named in l.params()]
+        assert {id(p) for p in model.scale_params()} == {
+            id(p) for n, p in model.params() if n.endswith(("wscale", "ascale"))}
+
     def test_published_shape_config_compression_ratio(self):
         # two encoders at hidden 768 with the published shapes and ranks land
         # near the 19x whole-model parameter reduction
