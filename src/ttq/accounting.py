@@ -95,6 +95,8 @@ def flops_estimate(
 
     ``dense`` counts the uncompressed M*N matvec on the logical dims; the
     factorized count walks the actual contraction order on the padded dims.
+    A TTM row is counted as one id looked up alone (``ttm_lookup_mult_count``
+    without ids), an upper bound per id of a batched lookup.
     """
     if dense:
         mults = plan.rows * plan.cols

@@ -11,7 +11,9 @@ Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
 and backward, run through BLAS matrix products.  A TT linear map is one
 node, ``tt_linear``, whose backward runs the stage adjoints of
-``tt.tt_chain_vjp``.
+``tt.tt_chain_vjp``; a TTM row lookup is one node, ``ttm_lookup``, over
+``tt.ttm_lookup_vjp``.  Scatter-adds (``take``, the lookup's backward) are
+one sorted ``tt.segment_sum``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quant as q
-from .tt import TensorShapePlan, tt_chain_vjp
+from .tt import TensorShapePlan, segment_sum, tt_chain_vjp, ttm_lookup_vjp
 
 _grad_enabled = True
 
@@ -233,16 +235,10 @@ def take(a, indices, axis: int = 0) -> Tensor:
     out = np.take(a.data, idx, axis=axis)
 
     def vjp(g):
-        # Scatter-add as one reduceat over the slices grouped by index;
-        # np.add.at takes a slow unbuffered path on multi-axis slices.
         # Negative indices are wrapped first so that -1 and n-1 share a group.
-        rows = idx % a.data.shape[axis]
-        order = np.argsort(rows, kind="stable")
-        rows, starts = np.unique(rows[order], return_index=True)
-        ga = np.zeros_like(a.data)
-        sums = np.add.reduceat(np.moveaxis(g, axis, 0)[order], starts, axis=0)
-        np.moveaxis(ga, axis, 0)[rows] = sums
-        return (ga,)
+        n = a.data.shape[axis]
+        ga = segment_sum(np.moveaxis(g, axis, 0), idx % n, n)
+        return (np.moveaxis(ga, 0, axis).astype(a.data.dtype, copy=False),)
 
     return _make(out, (a,), vjp)
 
@@ -331,6 +327,13 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan) -> Tensor:
     cores = [_as_tensor(c) for c in cores]
     out, pullback = tt_chain_vjp(x2d.data, [c.data for c in cores], plan)
     return _make(out, (x2d, *cores), pullback)
+
+
+def ttm_lookup(ids, cores: Sequence, plan: TensorShapePlan) -> Tensor:
+    """Rows ``ids`` (1-D) of the TTM matrix of ``plan``, (len(ids), cols)."""
+    cores = [_as_tensor(c) for c in cores]
+    out, pullback = ttm_lookup_vjp(ids, [c.data for c in cores], plan)
+    return _make(out, cores, pullback)
 
 
 # ---------------------------------------------------------------------------

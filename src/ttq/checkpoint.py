@@ -23,9 +23,9 @@ Record:
 Record order follows ``TransformerModel.layers()``: for each leaf layer, a
 TT/TTM layer's JSON ``<layer>.meta`` record first, then one record per entry
 of ``layer.params()``, kind 1 where ``stored_bits`` is below 32, else kind 0
-(a 0-d scale is written with dims (1,)).  A missing record, a record of the
-wrong kind, shape or width, or a plan for another matrix is a
-``CheckpointError`` that names the record.
+(a 0-d scale is written with dims (1,)).  A missing, repeated or unread
+record, a record of the wrong kind, shape or width, or a plan for another
+matrix is a ``CheckpointError`` that names the record.
 
 Quantized layers store integer codes, not master floats: reloading yields the
 dequantized surrogate, which forwards identically to the saved model by
@@ -181,6 +181,8 @@ def _read_records(reader: _Reader, n: int) -> dict:
     for _ in range(n):
         (name_len,) = reader.unpack("<H")
         name = reader.take(name_len).decode()
+        if name in records:
+            raise CheckpointError(f"record {name} appears twice")
         (kind,) = reader.unpack("<B")
         if kind == 0:
             (ndim,) = reader.unpack("<B")
@@ -238,13 +240,15 @@ def checkpoint_load(path: str | Path, rng_seed: int = 0) -> TransformerModel:
 
 
 def _restore_model(model: TransformerModel, records: dict):
-    """Mirror of ``_records_for_model``: fill every leaf layer from its records."""
+    """Mirror of ``_records_for_model``: fill every leaf layer from its records,
+    reading each record exactly once."""
     dtype = model.config.np_dtype
+    records = dict(records)
 
     def take(name, kind):
         if name not in records:
             raise CheckpointError(f"record {name} is missing")
-        got, value = records[name]
+        got, value = records.pop(name)
         if got != kind:
             raise CheckpointError(f"record {name} is {got}, expected {kind}")
         return value
@@ -266,6 +270,8 @@ def _restore_model(model: TransformerModel, records: dict):
                 raise CheckpointError(
                     f"record {name} has shape {value.shape}, expected {param.data.shape}")
             param.data = value.reshape(param.data.shape).astype(dtype)
+    if records:
+        raise CheckpointError(f"record {next(iter(records))} is read by no layer")
 
 
 def _restore_meta(layer, meta, dtype):

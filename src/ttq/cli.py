@@ -34,7 +34,8 @@ from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_cor
 from .distill import compare_schedules, run_distillation
 from .model import TransformerModel, architecture_flops, model_size_bytes
 from .quant import FULL_PRECISION
-from .train import DivergenceError, TrainConfig, evaluate, train_end_to_end
+from .train import (AdamState, DivergenceError, TrainConfig, adam_step, evaluate,
+                    intent_slot_loss, train_end_to_end)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 2, 3, 4, 5
 
@@ -216,6 +217,14 @@ def cmd_bench(args) -> int:
         runs.append(("infer_int", compressed, "infer_int"))
     records = []
     text_lines = [f"bench: batch={batch} seq={seq} repeats={repeats} (informational only)"]
+
+    def record(name, mode, timed, times):
+        rec = {"model": name, "mode": mode, "timed": timed, "mean_s": float(np.mean(times)),
+               "std_s": float(np.std(times)), "repeats": repeats}
+        records.append(rec)
+        text_lines.append(f"  {name:18s} {timed:10s} mean {rec['mean_s']*1e3:8.2f} ms  "
+                          f"std {rec['std_s']*1e3:6.2f} ms")
+
     for name, model, mode in runs:
         times = []
         with ad.no_grad():
@@ -224,11 +233,24 @@ def cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 model.forward(ids, mask, mode=mode)
                 times.append(time.perf_counter() - t0)
-        rec = {"model": name, "mode": mode, "mean_s": float(np.mean(times)),
-               "std_s": float(np.std(times)), "repeats": repeats}
-        records.append(rec)
-        text_lines.append(f"  {name:18s} mean {rec['mean_s']*1e3:8.2f} ms  "
-                          f"std {rec['std_s']*1e3:6.2f} ms")
+        record(name, mode, "forward", times)
+    # training steps change the parameters, so they run after every forward
+    intents = rng.integers(0, cfg.model.num_intents, size=batch)
+    slots = rng.integers(0, cfg.model.num_slots, size=(batch, seq))
+    for name, model in (("dense", dense), ("tensor_compressed", compressed)):
+        params = [p for _, p in model.params()]
+        scale_ids = {id(p) for p in model.scale_params()}
+        state = AdamState()
+        times = []
+        for i in range(repeats + 1):  # the first step warms up
+            t0 = time.perf_counter()
+            for p in params:
+                p.zero_grad()
+            loss = intent_slot_loss(model.forward(ids, mask, mode="train"), intents, slots)
+            adam_step(params, ad.backward(loss), state, cfg.train, scale_ids)
+            if i:
+                times.append(time.perf_counter() - t0)
+        record(name, "train", "train_step", times)
     text = "\n".join(text_lines) + "\n"
     _write_report(cfg, "bench_report", text, records)
     print(text, end="")

@@ -164,28 +164,6 @@ def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan
     return ad.tt_linear(x2d, cores, plan)
 
 
-def ttm_gather_apply(ids: np.ndarray, cores: list[ad.Tensor], plan: TensorShapePlan) -> ad.Tensor:
-    """Batched row lookup for TTM cores from the mixed-radix digits of ids."""
-    ids = np.asarray(ids)
-    batch = ids.shape[0]
-    digits = []
-    rem = ids
-    for base in reversed(plan.row_factors):
-        digits.append(rem % base)
-        rem = rem // base
-    digits.reverse()
-    first = ad.take(cores[0], digits[0], axis=1)  # (1, b, n1, p1)
-    acc = ad.reshape(first, (batch, first.shape[2], first.shape[3]))
-    for k in range(1, plan.order):
-        sl = ad.take(cores[k], digits[k], axis=1)  # (p, b, n, q)
-        acc = ad.einsum("blp,pbnq->blnq", acc, sl)
-        acc = ad.reshape(acc, (batch, acc.shape[1] * acc.shape[2], sl.shape[3]))
-    out = ad.reshape(acc, (batch, plan.padded_cols))
-    if plan.padded_cols != plan.cols:
-        out = ad.slice_axis(out, 1, 0, plan.cols)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Layers
 
@@ -373,7 +351,9 @@ class DenseLinear:
 
 
 class TTMEmbedding(CoreLayer):
-    """TTM-compressed embedding table, looked up by digit-indexed core slices."""
+    """TTM-compressed embedding table.  A lookup is one ``ad.ttm_lookup`` node
+    along ``tt.ttm_stages``: shared prefix and suffix tables, then one join
+    per distinct id."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
                  dtype=np.float32, name: str = "embedding"):
@@ -411,7 +391,7 @@ class TTMEmbedding(CoreLayer):
         if mode != "infer_fp" and self.bits != q.FULL_PRECISION:
             # integer mode contracts the same dequantized values; lookup stays float
             cores = [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
-        return ttm_gather_apply(ids, cores, self.plan)
+        return ad.ttm_lookup(ids, cores, self.plan)
 
 
 class DenseEmbedding:

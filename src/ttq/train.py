@@ -86,9 +86,37 @@ def tt_matvec_vjp(cores, plan: TensorShapePlan, x: np.ndarray, upstream: np.ndar
 
 @dataclass
 class AdamState:
+    """Step count, first and second moments, and for each parameter of rank
+    >= 1 with rows never touched so far, the mask of the leading-axis rows
+    that ever had a nonzero gradient."""
+
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    live: dict = field(default_factory=dict)
+
+
+def _adam_update(p, g, m, v, t: int, lr: float, config: TrainConfig):
+    """The Adam arithmetic on matching arrays: the new (p, m, v)."""
+    b1, b2 = config.beta1, config.beta2
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * (g * g)
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    return (p - lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(p.dtype), m, v
+
+
+def _live_rows(state: AdamState, key: int, g: np.ndarray):
+    """Indices of the rows (leading axis) of parameter ``key`` that ever had a
+    nonzero gradient, or None once that is all of them."""
+    live = state.live.get(key)
+    if live is None:
+        return None
+    live |= g.any(axis=tuple(range(1, g.ndim)))
+    if live.all():
+        del state.live[key]
+        return None
+    return np.flatnonzero(live)
 
 
 def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: AdamState,
@@ -99,6 +127,11 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
     positive after the step; they may use their own learning rate.  Every
     gradient is checked before any update, so a non-finite one raises
     ``DivergenceError`` with the parameters and the state untouched.
+
+    Only live rows are updated: a row whose gradient has been zero (either
+    sign) at every step so far has m = v = +0, so its update is exactly zero
+    and skipping it is bit-identical.  A batch touches only its positions'
+    rows of the position table.
     """
     for p in params:
         g = grads.get(id(p))
@@ -107,24 +140,26 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
                                   f"at step {state.step + 1}")
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
     for p in params:
         g = grads.get(id(p))
         if g is None:
             continue
         key = id(p)
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(p.data, dtype=np.float64)
+        if key not in state.m:
+            state.m[key] = np.zeros_like(p.data, dtype=np.float64)
             state.v[key] = np.zeros_like(p.data, dtype=np.float64)
-        v = state.v[key]
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * (g * g)
-        state.m[key], state.v[key] = m, v
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
+            if p.data.ndim:
+                state.live[key] = np.zeros(len(p.data), dtype=bool)
+        m, v = state.m[key], state.v[key]
         lr = config.effective_scale_lr if key in scale_params else config.learning_rate
-        p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(p.data.dtype)
+        rows = _live_rows(state, key, g)
+        if rows is None:
+            p.data, state.m[key], state.v[key] = _adam_update(p.data, g, m, v, t, lr, config)
+        else:
+            data = p.data.copy()
+            data[rows], m[rows], v[rows] = _adam_update(data[rows], g[rows], m[rows], v[rows],
+                                                        t, lr, config)
+            p.data = data
         if key in scale_params:
             p.data = np.maximum(p.data, MIN_SCALE).astype(p.data.dtype)
 

@@ -10,8 +10,11 @@ each carrying one row mode and one column mode jointly.
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for ``tt_matvec``, integer
 inference and its calibration; ``tt_chain_vjp`` adds the reverse walk, the
-backward of the ``ad.tt_linear`` node and of ``train.tt_matvec_vjp``.  The
-op counts behind ``flops_estimate`` follow the same stages.
+backward of the ``ad.tt_linear`` node and of ``train.tt_matvec_vjp``.  Its
+twin ``ttm_stages(plan)`` is the TTM row lookup: shared prefix and suffix
+tables, then one join per distinct id; ``ttm_lookup_vjp`` walks it for the
+``ad.ttm_lookup`` node and ``ttm_row_lookup``.  The op counts behind
+``flops_estimate`` follow the same stages.
 
 Dense reconstruction here is the reference path: it is used by oracles and
 tests, never by the training or inference hot path.
@@ -476,24 +479,189 @@ def tt_matvec_mult_count(plan: TensorShapePlan) -> int:
     return sum(s.mults for s in tt_stages(plan))
 
 
-def ttm_lookup_mult_count(plan: TensorShapePlan) -> int:
-    """Analytic multiply count of one ttm_row_lookup chain contraction."""
-    nf, ranks = plan.col_factors, plan.ranks
-    mults = 0
-    left = nf[0]
-    for k in range(1, plan.order):
-        mults += left * ranks[k] * nf[k] * ranks[k + 1]
-        left *= nf[k]
-    return mults
-
-
-def row_digits(row: int, row_factors: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of a padded row index, most significant first."""
+def row_digits(row, row_factors: Sequence[int]) -> tuple:
+    """Mixed-radix digits of a padded row index (or of an integer array of
+    them, digit by digit), most significant first."""
     digits = []
     for base in reversed(row_factors):
         digits.append(row % base)
-        row //= base
+        row = row // base
     return tuple(reversed(digits))
+
+
+def segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """``out[i]``, for i in [0, size), is the sum along axis 0 of the
+    ``values[j]`` with ``index[j] == i``.  One stable sort and one
+    ``np.add.reduceat`` over the grouped slices: ``np.add.at`` takes a slow
+    unbuffered path on multi-axis slices."""
+    order = np.argsort(index, kind="stable")
+    keys, starts = np.unique(index[order], return_index=True)
+    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+    out[keys] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The TTM lookup schedule: shared prefix and suffix tables
+
+
+@dataclass(frozen=True)
+class LookupStage:
+    """One step of the TTM lookup: a ``(rows, inner) @ (inner, cols)`` product
+    per table entry, ``shape`` = (rows, inner, cols).
+
+    A ``prefix`` stage multiplies the running (columns so far, rank) product
+    by the (rank, mode * rank') slice of core ``core`` at the entry's digit; a
+    ``suffix`` stage multiplies the (rank * mode, rank') slice by the running
+    (rank', columns so far) product.  Each side starts from a 1 x 1 one, so
+    its first stage is the slice itself.  The ``join`` (``core`` None)
+    multiplies an id's prefix table by its suffix table.
+    """
+
+    side: str
+    core: int | None
+    shape: tuple[int, int, int]
+
+    @property
+    def mults(self) -> int:
+        return math.prod(self.shape)
+
+
+@lru_cache(maxsize=64)
+def ttm_stages(plan: TensorShapePlan) -> tuple[LookupStage, ...]:
+    """The contraction order of every TTM row lookup.
+
+    The cores split at h = ceil(d/2).  Cores 0..h-1 contract, once per
+    distinct prefix (the top h row digits), into a (prod(n_0..n_{h-1}), r_h)
+    table; cores d-1 down to h contract, once per distinct suffix, into an
+    (r_h, prod(n_h..n_{d-1})) table; each distinct id is then one join of its
+    two tables, whose row-major product is the padded row (Hrinchuk et al.
+    2020, "Tensorized Embedding Layers").  Built once per plan.
+    """
+    if plan.format is not TTFormat.TTM:
+        raise StructureError("plan is not TTM format")
+    d, h = plan.order, (plan.order + 1) // 2
+    shapes = plan.core_shapes()
+    stages = []
+    width = 1
+    for k in range(h):
+        r, _, n, r_next = shapes[k]
+        stages.append(LookupStage("prefix", k, (width, r, n * r_next)))
+        width *= n
+    tail = 1
+    for k in range(d - 1, h - 1, -1):
+        r, _, n, r_next = shapes[k]
+        stages.append(LookupStage("suffix", k, (r * n, r_next, tail)))
+        tail *= n
+    stages.append(LookupStage("join", None, (width, plan.ranks[h], tail)))
+    return tuple(stages)
+
+
+def _lookup_index(ids: np.ndarray, plan: TensorShapePlan):
+    """Distinct ids, prefixes and suffixes, each with the map from its
+    consumers (ids to distinct ids, distinct ids to prefixes and suffixes),
+    and the digits of every prefix and suffix, one array per core."""
+    h = (plan.order + 1) // 2
+    tail = math.prod(plan.row_factors[h:])
+    uniq, id_of = np.unique(np.asarray(ids).reshape(-1), return_inverse=True)
+    prefixes, p_of = np.unique(uniq // tail, return_inverse=True)
+    suffixes, s_of = np.unique(uniq % tail, return_inverse=True)
+    digits = (row_digits(prefixes, plan.row_factors[:h])
+              + row_digits(suffixes, plan.row_factors[h:]))
+    entries = {"prefix": len(prefixes), "suffix": len(suffixes), "join": len(uniq)}
+    return entries, id_of, p_of, s_of, digits
+
+
+def _groups(index: np.ndarray):
+    """(value, positions) for every distinct value of ``index``, in order."""
+    order = np.argsort(index, kind="stable")
+    keys, starts = np.unique(index[order], return_index=True)
+    return zip(keys, np.split(order, starts[1:]))
+
+
+def _sum_by_digit(x: np.ndarray, y: np.ndarray, digits: np.ndarray, modes: int) -> np.ndarray:
+    """``out[i]``, for i in [0, modes), is the sum of ``x[e]^T @ y[e]`` over
+    the entries e whose digit is i: one GEMM per digit over its entries
+    stacked, so the sum runs inside the GEMM."""
+    out = np.zeros((modes, x.shape[2], y.shape[2]), dtype=np.result_type(x, y))
+    for i, group in _groups(digits):
+        out[i] = x[group].reshape(-1, x.shape[2]).T @ y[group].reshape(-1, y.shape[2])
+    return out
+
+
+def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan):
+    """Rows ``ids`` (any shape, flattened) of the TTM matrix along
+    ``ttm_stages(plan)``, as (len(ids), cols), plus the pullback from their
+    gradient to the gradients of every core.
+
+    A side stage is one batched GEMM over its table entries.  The join is one
+    GEMM per distinct suffix, over the prefix tables of its ids stacked.
+    Repeated ids are looked up once and gathered.  The pullback runs the
+    stages in reverse: it sums over repeated ids with ``segment_sum``, and
+    over the ids sharing a prefix or suffix and the entries sharing a core
+    slice inside GEMMs.
+    """
+    entries, id_of, p_of, s_of, digits = _lookup_index(ids, plan)
+    stages = ttm_stages(plan)
+    dtype = np.result_type(*cores)
+    tables = {side: np.ones((entries[side], 1, 1), dtype) for side in ("prefix", "suffix")}
+    kept = []
+    for st in stages[:-1]:
+        rows, inner, cols = st.shape
+        # the digit's (r, n, r') slice of each entry, gathered contiguous
+        sl = np.moveaxis(cores[st.core], 1, 0)[digits[st.core]]
+        a, b = (tables["prefix"], sl) if st.side == "prefix" else (sl, tables["suffix"])
+        a, b = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
+        kept.append((a, b))
+        tables[st.side] = a @ b
+    width, rank, tail = stages[-1].shape
+    prefix = tables["prefix"].reshape(-1, width, rank)
+    suffix = tables["suffix"].reshape(-1, rank, tail)
+    by_suffix = list(_groups(s_of))
+    joined = np.empty((entries["join"], width, tail), dtype)
+    for s, group in by_suffix:
+        joined[group] = (prefix[p_of[group]].reshape(-1, rank) @ suffix[s]).reshape(-1, width, tail)
+    out = joined.reshape(entries["join"], plan.padded_cols)[:, : plan.cols][id_of]
+
+    def pullback(g: np.ndarray) -> tuple:
+        pad = plan.padded_cols - plan.cols
+        g = np.pad(g, ((0, 0), (0, pad))) if pad else g
+        g = segment_sum(g, id_of, entries["join"]).reshape(-1, width, tail)
+        grads = {"prefix": np.zeros_like(prefix), "suffix": np.empty_like(suffix)}
+        for s, group in by_suffix:
+            g_ids = g[group].reshape(-1, tail)
+            grads["suffix"][s] = prefix[p_of[group]].reshape(-1, rank).T @ g_ids
+            # the ids of one suffix have distinct prefixes: each += lands once
+            grads["prefix"][p_of[group]] += (g_ids @ suffix[s].T).reshape(-1, width, rank)
+        core_grads = [None] * len(cores)
+        for st, (a, b) in zip(reversed(stages[:-1]), reversed(kept)):
+            g = grads[st.side].reshape(a.shape[0], a.shape[1], b.shape[2])
+            r, m, n, r_next = cores[st.core].shape
+            if st.side == "prefix":  # acc @ slice
+                grads["prefix"] = g @ b.transpose(0, 2, 1)
+                g_slices = _sum_by_digit(a, g, digits[st.core], m)
+            else:  # slice @ acc
+                grads["suffix"] = a.transpose(0, 2, 1) @ g
+                g_slices = _sum_by_digit(b.transpose(0, 2, 1), g.transpose(0, 2, 1),
+                                         digits[st.core], m).transpose(0, 2, 1)
+            core_grads[st.core] = np.ascontiguousarray(
+                np.moveaxis(g_slices.reshape(m, r, n, r_next), 0, 1))
+        return tuple(core_grads)
+
+    return out, pullback
+
+
+def ttm_lookup_mult_count(plan: TensorShapePlan) -> int:
+    """Multiplies of one id looked up alone along ``ttm_stages(plan)``.
+
+    In a lookup, prefix stages run once per distinct prefix, suffix stages
+    once per distinct suffix and the join once per distinct id, so a lookup
+    of n ids costs at most n times this count, and less when ids share a
+    prefix, a suffix or a value.  The TTM ``flops_estimate`` takes this upper
+    bound per id.  The first stage of each side, a core slice times one, is
+    counted.
+    """
+    return sum(st.mults for st in ttm_stages(plan))
 
 
 def ttm_row_lookup(
@@ -504,12 +672,7 @@ def ttm_row_lookup(
     _check_cores(core_list, plan, TTFormat.TTM)
     if not 0 <= row < plan.rows:
         raise IndexError(f"row {row} out of range [0, {plan.rows})")
-    digits = row_digits(row, plan.row_factors)
-    acc = core_list[0][0, digits[0], :, :]  # (n1, p1)
-    for k in range(1, plan.order):
-        sl = core_list[k][:, digits[k], :, :]  # (p_{k-1}, n_k, p_k)
-        acc = np.tensordot(acc, sl, axes=([acc.ndim - 1], [0]))
-    return acc.reshape(plan.padded_cols)[: plan.cols]
+    return ttm_lookup_vjp(np.array([row]), core_list, plan)[0][0]
 
 
 # ---------------------------------------------------------------------------

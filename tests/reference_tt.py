@@ -6,6 +6,9 @@ one einsum per stage.  ``measured_mults`` walks them and counts multiplies
 from the arrays each one contracts.  ``composite_tt_linear`` chains them as
 ``ad.reshape`` + ``ad.einsum`` autodiff nodes, which is how a TT layer was
 built before the fused ``ad.tt_linear`` node, and serves as its oracle.
+``composite_ttm_lookup`` is the TTM row lookup as the take/einsum/reshape
+chain it was before the ``ad.ttm_lookup`` node: every core contracted again
+for every id.  It is that node's gradient oracle.
 """
 
 import math
@@ -63,4 +66,27 @@ def composite_tt_linear(x2d, cores, plan):
     out = ad.reshape(acc, (batch, plan.padded_rows))
     if plan.padded_rows != plan.rows:
         out = ad.slice_axis(out, 1, 0, plan.rows)
+    return out
+
+
+def composite_ttm_lookup(ids, cores, plan):
+    """Rows ``ids`` of a TTM matrix as a chain of take, einsum and reshape
+    autodiff nodes over the mixed-radix digits of every id."""
+    ids = np.asarray(ids)
+    batch = ids.shape[0]
+    digits = []
+    rem = ids
+    for base in reversed(plan.row_factors):
+        digits.append(rem % base)
+        rem = rem // base
+    digits.reverse()
+    first = ad.take(cores[0], digits[0], axis=1)  # (1, b, n1, p1)
+    acc = ad.reshape(first, (batch, first.shape[2], first.shape[3]))
+    for k in range(1, plan.order):
+        sl = ad.take(cores[k], digits[k], axis=1)  # (p, b, n, q)
+        acc = ad.einsum("blp,pbnq->blnq", acc, sl)
+        acc = ad.reshape(acc, (batch, acc.shape[1] * acc.shape[2], sl.shape[3]))
+    out = ad.reshape(acc, (batch, plan.padded_cols))
+    if plan.padded_cols != plan.cols:
+        out = ad.slice_axis(out, 1, 0, plan.cols)
     return out

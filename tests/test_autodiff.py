@@ -118,7 +118,7 @@ class TestContractionOps:
 
     @pytest.mark.parametrize("subscripts", [
         "bln,rn->blr", "blnr,qnr->blq", "brt,qmr->bqmt",  # tests/reference_tt.py
-        "blp,pbnq->blnq",  # ttm_gather_apply
+        "blp,pbnq->blnq",  # composite_ttm_lookup, tests/reference_tt.py
     ])
     @given(sizes=st.lists(st.integers(1, 5), min_size=8, max_size=8),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -219,6 +219,20 @@ class TestMalformedRecords:
         with pytest.raises(CheckpointError, match="encoder0.q.meta plans a 8x8"):
             checkpoint_load(p)
 
+    def test_unread_record_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ttq"
+        save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
+                            lambda records: records + [("bogus.extra", 0, np.zeros(3))])
+        with pytest.raises(CheckpointError, match="record bogus.extra is read by no layer"):
+            checkpoint_load(p)
+
+    def test_repeated_record_names_it(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ttq"
+        save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
+                            lambda records: records + [r for r in records if r[0] == "pos_emb"])
+        with pytest.raises(CheckpointError, match="record pos_emb appears twice"):
+            checkpoint_load(p)
+
 
 def file_record_names(raw: bytes) -> list[str]:
     """Record names of a checkpoint in file order."""

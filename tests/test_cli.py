@@ -211,6 +211,16 @@ class TestReports:
         for r in recs:
             assert r["mean_s"] > 0
 
+    def test_bench_times_a_training_step_after_the_forwards(self, tmp_path, corpus):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["bench", str(cfg_path), "--repeats", "2"]) == 0
+        lines = (out / "bench_report.jsonl").read_text().strip().split("\n")
+        assert [(r["model"], r["mode"], r["timed"]) for r in map(json.loads, lines)] == [
+            ("dense", "train", "forward"), ("tensor_compressed", "train", "forward"),
+            ("infer_int", "infer_int", "forward"),
+            ("dense", "train", "train_step"), ("tensor_compressed", "train", "train_step")]
+
     def test_bench_times_infer_int_only_for_quantized_models(self, tmp_path, corpus):
         out = tmp_path / "run"
         cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, weight_bits=32))

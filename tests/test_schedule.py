@@ -1,5 +1,7 @@
 """The TT contraction schedule: every walk of ``tt_stages`` matches the dense
-oracle, and the ``ad.tt_linear`` node matches the composite einsum chain."""
+oracle, and the ``ad.tt_linear`` node matches the composite einsum chain.
+The TTM lookup schedule: the ``ad.ttm_lookup`` node along ``ttm_stages``
+matches the dense oracle and the composite take/einsum chain."""
 
 import math
 
@@ -7,19 +9,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_tt import composite_tt_linear, einsum_stages, measured_mults
+from reference_tt import composite_tt_linear, composite_ttm_lookup, einsum_stages, measured_mults
 
 from ttq import autodiff as ad
 from ttq import quant as q
+from ttq.accounting import flops_estimate
 from ttq.model import TTLinearLayer
 from ttq.train import tt_matvec_vjp
 from ttq.tt import (
     TensorShapePlan,
+    TTFormat,
+    init_ttm_cores,
+    plan_factorization,
     tt_chain,
     tt_matvec,
     tt_matvec_mult_count,
     tt_stages,
     tt_to_dense,
+    ttm_lookup_mult_count,
+    ttm_stages,
+    ttm_to_dense,
 )
 
 
@@ -167,3 +176,109 @@ def test_integer_layer_rows_do_not_depend_on_batch_mates(plan, batch, extra, see
     for i in range(batch):
         assert_bitwise_equal(infer(x[i:i + 1])[0], together[i])
     assert_bitwise_equal(infer(x)[:batch], together)
+
+
+# ---------------------------------------------------------------------------
+# The TTM lookup schedule
+
+
+@st.composite
+def ttm_plans(draw):
+    d = draw(st.integers(1, 5))
+    factors = st.lists(st.integers(1, 3), min_size=d, max_size=d)
+    row_factors, col_factors = tuple(draw(factors)), tuple(draw(factors))
+    inner = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    padded_rows, padded_cols = math.prod(row_factors), math.prod(col_factors)
+    rows = padded_rows - draw(st.integers(0, padded_rows - 1))
+    cols = padded_cols - draw(st.integers(0, padded_cols - 1))
+    return TensorShapePlan(rows, cols, row_factors, col_factors, (1, *inner, 1), TTFormat.TTM)
+
+
+def suffix_radix(plan):
+    """Rows per prefix: the product of the row factors past the split."""
+    return math.prod(plan.row_factors[(plan.order + 1) // 2:])
+
+
+@st.composite
+def lookup_ids(draw, plan):
+    """A single id, one id repeated, ids sharing one prefix, or any ids."""
+    kind = draw(st.sampled_from(["single", "equal", "shared_prefix", "any"]))
+    some_id = st.integers(0, plan.rows - 1)
+    if kind == "single":
+        return np.array([draw(some_id)])
+    count = draw(st.integers(2, 12))
+    if kind == "equal":
+        return np.full(count, draw(some_id))
+    if kind == "any":
+        return np.array(draw(st.lists(some_id, min_size=count, max_size=count)))
+    tail = suffix_radix(plan)
+    prefix = draw(st.integers(0, (plan.rows - 1) // tail))
+    suffix = st.integers(0, min(tail, plan.rows - prefix * tail) - 1)
+    return prefix * tail + np.array(draw(st.lists(suffix, min_size=count, max_size=count)))
+
+
+def hand_lookup_mults(plan, ids):
+    """The schedule's multiplies counted from its description: prefix cores
+    once per distinct prefix, suffix cores once per distinct suffix, one
+    (width x r_h) @ (r_h x tail) join per distinct id."""
+    h, (r, n) = (plan.order + 1) // 2, (plan.ranks, plan.col_factors)
+    prefix = sum(math.prod(n[:k]) * r[k] * n[k] * r[k + 1] for k in range(h))
+    suffix = sum(r[k] * n[k] * r[k + 1] * math.prod(n[k + 1:]) for k in range(h, plan.order))
+    join = math.prod(n[:h]) * r[h] * math.prod(n[h:])
+    tail = suffix_radix(plan)
+    return (len(set(ids // tail)) * prefix + len(set(ids % tail)) * suffix
+            + len(set(ids)) * join)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_ttm_lookup_matches_dense_rows_and_the_composite_chain(data):
+    plan = data.draw(ttm_plans())
+    ids = data.draw(lookup_ids(plan))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    cores = init_ttm_cores(plan, rng).cores
+    dense = ttm_to_dense(cores, plan)
+    u = rng.normal(size=(len(ids), plan.cols))
+
+    def run(lookup):
+        """The rows, then every core gradient of sum(u * rows)."""
+        params = [ad.Parameter(c.copy()) for c in cores]
+        y = lookup(ids, params, plan)
+        ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+        return [y.data] + [p.grad for p in params]
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * max(np.abs(ref).max(), 1.0))
+
+    got = run(ad.ttm_lookup)
+    close(got[0], dense[ids])
+    for g, ref in zip(got, run(composite_ttm_lookup)):
+        close(g, ref)
+    # the rows are linear in each core: <grad_k, D> is the loss with core k set to D
+    for k, grad in enumerate(got[1:]):
+        direction = rng.normal(size=grad.shape)
+        swapped = cores[:k] + [direction] + cores[k + 1:]
+        want = np.sum(u * ttm_to_dense(swapped, plan)[ids])
+        np.testing.assert_allclose(np.sum(grad * direction), want, rtol=1e-10,
+                                   atol=1e-12 * max(np.abs(u).sum(), 1.0))
+    assert ttm_lookup_mult_count(plan) == hand_lookup_mults(plan, ids[:1])
+
+
+def test_atis_lookup_counts():
+    # ATIS embedding: 800 x 768, rows 5*5*4 | 4*2, cols 3*4*4 | 4*4, rank 30
+    plan = plan_factorization(800, 768, 5, 30, TTFormat.TTM, row_factors=(5, 5, 4, 4, 2),
+                              col_factors=(3, 4, 4, 4, 4))
+    assert [(st.side, st.core, st.shape) for st in ttm_stages(plan)] == [
+        ("prefix", 0, (1, 1, 90)), ("prefix", 1, (3, 30, 120)), ("prefix", 2, (12, 30, 120)),
+        ("suffix", 4, (120, 1, 1)), ("suffix", 3, (120, 30, 4)), ("join", None, (48, 30, 16))]
+    # one id alone: 90 + 10,800 + 43,200 prefix, 120 + 14,400 suffix, 23,040 join
+    assert ttm_lookup_mult_count(plan) == 91_650
+    assert flops_estimate(plan).flops == 2 * 91_650
+    # 256 ids over every prefix (100) and suffix (8), 220 distinct: ~10.6M
+    # multiplies, tables included, against 256 * 249,840 = 64M per-id chains
+    p = np.arange(100)
+    ids = np.concatenate([p * 8 + p % 8, p * 8 + (p + 1) % 8, p[:20] * 8 + (p[:20] + 2) % 8])
+    ids = np.concatenate([ids, ids[:36]])
+    assert len(set(ids)) == 220
+    assert hand_lookup_mults(plan, ids) == 100 * 54_090 + 8 * 14_520 + 220 * 23_040 == 10_593_960
