@@ -188,17 +188,55 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit, tanh approximation (smooth everywhere)."""
+    """Gaussian error linear unit, tanh approximation (smooth everywhere).
+
+    Forward and backward walk the input in blocks of ``quant.BLOCK``
+    elements, each an in-place chain through one block-sized scratch buffer,
+    so nothing activation-sized is allocated beyond the output, the kept
+    ``tanh`` and the gradient.  The operations and their order are those of
+    ``0.5*x*(1 + t)`` with ``t = tanh(c*(x + 0.044715*x*x*x))`` and of its
+    derivative, so the values are the same bit for bit.
+    """
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    out, t = np.empty_like(x), np.empty_like(x)
+    xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
+    scratch = np.empty(min(xf.size, q.BLOCK), dtype=x.dtype)
+    for start in range(0, xf.size, q.BLOCK):
+        xb, tb, ob = xf[start:start + q.BLOCK], tf[start:start + q.BLOCK], of[start:start + q.BLOCK]
+        u = scratch[:xb.size]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.multiply(xb, 0.5, out=ob)
+        np.add(tb, 1.0, out=u)
+        ob *= u
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        dt = (1.0 - t * t) * dinner
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        gx = np.empty(x.shape, dtype=np.result_type(g, x))
+        gf, gxf = g.reshape(-1), gx.reshape(-1)
+        width = min(xf.size, q.BLOCK)
+        d0, e0 = np.empty(width, dtype=x.dtype), np.empty(width, dtype=x.dtype)
+        for start in range(0, xf.size, q.BLOCK):
+            xb, tb = xf[start:start + q.BLOCK], tf[start:start + q.BLOCK]
+            d, e = d0[:xb.size], e0[:xb.size]
+            np.multiply(xb, xb, out=d)  # dinner = c*(1 + 3*0.044715*x*x)
+            d *= 3 * 0.044715
+            d += 1.0
+            d *= _GELU_C
+            np.multiply(tb, tb, out=e)  # dt = (1 - t*t)*dinner
+            np.subtract(1.0, e, out=e)
+            e *= d
+            np.multiply(xb, 0.5, out=d)
+            d *= e
+            np.add(tb, 1.0, out=e)
+            e *= 0.5
+            e += d  # 0.5*(1 + t) + 0.5*x*dt
+            np.multiply(gf[start:start + q.BLOCK], e, out=gxf[start:start + q.BLOCK])
+        return (gx,)
 
     return _make(out, (a,), vjp)
 

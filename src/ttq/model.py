@@ -282,7 +282,8 @@ class TTLinearLayer(CoreLayer):
         scales: list[float] = []
 
         def record(i, stage, acc, core, out):
-            scales.append(max(float(np.max(np.abs(out))), 1e-12) / 127.0)
+            peak = np.maximum(out.max(), -out.min())  # max |out| without a copy of out
+            scales.append(max(float(peak), 1e-12) / 127.0)
             return out
 
         tt_chain(xq, deq, self.plan, record)
@@ -312,7 +313,7 @@ class TTLinearLayer(CoreLayer):
                 return out * real_scale
             in_scale = self.stage_scales[i]
             out *= real_scale / in_scale
-            return q.round_half_away(np.clip(out, -128, 127, out=out))
+            return q.round_half_away(np.clip(out, -128, 127, out=out), out=out)
 
         y = tt_chain(x_codes, int_cores, self.plan, requantize)
         return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)

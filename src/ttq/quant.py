@@ -13,14 +13,29 @@ cache, and stores the integer codes (and, on request, the dequantized values)
 block by block.  ``quantize``, ``fake_quant_forward``, the autodiff
 ``fake_quant`` node and integer inference all call it, so rounding lives in
 one place.  The autodiff node keeps only the int8 codes (1 byte per element)
-between forward and backward; ``ste_backward`` rebuilds the in-range mask and
-the scale surrogate from them, also block by block.  Two exactness notes:
+between forward and backward, and ``ste_backward`` allocates nothing shaped
+like the input but the input gradient.  Values and gradients are bit for bit
+those of the elementwise references (``round_half_away``,
+``ste_grad_input``, ``ste_grad_scale``):
 
-* the ratio is ``np.divide(x, scale, dtype=float64)``.  Under NEP 50 a
-  float32 input divided with ``out=`` but no ``dtype`` computes in float32,
-  even into a float64 buffer, and some codes then differ;
-* a code that rounds to -0.0 is stored as +0.0, as an integer round trip
-  gives, so ``scale * code`` is never -0.0.
+* the ratio ``x / scale`` is divided in float64, from a float64 copy of the
+  block.  Under NEP 50 a float32 input divided with ``out=`` but no
+  ``dtype`` computes in float32, even into a float64 buffer, and some codes
+  then differ;
+* the clipped ratio r is rounded as ``trunc(2r) - trunc(r)``: with
+  ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
+  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``.
+  It uses only vectorised ufuncs (``np.copysign`` and ``np.sign`` are
+  several times slower), and a zero code comes out +0.0, as an integer round
+  trip gives, so ``scale * code`` is never -0.0;
+* the STE mask is two compares of the raw input against
+  ``ratio_thresholds``: the smallest and the largest ``x`` of its dtype
+  whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
+  in ``x``, so the thresholds are exact and found by ``nextafter`` steps;
+* the scale gradient is ``(g * ste_grad_scale(x)).sum()``.  numpy sums that
+  C-ordered float64 product pairwise; ``pairwise_sum`` follows the same tree
+  and sums each leaf of at most ``BLOCK`` terms with numpy as it is formed,
+  so no full-size product array exists.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -61,17 +76,16 @@ def code_bounds(bits: int) -> tuple[int, int]:
 
 def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round to nearest integer, ties away from zero, into ``out`` if given
-    (``out`` must not share memory with ``x``).
+    (``out`` may be ``x``).
 
     Bitwise equal, signed zeros included, to ``sign(x) * floor(|x| + 0.5)``:
     x + 0.5*sign(x) has the magnitude of |x| + 0.5 and turns -0.0 into +0.0.
     """
     x = np.asarray(x)
-    if out is None:  # an array even for 0-d x, so the in-place steps below work
-        out = np.empty(x.shape, dtype=np.result_type(x, 0.5))
-    np.sign(x, out=out, dtype=out.dtype)
-    out *= 0.5
-    out += x
+    half = np.empty(x.shape, dtype=np.result_type(x, 0.5))  # an array even for 0-d x
+    np.sign(x, out=half, dtype=half.dtype)
+    half *= 0.5
+    out = np.add(x, half, out=half if out is None else out)
     return np.trunc(out, out=out)
 
 
@@ -148,13 +162,19 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
         if not np.isfinite(xb, out=finite[:k]).all():
             raise QuantInputError("input contains non-finite values")
         r, c = ratio[:k], code[:k]
-        np.divide(xb, scale, out=r, dtype=np.float64)
+        np.copyto(r, xb)  # float64 first: a float32 divide gives other codes
+        r /= scale
         np.clip(r, lo, hi, out=r)
-        round_half_away(r, out=c)
-        c += 0.0  # a code rounded to -0.0 becomes +0.0
+        # round_half_away(r) is trunc(2r) - trunc(r), exact here, and a zero
+        # code comes out +0.0, as an integer round trip gives
+        np.add(r, r, out=c)
+        np.trunc(c, out=c)
+        np.trunc(r, out=r)
+        c -= r
         codes[start:start + k] = c
         if values is not None:
-            np.multiply(c, scale, out=values[start:start + k], casting="unsafe")
+            c *= scale
+            values[start:start + k] = c
     if n and (codes.min() < lo or codes.max() > hi):
         raise QuantParamError(f"codes outside [{lo}, {hi}] for {bits}-bit")
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
@@ -174,51 +194,95 @@ def fake_quant_forward(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     return quantize_blocks(x, scale, bits, np.int8, x.dtype)[1]
 
 
+def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
+    """The in-range interval of the STE mask as two values of ``dtype``.
+
+    Returns ``(t_lo, t_hi)``: the smallest ``x`` of ``dtype`` with
+    ``float64(x) / scale >= lo`` and the largest with ``<= hi``, so for every
+    ``x`` of that dtype ``lo <= float64(x)/scale <= hi`` exactly when
+    ``t_lo <= x <= t_hi``.  The rounded ratio is monotone in ``x``, so each
+    threshold is a few ``nextafter`` steps from ``bound * scale``.
+    """
+    lo, hi = code_bounds(bits)
+    ftype = np.dtype(dtype).type
+    up, down = ftype(np.inf), ftype(-np.inf)
+
+    def ratio(t):
+        return np.float64(t) / scale
+
+    with np.errstate(over="ignore"):  # a bound past the dtype's range is +-inf
+        t_lo, t_hi = ftype(lo * scale), ftype(hi * scale)
+    while ratio(t_lo) < lo:
+        t_lo = np.nextafter(t_lo, up)
+    while ratio(np.nextafter(t_lo, down)) >= lo:
+        t_lo = np.nextafter(t_lo, down)
+    while ratio(t_hi) > hi:
+        t_hi = np.nextafter(t_hi, down)
+    while ratio(np.nextafter(t_hi, up)) <= hi:
+        t_hi = np.nextafter(t_hi, up)
+    return t_lo, t_hi
+
+
+def pairwise_sum(leaf_sum, start: int, stop: int) -> np.float64:
+    """Sum of float64 terms ``start..stop-1`` in numpy's pairwise order.
+
+    numpy sums a contiguous float64 run by halving any run longer than 128
+    at ``n//2`` rounded down to a multiple of 8 and adding the two halves'
+    sums.  This follows the same splits down to runs of at most ``BLOCK``
+    terms, gets each run's sum from ``leaf_sum(start, stop)`` (numpy's own
+    sum of that run gives numpy's subtree sum), calls it in ascending order
+    and adds the results in the same tree order.  So with ``leaf_sum`` =
+    ``a[start:stop].sum()``, ``pairwise_sum(leaf_sum, 0, a.size)`` is
+    ``a.sum()`` bit for bit.
+    """
+    n = stop - start
+    if n <= BLOCK:
+        return leaf_sum(start, stop)
+    half = start + n // 2 - (n // 2) % 8
+    return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, half, stop)
+
+
 def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of ``fake_quant_forward``.
 
-    ``codes`` are the forward's codes of ``x``.  Returns ``g`` masked to the
-    in-range elements (``g * ste_grad_input``, in ``g``'s dtype) and the
-    float64 scale gradient ``(g * ste_grad_scale(x)).sum()``, bit for bit:
-    the product fills one C-ordered float64 array shaped like ``x``, the
-    layout numpy gives that expression, so ``.sum()`` adds in the same order.
+    ``x`` is the floating input, ``codes`` the forward's codes of it.
+    Returns ``g`` masked to the in-range elements (``g * ste_grad_input``, in
+    ``g``'s dtype) and the float64 scale gradient
+    ``(g * ste_grad_scale(x)).sum()``, bit for bit.  The mask is two
+    compares of ``x`` against ``ratio_thresholds``.  The product is formed
+    block by block over the leaves of ``pairwise_sum``, so its sum adds in
+    numpy's order without a full-size product array.
     """
-    lo, hi = code_bounds(bits)
+    t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     flat, cflat = x.reshape(-1), codes.reshape(-1)
     g = np.asarray(g)
     gflat = g.reshape(-1)
     n = flat.size
     gx = np.empty(n, dtype=g.dtype)
-    prod = np.empty(n, dtype=np.float64)
     width = min(n, BLOCK)
-    x64 = np.empty(width, dtype=np.float64)
-    g64 = np.empty(width, dtype=np.float64)
-    ratio = np.empty(width, dtype=np.float64)
     surr = np.empty(width, dtype=np.float64)
     inside = np.empty(width, dtype=bool)
     outside = np.empty(width, dtype=bool)
-    for start in range(0, n, BLOCK):
-        sl = slice(start, start + BLOCK)
-        xb, cb, gb = flat[sl], cflat[sl], gflat[sl]
-        k = xb.size
-        xd, gd, r, s, m, o = x64[:k], g64[:k], ratio[:k], surr[:k], inside[:k], outside[:k]
-        xd[...] = xb  # float64 copies of x and g: the values dtype promotion uses
-        np.divide(xd, scale, out=r)
-        np.greater_equal(r, lo, out=m)
-        np.less_equal(r, hi, out=o)
+
+    def leaf_sum(start, stop):
+        xb, cb, gb = flat[start:stop], cflat[start:stop], gflat[start:stop]
+        k = stop - start
+        s, m, o = surr[:k], inside[:k], outside[:k]
+        np.greater_equal(xb, t_lo, out=m)
+        np.less_equal(xb, t_hi, out=o)
         m &= o
+        np.multiply(gb, m, out=gx[start:stop])
         # in range (scale*code - x)/scale; out of range the code, lo or hi
-        s[...] = cb
-        s *= scale
-        s -= xd
+        np.multiply(cb, scale, out=s, dtype=np.float64)
+        np.subtract(s, xb, out=s)
         s /= scale
         np.logical_not(m, out=o)
         np.copyto(s, cb, where=o)
-        gd[...] = gb
-        np.multiply(gd, s, out=prod[sl])
-        np.multiply(gb, m, out=gx[sl])
-    return gx.reshape(x.shape), prod.sum()
+        s *= gb
+        return s.sum()
+
+    return gx.reshape(x.shape), pairwise_sum(leaf_sum, 0, n)
 
 
 def ste_grad_input(x: np.ndarray, scale: float, bits: int) -> np.ndarray:

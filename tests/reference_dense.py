@@ -18,9 +18,23 @@ def _softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _gelu(x):
-    c = 0.7978845608028654
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def gelu(x):
+    """Tanh-approximate GELU written as one expression, the reference that
+    ``ad.gelu``'s blocked in-place forward must equal bit for bit."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_vjp(x, g):
+    """Input gradient of ``gelu`` for the upstream gradient ``g``, one
+    expression (the reference for ``ad.gelu``'s backward)."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    dt = (1.0 - t * t) * dinner
+    return g * (0.5 * (1.0 + t) + 0.5 * x * dt)
 
 
 def reference_forward(model, ids, mask):
@@ -54,7 +68,7 @@ def reference_forward(model, ids, mask):
         attn = _softmax(scores)
         ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(b * s, h)
         x2 = _ln(flat + lin(enc.o_proj, ctx), enc.ln_attn.gamma.data, enc.ln_attn.beta.data)
-        ffn = lin(enc.ffn_down, _gelu(lin(enc.ffn_up, x2)))
+        ffn = lin(enc.ffn_down, gelu(lin(enc.ffn_up, x2)))
         x2 = _ln(x2 + ffn, enc.ln_ffn.gamma.data, enc.ln_ffn.beta.data)
         x = x2.reshape(b, s, h)
         outs.append(x)

@@ -1,13 +1,16 @@
 """Engine gradients vs central finite differences (FP64)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_dense import gelu, gelu_vjp
 from test_quant import KERNEL_SHAPES, bits_of, kernel_input
 from ttq import autodiff as ad
-from ttq.quant import code_bounds, quantize, ste_grad_input, ste_grad_scale
+from ttq.quant import BLOCK, code_bounds, quantize, ste_grad_input, ste_grad_scale
 
 
 def finite_diff(f, x, h=1e-6):
@@ -63,6 +66,35 @@ class TestElementwiseOps:
         check_op(lambda: ad.sum_all(ad.gelu(ad.tanh(a))), [a])
         b = ad.Parameter(rng.normal(size=9) + 0.05)  # keep away from the relu kink
         check_op(lambda: ad.sum_all(ad.relu(b)), [b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, BLOCK + 5)])
+    def test_gelu_bit_identical_to_expression_form(self, dtype, shape):
+        data_rng = np.random.default_rng(7)
+        x = ad.Parameter((4.0 * data_rng.normal(size=shape)).astype(dtype))
+        up = data_rng.normal(size=shape).astype(dtype)
+        out = ad.gelu(x)
+        ad.backward(ad.sum_all(ad.mul(out, up)))
+        want, want_grad = np.asarray(gelu(x.data)), np.asarray(gelu_vjp(x.data, up))
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        np.testing.assert_array_equal(bits_of(out.data), bits_of(want))
+        np.testing.assert_array_equal(bits_of(x.grad), bits_of(want_grad))
+
+    def test_gelu_allocates_outputs_and_block_scratch_only(self):
+        x = ad.Parameter(np.random.default_rng(3).normal(size=(256, 3072)).astype(np.float32))
+        up = np.ones(x.shape, dtype=np.float32)
+        slack = 4 * 8 * BLOCK
+        tracemalloc.start()
+        try:
+            out = ad.gelu(x)
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            (gx,) = out._vjp(up)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 2 * x.data.nbytes + slack  # the output and the kept tanh
+        assert backward_peak < gx.nbytes + slack
 
 
 class TestShapeOps:
@@ -217,6 +249,9 @@ class TestFakeQuantNode:
            st.sampled_from([np.float32, np.float64]), st.sampled_from([2, 4, 8]),
            st.floats(1e-3, 10.0), st.booleans())
     @settings(max_examples=60, deadline=None)
+    # activation-sized: several levels of the scale gradient's pairwise-sum tree
+    @example(seed=5, shape=(248, 3072), dtype=np.float32, bits=8, scale=0.031, transposed=False)
+    @example(seed=6, shape=(248, 3072), dtype=np.float64, bits=4, scale=0.4, transposed=True)
     def test_forward_and_backward_bit_identical_to_references(self, seed, shape, dtype, bits,
                                                               scale, transposed):
         x = ad.Parameter(kernel_input(seed, shape, dtype, bits, scale))

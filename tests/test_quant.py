@@ -1,5 +1,7 @@
 """Quantizer unit suite: branch values, idempotence, range, packing-free math."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from ttq.quant import (
     BLOCK,
+    MIN_SCALE,
     KernelError,
     QuantInputError,
     QuantParamError,
@@ -17,9 +20,12 @@ from ttq.quant import (
     fake_quant_forward,
     init_scale,
     int_matvec,
+    pairwise_sum,
     quantize,
     quantize_blocks,
+    ratio_thresholds,
     round_half_away,
+    ste_backward,
     ste_grad_input,
     ste_grad_scale,
 )
@@ -306,6 +312,64 @@ class TestIntMatvec:
             int_matvec(w, x)
 
 
+def neighbours(centres, dtype, steps: int = 4) -> np.ndarray:
+    """Each centre and its ``steps`` nearest values of ``dtype`` either side."""
+    out = []
+    for c in np.asarray(centres, dtype=dtype):
+        out.append(c)
+        for toward in (np.inf, -np.inf):
+            t = c
+            for _ in range(steps):
+                t = np.nextafter(t, dtype(toward))
+                out.append(t)
+    return np.array(out, dtype=dtype)
+
+
+class TestSteBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_thresholds_agree_with_ste_grad_input_next_to_every_edge(self, dtype, bits):
+        lo, hi = code_bounds(bits)
+        rng = np.random.default_rng(bits)
+        scales = np.concatenate([[MIN_SCALE, 0.25, 0.37, 1.0],
+                                 np.exp(rng.uniform(np.log(MIN_SCALE), np.log(10.0), size=300))])
+        for scale in scales:
+            scale = float(scale)
+            t_lo, t_hi = ratio_thresholds(scale, bits, dtype)
+            assert t_lo.dtype == dtype and t_hi.dtype == dtype
+            x = neighbours([lo * scale, hi * scale, t_lo, t_hi], dtype)
+            want = ste_grad_input(x, scale, bits) == 1.0
+            np.testing.assert_array_equal((x >= t_lo) & (x <= t_hi), want)
+            codes, _ = quantize_blocks(x, scale, bits, np.int8)
+            g = np.ones_like(x)
+            gx, _ = ste_backward(x, codes, scale, bits, g)
+            np.testing.assert_array_equal(gx, want.astype(dtype))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3, 786_432])
+    def test_pairwise_leaf_sum_equals_numpy_sum(self, n):
+        # mixed signs over 60 binades: the sum's bits depend on the adding order
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
+        got = pairwise_sum(lambda start, stop: a[start:stop].sum(), 0, n)
+        assert isinstance(got, np.float64)
+        assert got.tobytes() == a.sum().tobytes()
+
+    def test_backward_allocates_its_output_and_block_scratch_only(self):
+        # the old backward filled a float64 product shaped like x (6.3 MB here)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(256, 3072)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        codes, _ = quantize_blocks(x, 0.05, 8, np.int8)
+        tracemalloc.start()
+        try:
+            gx, _ = ste_backward(x, codes, 0.05, 8, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gx.nbytes + 4 * 8 * BLOCK < x.size * 8
+
+
 class TestSpecAndTensorValidation:
     def test_bad_bits_rejected(self):
         with pytest.raises(QuantParamError):
@@ -341,3 +405,6 @@ def test_round_half_away_bitwise_equals_sign_floor_form(dtype, values):
     got = round_half_away(x)
     assert got.dtype == ref.dtype
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"))
+    in_place = x.copy()
+    assert round_half_away(in_place, out=in_place) is in_place
+    np.testing.assert_array_equal(bits_of(in_place), bits_of(ref))
