@@ -191,19 +191,20 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation (smooth everywhere).
 
     Forward and backward walk the input in blocks of ``quant.BLOCK``
-    elements, each an in-place chain through one block-sized scratch buffer,
-    so nothing activation-sized is allocated beyond the output, the kept
-    ``tanh`` and the gradient.  The operations and their order are those of
+    elements, each an in-place chain through block-sized scratch, so nothing
+    activation-sized is allocated beyond the output, the kept ``tanh`` and
+    the gradient.  The operations and their order are those of
     ``0.5*x*(1 + t)`` with ``t = tanh(c*(x + 0.044715*x*x*x))`` and of its
     derivative, so the values are the same bit for bit.
     """
     a = _as_tensor(a)
     x = a.data
-    out, t = np.empty_like(x), np.empty_like(x)
+    out, t = np.empty(x.shape, dtype=x.dtype), np.empty(x.shape, dtype=x.dtype)  # C order: flat views
     xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
     scratch = np.empty(min(xf.size, q.BLOCK), dtype=x.dtype)
     for start in range(0, xf.size, q.BLOCK):
-        xb, tb, ob = xf[start:start + q.BLOCK], tf[start:start + q.BLOCK], of[start:start + q.BLOCK]
+        sl = slice(start, start + q.BLOCK)
+        xb, tb, ob = xf[sl], tf[sl], of[sl]
         u = scratch[:xb.size]
         np.multiply(xb, xb, out=tb)
         tb *= xb
@@ -221,7 +222,8 @@ def gelu(a) -> Tensor:
         width = min(xf.size, q.BLOCK)
         d0, e0 = np.empty(width, dtype=x.dtype), np.empty(width, dtype=x.dtype)
         for start in range(0, xf.size, q.BLOCK):
-            xb, tb = xf[start:start + q.BLOCK], tf[start:start + q.BLOCK]
+            sl = slice(start, start + q.BLOCK)
+            xb, tb = xf[sl], tf[sl]
             d, e = d0[:xb.size], e0[:xb.size]
             np.multiply(xb, xb, out=d)  # dinner = c*(1 + 3*0.044715*x*x)
             d *= 3 * 0.044715
@@ -235,7 +237,7 @@ def gelu(a) -> Tensor:
             np.add(tb, 1.0, out=e)
             e *= 0.5
             e += d  # 0.5*(1 + t) + 0.5*x*dt
-            np.multiply(gf[start:start + q.BLOCK], e, out=gxf[start:start + q.BLOCK])
+            np.multiply(gf[sl], e, out=gxf[sl])
         return (gx,)
 
     return _make(out, (a,), vjp)

@@ -68,10 +68,15 @@ class TestElementwiseOps:
         check_op(lambda: ad.sum_all(ad.relu(b)), [b])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, BLOCK + 5)])
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, BLOCK + 5), "transposed"])
     def test_gelu_bit_identical_to_expression_form(self, dtype, shape):
         data_rng = np.random.default_rng(7)
-        x = ad.Parameter((4.0 * data_rng.normal(size=shape)).astype(dtype))
+        if shape == "transposed":  # a non-contiguous input
+            data = (4.0 * data_rng.normal(size=(BLOCK + 5, 3))).astype(dtype).T
+            shape = data.shape
+        else:
+            data = (4.0 * data_rng.normal(size=shape)).astype(dtype)
+        x = ad.Parameter(data)
         up = data_rng.normal(size=shape).astype(dtype)
         out = ad.gelu(x)
         ad.backward(ad.sum_all(ad.mul(out, up)))
