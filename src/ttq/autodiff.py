@@ -13,7 +13,8 @@ and backward, run through BLAS matrix products.  A TT linear map is one
 node, ``tt_linear``, whose backward runs the stage adjoints of
 ``tt.tt_chain_vjp``; a TTM row lookup is one node, ``ttm_lookup``, over
 ``tt.ttm_lookup_vjp``.  Scatter-adds (``take``, the lookup's backward) are
-one sorted ``tt.segment_sum``.
+one sorted ``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move
+distinct rows, so each is the other's plain-indexing adjoint.
 """
 
 from __future__ import annotations
@@ -281,6 +282,30 @@ def take(a, indices, axis: int = 0) -> Tensor:
         return (np.moveaxis(ga, 0, axis).astype(a.data.dtype, copy=False),)
 
     return _make(out, (a,), vjp)
+
+
+def gather_rows(a, rows) -> Tensor:
+    """Rows ``rows`` (1-D, distinct) of ``a``'s leading axis.  The rows are
+    distinct, so the backward puts each gradient row back in place."""
+    a = _as_tensor(a)
+    rows = np.asarray(rows)
+
+    def vjp(g):
+        ga = np.zeros(a.data.shape, dtype=a.data.dtype)
+        ga[rows] = g
+        return (ga,)
+
+    return _make(a.data[rows], (a,), vjp)
+
+
+def scatter_rows(a, rows, n: int) -> Tensor:
+    """``a``'s rows placed at rows ``rows`` (1-D, distinct) of ``n`` rows of
+    zeros: the adjoint of ``gather_rows``."""
+    a = _as_tensor(a)
+    rows = np.asarray(rows)
+    out = np.zeros((n,) + a.data.shape[1:], dtype=a.data.dtype)
+    out[rows] = a.data
+    return _make(out, (a,), lambda g: (g[rows],))
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:

@@ -49,6 +49,7 @@ from .tt import (
 MODES = ("train", "infer_fp", "infer_int")
 ACT_BITS_DEFAULT = 8
 MASK_NEG = -1e9
+CALIB_ROWS = 256  # rows per calibration chain: bounds its float64 stage outputs
 
 
 class ModeError(ValueError):
@@ -211,7 +212,8 @@ class TTLinearLayer(CoreLayer):
             self.act_scale = None
             self.act_scale_ready = True
         self.stage_scales: list[float] | None = None
-        self._capture: list[np.ndarray] | None = None
+        # running per-stage max |out| while TransformerModel.calibrate_int runs
+        self._calib_peaks: np.ndarray | None = None
 
     @property
     def in_dim(self) -> int:
@@ -244,8 +246,8 @@ class TTLinearLayer(CoreLayer):
             self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
                                              dtype=self.act_scale.data.dtype)
             self.act_scale_ready = True
-        if self._capture is not None:
-            self._capture.append(x2d.data)
+        if self._calib_peaks is not None:
+            np.maximum(self._calib_peaks, self.stage_peaks(x2d.data), out=self._calib_peaks)
         return ad.fake_quant(x2d, self.act_scale, self.act_bits)
 
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
@@ -272,22 +274,36 @@ class TTLinearLayer(CoreLayer):
         codes = [q.quantize_blocks(c.data, w_scale, self.bits, np.float64)[0] for c in self.cores]
         return codes, w_scale
 
-    def calibrate_int(self, x2d: np.ndarray):
-        """Derive static per-stage INT8 requantization scales from the max-abs
-        of each stage's real-valued intermediate on a calibration batch."""
+    def stage_peaks(self, x2d: np.ndarray) -> np.ndarray:
+        """max |out| of each stage's real-valued intermediate over the rows of
+        ``x2d``, walked ``CALIB_ROWS`` rows at a time (a max is exact over any
+        split of the rows); -inf for every stage when there are no rows."""
         codes, w_scale = self._int_codes()
         deq = [w_scale * c for c in codes]
         a_scale = float(self.act_scale.data)
-        _, xq = q.quantize_blocks(x2d, a_scale, self.act_bits, np.int8, np.float64)
-        scales: list[float] = []
+        peaks = np.full(len(tt_stages(self.plan)), -np.inf)
 
         def record(i, stage, acc, core, out):
-            peak = np.maximum(out.max(), -out.min())  # max |out| without a copy of out
-            scales.append(max(float(peak), 1e-12) / 127.0)
+            # max |out| without a copy of out
+            peaks[i] = max(peaks[i], np.maximum(out.max(), -out.min()))
             return out
 
-        tt_chain(xq, deq, self.plan, record)
-        self.stage_scales = scales
+        for start in range(0, x2d.shape[0], CALIB_ROWS):
+            block = x2d[start:start + CALIB_ROWS]
+            _, xq = q.quantize_blocks(block, a_scale, self.act_bits, np.int8, np.float64)
+            tt_chain(xq, deq, self.plan, record)
+        return peaks
+
+    def calibrate_int(self, x2d: np.ndarray):
+        """Derive static per-stage INT8 requantization scales from the max-abs
+        of each stage's real-valued intermediate on a calibration batch."""
+        self.set_stage_scales(self.stage_peaks(x2d))
+
+    def set_stage_scales(self, peaks: np.ndarray):
+        """Per-stage scales max|out| / 127 from ``stage_peaks``-style peaks."""
+        if not np.isfinite(peaks).all():
+            raise ModeError(f"{self.name}: no calibration data reached this layer")
+        self.stage_scales = [max(float(p), 1e-12) / 127.0 for p in peaks]
 
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
         if self.stage_scales is None:
@@ -313,7 +329,7 @@ class TTLinearLayer(CoreLayer):
                 return out * real_scale
             in_scale = self.stage_scales[i]
             out *= real_scale / in_scale
-            return q.round_half_away(np.clip(out, -128, 127, out=out), out=out)
+            return q.round_clipped(np.clip(out, -128, 127, out=out), np.empty_like(out))
 
         y = tt_chain(x_codes, int_cores, self.plan, requantize)
         return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
@@ -487,32 +503,37 @@ class EncoderBlock:
         """Leaf layers in parameter order: the six linears, then both norms."""
         return self.sublayers() + [self.ln_attn, self.ln_ffn]
 
-    def forward(self, x: ad.Tensor, mask: np.ndarray, mode: str):
-        """x: (batch, seq, hidden); mask: (batch, seq) of {0,1}.
+    def forward(self, x: ad.Tensor, mask: np.ndarray, rows: np.ndarray, mode: str):
+        """x: (N, hidden), the real tokens of mask (batch, seq) of {0,1},
+        packed: row j is position ``rows[j]`` of the flattened batch*seq.
 
-        Returns (hidden states, attention probabilities (batch, heads, seq, seq)).
+        Attention alone mixes positions, so only it sees the (batch, seq)
+        layout: q, k and v are scattered into zeros (a padded key is masked
+        out anyway) and the context's real rows gathered back.  Returns
+        (packed hidden states, attention probabilities (batch, heads, seq, seq)).
         """
-        b, s, h = x.shape
+        b, s = mask.shape
+        h = self.hidden
         dh = h // self.num_heads
-        flat = ad.reshape(x, (b * s, h))
 
         def split_heads(t):
-            return ad.transpose(ad.reshape(t, (b, s, self.num_heads, dh)), (0, 2, 1, 3))
+            t = ad.reshape(ad.scatter_rows(t, rows, b * s), (b, s, self.num_heads, dh))
+            return ad.transpose(t, (0, 2, 1, 3))
 
-        qh = split_heads(self.q_proj.forward(flat, mode))
-        kh = split_heads(self.k_proj.forward(flat, mode))
-        vh = split_heads(self.v_proj.forward(flat, mode))
+        qh = split_heads(self.q_proj.forward(x, mode))
+        kh = split_heads(self.k_proj.forward(x, mode))
+        vh = split_heads(self.v_proj.forward(x, mode))
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         bias = ((1.0 - mask) * MASK_NEG).reshape(b, 1, 1, s)
         scores = ad.add(scores, ad.Tensor(bias.astype(scores.data.dtype)))
         attn = ad.softmax(scores, axis=-1)
         ctx = ad.matmul(attn, vh)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * s, h))
+        ctx = ad.gather_rows(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * s, h)), rows)
         attn_out = self.o_proj.forward(ctx, mode)
-        x = self.ln_attn.forward(ad.add(flat, attn_out))
+        x = self.ln_attn.forward(ad.add(x, attn_out))
         ffn = self.ffn_down.forward(ad.gelu(self.ffn_up.forward(x, mode)), mode)
         x = self.ln_ffn.forward(ad.add(x, ffn))
-        return ad.reshape(x, (b, s, h)), attn
+        return x, attn
 
 
 class ClassifierHead:
@@ -582,50 +603,59 @@ class TransformerModel:
 
     def forward(self, ids: np.ndarray, mask: np.ndarray | None = None,
                 mode: str = "train") -> ForwardTrace:
+        """Every token-wise layer runs on the N real tokens of ``mask``,
+        packed as (N, ·) rows; only attention sees the (batch, seq) layout.
+        The trace's embedding, encoder and slot outputs are (batch, seq, ·)
+        with exact zeros at padded positions."""
         if mode not in MODES:
             raise ModeError(f"unknown mode {mode!r}")
         ids = np.asarray(ids)
         b, s = ids.shape
+        h = self.config.hidden
         if s > self.config.max_seq:
             raise ValueError(f"sequence length {s} exceeds max {self.config.max_seq}")
         if mask is None:
             mask = np.ones((b, s), dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
-        emb = self.embedding.forward(ids.reshape(-1), mode)
-        emb = ad.reshape(emb, (b, s, self.config.hidden))
+        rows = np.flatnonzero(mask.reshape(-1) > 0)
+
+        def padded(t):
+            return ad.reshape(ad.scatter_rows(t, rows, b * s), (b, s, t.shape[-1]))
+
+        emb = self.embedding.forward(ids.reshape(-1)[rows], mode)
+        # The position rows are rows % s of the table broadcast over the
+        # batch, so its gradient sums over the batch axis (no scatter-add).
         pos = ad.slice_axis(self.pos_emb, 0, 0, s)
-        x = self.ln_emb.forward(ad.add(emb, pos))
-        emb_out = x
+        pos = ad.add(pos, ad.Tensor(np.zeros((b, 1, 1), dtype=pos.data.dtype)))
+        x = self.ln_emb.forward(ad.add(emb, ad.gather_rows(ad.reshape(pos, (b * s, h)), rows)))
+        emb_out = padded(x)
         outs, attns = [], []
         for enc in self.encoders:
-            x, attn = enc.forward(x, mask, mode)
-            outs.append(x)
+            x, attn = enc.forward(x, mask, rows, mode)
+            outs.append(padded(x))
             attns.append(attn)
-        pooled = _masked_mean(x, mask)
+        pooled = _masked_mean(outs[-1] if outs else emb_out, mask)
         intent_logits = self.intent_head.forward(pooled, mode)
-        flat = ad.reshape(x, (b * s, self.config.hidden))
-        slot_logits = ad.reshape(self.slot_head.forward(flat, mode),
-                                 (b, s, self.config.num_slots))
+        slot_logits = padded(self.slot_head.forward(x, mode))
         return ForwardTrace(emb_out=emb_out, encoder_outs=outs, attn_probs=attns,
                             intent_logits=intent_logits, slot_logits=slot_logits, mask=mask)
 
     def calibrate_int(self, batches: Iterable[tuple[np.ndarray, np.ndarray]]):
-        """Run surrogate forwards over calibration batches, capturing each TT
-        layer's input to derive its static per-stage requantization scales."""
+        """Run surrogate forwards over calibration batches.  Each TT layer
+        folds its input rows, batch by batch, into running per-stage max-abs
+        peaks, and derives its static requantization scales from them."""
         layers = self.tt_layers()
         for layer in layers:
-            layer._capture = []
+            layer._calib_peaks = np.full(len(tt_stages(layer.plan)), -np.inf)
         try:
             with ad.no_grad():
                 for ids, mask in batches:
                     self.forward(ids, mask, mode="train")
             for layer in layers:
-                if not layer._capture:
-                    raise ModeError(f"{layer.name}: no calibration data reached this layer")
-                layer.calibrate_int(np.concatenate(layer._capture, axis=0))
+                layer.set_stage_scales(layer._calib_peaks)
         finally:
             for layer in layers:
-                layer._capture = None
+                layer._calib_peaks = None
 
 
 def tt_model_from_dense(dense: TransformerModel, emb_factors: tuple | None = None,
@@ -668,11 +698,9 @@ def tt_model_from_dense(dense: TransformerModel, emb_factors: tuple | None = Non
 
 
 def _masked_mean(x: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    b, s, h = x.shape
-    m = ad.Tensor(mask.reshape(b, s, 1).astype(x.data.dtype))
-    total = ad.sum_axis(ad.mul(x, m), 1)
+    """Mean over each sequence's real positions; ``x`` holds zeros at padding."""
     counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(x.data.dtype)
-    return ad.div(total, ad.Tensor(counts))
+    return ad.div(ad.sum_axis(x, 1), ad.Tensor(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ those of the elementwise references (``round_half_away``,
   block.  Under NEP 50 a float32 input divided with ``out=`` but no
   ``dtype`` computes in float32, even into a float64 buffer, and some codes
   then differ;
-* the clipped ratio r is rounded as ``trunc(2r) - trunc(r)``: with
+* the clipped ratio r is rounded as ``trunc(2r) - trunc(r)``
+  (``round_clipped``, which the integer TT walk's requantize shares): with
   ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
   half-away-from-zero rounding, and every step is exact for ``|r| <= 128``.
   It uses only vectorised ufuncs (``np.copysign`` and ``np.sign`` are
@@ -87,6 +88,20 @@ def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     half *= 0.5
     out = np.add(x, half, out=half if out is None else out)
     return np.trunc(out, out=out)
+
+
+def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``round_half_away(r)`` into ``out`` for a clipped ratio (``|r| <= 128``),
+    as ``trunc(2r) - trunc(r)``; ``r`` is left holding ``trunc(r)``.
+
+    Exact at these magnitudes, and a zero comes out +0.0, as an integer round
+    trip gives.  Only vectorised ufuncs: no ``np.sign`` pass.
+    """
+    np.add(r, r, out=out)
+    np.trunc(out, out=out)
+    np.trunc(r, out=r)
+    out -= r
+    return out
 
 
 @dataclass
@@ -165,12 +180,7 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
         np.copyto(r, xb)  # float64 first: a float32 divide gives other codes
         r /= scale
         np.clip(r, lo, hi, out=r)
-        # round_half_away(r) is trunc(2r) - trunc(r), exact here, and a zero
-        # code comes out +0.0, as an integer round trip gives
-        np.add(r, r, out=c)
-        np.trunc(c, out=c)
-        np.trunc(r, out=r)
-        c -= r
+        round_clipped(r, c)
         codes[start:start + k] = c
         if values is not None:
             c *= scale

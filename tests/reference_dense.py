@@ -40,7 +40,9 @@ def gelu_vjp(x, g):
 def reference_forward(model, ids, mask):
     """Forward a *dense* TransformerModel's parameters through numpy only.
 
-    Returns (emb_out, encoder_outs, attns, intent_logits, slot_logits).
+    Returns (emb_out, encoder_outs, attns, intent_logits, slot_logits).  Every
+    position is computed; the embedding, encoder and slot outputs are then
+    zeroed at padded positions, as the model's trace holds them.
     """
     cfg = model.config
     b, s = ids.shape
@@ -49,7 +51,8 @@ def reference_forward(model, ids, mask):
     x = table[ids.reshape(-1)].reshape(b, s, h)
     x = x + model.pos_emb.data[:s].astype(np.float64)
     x = _ln(x, model.ln_emb.gamma.data, model.ln_emb.beta.data)
-    emb_out = x
+    real = (mask > 0).reshape(b, s, 1)
+    emb_out = x * real
     outs, attns = [], []
     for enc in model.encoders:
         nh = enc.num_heads
@@ -71,7 +74,7 @@ def reference_forward(model, ids, mask):
         ffn = lin(enc.ffn_down, gelu(lin(enc.ffn_up, x2)))
         x2 = _ln(x2 + ffn, enc.ln_ffn.gamma.data, enc.ln_ffn.beta.data)
         x = x2.reshape(b, s, h)
-        outs.append(x)
+        outs.append(x * real)
         attns.append(attn)
     m = mask.reshape(b, s, 1)
     pooled = (x * m).sum(axis=1) / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
@@ -82,4 +85,4 @@ def reference_forward(model, ids, mask):
 
     intent = head_fwd(model.intent_head, pooled)
     slots = head_fwd(model.slot_head, x.reshape(b * s, h)).reshape(b, s, -1)
-    return emb_out, outs, attns, intent, slots
+    return emb_out, outs, attns, intent, slots * real

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reference_dense import reference_forward
 
 from ttq import autodiff as ad
+from ttq import model as model_module
 from ttq.model import (
     ModeError,
     ModelConfig,
@@ -21,6 +22,7 @@ from ttq.model import (
     tt_model_from_dense,
 )
 from ttq.quant import KernelError
+from ttq.train import intent_slot_loss
 from ttq.tt import TensorShapePlan, TTFormat, plan_factorization, tt_to_dense, ttm_to_dense
 
 
@@ -45,6 +47,12 @@ def random_batch(cfg, batch=3, seq=6, seed=0, ragged=True):
     if ragged:
         mask[0, seq - 2:] = 0.0
     return ids, mask
+
+
+def ragged_batch(cfg, lengths, width, seed=0):
+    """Utterances of ``lengths`` real tokens, padded to ``width``."""
+    ids = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=(len(lengths), width))
+    return ids, (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
 
 
 class TestTTLinearLayer:
@@ -267,6 +275,42 @@ class TestIntInferenceModelLevel:
         err = np.abs(out.intent_logits.data - ref.intent_logits.data).max() / scale
         assert err < 0.2  # documented model-level requantization bound
 
+    def test_streamed_calibration_equals_one_shot(self, monkeypatch):
+        # calibrate_int folds each batch into running per-stage peaks, in
+        # blocks of CALIB_ROWS rows; a max is exact over any split of the
+        # rows, so only BLAS rounding of the stage products may differ
+        cfg = toy_config(weight_bits=8, act_bits=8)
+        model = TransformerModel(cfg, 21)
+        batches = [ragged_batch(cfg, lengths, cfg.max_seq, seed) for seed, lengths
+                   in enumerate([[3, 8], [1, 5, 2], [7], [4, 4, 0]])]
+        with ad.no_grad():
+            model.forward(*batches[0], mode="train")  # sets the activation scales
+        seen = {}
+        tt_forward = TTLinearLayer.forward
+
+        def record(layer, x2d, mode="train"):
+            seen.setdefault(layer.name, []).append(x2d.data)
+            return tt_forward(layer, x2d, mode)
+
+        monkeypatch.setattr(TTLinearLayer, "forward", record)
+        monkeypatch.setattr(model_module, "CALIB_ROWS", 3)
+        model.calibrate_int(batches)
+        monkeypatch.undo()
+        for layer in model.tt_layers():
+            streamed = layer.stage_scales
+            rows = np.concatenate(seen[layer.name])
+            assert len(rows) == 34 < model_module.CALIB_ROWS  # one block
+            layer.calibrate_int(rows)
+            np.testing.assert_allclose(streamed, layer.stage_scales, rtol=1e-13)
+
+    def test_calibration_without_rows_rejected(self):
+        model = TransformerModel(toy_config(weight_bits=8, act_bits=8), 22)
+        with pytest.raises(ModeError):
+            model.calibrate_int([])
+        layer = model.tt_layers()[0]
+        with pytest.raises(ModeError):
+            layer.calibrate_int(np.zeros((0, layer.in_dim)))
+
 
 class TestBatchAndPaddingInvariance:
     """An utterance's logits do not depend on its batch mates or on extra
@@ -318,6 +362,120 @@ class TestBatchAndPaddingInvariance:
                                   (padded_intent[0], padded_slots[0, :n])):
                 np.testing.assert_allclose(intent, alone_intent[0], rtol=0, atol=atol)
                 np.testing.assert_allclose(slots, alone_slots[0], rtol=0, atol=atol)
+
+
+class TestPacking:
+    """The forward runs every token-wise layer on the real tokens only, and
+    the trace holds exact zeros at padded positions."""
+
+    MODES = ["train", "infer_fp", "infer_int"]
+
+    def model(self, seed=0):
+        cfg = toy_config(weight_bits=8, act_bits=8)
+        model = TransformerModel(cfg, seed)
+        calib = random_batch(cfg, batch=4, seq=cfg.max_seq, seed=seed)
+        with ad.no_grad():
+            model.forward(*calib, mode="train")  # sets the activation scales
+        model.calibrate_int([calib])
+        return model
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_token_layers_see_only_real_rows(self, mode, monkeypatch):
+        model = self.model()
+        ids, mask = ragged_batch(model.config, [5, 2, 0, 7], 8)
+        seen = {}
+        tt_forward, emb_forward = TTLinearLayer.forward, TTMEmbedding.forward
+
+        def record_tt(layer, x2d, mode="train"):
+            seen.setdefault(layer.name, []).append(x2d.shape[0])
+            return tt_forward(layer, x2d, mode)
+
+        def record_emb(layer, ids, mode="train"):
+            seen.setdefault(layer.name, []).append(np.asarray(ids).size)
+            return emb_forward(layer, ids, mode)
+
+        monkeypatch.setattr(TTLinearLayer, "forward", record_tt)
+        monkeypatch.setattr(TTMEmbedding, "forward", record_emb)
+        with ad.no_grad():
+            model.forward(ids, mask, mode=mode)
+        n = int(mask.sum())
+        token_layers = [model.embedding] + model.tt_layers() + [model.slot_head.first]
+        assert {l.name: seen[l.name] for l in token_layers} == {l.name: [n] for l in token_layers}
+        assert seen[model.intent_head.first.name] == [len(ids)]  # one pooled row per utterance
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trace_is_zero_at_padded_positions(self, mode):
+        model = self.model(1)
+        ids, mask = ragged_batch(model.config, [3, 8, 1], 8, seed=1)
+        with ad.no_grad():
+            trace = model.forward(ids, mask, mode=mode)
+        pad = mask == 0
+        for out in [trace.emb_out, *trace.encoder_outs, trace.slot_logits]:
+            assert out.shape[:2] == mask.shape
+            assert np.all(out.data[pad] == 0.0)
+            assert np.all(np.abs(out.data[~pad]).max(axis=-1) > 0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           extra=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_loss_and_gradients_do_not_depend_on_padding(self, seed, lengths, extra):
+        # Extra padded columns add no packed row; they reach only attention,
+        # as masked keys with exact-zero weight.  So loss and gradients move
+        # only by summation order, and the bound derived in
+        # TestBatchAndPaddingInvariance holds for them as for the logits.
+        model = self.model(seed % 1000)
+        cfg = model.config
+        width = max(lengths)
+        ids, mask = ragged_batch(cfg, lengths, width + extra, seed)
+        rng = np.random.default_rng(seed)
+        intents = rng.integers(0, cfg.num_intents, size=len(lengths))
+        slots = rng.integers(0, cfg.num_slots, size=ids.shape)
+
+        def loss_and_grads(cols):
+            for _, p in model.params():
+                p.grad = None
+            loss = intent_slot_loss(model.forward(ids[:, :cols], mask[:, :cols], mode="train"),
+                                    intents, slots[:, :cols])
+            ad.backward(loss)
+            return float(loss.data), [p.grad for _, p in model.params()]
+
+        ref_loss, ref_grads = loss_and_grads(width)
+        loss, grads = loss_and_grads(width + extra)
+        tol = TestBatchAndPaddingInvariance.TOL
+        assert loss == pytest.approx(ref_loss, rel=tol)
+        # relative to the largest gradient, as the logits' bound is to the
+        # largest logit: a key bias's gradient is exactly zero in exact
+        # arithmetic (softmax ignores a shift of a whole row), so what is
+        # computed for it is rounding noise of the other terms' size
+        atol = tol * max(np.abs(g).max() for g in ref_grads if g is not None)
+        for (name, _), g, ref in zip(model.params(), grads, ref_grads):
+            assert (g is None) == (ref is None), name
+            if ref is not None:
+                np.testing.assert_allclose(g, ref, rtol=0, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_mask_and_empty_rows(self, mode):
+        model = self.model(2)
+        ids, mask = ragged_batch(model.config, [4, 0, 6], 6, seed=2)
+
+        def run(ids, mask):
+            with ad.no_grad():
+                trace = model.forward(ids, mask, mode=mode)
+            return trace.intent_logits.data, trace.slot_logits.data
+
+        full = run(ids, np.ones(ids.shape))
+        for got, want in zip(run(ids, None), full):
+            np.testing.assert_array_equal(got, want)
+        intent, slots = run(ids, mask)
+        assert np.all(slots[1] == 0.0)
+        # an utterance with no real token pools to zeros
+        zero = model.intent_head.forward(ad.Tensor(np.zeros((1, model.config.hidden))), mode)
+        np.testing.assert_allclose(intent[1], zero.data[0], rtol=1e-12)
+        for i in (0, 2):
+            alone_intent, alone_slots = run(ids[i:i + 1], mask[i:i + 1])
+            np.testing.assert_allclose(intent[i], alone_intent[0], rtol=1e-9)
+            np.testing.assert_allclose(slots[i], alone_slots[0], rtol=1e-9, atol=1e-12)
 
 
 class TestAccounting:

@@ -1,6 +1,8 @@
 """Quantizer unit suite: branch values, idempotence, range, packing-free math."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ttq.quant import (
     quantize,
     quantize_blocks,
     ratio_thresholds,
+    round_clipped,
     round_half_away,
     ste_backward,
     ste_grad_input,
@@ -408,3 +411,23 @@ def test_round_half_away_bitwise_equals_sign_floor_form(dtype, values):
     in_place = x.copy()
     assert round_half_away(in_place, out=in_place) is in_place
     np.testing.assert_array_equal(bits_of(in_place), bits_of(ref))
+
+
+@given(st.lists(st.one_of(
+    st.floats(min_value=-128.0, max_value=127.0),
+    st.sampled_from([0.0, -0.0, -0.3, 0.5, -0.5, 1.5, -2.5, 126.5, -127.5,
+                     0.49999999999999994, -0.49999999999999994]),
+), min_size=1, max_size=32))
+@settings(max_examples=200, deadline=None)
+def test_round_clipped_is_exact_half_away_rounding(values):
+    # Against exact rational arithmetic, not round_half_away: that one's
+    # x + 0.5 rounds 0.49999999999999994 + 0.5 up to 1.0, so it returns 1
+    # there; round_clipped returns 0.
+    def exact(v):
+        n = math.floor(abs(Fraction(v)) + Fraction(1, 2))
+        return float(n if v >= 0 else -n)  # an int 0 converts to +0.0
+
+    r = np.array(values, dtype=np.float64)
+    out = np.empty_like(r)
+    assert round_clipped(r.copy(), out) is out
+    np.testing.assert_array_equal(bits_of(out), bits_of(np.array([exact(v) for v in values])))
