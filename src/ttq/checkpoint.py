@@ -208,7 +208,7 @@ def _read_records(reader: _Reader, n: int) -> dict:
     return records
 
 
-def checkpoint_load(path: str | Path, rng_seed: int = 0) -> TransformerModel:
+def checkpoint_load(path: str | Path) -> TransformerModel:
     """Rebuild a model from a checkpoint, verifying length and checksum."""
     raw = Path(path).read_bytes()
     if len(raw) < 24:
@@ -234,7 +234,7 @@ def checkpoint_load(path: str | Path, rng_seed: int = 0) -> TransformerModel:
     config = ModelConfig.from_dict(json.loads(cfg_bytes.decode()))
     (n_rec,) = reader.unpack("<I")
     records = _read_records(reader, n_rec)
-    model = TransformerModel(config, rng_seed)
+    model = TransformerModel(config, 0)  # every parameter is overwritten from its record
     _restore_model(model, records)
     return model
 

@@ -34,8 +34,8 @@ from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_cor
 from .distill import compare_schedules, run_distillation
 from .model import TransformerModel, architecture_flops, model_size_bytes
 from .quant import FULL_PRECISION
-from .train import (AdamState, DivergenceError, TrainConfig, adam_step, evaluate,
-                    intent_slot_loss, train_end_to_end)
+from .train import (AdamState, DivergenceError, evaluate, intent_slot_loss,
+                    train_end_to_end, train_step)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 2, 3, 4, 5
 
@@ -238,16 +238,12 @@ def cmd_bench(args) -> int:
     intents = rng.integers(0, cfg.model.num_intents, size=batch)
     slots = rng.integers(0, cfg.model.num_slots, size=(batch, seq))
     for name, model in (("dense", dense), ("tensor_compressed", compressed)):
-        params = [p for _, p in model.params()]
-        scale_ids = {id(p) for p in model.scale_params()}
         state = AdamState()
         times = []
         for i in range(repeats + 1):  # the first step warms up
             t0 = time.perf_counter()
-            for p in params:
-                p.zero_grad()
             loss = intent_slot_loss(model.forward(ids, mask, mode="train"), intents, slots)
-            adam_step(params, ad.backward(loss), state, cfg.train, scale_ids)
+            train_step(model, state, cfg.train, loss)
             if i:
                 times.append(time.perf_counter() - t0)
         record(name, "train", "train_step", times)

@@ -43,14 +43,10 @@ class Dataset:
     def max_len(self) -> int:
         return max((len(t) for t, _, _ in self.examples), default=0)
 
-    def batches(self, batch_size: int, shuffle: bool = False,
-                order: np.ndarray | None = None, rng: np.random.Generator | None = None):
-        """Yield (ids, mask, intents, slots) arrays padded per batch."""
-        idx = np.arange(len(self.examples))
-        if order is not None:
-            idx = np.asarray(order)
-        elif shuffle:
-            idx = (rng or np.random.default_rng(0)).permutation(len(self.examples))
+    def batches(self, batch_size: int, order: np.ndarray | None = None):
+        """Yield (ids, mask, intents, slots) arrays padded per batch, taking
+        the examples in ``order`` (default: as stored)."""
+        idx = np.arange(len(self.examples)) if order is None else np.asarray(order)
         for start in range(0, len(idx), batch_size):
             chunk = [self.examples[i] for i in idx[start:start + batch_size]]
             yield pad_batch(chunk)

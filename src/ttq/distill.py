@@ -15,7 +15,6 @@ classifier heads (sequence-level intent and token-level slots).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .model import ForwardTrace, TransformerModel
-from .train import AdamState, DivergenceError, TrainConfig, adam_step, evaluate, snapshot_params
+from .train import TrainConfig, evaluate, fit, snapshot_params
 
 
 @dataclass
@@ -71,7 +70,7 @@ def _mse(t: ad.Tensor, s: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     b, sq, h = t.shape
     idx, count = _masked_positions(mask)
     diff = ad.sub(ad.reshape(s, (b * sq, h)), ad.Tensor(t.data.reshape(b * sq, h)))
-    picked = ad.take(diff, idx, axis=0)
+    picked = ad.gather_rows(diff, idx)
     return ad.scale(ad.sum_all(ad.pow_const(picked, 2.0)), 1.0 / (count * h))
 
 
@@ -79,8 +78,8 @@ def _cos_distance(t: ad.Tensor, s: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     """1 - mean per-position cosine similarity over unmasked positions."""
     b, sq, h = t.shape
     idx, count = _masked_positions(mask)
-    tv = ad.take(ad.Tensor(t.data.reshape(b * sq, h)), idx, axis=0)
-    sv = ad.take(ad.reshape(s, (b * sq, h)), idx, axis=0)
+    tv = ad.gather_rows(ad.Tensor(t.data.reshape(b * sq, h)), idx)
+    sv = ad.gather_rows(ad.reshape(s, (b * sq, h)), idx)
     dot = ad.sum_axis(ad.mul(tv, sv), 1)
     ns = ad.sqrt(ad.add(ad.sum_axis(ad.mul(sv, sv), 1), ad.Tensor(np.asarray(1e-12))))
     nt = ad.sqrt(ad.add(ad.sum_axis(ad.mul(tv, tv), 1), ad.Tensor(np.asarray(1e-12))))
@@ -124,7 +123,7 @@ def _soft_ce(t_logits: ad.Tensor, s_logits: ad.Tensor, temperature: float,
     t_sel = t_flat[idx]
     e = np.exp(t_sel - t_sel.max(axis=-1, keepdims=True))
     t_prob = e / e.sum(axis=-1, keepdims=True)
-    s_sel = ad.take(s_flat, idx, axis=0)
+    s_sel = ad.gather_rows(s_flat, idx)
     logp = ad.log_softmax(s_sel, axis=-1)
     return ad.scale(ad.sum_all(ad.mul(ad.Tensor(t_prob.astype(logp.data.dtype)), logp)),
                     -1.0 / count)
@@ -220,41 +219,24 @@ def make_stages(num_layers: int, config: DistillConfig) -> list[DistillStage]:
 def _distill_stage(teacher: TransformerModel, student: TransformerModel, dataset: Dataset,
                    stage: DistillStage, config: DistillConfig, num_layers: int,
                    rng: np.random.Generator, log=None) -> list[float]:
-    params = [p for _, p in student.params()]
-    scale_ids = {id(p) for p in student.scale_params()}
     tc = TrainConfig(learning_rate=stage.learning_rate, batch_size=config.batch_size,
                      epochs=stage.epochs, seed=config.seed)
-    state = AdamState()
-    curve = []
     idx = min(stage.index, num_layers)
-    last_good = snapshot_params(student)
-    for epoch in range(stage.epochs):
-        order = rng.permutation(len(dataset))
-        total, batches = 0.0, 0
-        for ids, mask, _, _ in dataset.batches(config.batch_size, order=order):
-            for p in params:
-                p.zero_grad()
-            with ad.no_grad():
-                t_trace = teacher.forward(ids, mask, mode="train")
-            s_trace = student.forward(ids, mask, mode="train")
-            terms = loss_terms(t_trace, s_trace, config.temperature)
-            loss = stage_loss(idx, terms, num_layers, config.term_weights, final=stage.is_final)
-            val = loss.item()
-            if not math.isfinite(val):
-                raise DivergenceError(f"distillation diverged in stage {stage.index}, "
-                                      f"epoch {epoch}", last_good=last_good)
-            grads = ad.backward(loss)
-            try:
-                adam_step(params, grads, state, tc, scale_ids)
-            except DivergenceError as exc:
-                exc.last_good = last_good
-                raise
-            total += val
-            batches += 1
-        curve.append(total / max(batches, 1))
-        last_good = snapshot_params(student)
+    curve = []
+
+    def batch_loss(ids, mask, _intents, _slots):
+        with ad.no_grad():
+            t_trace = teacher.forward(ids, mask, mode="train")
+        s_trace = student.forward(ids, mask, mode="train")
+        terms = loss_terms(t_trace, s_trace, config.temperature)
+        return stage_loss(idx, terms, num_layers, config.term_weights, final=stage.is_final)
+
+    def end_epoch(epoch, mean_loss):
+        curve.append(mean_loss)
         if log:
-            log({"stage": stage.index, "epoch": epoch, "loss": curve[-1]})
+            log({"stage": stage.index, "epoch": epoch, "loss": mean_loss})
+
+    fit(student, dataset, tc, batch_loss, rng, f"distillation stage {stage.index}", end_epoch)
     return curve
 
 

@@ -658,8 +658,7 @@ class TransformerModel:
                 layer._calib_peaks = None
 
 
-def tt_model_from_dense(dense: TransformerModel, emb_factors: tuple | None = None,
-                        linear_factors: dict | None = None) -> TransformerModel:
+def tt_model_from_dense(dense: TransformerModel) -> TransformerModel:
     """Exact full-rank TT re-representation of a dense model.
 
     Every dense weight matrix is embedded into TT (TTM for the table) cores
@@ -675,21 +674,18 @@ def tt_model_from_dense(dense: TransformerModel, emb_factors: tuple | None = Non
     student_cfg = replace(cfg, compress=True, weight_bits=32, act_bits=32)
     student = TransformerModel(student_cfg, np.random.default_rng(0))
 
-    def factors_for(rows, cols):
-        if linear_factors and (rows, cols) in linear_factors:
-            return linear_factors[(rows, cols)]
-        return _plan_axis(rows, 2), _plan_axis(cols, 2)
+    def factors(matrix):
+        return _plan_axis(matrix.shape[0], 2), _plan_axis(matrix.shape[1], 2)
 
     for layer, source in zip(student.layers(), dense.layers()):
         if isinstance(layer, TTLinearLayer):
             w = source.weight.data
-            cores, plan = tt_from_dense_exact(w, *factors_for(*w.shape))
+            cores, plan = tt_from_dense_exact(w, *factors(w))
             layer.set_cores(cores.cores, plan)
             layer.bias.data = source.bias.data.copy()
         elif isinstance(layer, TTMEmbedding):
             table = source.table.data
-            factors = emb_factors or (_plan_axis(table.shape[0], 2), _plan_axis(table.shape[1], 2))
-            cores, plan = ttm_from_dense_exact(table, *factors)
+            cores, plan = ttm_from_dense_exact(table, *factors(table))
             layer.set_cores(cores.cores, plan)
         else:
             for (_, p), (_, src) in zip(layer.params(), source.params()):

@@ -15,8 +15,8 @@ block by block.  ``quantize``, ``fake_quant_forward``, the autodiff
 one place.  The autodiff node keeps only the int8 codes (1 byte per element)
 between forward and backward, and ``ste_backward`` allocates nothing shaped
 like the input but the input gradient.  Values and gradients are bit for bit
-those of the elementwise references (``round_half_away``,
-``ste_grad_input``, ``ste_grad_scale``):
+those of the elementwise references (``ste_grad_input``,
+``ste_grad_scale``, and exact half-away-from-zero rounding):
 
 * the ratio ``x / scale`` is divided in float64, from a float64 copy of the
   block.  Under NEP 50 a float32 input divided with ``out=`` but no
@@ -81,6 +81,8 @@ def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Bitwise equal, signed zeros included, to ``sign(x) * floor(|x| + 0.5)``:
     x + 0.5*sign(x) has the magnitude of |x| + 0.5 and turns -0.0 into +0.0.
+    Like that form it rounds ±0.49999999999999994 to ±1, so it is a test
+    oracle only; the kernels round with ``round_clipped``.
     """
     x = np.asarray(x)
     half = np.empty(x.shape, dtype=np.result_type(x, 0.5))  # an array even for 0-d x
@@ -91,8 +93,8 @@ def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``round_half_away(r)`` into ``out`` for a clipped ratio (``|r| <= 128``),
-    as ``trunc(2r) - trunc(r)``; ``r`` is left holding ``trunc(r)``.
+    """Half-away-from-zero rounding of a clipped ratio (``|r| <= 128``) into
+    ``out``, as ``trunc(2r) - trunc(r)``; ``r`` is left holding ``trunc(r)``.
 
     Exact at these magnitudes, and a zero comes out +0.0, as an integer round
     trip gives.  Only vectorised ufuncs: no ``np.sign`` pass.
@@ -320,7 +322,9 @@ def ste_grad_scale(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     lo, hi = code_bounds(bits)
     x = np.asarray(x, dtype=np.float64)
     ratio = x / scale
-    q = scale * round_half_away(np.clip(ratio, lo, hi))
+    clipped = np.empty(ratio.shape)  # an array even for 0-d x, as round_clipped writes in place
+    np.clip(ratio, lo, hi, out=clipped)
+    q = scale * round_clipped(clipped, np.empty_like(clipped))
     grad = (q - x) / scale
     grad = np.where(ratio < lo, float(lo), grad)
     grad = np.where(ratio > hi, float(hi), grad)

@@ -1,9 +1,9 @@
-"""Training: the TT matvec adjoint, Adam, and the end-to-end loop.
+"""Training: the TT matvec adjoint, Adam, and the optimization loop.
 
-The loop minimizes the sum of two cross-entropies (sequence-level intent plus
-token-level slots) over shuffled mini-batches, with deterministic behaviour
-under a fixed seed: parameter order, shuffle order, and summation order are
-all fixed.
+``train_step`` and ``fit`` are the one optimizer step and epoch loop, for
+end-to-end training (intent plus slot cross-entropy) and every distillation
+stage alike.  Behaviour is deterministic under a fixed seed: parameter
+order, shuffle order, and summation order are all fixed.
 """
 
 from __future__ import annotations
@@ -173,14 +173,14 @@ def intent_slot_loss(trace: ForwardTrace, intents: np.ndarray, slots: np.ndarray
     (mean over unmasked tokens)."""
     b, s, k = trace.slot_logits.shape
     logp_int = ad.log_softmax(trace.intent_logits, axis=-1)
-    picked = ad.take(ad.reshape(logp_int, (-1,)),
-                     np.arange(b) * trace.intent_logits.shape[1] + intents, axis=0)
+    picked = ad.gather_rows(ad.reshape(logp_int, (-1,)),
+                            np.arange(b) * trace.intent_logits.shape[1] + intents)
     intent_ce = ad.scale(ad.sum_all(picked), -1.0 / b)
     logp_slot = ad.log_softmax(trace.slot_logits, axis=-1)
     flat = ad.reshape(logp_slot, (-1,))
     mask = trace.mask.reshape(-1)
     slot_idx = np.arange(b * s) * k + np.clip(slots.reshape(-1), 0, k - 1)
-    picked_slots = ad.take(flat, slot_idx, axis=0)
+    picked_slots = ad.gather_rows(flat, slot_idx)
     m = ad.Tensor(mask.astype(flat.data.dtype))
     denom = max(mask.sum(), 1.0)
     slot_ce = ad.scale(ad.sum_all(ad.mul(picked_slots, m)), -1.0 / denom)
@@ -194,7 +194,7 @@ def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64,
     correct = 0
     total = 0
     tp = fp = fn = 0
-    for ids, mask, intents, slots in dataset.batches(batch_size, shuffle=False):
+    for ids, mask, intents, slots in dataset.batches(batch_size):
         with ad.no_grad():
             trace = model.forward(ids, mask, mode=mode)
         pred_int = trace.intent_logits.data.argmax(axis=-1)
@@ -214,11 +214,56 @@ def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# End-to-end loop
+# The optimization loop: one step and one epoch loop for every objective
 
 
 def snapshot_params(model: TransformerModel) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.params()}
+
+
+def train_step(model: TransformerModel, state: AdamState, config: TrainConfig,
+               loss: ad.Tensor) -> float:
+    """One Adam step on ``loss``, a scalar from a forward of ``model``;
+    returns the loss value.  A non-finite loss raises ``DivergenceError``
+    before anything changes.
+
+    ``.grad`` is cleared just before the backward, its only writer, so the
+    values equal those of clearing before the forward.  ``ad.backward`` and
+    ``adam_step`` are looked up at call time, so a hook on either sees every
+    step.
+    """
+    value = loss.item()
+    if not math.isfinite(value):
+        raise DivergenceError(f"non-finite loss {value} at step {state.step + 1}")
+    params = [p for _, p in model.params()]
+    for p in params:
+        p.zero_grad()
+    adam_step(params, ad.backward(loss), state, config, {id(p) for p in model.scale_params()})
+    return value
+
+
+def fit(model: TransformerModel, dataset: Dataset, config: TrainConfig, batch_loss,
+        rng: np.random.Generator, label: str, end_epoch) -> None:
+    """``config.epochs`` epochs of ``train_step`` on ``batch_loss(ids, mask,
+    intents, slots)`` with fresh Adam state, one ``rng.permutation`` of
+    ``dataset`` per epoch; ``end_epoch(epoch, mean_loss)`` runs after each.
+    A ``DivergenceError`` is raised again as ``"{label}, epoch {e}: ..."``
+    with the parameters of the last complete epoch (or the initial ones).
+    """
+    state = AdamState()
+    last_good = snapshot_params(model)
+    for epoch in range(config.epochs):
+        total, batches = 0.0, 0
+        order = rng.permutation(len(dataset))
+        for ids, mask, intents, slots in dataset.batches(config.batch_size, order=order):
+            try:
+                total += train_step(model, state, config, batch_loss(ids, mask, intents, slots))
+            except DivergenceError as exc:
+                raise DivergenceError(f"{label}, epoch {epoch}: {exc}",
+                                      last_good=last_good) from exc
+            batches += 1
+        end_epoch(epoch, total / max(batches, 1))
+        last_good = snapshot_params(model)
 
 
 def train_end_to_end(model: TransformerModel, train_set: Dataset, dev_set: Dataset | None,
@@ -226,39 +271,20 @@ def train_end_to_end(model: TransformerModel, train_set: Dataset, dev_set: Datas
     """Train on the joint intent+slot objective; returns the training report."""
     if len(train_set) == 0:
         raise ValueError("training dataset is empty")
-    params = [p for _, p in model.params()]
-    scale_ids = {id(p) for p in model.scale_params()}
-    state = AdamState()
-    rng = np.random.default_rng(config.seed)
     report = {"epochs": [], "config": {"lr": config.learning_rate, "epochs": config.epochs,
                                        "batch_size": config.batch_size, "seed": config.seed}}
-    last_good = snapshot_params(model)
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        n_batches = 0
-        order = rng.permutation(len(train_set))
-        for ids, mask, intents, slots in train_set.batches(config.batch_size, order=order):
-            for p in params:
-                p.zero_grad()
-            trace = model.forward(ids, mask, mode="train")
-            loss = intent_slot_loss(trace, intents, slots)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise DivergenceError(
-                    f"training loss diverged at epoch {epoch}", last_good=last_good)
-            grads = ad.backward(loss)
-            try:
-                adam_step(params, grads, state, config, scale_ids)
-            except DivergenceError as exc:
-                exc.last_good = last_good
-                raise
-            epoch_loss += loss_val
-            n_batches += 1
-        entry = {"epoch": epoch, "train_loss": epoch_loss / max(n_batches, 1)}
+
+    def batch_loss(ids, mask, intents, slots):
+        return intent_slot_loss(model.forward(ids, mask, mode="train"), intents, slots)
+
+    def end_epoch(epoch, mean_loss):
+        entry = {"epoch": epoch, "train_loss": mean_loss}
         if dev_set is not None and len(dev_set):
             entry.update({f"dev_{k}": v for k, v in evaluate(model, dev_set).items()})
         report["epochs"].append(entry)
-        last_good = snapshot_params(model)
         if log:
             log(entry)
+
+    fit(model, train_set, config, batch_loss, np.random.default_rng(config.seed), "training",
+        end_epoch)
     return report

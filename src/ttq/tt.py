@@ -265,43 +265,34 @@ class TTMCores(_Cores):
     format = TTFormat.TTM
 
 
-def init_tt_cores(
-    plan: TensorShapePlan,
-    rng: np.random.Generator,
-    target_std: float | None = None,
-    dtype=np.float64,
-) -> TTCores:
+def _gaussian_cores(plan: TensorShapePlan, rng: np.random.Generator, target_std: float,
+                    dtype) -> list[np.ndarray]:
     """Random Gaussian cores scaled so the reconstructed matrix has roughly
-    the requested elementwise std (fan-in rule when unspecified).
+    elementwise std ``target_std``.
 
-    The reconstructed entry is a product chain over 2d cores with the interior
-    ranks summed out, so each core draws i.i.d. values with std set to the
-    (2d)-th root of the target std after dividing out the accumulated rank
-    volume.
+    The reconstructed entry is a product chain over the cores with the
+    interior ranks summed out, so each core draws i.i.d. values with std set
+    to the n-th root of the target std after dividing out the accumulated
+    rank volume.
     """
-    if target_std is None:
-        target_std = 1.0 / math.sqrt(plan.cols)
     shapes = plan.core_shapes()
     n = len(shapes)
     # Each summed product of k i.i.d. factors has variance prod(core_var) * rank_volume.
     rank_volume = math.prod(plan.ranks[1:-1]) if len(plan.ranks) > 2 else 1
     per_core_std = (target_std / math.sqrt(rank_volume)) ** (1.0 / n)
-    cores = [rng.normal(0.0, per_core_std, size=s).astype(dtype) for s in shapes]
-    return TTCores(cores, plan)
+    return [rng.normal(0.0, per_core_std, size=s).astype(dtype) for s in shapes]
 
 
-def init_ttm_cores(
-    plan: TensorShapePlan,
-    rng: np.random.Generator,
-    target_std: float = 0.02,
-    dtype=np.float64,
-) -> TTMCores:
-    shapes = plan.core_shapes()
-    n = len(shapes)
-    rank_volume = math.prod(plan.ranks[1:-1]) if len(plan.ranks) > 2 else 1
-    per_core_std = (target_std / math.sqrt(rank_volume)) ** (1.0 / n)
-    cores = [rng.normal(0.0, per_core_std, size=s).astype(dtype) for s in shapes]
-    return TTMCores(cores, plan)
+def init_tt_cores(plan: TensorShapePlan, rng: np.random.Generator, dtype=np.float64) -> TTCores:
+    """Random TT cores of a linear weight: entries of std about
+    1/sqrt(cols) (fan-in rule)."""
+    return TTCores(_gaussian_cores(plan, rng, 1.0 / math.sqrt(plan.cols), dtype), plan)
+
+
+def init_ttm_cores(plan: TensorShapePlan, rng: np.random.Generator,
+                   dtype=np.float64) -> TTMCores:
+    """Random TTM cores of an embedding table: entries of std about 0.02."""
+    return TTMCores(_gaussian_cores(plan, rng, 0.02, dtype), plan)
 
 
 # ---------------------------------------------------------------------------

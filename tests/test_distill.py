@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttq import autodiff as ad
+from ttq import train
 from ttq.data import gen_synthetic_dataset
 from ttq.distill import (
     DistillConfig,
@@ -177,6 +178,51 @@ class TestRunDistillation:
         assert set(last_good) == set(before)
         for name, value in before.items():
             np.testing.assert_array_equal(last_good[name], value)
+
+    def test_divergence_names_its_stage(self, monkeypatch):
+        teacher, data = toy_teacher_and_data()
+        student = TransformerModel(student_config(teacher.config), 2)
+        cfg = DistillConfig(stage_epochs=1, final_epochs=1, batch_size=16, seed=1)
+        stage_steps = -(-len(data["train"]) // cfg.batch_size)
+        backward = ad.backward
+        calls = []
+
+        def poisoned_in_stage_1(loss):
+            grads = backward(loss)
+            calls.append(None)
+            if len(calls) > stage_steps:
+                return {key: np.full_like(g, np.nan) for key, g in grads.items()}
+            return grads
+
+        monkeypatch.setattr(ad, "backward", poisoned_in_stage_1)
+        with pytest.raises(DivergenceError,
+                           match="^distillation stage 1, epoch 0: non-finite gradient"):
+            run_distillation(teacher, student, data["train"], cfg)
+        assert len(calls) == stage_steps + 1
+
+    def test_adam_sees_every_step_of_every_stage(self, monkeypatch):
+        teacher, data = toy_teacher_and_data()
+        steps = []
+        adam = train.adam_step
+
+        def counted(*args):
+            steps.append(None)
+            return adam(*args)
+
+        monkeypatch.setattr(train, "adam_step", counted)
+        cfg = DistillConfig(stage_epochs=1, final_epochs=2, batch_size=32, seed=4)
+
+        def factory():
+            return TransformerModel(student_config(teacher.config), 4)
+
+        run_distillation(teacher, factory(), data["train"], cfg)
+        batches = -(-len(data["train"]) // cfg.batch_size)
+        epochs = (teacher.config.num_layers + 1) * cfg.stage_epochs + cfg.final_epochs
+        assert len(steps) == epochs * batches
+        steps.clear()
+        compare_schedules(teacher, factory, data["train"], cfg)
+        # the all-at-once run takes as many epochs as the staged one
+        assert len(steps) == 2 * epochs * batches
 
     def test_zero_epochs_leaves_student_unchanged(self):
         teacher, data = toy_teacher_and_data()

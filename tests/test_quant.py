@@ -348,6 +348,20 @@ class TestSteBackward:
             gx, _ = ste_backward(x, codes, scale, bits, g)
             np.testing.assert_array_equal(gx, want.astype(dtype))
 
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scale_gradient_equals_reference_just_below_half(self, bits, sign):
+        # the ratio is 0.49999999999999994: code 0, so the residual is -ratio
+        scale = 0.25
+        x = np.array([sign * (0.5 - 2.0 ** -54) * scale])
+        g = np.array([1.0])
+        codes, _ = quantize_blocks(x, scale, bits, np.int8)
+        assert codes[0] == 0
+        _, gs = ste_backward(x, codes, scale, bits, g)
+        ref = (g * ste_grad_scale(x, scale, bits)).sum()
+        assert gs.tobytes() == ref.tobytes()
+        assert ref == -sign * (0.5 - 2.0 ** -54)
+
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3, 786_432])
     def test_pairwise_leaf_sum_equals_numpy_sum(self, n):

@@ -291,6 +291,38 @@ class TestTrainLoop:
         for name, value in before.items():
             np.testing.assert_array_equal(last_good[name], value)
 
+    def test_loss_and_adam_called_once_per_batch(self, monkeypatch):
+        model, data = tiny_model_and_data()
+        calls = {"loss": 0, "adam": 0}
+        loss_fn, adam_fn = train.intent_slot_loss, train.adam_step
+
+        def counted_loss(*args):
+            calls["loss"] += 1
+            return loss_fn(*args)
+
+        def counted_adam(*args):
+            calls["adam"] += 1
+            return adam_fn(*args)
+
+        monkeypatch.setattr(train, "intent_slot_loss", counted_loss)
+        monkeypatch.setattr(train, "adam_step", counted_adam)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        train_end_to_end(model, data["train"], data["dev"], cfg)
+        steps = 2 * -(-len(data["train"]) // 16)
+        assert calls == {"loss": steps, "adam": steps}
+
+    def test_nonfinite_loss_names_epoch_and_keeps_params(self, monkeypatch):
+        model, data = tiny_model_and_data()
+        before = snapshot_params(model)
+        loss_fn = train.intent_slot_loss
+        monkeypatch.setattr(train, "intent_slot_loss",
+                            lambda *args: ad.scale(loss_fn(*args), np.inf))
+        with pytest.raises(DivergenceError, match="^training, epoch 0: non-finite loss") as info:
+            train_end_to_end(model, data["train"], None, TrainConfig(epochs=1, batch_size=16))
+        for name, p in model.params():
+            np.testing.assert_array_equal(p.data, before[name])
+            np.testing.assert_array_equal(info.value.last_good[name], before[name])
+
     def test_empty_dataset_rejected(self):
         model, data = tiny_model_and_data()
         empty = data["train"]
