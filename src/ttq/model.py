@@ -11,24 +11,31 @@ Three forward modes:
 * ``infer_fp``  - raw master parameters, no quantization,
 * ``infer_int`` - integer core contractions with per-stage INT8 requantization
                   using scales calibrated from training-time activations.
-                  The integer codes are contracted as exact float64 GEMMs
-                  (BLAS): a static per-stage check on the core codes keeps
-                  every accumulator below 2**31, so no sum leaves float64's
-                  exact-integer range.
+                  The cores are quantized once per weight state
+                  (``CoreLayer.frozen_cores``), so a forward quantizes only
+                  its input.  The integer codes are contracted as exact BLAS
+                  GEMMs: a stage summing K products of input codes
+                  (|code| <= 128) and core codes of peak |code| w is bounded
+                  by 128 * w * K.  Below 2**24 for every stage, every partial
+                  sum is an exact float32 integer and the codes ride in
+                  float32; otherwise in float64, whose exact-integer range
+                  the 2**31 accumulator check keeps every sum inside.
 
 Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
 Relative to the stage RMS this is about (max/rms)/(127*sqrt(12)) ~ 0.8e-2 for
 Gaussian-like intermediates, and the stages add in quadrature, so a d=2 layer
 lands near 1.4e-2.  The documented layer-level bound is 2.5e-2 (relative L2
-against the training-mode surrogate) and the model-level bound on logits is
-0.2 normalized by the max-abs logit.
+against the training-mode surrogate) and the model-level bound on logits,
+``INT_LOGIT_BOUND``, is 0.2 normalized by the max-abs logit.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -47,6 +54,7 @@ from .tt import (
 )
 
 MODES = ("train", "infer_fp", "infer_int")
+INT_LOGIT_BOUND = 0.2  # the integer path's documented bound on logits (module docstring)
 ACT_BITS_DEFAULT = 8
 MASK_NEG = -1e9
 CALIB_ROWS = 256  # rows per calibration chain: bounds its float64 stage outputs
@@ -177,15 +185,64 @@ def stored_bits(layer, param: ad.Tensor) -> int:
     return q.FULL_PRECISION
 
 
+@dataclass(frozen=True)
+class FrozenCores:
+    """A quantized layer's cores at one weight state."""
+
+    sources: tuple  # a weak reference to each core's .data array
+    scale: float
+    codes: list[np.ndarray]  # integer codes, in the dtype of the layer's integer GEMMs
+    value_dtype: type  # the cores' dtype
+
+    @cached_property
+    def values(self) -> list[np.ndarray]:
+        """scale * codes in the cores' dtype: computed in float64 and stored,
+        as ``quantize_blocks`` does, so bit for bit what ``ad.fake_quant``
+        gives."""
+        return [np.multiply(c, self.scale, dtype=np.float64).astype(self.value_dtype)
+                for c in self.codes]
+
+
 class CoreLayer:
     """A layer whose weight is a plan's TT/TTM cores."""
 
     name: str
+    _frozen: FrozenCores | None = None
 
     def set_cores(self, cores: list[np.ndarray], plan: TensorShapePlan):
         """Adopt ``plan`` and ``cores`` as fresh parameters named after the layer."""
         self.plan = plan
         self.cores = [ad.Parameter(c, name=f"{self.name}.core{i}") for i, c in enumerate(cores)]
+
+    def frozen_cores(self) -> FrozenCores:
+        """The cores' codes (and their dequantized values) at the current
+        master cores and weight scale, quantized once per weight state
+        (Jacob et al. 2018: inference quantizes only its activations).
+
+        Every writer of a core (``adam_step``, ``checkpoint_load``,
+        ``set_cores``) assigns a new ``.data`` array and none writes into
+        one, so the cores' arrays and the scale's value name the weight
+        state.  The cache keeps weak references to the arrays: a freed
+        array's id may be reused, but its reference then returns None, and
+        old codes keep no old cores alive.
+        """
+        if self.bits == q.FULL_PRECISION:
+            raise ModeError(f"{self.name}: full-precision cores have no integer codes")
+        scale = float(self.weight_scale.data)
+        frozen = self._frozen
+        if (frozen is None or frozen.scale != scale or len(frozen.sources) != len(self.cores)
+                or any(ref() is not c.data for ref, c in zip(frozen.sources, self.cores))):
+            codes = [q.quantize_blocks(c.data, scale, self.bits, np.int8)[0] for c in self.cores]
+            dtype = self._code_dtype(codes)
+            frozen = self._frozen = FrozenCores(
+                tuple(weakref.ref(c.data) for c in self.cores), scale,
+                [c.astype(dtype, copy=False) for c in codes], self.cores[0].data.dtype)
+        return frozen
+
+    def _code_dtype(self, codes: list[np.ndarray]) -> type:
+        """The dtype the frozen codes are kept in: int8, unless the layer
+        contracts them."""
+        return np.int8
 
 
 class TTLinearLayer(CoreLayer):
@@ -265,21 +322,28 @@ class TTLinearLayer(CoreLayer):
 
     # -- integer inference -------------------------------------------------
 
-    def _int_codes(self):
-        """Integer codes of every core as float64, requantized from the current
-        master cores on each call, plus the shared weight scale."""
-        if self.bits == q.FULL_PRECISION or self.act_bits == q.FULL_PRECISION:
-            raise ModeError(f"{self.name}: integer inference needs quantized weights and inputs")
-        w_scale = float(self.weight_scale.data)
-        codes = [q.quantize_blocks(c.data, w_scale, self.bits, np.float64)[0] for c in self.cores]
-        return codes, w_scale
+    def _code_dtype(self, codes: list[np.ndarray]) -> type:
+        """The stage GEMM dtype, from the static bound 128 * peak|code| * K
+        of each stage's K-term sums of input codes (|code| <= 128) times core
+        codes: float32 when every bound is below 2**24, so that every partial
+        sum is an exact float32 integer, else float64.  A bound of 2**31 or
+        more raises: the sums would overflow a 32-bit accumulator."""
+        worst = 0
+        for i, stage in enumerate(tt_stages(self.plan)):
+            core = codes[stage.core]
+            peak_w = max(int(core.max()), -int(core.min()))  # no int8 abs: |-128| wraps
+            bound = 128 * peak_w * math.prod(stage.core_shape[1:])
+            if bound >= 2 ** 31:
+                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
+            worst = max(worst, bound)
+        return np.float32 if worst < 2 ** 24 else np.float64
 
     def stage_peaks(self, x2d: np.ndarray) -> np.ndarray:
         """max |out| of each stage's real-valued intermediate over the rows of
         ``x2d``, walked ``CALIB_ROWS`` rows at a time (a max is exact over any
         split of the rows); -inf for every stage when there are no rows."""
-        codes, w_scale = self._int_codes()
-        deq = [w_scale * c for c in codes]
+        frozen = self.frozen_cores()
+        deq = [np.multiply(c, frozen.scale, dtype=np.float64) for c in frozen.codes]
         a_scale = float(self.act_scale.data)
         peaks = np.full(len(tt_stages(self.plan)), -np.inf)
 
@@ -308,31 +372,30 @@ class TTLinearLayer(CoreLayer):
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
         if self.stage_scales is None:
             raise ModeError(f"{self.name}: calibrate_int must run before integer inference")
-        # Codes ride in float64 so each stage is a BLAS GEMM.  Stage inputs are
-        # codes in [-128, 127], so this static check keeps every partial sum an
-        # integer below 2**31 < 2**53: exact in any order, as an int64 walk.
-        int_cores, w_scale = self._int_codes()
-        stages = tt_stages(self.plan)
-        for i, stage in enumerate(stages):
-            peak_w = int(np.max(np.abs(int_cores[stage.core])))
-            if 128 * peak_w * math.prod(stage.core_shape[1:]) >= 2 ** 31:
-                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
+        if self.bits == q.FULL_PRECISION or self.act_bits == q.FULL_PRECISION:
+            raise ModeError(f"{self.name}: integer inference needs quantized weights and inputs")
+        # Codes ride in the frozen stage dtype so each stage is a BLAS GEMM
+        # whose sums are exact integers in any order, as an int64 walk's.
+        frozen = self.frozen_cores()
         a_scale = float(self.act_scale.data)
-        x_codes, _ = q.quantize_blocks(x2d, a_scale, self.act_bits, np.float64)
-        last = len(stages) - 1
+        x_codes, _ = q.quantize_blocks(x2d, a_scale, self.act_bits, frozen.codes[0].dtype)
+        last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
 
         def requantize(i, stage, acc, core, out):
             nonlocal in_scale
-            real_scale = in_scale * w_scale
+            real_scale = in_scale * frozen.scale
             if i == last:
-                return out * real_scale
+                return np.multiply(out, real_scale, dtype=np.float64)
             in_scale = self.stage_scales[i]
-            out *= real_scale / in_scale
-            return q.round_clipped(np.clip(out, -128, 127, out=out), np.empty_like(out))
+            r = np.multiply(out, real_scale / in_scale, dtype=np.float64)
+            np.clip(r, -128, 127, out=r)
+            np.copyto(out, q.round_clipped(r, np.empty_like(r)))  # integers: exact in out
+            return out
 
-        y = tt_chain(x_codes, int_cores, self.plan, requantize)
-        return (y + self.bias.data.astype(np.float64)).astype(x2d.dtype)
+        y = tt_chain(x_codes, frozen.codes, self.plan, requantize)
+        y += self.bias.data  # widened to float64 exactly
+        return y.astype(x2d.dtype)
 
 
 class DenseLinear:
@@ -405,8 +468,11 @@ class TTMEmbedding(CoreLayer):
         if np.any(ids >= self.plan.rows) or np.any(ids < 0):
             raise IndexError(f"{self.name}: token id out of vocabulary range")
         cores = self.cores
-        if mode != "infer_fp" and self.bits != q.FULL_PRECISION:
-            # integer mode contracts the same dequantized values; lookup stays float
+        if mode == "infer_int" and self.bits != q.FULL_PRECISION:
+            # the frozen dequantized cores, the values train mode's fake-quant
+            # gives; the lookup itself stays float
+            cores = self.frozen_cores().values
+        elif mode != "infer_fp" and self.bits != q.FULL_PRECISION:
             cores = [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
         return ad.ttm_lookup(ids, cores, self.plan)
 

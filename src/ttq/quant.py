@@ -98,7 +98,13 @@ def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     Exact at these magnitudes, and a zero comes out +0.0, as an integer round
     trip gives.  Only vectorised ufuncs: no ``np.sign`` pass.
+
+    ``out`` must be float64, else ``TypeError``: ``2r`` is stored into it
+    before the truncation, and a float32 ``out`` rounds it: at
+    ``r = 1 - 2**-30``, ``2r`` is stored as 2.0 and the code comes out 2.
     """
+    if out.dtype != np.float64:
+        raise TypeError(f"round_clipped needs a float64 out, got {out.dtype}")
     np.add(r, r, out=out)
     np.trunc(out, out=out)
     np.trunc(r, out=r)

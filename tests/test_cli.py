@@ -128,6 +128,17 @@ class TestTrainEval:
             np.testing.assert_array_equal(mask, t_mask)
 
 
+    def test_int8_eval_reports_the_logit_error(self, tmp_path, corpus):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, epochs=2))
+        assert main(["train", str(cfg_path)]) == 0
+        assert main(["eval", str(cfg_path), "--checkpoint", str(out / "model.ttq"),
+                     "--split", "dev", "--int8"]) == 0
+        record = json.loads((out / "eval_report.jsonl").read_text().strip())
+        assert record["int_logit_bound"] == 0.2
+        assert 0.0 < record["int_logit_err"] <= record["int_logit_bound"]
+
+
 class TestDistillCommand:
     def test_distill_runs_from_teacher_checkpoint(self, tmp_path, corpus):
         teacher_out = tmp_path / "teacher"

@@ -445,3 +445,14 @@ def test_round_clipped_is_exact_half_away_rounding(values):
     out = np.empty_like(r)
     assert round_clipped(r.copy(), out) is out
     np.testing.assert_array_equal(bits_of(out), bits_of(np.array([exact(v) for v in values])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int32])
+def test_round_clipped_rejects_an_out_that_is_not_float64(dtype):
+    """``2r`` is stored into ``out`` before truncation; a narrower ``out``
+    rounds it.  At r = 1 - 2**-30 a float32 ``out`` holds 2.0, and the code
+    would come out 2 instead of 1."""
+    r = np.array([1.0 - 2.0 ** -30])
+    with pytest.raises(TypeError, match="float64"):
+        round_clipped(r.copy(), np.empty(1, dtype=dtype))
+    assert round_clipped(r.copy(), np.empty(1)).tolist() == [1.0]

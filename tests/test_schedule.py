@@ -4,8 +4,10 @@ The TTM lookup schedule: the ``ad.ttm_lookup`` node along ``ttm_stages``
 matches the dense oracle and the composite take/einsum chain."""
 
 import math
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +16,9 @@ from reference_tt import composite_tt_linear, composite_ttm_lookup, einsum_stage
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.accounting import flops_estimate
-from ttq.model import TTLinearLayer
-from ttq.train import tt_matvec_vjp
+from ttq.checkpoint import checkpoint_load, checkpoint_save
+from ttq.model import ModelConfig, PlanSpec, TransformerModel, TTLinearLayer
+from ttq.train import AdamState, TrainConfig, adam_step, tt_matvec_vjp
 from ttq.tt import (
     TensorShapePlan,
     TTFormat,
@@ -116,18 +119,18 @@ def int64_walk(layer, x):
     return y + layer.bias.data
 
 
-def calibrated_int8_layer(plan, rng, batch):
-    layer = TTLinearLayer(plan, 8, 8, rng, dtype=np.float64)
-    layer.bias.data = rng.normal(size=plan.rows)
-    x = rng.normal(size=(batch, plan.cols))
+def calibrated_int8_layer(plan, rng, batch, dtype=np.float64):
+    layer = TTLinearLayer(plan, 8, 8, rng, dtype=dtype)
+    layer.bias.data = rng.normal(size=plan.rows).astype(dtype)
+    x = rng.normal(size=(batch, plan.cols)).astype(dtype)
     layer.forward(ad.Tensor(x), mode="train")  # sets the input scale
     layer.calibrate_int(x)
     return layer
 
 
-def assert_bitwise_equal(got, ref):
-    assert got.dtype == ref.dtype == np.float64
-    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+def assert_bitwise_equal(got, ref, dtype=np.float64):
+    assert got.dtype == ref.dtype == dtype
+    np.testing.assert_array_equal(got.view(f"i{got.itemsize}"), ref.view(f"i{ref.itemsize}"))
 
 
 @given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
@@ -176,6 +179,142 @@ def test_integer_layer_rows_do_not_depend_on_batch_mates(plan, batch, extra, see
     for i in range(batch):
         assert_bitwise_equal(infer(x[i:i + 1])[0], together[i])
     assert_bitwise_equal(infer(x)[:batch], together)
+
+
+@given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_float32_integer_walk_is_bit_identical_to_int64(plan, batch, seed):
+    rng = np.random.default_rng(seed)
+    layer = calibrated_int8_layer(plan, rng, batch, dtype=np.float32)
+    x = (2.0 * rng.normal(size=(batch, plan.cols))).astype(np.float32)
+    assert layer.frozen_cores().codes[0].dtype == np.float32  # K <= 12 here
+    assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
+                         np.float32)
+
+
+@pytest.mark.parametrize("core0_code, dtype", [(127, np.float32), (-128, np.float64)])
+def test_stage_dtype_is_float32_exactly_below_two_to_the_24(core0_code, dtype):
+    # d=1 with rank 2**10: stage 1 sums K = 2**10 products of core-0 codes,
+    # bound 128 * |code| * 2**10, which is 2**24 at |code| = 128.
+    r = 2 ** 10
+    plan = TensorShapePlan(1, 2, (1,), (2,), (1, r, 1))
+    layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(4), dtype=np.float32)
+    layer.cores[0].data = np.full((1, 1, r), float(core0_code), dtype=np.float32)
+    layer.cores[1].data = np.ones((r, 2, 1), dtype=np.float32)
+    layer.weight_scale.data = np.asarray(1.0, dtype=np.float32)
+    layer.act_scale.data = np.asarray(1.0, dtype=np.float32)
+    layer.stage_scales = [1.0, 1.0]
+    bounds = [128 * int(np.abs(q.quantize(layer.cores[s.core].data, 1.0, 8).codes).max())
+              * math.prod(s.core_shape[1:]) for s in tt_stages(plan)]
+    assert (max(bounds) < 2 ** 24) == (dtype == np.float32)
+    assert all(c.dtype == dtype for c in layer.frozen_cores().codes)
+    x = np.array([[-1000.0, 3.0], [1000.0, -0.4]], dtype=np.float32)
+    assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
+                         np.float32)
+
+
+# ---------------------------------------------------------------------------
+# The frozen integer plan: cores are quantized once per weight state
+
+
+def int8_model_layer():
+    """A calibrated float32 INT8 toy model and its first encoder's q layer,
+    with a few rows to feed that layer."""
+    cfg = ModelConfig(vocab_size=24, hidden=16, ffn_dim=32, num_layers=1, num_heads=2,
+                      max_seq=8, num_intents=3, num_slots=5, weight_bits=8, act_bits=8,
+                      emb_spec=PlanSpec(d=2, rank=4, fmt=TTFormat.TTM),
+                      attn_spec=PlanSpec(d=2, rank=4), ffn_spec=PlanSpec(d=2, rank=4),
+                      head_spec=PlanSpec(d=2, rank=4))
+    model = TransformerModel(cfg, 13)
+    rng = np.random.default_rng(13)
+    ids = rng.integers(0, cfg.vocab_size, size=(3, 6))
+    mask = (np.arange(6)[None] < np.array([[6], [4], [2]])).astype(np.float64)
+    with ad.no_grad():
+        model.forward(ids, mask)  # sets the input scales
+    model.calibrate_int([(ids, mask)])
+    x = rng.normal(size=(5, cfg.hidden)).astype(np.float32)
+    return model, model.encoders[0].q_proj, x, (ids, mask)
+
+
+def assert_matches_int64_walk(layer, x):
+    got = layer.forward(ad.Tensor(x), mode="infer_int").data
+    assert_bitwise_equal(got, int64_walk(layer, x).astype(np.float32), np.float32)
+    return got
+
+
+def test_adam_steps_refreeze_the_cores():
+    model, layer, x, _ = int8_model_layer()
+    first = assert_matches_int64_walk(layer, x)
+    state, config = AdamState(), TrainConfig(learning_rate=0.05, scale_lr=1e-3)
+    for moved in (layer.cores[1], layer.weight_scale):
+        before = layer.frozen_cores()
+        adam_step([moved], {id(moved): np.ones_like(moved.data)}, state, config,
+                  scale_params={id(layer.weight_scale)})
+        got = assert_matches_int64_walk(layer, x)
+        assert layer.frozen_cores() is not before
+        assert not np.array_equal(got, first)
+        first = got
+
+
+def test_set_cores_refreezes_the_cores():
+    _, layer, x, _ = int8_model_layer()
+    first = assert_matches_int64_walk(layer, x)
+    old = weakref.ref(layer.cores[0].data)
+    layer.set_cores([-2.0 * c.data for c in layer.cores], layer.plan)
+    assert old() is None  # the frozen codes keep no old core alive
+    assert not np.array_equal(assert_matches_int64_walk(layer, x), first)
+
+
+def test_checkpoint_load_freezes_its_own_cores(tmp_path):
+    model, layer, x, _ = int8_model_layer()
+    first = assert_matches_int64_walk(layer, x)
+    checkpoint_save(model, tmp_path / "m.ttq")
+    loaded = checkpoint_load(tmp_path / "m.ttq").encoders[0].q_proj
+    assert_bitwise_equal(assert_matches_int64_walk(loaded, x), first, np.float32)
+
+
+def test_new_input_and_stage_scales_apply_without_refreezing():
+    _, layer, x, _ = int8_model_layer()
+    first = assert_matches_int64_walk(layer, x)
+    frozen = layer.frozen_cores()
+    layer.act_scale.data = np.asarray(1.5 * float(layer.act_scale.data), dtype=np.float32)
+    second = assert_matches_int64_walk(layer, x)
+    layer.stage_scales = [2.0 * s for s in layer.stage_scales]
+    third = assert_matches_int64_walk(layer, x)
+    assert layer.frozen_cores() is frozen
+    assert not np.array_equal(first, second) and not np.array_equal(second, third)
+
+
+def test_embedding_integer_lookup_reads_the_fake_quant_values():
+    model, _, _, (ids, mask) = int8_model_layer()
+    rows = ids.reshape(-1)[mask.reshape(-1) > 0]
+    with ad.no_grad():
+        got = model.embedding.forward(rows, mode="infer_int").data
+        ref = model.embedding.forward(rows, mode="train").data
+    assert_bitwise_equal(got, ref, np.float32)
+
+
+def test_repeated_integer_forward_quantizes_activations_only(monkeypatch):
+    model, _, _, (ids, mask) = int8_model_layer()
+    with ad.no_grad():
+        model.forward(ids, mask, mode="infer_int")
+    calls = []
+    quantize_blocks = q.quantize_blocks
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return quantize_blocks(x, *args, **kwargs)
+
+    monkeypatch.setattr(q, "quantize_blocks", counting)
+    with ad.no_grad():
+        model.forward(ids, mask, mode="infer_int")
+    tt_layers = model.tt_layers()
+    assert len(calls) == len(tt_layers)
+    cores = [c.data for layer in model.layers() for c in getattr(layer, "cores", [])]
+    tokens = int(mask.sum())
+    for x, layer in zip(calls, tt_layers):
+        assert x.shape == (tokens, layer.in_dim)
+        assert not any(x is c for c in cores)
 
 
 # ---------------------------------------------------------------------------
