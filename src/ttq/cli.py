@@ -34,7 +34,7 @@ from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_cor
 from .distill import compare_schedules, run_distillation
 from .model import INT_LOGIT_BOUND, TransformerModel, architecture_flops, model_size_bytes
 from .quant import FULL_PRECISION
-from .train import (AdamState, DivergenceError, evaluate, intent_slot_loss,
+from .train import (AdamState, DivergenceError, evaluate, intent_slot_loss, score_traces,
                     train_end_to_end, train_step)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 2, 3, 4, 5
@@ -153,9 +153,7 @@ def cmd_eval(args) -> int:
             raise DataFormatError(f"--int8 calibrates on the train split, absent from {cfg.data_dir}")
         batches = itertools.islice(data["train"].batches(cfg.train.batch_size), 4)
         model.calibrate_int((ids, mask) for ids, mask, _, _ in batches)
-        metrics = {**evaluate(model, split, mode="infer_int"), "mode": "infer_int",
-                   "int_logit_err": _int_logit_err(model, split),
-                   "int_logit_bound": INT_LOGIT_BOUND}
+        metrics = _int8_metrics(model, split)
     else:
         metrics = evaluate(model, split)
     record = {"split": args.split, **metrics}
@@ -164,20 +162,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _int_logit_err(model: TransformerModel, split, batch_size: int = 64) -> float:
-    """The worst batch's max|int - surrogate| / max|surrogate|, each batch
-    taking the larger of that ratio over the intent logits and over the slot
-    logits of real tokens.  Each batch's surrogate forward runs first."""
+def _int8_metrics(model: TransformerModel, split, batch_size: int = 64) -> dict:
+    """``evaluate``'s metrics of the ``infer_int`` forward, and its logit
+    error: the worst batch's max|int - surrogate| / max|surrogate|, each
+    batch taking the larger of that ratio over the intent logits and over
+    the slot logits of real tokens.  One integer forward per batch serves
+    both; each batch's surrogate forward runs first."""
     worst = 0.0
-    for ids, mask, _, _ in split.batches(batch_size):
-        with ad.no_grad():
-            ref = model.forward(ids, mask, mode="train")
-            got = model.forward(ids, mask, mode="infer_int")
-        valid = mask > 0
-        for a, b in ((got.intent_logits.data, ref.intent_logits.data),
-                     (got.slot_logits.data[valid], ref.slot_logits.data[valid])):
-            worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
-    return worst
+
+    def traces():
+        nonlocal worst
+        for ids, mask, intents, slots in split.batches(batch_size):
+            with ad.no_grad():
+                ref = model.forward(ids, mask, mode="train")
+                got = model.forward(ids, mask, mode="infer_int")
+            valid = mask > 0
+            for a, b in ((got.intent_logits.data, ref.intent_logits.data),
+                         (got.slot_logits.data[valid], ref.slot_logits.data[valid])):
+                worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+            yield got, intents, slots
+
+    metrics = score_traces(traces())
+    return {**metrics, "mode": "infer_int", "int_logit_err": worst,
+            "int_logit_bound": INT_LOGIT_BOUND}
 
 
 def cmd_report_size(args) -> int:

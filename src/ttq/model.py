@@ -20,6 +20,13 @@ Three forward modes:
                   sum is an exact float32 integer and the codes ride in
                   float32; otherwise in float64, whose exact-integer range
                   the 2**31 accumulator check keeps every sum inside.
+                  A float32 model's activation codes are divided in
+                  float32 (``quant.quantize_blocks``) and float32 stages
+                  are requantized in float32 (``quant.requantize``); the
+                  few ratios near a rounding tie are recomputed from the
+                  float64 ones, so every code is that of float64
+                  arithmetic.  The last stage's scale and bias run in
+                  float64, a row block at a time.
 
 Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
@@ -384,18 +391,22 @@ class TTLinearLayer(CoreLayer):
 
         def requantize(i, stage, acc, core, out):
             nonlocal in_scale
-            real_scale = in_scale * frozen.scale
             if i == last:
-                return np.multiply(out, real_scale, dtype=np.float64)
+                return out
+            real_scale = in_scale * frozen.scale
             in_scale = self.stage_scales[i]
-            r = np.multiply(out, real_scale / in_scale, dtype=np.float64)
-            np.clip(r, -128, 127, out=r)
-            np.copyto(out, q.round_clipped(r, np.empty_like(r)))  # integers: exact in out
-            return out
+            return q.requantize(out, real_scale / in_scale)
 
-        y = tt_chain(x_codes, frozen.codes, self.plan, requantize)
-        y += self.bias.data  # widened to float64 exactly
-        return y.astype(x2d.dtype)
+        codes = tt_chain(x_codes, frozen.codes, self.plan, requantize)
+        # float64(codes) * scale + bias, cast once, a row block at a time
+        real_scale = in_scale * frozen.scale
+        y = np.empty(codes.shape, dtype=x2d.dtype)
+        step = max(1, q.BLOCK // codes.shape[1])
+        for start in range(0, len(y), step):
+            block = np.multiply(codes[start:start + step], real_scale, dtype=np.float64)
+            block += self.bias.data  # widened to float64 exactly
+            y[start:start + step] = block
+        return y
 
 
 class DenseLinear:

@@ -8,35 +8,35 @@ follows the clipped-branch rule (quantization residual over the scale in
 range, saturation values outside).
 
 One blocked kernel, ``quantize_blocks``, does every quantization: it walks
-the input in blocks of ``BLOCK`` elements so its float64 scratch stays in
-cache, and stores the integer codes (and, on request, the dequantized values)
-block by block.  ``quantize``, ``fake_quant_forward``, the autodiff
-``fake_quant`` node and integer inference all call it, so rounding lives in
-one place.  The autodiff node keeps only the int8 codes (1 byte per element)
-between forward and backward, and ``ste_backward`` allocates nothing shaped
-like the input but the input gradient.  Values and gradients are bit for bit
-those of the elementwise references (``ste_grad_input``,
-``ste_grad_scale``, and exact half-away-from-zero rounding):
+the input in blocks of 128 KiB of scratch per buffer (``block_size``), so
+the scratch stays in cache, and stores the integer codes (and, on request,
+the dequantized values) block by block.  ``quantize``,
+``fake_quant_forward``, the autodiff ``fake_quant`` node and integer
+inference all call it, so rounding lives in one place.  The autodiff node
+keeps only the int8 codes (1 byte per element) between forward and
+backward, and ``ste_backward`` allocates nothing shaped like the input but
+the input gradient.  Codes and values are bit for bit those of the
+elementwise float64 reference (the float64 ratio ``x / scale``, clipped and
+rounded half away from zero), and so is the input gradient:
 
-* the ratio ``x / scale`` is divided in float64, from a float64 copy of the
-  block.  Under NEP 50 a float32 input divided with ``out=`` but no
-  ``dtype`` computes in float32, even into a float64 buffer, and some codes
-  then differ;
-* the clipped ratio r is rounded as ``trunc(2r) - trunc(r)``
-  (``round_clipped``, which the integer TT walk's requantize shares): with
-  ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
-  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``.
-  It uses only vectorised ufuncs (``np.copysign`` and ``np.sign`` are
-  several times slower), and a zero code comes out +0.0, as an integer round
-  trip gives, so ``scale * code`` is never -0.0;
+* the elementwise work runs in float32 when that is exact (a float32 input
+  with a float32 scale), else in float64.  ``round_ratio`` rounds the
+  clipped ratio with ``np.rint``, flags the elements within ``tol`` of a
+  half-integer, recomputes only those from the float64 ratio with
+  ``round_clipped``, and turns -0.0 into +0.0, as an integer round trip
+  gives, so ``scale * code`` is never -0.0.  ``requantize``, the integer TT
+  walk's per-stage step, shares it;
+* ``round_clipped`` rounds a float64 ratio r as ``trunc(2r) - trunc(r)``:
+  with ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
+  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``;
 * the STE mask is two compares of the raw input against
   ``ratio_thresholds``: the smallest and the largest ``x`` of its dtype
   whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
   in ``x``, so the thresholds are exact and found by ``nextafter`` steps;
-* the scale gradient is ``(g * ste_grad_scale(x)).sum()``.  numpy sums that
-  C-ordered float64 product pairwise; ``pairwise_sum`` follows the same tree
-  and sums each leaf of at most ``BLOCK`` terms with numpy as it is formed,
-  so no full-size product array exists.
+* the scale gradient is two float64 dot products,
+  ``sum(g * code) - sum(g_in * x) / scale``, summed block by block.  It
+  equals ``(g * ste_grad_scale(x)).sum()`` within the float64 dot-product
+  error bound.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -154,15 +154,65 @@ class QuantizedTensor:
         return self.scale * self.codes.astype(np.float64)
 
 
+def block_size(dtype) -> int:
+    """Elements per kernel block of ``dtype``: 128 KiB of scratch per buffer,
+    ``BLOCK`` float64 or ``2 * BLOCK`` float32 elements."""
+    return BLOCK * 8 // np.dtype(dtype).itemsize
+
+
+def round_ratio(r: np.ndarray, out: np.ndarray, tol: float, exact) -> np.ndarray:
+    """Half-away-from-zero codes of a clipped ratio into ``out``, bit for bit
+    those of ``round_clipped`` on the exact float64 ratio.
+
+    ``r`` holds the clipped ratio in the working dtype (float32 or float64;
+    ``out`` has the same dtype) and differs from the clipped float64 ratio by
+    less than ``tol``.  ``exact(idx)`` returns the clipped float64 ratio at
+    the flat indices ``idx``.  The steps:
+
+    1. ``out = rint(r)`` (ties to even);
+    2. flag each element with ``|r - rint(r)| >= 0.5 - tol``.  Elsewhere ``r``
+       lies more than ``tol`` from every half-integer, so the float64 ratio
+       lies on the same side of each and is not one: its nearest integer is
+       ``rint(r)``, whichever way ties go;
+    3. recompute only the flagged elements from ``exact`` with
+       ``round_clipped``;
+    4. turn ``-0.0`` into ``+0.0`` (``+= 0.0``), as an integer round trip gives.
+
+    ``r - rint(r)`` is exact (the two lie within a factor of 2 of each other,
+    or ``rint(r)`` is 0), and ``r`` is left holding it.
+    """
+    np.rint(r, out=out)
+    r -= out
+    edge = 0.5 - tol
+    if r.max() >= edge or r.min() <= -edge:
+        idx = np.flatnonzero(np.abs(r) >= edge)
+        e = exact(idx)
+        out[idx] = round_clipped(e, np.empty_like(e))
+    out += 0.0
+    return out
+
+
 def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
                     value_dtype=None) -> tuple[np.ndarray, np.ndarray | None]:
     """The quantizer kernel: codes round(clip(x/scale, lo, hi)) shaped like x.
 
     Returns ``(codes, values)``: the codes stored as ``code_dtype`` and, when
     ``value_dtype`` is given, the dequantized surrogate ``scale * codes``
-    computed in float64 and stored as ``value_dtype`` (else ``None``).  Each
-    block of ``BLOCK`` elements runs divide, clip, round and store into
-    reused buffers.
+    stored as ``value_dtype`` (else ``None``).  Each block of
+    ``block_size`` elements runs divide, clip, ``round_ratio`` and store into
+    reused buffers; a block whose ratios all lie in range skips the clip, and the
+    two reductions that tell also catch a non-finite input.
+
+    The working dtype is float32 when ``x`` is float32 and ``scale`` is a
+    float32 value (every scale of a float32 model), else float64.  In
+    float32 the codes are exact with ``tol = 0``: the float32 and float64
+    quotients round the same real ``x/scale``, every half-integer up to 128
+    is a value of both dtypes, and rounding is monotone, so the float32
+    quotient lies on the same side of each half-integer as the float64 one,
+    or on it (a float64 quotient on a half-integer puts the float32 one on
+    it too).  The float32 value ``scale * code`` is the exact product
+    correctly rounded, as the float64 product stored in float32 is.  Other
+    value dtypes are multiplied in float64.
     """
     _check_bits(bits)
     if scale <= 0:
@@ -173,29 +223,73 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     x = np.asarray(x)
     flat = x.reshape(-1)
     n = flat.size
+    work = np.float32 if x.dtype == np.float32 and float(np.float32(scale)) == scale else np.float64
     codes = np.empty(n, dtype=code_dtype)
     values = None if value_dtype is None else np.empty(n, dtype=value_dtype)
-    width = min(n, BLOCK)
-    finite = np.empty(width, dtype=bool)
-    ratio = np.empty(width, dtype=np.float64)
-    code = np.empty(width, dtype=np.float64)
-    for start in range(0, n, BLOCK):
-        xb = flat[start:start + BLOCK]
+    value_work = None if values is None or values.dtype == work else np.float64
+    step = block_size(work)
+    width = min(n, step)
+    ratio = np.empty(width, dtype=work)
+    code = np.empty(width, dtype=work)
+    for start in range(0, n, step):
+        xb = flat[start:start + step]
         k = xb.size
-        if not np.isfinite(xb, out=finite[:k]).all():
-            raise QuantInputError("input contains non-finite values")
         r, c = ratio[:k], code[:k]
-        np.copyto(r, xb)  # float64 first: a float32 divide gives other codes
-        r /= scale
-        np.clip(r, lo, hi, out=r)
-        round_clipped(r, c)
+        np.divide(xb, scale, out=r, dtype=work)
+        if not (lo <= r.min() and r.max() <= hi):  # a NaN fails both compares
+            if not np.isfinite(xb).all():  # a finite x may still overflow the ratio
+                raise QuantInputError("input contains non-finite values")
+            np.clip(r, lo, hi, out=r)
+        round_ratio(r, c, 0.0,
+                    lambda idx: np.clip(np.divide(xb[idx], scale, dtype=np.float64), lo, hi))
         codes[start:start + k] = c
         if values is not None:
-            c *= scale
-            values[start:start + k] = c
+            np.multiply(c, scale, out=values[start:start + k], dtype=value_work)
     if n and (codes.min() < lo or codes.max() > hi):
         raise QuantParamError(f"codes outside [{lo}, {hi}] for {bits}-bit")
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
+
+
+REQUANT_TOL = 2.0 ** -14  # float32 requantize: bounds |r32 - r64| for |r| <= 128.5
+
+
+def requantize(out: np.ndarray, m: float) -> np.ndarray:
+    """INT8 codes of a stage output, ``round_clipped(clip(float64(out) * m,
+    -128, 127))`` bit for bit, written into ``out`` (float32 or float64,
+    holding exact integers), which is returned.
+
+    A float64 ``out`` is multiplied in float64 and rounded with ``tol = 0``.
+    A float32 ``out`` is multiplied by ``float32(m)`` in float32.  With ``r = out * m`` exactly, the float32
+    ratio is ``r (1 + d1)(1 + d2)`` with ``|d1|, |d2| <= 2**-24`` (less
+    absolute error for an ``m`` below float32's normal range), and the
+    float64 one is ``r (1 + d3)`` with ``|d3| <= 2**-53``.  For
+    ``|r| <= 128.5`` they differ by at most about ``2**-23 * |r|``,
+    ~1.6e-5, below ``REQUANT_TOL = 2**-14``; beyond it both saturate at the
+    same bound.  So ``round_ratio`` with that ``tol`` recomputes from the
+    float64 product only the ratios near a half.  An ``m`` past float32's
+    range multiplies in float64.  The work runs in blocks of ``block_size``
+    elements with reused buffers: no float64 array the size of ``out`` is
+    made.
+    """
+    lo, hi = code_bounds(8)
+    fast = out.dtype == np.float32 and m <= np.finfo(np.float32).max
+    work = np.float32 if fast else np.float64
+    tol = REQUANT_TOL if fast else 0.0
+    flat = out.reshape(-1)
+    step = block_size(work)
+    width = min(flat.size, step)
+    ratio = np.empty(width, dtype=work)
+    code = np.empty(width, dtype=work)
+    for start in range(0, flat.size, step):
+        ob = flat[start:start + step]
+        r, c = ratio[:ob.size], code[:ob.size]
+        np.multiply(ob, m, out=r, dtype=work)
+        if not (lo <= r.min() and r.max() <= hi):
+            np.clip(r, lo, hi, out=r)
+        round_ratio(r, c, tol,
+                    lambda idx: np.clip(np.multiply(ob[idx], m, dtype=np.float64), lo, hi))
+        ob[...] = c
+    return flat.reshape(out.shape)
 
 
 def quantize(x: np.ndarray, scale: float, bits: int) -> QuantizedTensor:
@@ -241,36 +335,19 @@ def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
     return t_lo, t_hi
 
 
-def pairwise_sum(leaf_sum, start: int, stop: int) -> np.float64:
-    """Sum of float64 terms ``start..stop-1`` in numpy's pairwise order.
-
-    numpy sums a contiguous float64 run by halving any run longer than 128
-    at ``n//2`` rounded down to a multiple of 8 and adding the two halves'
-    sums.  This follows the same splits down to runs of at most ``BLOCK``
-    terms, gets each run's sum from ``leaf_sum(start, stop)`` (numpy's own
-    sum of that run gives numpy's subtree sum), calls it in ascending order
-    and adds the results in the same tree order.  So with ``leaf_sum`` =
-    ``a[start:stop].sum()``, ``pairwise_sum(leaf_sum, 0, a.size)`` is
-    ``a.sum()`` bit for bit.
-    """
-    n = stop - start
-    if n <= BLOCK:
-        return leaf_sum(start, stop)
-    half = start + n // 2 - (n // 2) % 8
-    return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, half, stop)
-
-
 def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of ``fake_quant_forward``.
 
     ``x`` is the floating input, ``codes`` the forward's codes of it.
-    Returns ``g`` masked to the in-range elements (``g * ste_grad_input``, in
-    ``g``'s dtype) and the float64 scale gradient
-    ``(g * ste_grad_scale(x)).sum()``, bit for bit.  The mask is two
-    compares of ``x`` against ``ratio_thresholds``.  The product is formed
-    block by block over the leaves of ``pairwise_sum``, so its sum adds in
-    numpy's order without a full-size product array.
+    Returns ``g`` masked to the in-range elements (``gx = g *
+    ste_grad_input``, in ``g``'s dtype, bit for bit) and the float64 scale
+    gradient ``sum(g * ste_grad_scale(x))``.  The mask is two compares of
+    ``x`` against ``ratio_thresholds``.  In range the surrogate is
+    ``code - x/scale`` and outside it the code, so the scale gradient is the
+    two dot products ``sum(g * code) - sum(gx * x) / scale``, summed block by
+    block in float64.  Their order differs from the reference's, so they
+    agree within the float64 dot-product error bound, not bit for bit.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     flat, cflat = x.reshape(-1), codes.reshape(-1)
@@ -279,28 +356,20 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
     n = flat.size
     gx = np.empty(n, dtype=g.dtype)
     width = min(n, BLOCK)
-    surr = np.empty(width, dtype=np.float64)
     inside = np.empty(width, dtype=bool)
-    outside = np.empty(width, dtype=bool)
-
-    def leaf_sum(start, stop):
-        xb, cb, gb = flat[start:stop], cflat[start:stop], gflat[start:stop]
-        k = stop - start
-        s, m, o = surr[:k], inside[:k], outside[:k]
+    not_above = np.empty(width, dtype=bool)
+    g_code = gx_x = 0.0
+    for start in range(0, n, BLOCK):
+        xb, cb, gb = flat[start:start + BLOCK], cflat[start:start + BLOCK], gflat[start:start + BLOCK]
+        m, o = inside[:xb.size], not_above[:xb.size]
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)
         m &= o
-        np.multiply(gb, m, out=gx[start:stop])
-        # in range (scale*code - x)/scale; out of range the code, lo or hi
-        np.multiply(cb, scale, out=s, dtype=np.float64)
-        np.subtract(s, xb, out=s)
-        s /= scale
-        np.logical_not(m, out=o)
-        np.copyto(s, cb, where=o)
-        s *= gb
-        return s.sum()
-
-    return gx.reshape(x.shape), pairwise_sum(leaf_sum, 0, n)
+        gxb = gx[start:start + BLOCK]
+        np.multiply(gb, m, out=gxb)
+        g_code += np.einsum("i,i->", gb, cb, dtype=np.float64)
+        gx_x += np.einsum("i,i->", gxb, xb, dtype=np.float64)
+    return gx.reshape(x.shape), np.float64(g_code - gx_x / scale)
 
 
 def ste_grad_input(x: np.ndarray, scale: float, bits: int) -> np.ndarray:

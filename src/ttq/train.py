@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -103,7 +104,8 @@ def _adam_update(p, g, m, v, t: int, lr: float, config: TrainConfig):
     v = b2 * v + (1 - b2) * (g * g)
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    return (p - lr * m_hat / (np.sqrt(v_hat) + config.eps)).astype(p.dtype), m, v
+    # an ndarray even for a 0-d p, whose arithmetic gives numpy scalars
+    return np.asarray(p - lr * m_hat / (np.sqrt(v_hat) + config.eps), dtype=p.dtype), m, v
 
 
 def _live_rows(state: AdamState, key: int, g: np.ndarray):
@@ -161,7 +163,7 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
                                                         t, lr, config)
             p.data = data
         if key in scale_params:
-            p.data = np.maximum(p.data, MIN_SCALE).astype(p.data.dtype)
+            np.maximum(p.data, MIN_SCALE, out=p.data)  # a fresh array: no alias sees it
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +191,29 @@ def intent_slot_loss(trace: ForwardTrace, intents: np.ndarray, slots: np.ndarray
 
 def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64,
              mode: str = "train") -> dict:
+    """Intent accuracy and token-level slot F1 (``score_traces``) of the
+    ``mode`` forward."""
+    def traces():
+        for ids, mask, intents, slots in dataset.batches(batch_size):
+            with ad.no_grad():
+                trace = model.forward(ids, mask, mode=mode)
+            yield trace, intents, slots
+
+    return score_traces(traces())
+
+
+def score_traces(scored: Iterable[tuple[ForwardTrace, np.ndarray, np.ndarray]]) -> dict:
     """Intent accuracy and token-level slot F1 (micro, non-outside labels)
-    of the ``mode`` forward."""
+    over ``(trace, intents, slots)`` batches."""
     correct = 0
     total = 0
     tp = fp = fn = 0
-    for ids, mask, intents, slots in dataset.batches(batch_size):
-        with ad.no_grad():
-            trace = model.forward(ids, mask, mode=mode)
+    for trace, intents, slots in scored:
         pred_int = trace.intent_logits.data.argmax(axis=-1)
         correct += int((pred_int == intents).sum())
         total += len(intents)
         pred_slots = trace.slot_logits.data.argmax(axis=-1)
-        valid = mask > 0
+        valid = trace.mask > 0
         gold = slots[valid]
         pred = pred_slots[valid]
         tp += int(((pred == gold) & (gold > 0)).sum())

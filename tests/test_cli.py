@@ -10,6 +10,7 @@ from ttq.cli import main
 from ttq.checkpoint import checkpoint_load
 from ttq.data import read_corpus
 from ttq.model import ModelConfig, TransformerModel, model_size_bytes
+from ttq.train import evaluate
 
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -127,6 +128,31 @@ class TestTrainEval:
             np.testing.assert_array_equal(ids, t_ids)
             np.testing.assert_array_equal(mask, t_mask)
 
+
+    def test_int8_eval_runs_one_integer_forward_per_batch(self, tmp_path, corpus, monkeypatch):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, epochs=2))
+        assert main(["train", str(cfg_path)]) == 0
+        modes = []
+        forward = TransformerModel.forward
+
+        def recording_forward(self, ids, mask=None, mode="train"):
+            modes.append(mode)
+            return forward(self, ids, mask, mode)
+
+        monkeypatch.setattr(TransformerModel, "forward", recording_forward)
+        assert main(["eval", str(cfg_path), "--checkpoint", str(out / "model.ttq"),
+                     "--split", "dev", "--int8"]) == 0
+        monkeypatch.undo()
+        record = json.loads((out / "eval_report.jsonl").read_text().strip())
+        corpus_data = read_corpus(corpus)
+        assert modes.count("infer_int") == len(list(corpus_data["dev"].batches(64)))
+        # the metrics are those of a separate evaluate on the calibrated model
+        model = checkpoint_load(out / "model.ttq")
+        model.calibrate_int((ids, mask) for ids, mask, _, _ in
+                            list(corpus_data["train"].batches(16))[:4])
+        metrics = evaluate(model, corpus_data["dev"], mode="infer_int")
+        assert {k: record[k] for k in metrics} == metrics
 
     def test_int8_eval_reports_the_logit_error(self, tmp_path, corpus):
         out = tmp_path / "run"

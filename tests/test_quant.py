@@ -22,10 +22,10 @@ from ttq.quant import (
     fake_quant_forward,
     init_scale,
     int_matvec,
-    pairwise_sum,
     quantize,
     quantize_blocks,
     ratio_thresholds,
+    requantize,
     round_clipped,
     round_half_away,
     ste_backward,
@@ -173,6 +173,102 @@ class TestKernel:
     def test_code_dtype_too_narrow_rejected(self):
         with pytest.raises(QuantParamError):
             quantize_blocks(np.ones(3), 1.0, 32, np.int8)
+
+
+# float32 values: with a float32 input these take the float32 path
+float32_scales = st.floats(float(np.float32(1e-3)), 10.0, width=32)
+
+
+def half_integer(q: np.ndarray) -> np.ndarray:
+    return q - np.floor(q) == 0.5
+
+
+class TestFloat32Path:
+    """A float32 input with a float32 scale is divided, clipped and rounded
+    in float32; its codes and values must still be those of the float64
+    ratio."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNEL_SHAPES),
+           st.sampled_from([2, 4, 8]), float32_scales)
+    @settings(max_examples=60, deadline=None)
+    def test_codes_and_values_bit_identical_to_sign_floor_reference(self, seed, shape, bits,
+                                                                    scale):
+        x = kernel_input(seed, shape, np.float32, bits, scale)
+        ref = sign_floor_codes(x, scale, bits)
+        for code_dtype in (np.int8, np.float32, np.float64):
+            codes, _ = quantize_blocks(x, scale, bits, code_dtype)
+            np.testing.assert_array_equal(bits_of(codes), bits_of(ref.astype(code_dtype)))
+        # float32 values are the float32 product; float64 ones the float64 product
+        for value_dtype in (np.float32, np.float64):
+            _, values = quantize_blocks(x, scale, bits, np.int8, value_dtype)
+            expected = (scale * ref).astype(value_dtype)
+            np.testing.assert_array_equal(bits_of(values), bits_of(expected))
+
+    @given(float32_scales, st.sampled_from([2, 4, 8]))
+    @settings(max_examples=100, deadline=None)
+    def test_half_integer_quotients(self, scale, bits):
+        lo, hi = code_bounds(bits)
+        x = neighbours((np.arange(lo - 1, hi + 1) + 0.5) * scale, np.float32, steps=3)
+        on32 = half_integer(x / np.float32(scale))
+        on64 = half_integer(x.astype(np.float64) / scale)
+        # a float64 quotient on a half-integer puts the float32 one there too
+        assert not (on64 & ~on32).any()
+        ref = sign_floor_codes(x, scale, bits)
+        codes, values = quantize_blocks(x, scale, bits, np.float32, np.float32)
+        np.testing.assert_array_equal(bits_of(codes), bits_of(ref.astype(np.float32)))
+        np.testing.assert_array_equal(bits_of(values), bits_of((scale * ref).astype(np.float32)))
+
+    def test_float32_quotients_on_a_half_that_the_float64_one_misses(self):
+        scale, bits = float(np.float32(0.0371)), 8
+        lo, hi = code_bounds(bits)
+        x = neighbours((np.arange(lo, hi) + 0.5) * scale, np.float32, steps=2)
+        on32 = half_integer(x / np.float32(scale))
+        on64 = half_integer(x.astype(np.float64) / scale)
+        assert (on32 & ~on64).any() and (on32 & on64).any()
+        codes, _ = quantize_blocks(x, scale, bits, np.int32)
+        np.testing.assert_array_equal(codes, sign_floor_codes(x, scale, bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_codes_and_values_come_out_positive(self, dtype):
+        scale = float(np.float32(0.37))
+        x = np.array([-0.0, 0.0, -0.3 * scale, -0.49 * scale, -1e-30, 0.3 * scale], dtype=dtype)
+        for code_dtype in (np.float32, np.float64):
+            codes, values = quantize_blocks(x, scale, 8, code_dtype, dtype)
+            assert not np.signbit(codes).any() and not np.signbit(values).any()
+        out = np.array([-0.0, -1.0, -3.0, 2.0, 0.0], dtype=dtype)
+        got = requantize(out, 0.1)
+        assert got.tolist() == [0.0] * 5 and not np.signbit(got).any()
+
+
+def requantize_reference(out: np.ndarray, m: float) -> np.ndarray:
+    """The float64 requantize: the float64 product, clipped, rounded with
+    ``round_clipped``."""
+    r = np.clip(np.asarray(out, dtype=np.float64) * m, -128, 127)
+    return round_clipped(r, np.empty_like(r))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(2.0 ** 13, 2.0 ** 17), st.sampled_from([1, 30]))
+@settings(max_examples=60, deadline=None)
+def test_requantize_near_halves_bit_identical_to_float64(seed, inv_m, reps):
+    # integers whose products with m = 1/inv_m fall within ~2.5/inv_m
+    # (at most 3.1e-4) of every half from -129.5 to 129.5, a spread of
+    # random ones up to 2**24, and small negatives that round to -0.0
+    rng = np.random.default_rng(seed)
+    m = 1.0 / inv_m
+    halves = np.arange(-130, 130) + 0.5
+    near = np.rint(halves[:, None] * inv_m + np.arange(-2, 3)).ravel()
+    spread = rng.integers(-2 ** 24 + 1, 2 ** 24, size=500)
+    small = np.array([0.0, -0.0, -1.0, -2.0, 1.0])
+    out64 = np.tile(np.concatenate([near, spread, small]), reps)
+    r = out64 * m
+    assert (np.abs(r - np.floor(r) - 0.5) < 2.0 ** -14).sum() > 100
+    ref = requantize_reference(out64, m)
+    for dtype in (np.float32, np.float64):
+        out = out64.astype(dtype)
+        got = requantize(out, m)
+        assert got.dtype == dtype and got.shape == out64.shape
+        np.testing.assert_array_equal(bits_of(got), bits_of(ref.astype(dtype)))
+        np.testing.assert_array_equal(bits_of(out), bits_of(got))  # in place
 
 
 class TestFakeQuant:
@@ -361,16 +457,6 @@ class TestSteBackward:
         ref = (g * ste_grad_scale(x, scale, bits)).sum()
         assert gs.tobytes() == ref.tobytes()
         assert ref == -sign * (0.5 - 2.0 ** -54)
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   2 * BLOCK + 3, 786_432])
-    def test_pairwise_leaf_sum_equals_numpy_sum(self, n):
-        # mixed signs over 60 binades: the sum's bits depend on the adding order
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
-        got = pairwise_sum(lambda start, stop: a[start:stop].sum(), 0, n)
-        assert isinstance(got, np.float64)
-        assert got.tobytes() == a.sum().tobytes()
 
     def test_backward_allocates_its_output_and_block_scratch_only(self):
         # the old backward filled a float64 product shaped like x (6.3 MB here)

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference_tt import composite_tt_linear, composite_ttm_lookup, einsum_stages, measured_mults
@@ -188,6 +188,31 @@ def test_float32_integer_walk_is_bit_identical_to_int64(plan, batch, seed):
     layer = calibrated_int8_layer(plan, rng, batch, dtype=np.float32)
     x = (2.0 * rng.normal(size=(batch, plan.cols))).astype(np.float32)
     assert layer.frozen_cores().codes[0].dtype == np.float32  # K <= 12 here
+    assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
+                         np.float32)
+
+
+@given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(1, 126),
+       delta=st.sampled_from([0.0, 2.0 ** -40, -2.0 ** -40, 2.0 ** -24, -2.0 ** -24,
+                              2.0 ** -16, -2.0 ** -16]))
+@settings(max_examples=60, deadline=None)
+def test_float32_requantize_near_a_half_is_bit_identical_to_int64(plan, batch, seed, k, delta):
+    # stage 0's largest output times its multiplier lands within |delta| of
+    # k + 0.5, where the float32 product may fall on either side.  k >= 1:
+    # int64_walk's round_half_away rounds 0.49999999999999994 to 1.
+    rng = np.random.default_rng(seed)
+    layer = calibrated_int8_layer(plan, rng, batch, dtype=np.float32)
+    x = (2.0 * rng.normal(size=(batch, plan.cols))).astype(np.float32)
+    frozen = layer.frozen_cores()
+    assert frozen.codes[0].dtype == np.float32
+    a_scale = float(layer.act_scale.data)
+    x_codes, _ = q.quantize_blocks(x, a_scale, layer.act_bits, np.float32)
+    stage = tt_stages(plan)[0]
+    acc = np.pad(x_codes, ((0, 0), (0, plan.padded_cols - plan.cols)))
+    peak = float(np.abs(stage.forward(acc, frozen.codes[stage.core])).max())
+    assume(peak > 0)
+    layer.stage_scales[0] = a_scale * frozen.scale * peak / (k + 0.5 + delta)
     assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
                          np.float32)
 

@@ -152,6 +152,20 @@ class TestAdam:
         adam_step([s], {id(s): np.asarray(5.0)}, AdamState(), cfg, scale_params={id(s)})
         assert s.data >= 1e-8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_params_stay_0d_arrays(self, dtype):
+        # one scale is clamped at MIN_SCALE, the other moves freely
+        clamped = ad.Parameter(np.asarray(1e-9, dtype=dtype), name="clamped")
+        free = ad.Parameter(np.asarray(0.5, dtype=dtype), name="free")
+        state, cfg = AdamState(), TrainConfig(learning_rate=1.0, epochs=1)
+        for _ in range(3):
+            adam_step([clamped, free], {id(clamped): np.asarray(5.0, dtype=dtype),
+                                        id(free): np.asarray(-1.0, dtype=dtype)},
+                      state, cfg, scale_params={id(clamped), id(free)})
+            for p in (clamped, free):
+                assert type(p.data) is np.ndarray and p.data.shape == () and p.data.dtype == dtype
+        assert clamped.data == dtype(q.MIN_SCALE) and free.data > 0.5
+
     def test_live_rows_bit_identical_to_full_update(self):
         """12 steps over parameters of rank 0 to 3, float32 and float64, in
         which the set of rows with a nonzero gradient grows, shrinks and
