@@ -34,9 +34,10 @@ rounded half away from zero), and so is the input gradient:
   whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
   in ``x``, so the thresholds are exact and found by ``nextafter`` steps;
 * the scale gradient is two float64 dot products,
-  ``sum(g * code) - sum(g_in * x) / scale``, summed block by block.  It
-  equals ``(g * ste_grad_scale(x)).sum()`` within the float64 dot-product
-  error bound.
+  ``sum(g * code) - sum(g_in * x) / scale``, taken per leaf of
+  ``pairwise_sum`` (runs of at most ``BLOCK`` terms) and added along
+  numpy's pairwise tree.  It equals ``(g * ste_grad_scale(x)).sum()``
+  within the float64 dot-product error bound.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -335,6 +336,26 @@ def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
     return t_lo, t_hi
 
 
+def pairwise_sum(leaf_sum, start: int, stop: int):
+    """Sum of float64 terms ``start..stop-1`` in numpy's pairwise order.
+
+    numpy sums a contiguous float64 run by halving any run longer than 128
+    at ``n//2`` rounded down to a multiple of 8 and adding the two halves'
+    sums.  This follows the same splits down to runs of at most ``BLOCK``
+    terms, gets each run's sum from ``leaf_sum(start, stop)`` (numpy's own
+    sum of that run gives numpy's subtree sum), calls it in ascending order
+    and adds the results in the same tree order.  So with ``leaf_sum`` =
+    ``a[start:stop].sum()``, ``pairwise_sum(leaf_sum, 0, a.size)`` is
+    ``a.sum()`` bit for bit.  A leaf may return an array of several sums;
+    they are added elementwise along the same tree.
+    """
+    n = stop - start
+    if n <= BLOCK:
+        return leaf_sum(start, stop)
+    half = start + n // 2 - (n // 2) % 8
+    return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, half, stop)
+
+
 def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of ``fake_quant_forward``.
@@ -345,9 +366,10 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
     gradient ``sum(g * ste_grad_scale(x))``.  The mask is two compares of
     ``x`` against ``ratio_thresholds``.  In range the surrogate is
     ``code - x/scale`` and outside it the code, so the scale gradient is the
-    two dot products ``sum(g * code) - sum(gx * x) / scale``, summed block by
-    block in float64.  Their order differs from the reference's, so they
-    agree within the float64 dot-product error bound, not bit for bit.
+    two dot products ``sum(g * code) - sum(gx * x) / scale``: each leaf of
+    ``pairwise_sum`` takes both in float64, and the leaves add along the
+    pairwise tree.  Their order differs from the reference's, so they agree
+    within the float64 dot-product error bound, not bit for bit.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     flat, cflat = x.reshape(-1), codes.reshape(-1)
@@ -358,17 +380,19 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
     width = min(n, BLOCK)
     inside = np.empty(width, dtype=bool)
     not_above = np.empty(width, dtype=bool)
-    g_code = gx_x = 0.0
-    for start in range(0, n, BLOCK):
-        xb, cb, gb = flat[start:start + BLOCK], cflat[start:start + BLOCK], gflat[start:start + BLOCK]
+
+    def leaf_sum(start, stop):
+        xb, cb, gb = flat[start:stop], cflat[start:stop], gflat[start:stop]
         m, o = inside[:xb.size], not_above[:xb.size]
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)
         m &= o
-        gxb = gx[start:start + BLOCK]
+        gxb = gx[start:stop]
         np.multiply(gb, m, out=gxb)
-        g_code += np.einsum("i,i->", gb, cb, dtype=np.float64)
-        gx_x += np.einsum("i,i->", gxb, xb, dtype=np.float64)
+        return np.array([np.einsum("i,i->", gb, cb, dtype=np.float64),
+                         np.einsum("i,i->", gxb, xb, dtype=np.float64)])
+
+    g_code, gx_x = pairwise_sum(leaf_sum, 0, n)
     return gx.reshape(x.shape), np.float64(g_code - gx_x / scale)
 
 

@@ -22,6 +22,7 @@ from ttq.quant import (
     fake_quant_forward,
     init_scale,
     int_matvec,
+    pairwise_sum,
     quantize,
     quantize_blocks,
     ratio_thresholds,
@@ -457,6 +458,16 @@ class TestSteBackward:
         ref = (g * ste_grad_scale(x, scale, bits)).sum()
         assert gs.tobytes() == ref.tobytes()
         assert ref == -sign * (0.5 - 2.0 ** -54)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3, 786_432])
+    def test_pairwise_leaf_sum_equals_numpy_sum(self, n):
+        # mixed signs over 60 binades: the sum's bits depend on the adding order
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
+        got = pairwise_sum(lambda start, stop: a[start:stop].sum(), 0, n)
+        assert isinstance(got, np.float64)
+        assert got.tobytes() == a.sum().tobytes()
 
     def test_backward_allocates_its_output_and_block_scratch_only(self):
         # the old backward filled a float64 product shaped like x (6.3 MB here)
