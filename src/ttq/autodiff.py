@@ -1,11 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every operation builds a node holding its inputs and a closure that maps the
-upstream gradient to per-input gradients.  Calling ``backward`` on a scalar
-loss walks the recorded graph once in reverse topological order and returns
-the accumulated gradients of all reachable parameters.  Gradients for shared
-parameters (for example one quantizer scale feeding many cores) accumulate
-additively.
+Graph records are kept apart from values.  An operation's output Tensor
+carries a private ``_Node``: its parents' nodes (a parameter, a leaf, is
+referenced as itself), the closure that maps the upstream gradient to
+per-input gradients, and whether a backward has consumed it.  A node never
+holds its parents' Tensors, and each closure saves at forward time only what
+its backward reads: operand arrays where the derivative depends on them, only
+shapes and dtypes where it does not.  So an intermediate array lives while the
+caller holds its Tensor or a backward will read it, and no longer.
+
+Calling ``backward`` on a scalar loss walks the recorded graph once in reverse
+topological order and returns the accumulated gradients of all reachable
+parameters.  Gradients for shared parameters (for example one quantizer scale
+feeding many cores) accumulate additively.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
@@ -48,19 +55,32 @@ class BackwardError(RuntimeError):
     """Backward misuse: double backward or non-scalar loss."""
 
 
-class Tensor:
-    """An ndarray plus the recording needed for one reverse sweep."""
+class _Node:
+    """The graph record of one operation's output.  ``parents`` holds, per
+    input, the input's node, the input itself when it is a requires-grad
+    leaf, or None when no gradient flows to it; ``vjp`` maps the output's
+    gradient to one gradient per input.  A backward clears both and sets
+    ``consumed``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name", "_consumed")
+    __slots__ = ("parents", "vjp", "consumed")
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple]):
+        self.parents = parents
+        self.vjp = vjp
+        self.consumed = False
+
+
+class Tensor:
+    """An ndarray plus, for an operation's output, its graph record."""
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
         self.name = name
-        self._consumed = False
+        self._node: _Node | None = None
 
     @property
     def shape(self):
@@ -73,6 +93,10 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    @property
+    def _vjp(self) -> Callable[[np.ndarray], tuple] | None:
+        return None if self._node is None else self._node.vjp
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -97,11 +121,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
+def _link(t: Tensor):
+    """What a child node records for input ``t``: its node, ``t`` itself for
+    a requires-grad leaf (so no node points back at its own Tensor), else
+    None."""
+    return t._node if t._node is not None else (t if t.requires_grad else None)
+
+
+def _records(*inputs: Tensor) -> bool:
+    """Whether an operation on ``inputs`` is recorded for a backward."""
+    return _grad_enabled and any(_link(t) is not None for t in inputs)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    if _records(*parents):
+        out._node = _Node(tuple(_link(p) for p in parents), vjp)
         out.requires_grad = True
     return out
 
@@ -126,30 +161,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
+    x, y = a.data, b.data
+    out = x * y
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape),
+        _unbroadcast(g * y, x.shape),
+        _unbroadcast(g * x, y.shape),
     ))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
+    x, y = a.data, b.data
+    out = x / y
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+        _unbroadcast(g / y, x.shape),
+        _unbroadcast(-g * x / (y * y), y.shape),
     ))
 
 
@@ -160,8 +199,9 @@ def scale(a, c: float) -> Tensor:
 
 def pow_const(a, p: float) -> Tensor:
     a = _as_tensor(a)
-    out = a.data ** p
-    return _make(out, (a,), lambda g: (g * p * a.data ** (p - 1),))
+    x = a.data
+    out = x ** p
+    return _make(out, (a,), lambda g: (g * p * x ** (p - 1),))
 
 
 def sqrt(a) -> Tensor:
@@ -176,7 +216,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _make(np.log(x), (a,), lambda g: (g / x,))
 
 
 def tanh(a) -> Tensor:
@@ -193,19 +234,24 @@ def gelu(a) -> Tensor:
 
     Forward and backward walk the input in blocks of ``quant.BLOCK``
     elements, each an in-place chain through block-sized scratch, so nothing
-    activation-sized is allocated beyond the output, the kept ``tanh`` and
-    the gradient.  The operations and their order are those of
-    ``0.5*x*(1 + t)`` with ``t = tanh(c*(x + 0.044715*x*x*x))`` and of its
-    derivative, so the values are the same bit for bit.
+    activation-sized is allocated beyond the output, the gradient and, only
+    when a backward will read it, the kept ``tanh``.  The operations and
+    their order are those of ``0.5*x*(1 + t)`` with
+    ``t = tanh(c*(x + 0.044715*x*x*x))`` and of its derivative, so the values
+    are the same bit for bit.
     """
     a = _as_tensor(a)
     x = a.data
-    out, t = np.empty(x.shape, dtype=x.dtype), np.empty(x.shape, dtype=x.dtype)  # C order: flat views
+    keep = _records(a)
+    width = min(x.size, q.BLOCK)
+    out = np.empty(x.shape, dtype=x.dtype)  # C order: flat views
+    t = np.empty(x.shape if keep else width, dtype=x.dtype)
     xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
-    scratch = np.empty(min(xf.size, q.BLOCK), dtype=x.dtype)
+    scratch = np.empty(width, dtype=x.dtype)
     for start in range(0, xf.size, q.BLOCK):
         sl = slice(start, start + q.BLOCK)
-        xb, tb, ob = xf[sl], tf[sl], of[sl]
+        xb, ob = xf[sl], of[sl]
+        tb = tf[sl] if keep else tf[:xb.size]
         u = scratch[:xb.size]
         np.multiply(xb, xb, out=tb)
         tb *= xb
@@ -220,7 +266,6 @@ def gelu(a) -> Tensor:
     def vjp(g):
         gx = np.empty(x.shape, dtype=np.result_type(g, x))
         gf, gxf = g.reshape(-1), gx.reshape(-1)
-        width = min(xf.size, q.BLOCK)
         d0, e0 = np.empty(width, dtype=x.dtype), np.empty(width, dtype=x.dtype)
         for start in range(0, xf.size, q.BLOCK):
             sl = slice(start, start + q.BLOCK)
@@ -274,12 +319,12 @@ def take(a, indices, axis: int = 0) -> Tensor:
     if idx.ndim != 1:
         raise ValueError("take expects a 1-D index array")
     out = np.take(a.data, idx, axis=axis)
+    n, dtype = a.data.shape[axis], a.data.dtype
 
     def vjp(g):
         # Negative indices are wrapped first so that -1 and n-1 share a group.
-        n = a.data.shape[axis]
         ga = segment_sum(np.moveaxis(g, axis, 0), idx % n, n)
-        return (np.moveaxis(ga, 0, axis).astype(a.data.dtype, copy=False),)
+        return (np.moveaxis(ga, 0, axis).astype(dtype, copy=False),)
 
     return _make(out, (a,), vjp)
 
@@ -289,9 +334,10 @@ def gather_rows(a, rows) -> Tensor:
     distinct, so the backward puts each gradient row back in place."""
     a = _as_tensor(a)
     rows = np.asarray(rows)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        ga = np.zeros(a.data.shape, dtype=a.data.dtype)
+        ga = np.zeros(shape, dtype=dtype)
         ga[rows] = g
         return (ga,)
 
@@ -313,9 +359,10 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         ga[sl] = g
         return (ga,)
 
@@ -331,11 +378,12 @@ def sum_all(a) -> Tensor:
 def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (a,), vjp)
 
@@ -343,14 +391,15 @@ def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product; batched on leading axes when both operands carry them."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data @ b.data
+    x, y = a.data, b.data
+    out = x @ y
 
     def vjp(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
+        bt = np.swapaxes(y, -1, -2)
+        at = np.swapaxes(x, -1, -2)
         ga = g @ bt
         gb = at @ g
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        return (_unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape))
 
     return _make(out, (a, b), vjp)
 
@@ -372,13 +421,14 @@ def einsum(subscripts: str, *operands) -> Tensor:
         elsewhere = set(out_sub) | {c for j, s in enumerate(in_subs) if j != i for c in s}
         if not set(sub) <= elsewhere:
             raise ValueError(f"operand {i} has an index private to it; VJP undefined")
-    result = np.einsum(subscripts, *[t.data for t in tensors], optimize=True)
+    arrays = [t.data for t in tensors]
+    result = np.einsum(subscripts, *arrays, optimize=True)
 
     def vjp(g):
         grads = []
         for i, sub in enumerate(in_subs):
             other_subs = [s for j, s in enumerate(in_subs) if j != i]
-            other_ops = [tensors[j].data for j in range(len(tensors)) if j != i]
+            other_ops = [arrays[j] for j in range(len(arrays)) if j != i]
             call = ",".join([out_sub] + other_subs) + "->" + sub
             grads.append(np.einsum(call, g, *other_ops, optimize=True))
         return tuple(grads)
@@ -431,20 +481,29 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+    """Normalize the last axis to zero mean and unit variance, then affine.
+
+    ``x - mean`` becomes ``xhat`` in place.  The output is written into
+    ``xhat`` too when no backward will read it, else into one fresh array.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    g_data = gamma.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
-    n = x.data.shape[-1]
+    xhat *= inv
+    keep = _records(x, gamma, beta)
+    dtype = np.result_type(xhat, g_data, beta.data)
+    out = xhat if not keep and dtype == xhat.dtype else np.empty(xhat.shape, dtype=dtype)
+    np.multiply(xhat, g_data, out=out)
+    np.add(out, beta.data, out=out)
+    n = xhat.shape[-1]
+    beta_shape = beta.data.shape
 
     def vjp(g):
-        gg = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma.data.shape)
-        gb = g.reshape(-1, n).sum(axis=0).reshape(beta.data.shape)
-        gx_hat = g * gamma.data
+        gg = (g * xhat).reshape(-1, n).sum(axis=0).reshape(g_data.shape)
+        gb = g.reshape(-1, n).sum(axis=0).reshape(beta_shape)
+        gx_hat = g * g_data
         gx = inv * (gx_hat
                     - gx_hat.mean(axis=-1, keepdims=True)
                     - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
@@ -466,11 +525,13 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
     if bits == q.FULL_PRECISION:
         return x
     s = float(scale_t.data)
-    codes, out = q.quantize_blocks(x.data, s, bits, np.int8, x.data.dtype)
+    xd = x.data
+    s_dtype, s_shape = scale_t.data.dtype, scale_t.data.shape
+    codes, out = q.quantize_blocks(xd, s, bits, np.int8, xd.dtype)
 
     def vjp(g):
-        gx, gs = q.ste_backward(x.data, codes, s, bits, g)
-        return (gx, np.asarray(gs, dtype=scale_t.data.dtype).reshape(scale_t.data.shape))
+        gx, gs = q.ste_backward(xd, codes, s, bits, g)
+        return (gx, np.asarray(gs, dtype=s_dtype).reshape(s_shape))
 
     return _make(out, (x, scale_t), vjp)
 
@@ -479,22 +540,27 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
 # Backward sweep
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list:
+    """The nodes and requires-grad leaves reachable from ``root``, each after
+    its parents.  Raises when one of the nodes was consumed already."""
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        item, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(item)
             continue
-        if id(node) in visited:
+        if id(item) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        visited.add(id(item))
+        stack.append((item, True))
+        if isinstance(item, _Node):
+            if item.consumed:
+                raise BackwardError("graph already consumed; one backward per forward")
+            for p in item.parents:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
     return order
 
 
@@ -507,31 +573,28 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """
     if loss.data.size != 1:
         raise BackwardError("backward expects a scalar loss")
-    if loss._consumed:
-        raise BackwardError("graph already consumed; one backward per forward")
-    if loss._vjp is None and not loss.requires_grad:
+    root = _link(loss)
+    if root is None:
         raise BackwardError("loss does not depend on any parameter")
-    loss._consumed = True
-    order = _topo_order(loss)
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    order = _topo_order(root)
+    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     grads: dict[int, np.ndarray] = {}
-    for node in reversed(order):
-        g = adjoint.pop(id(node), None)
+    for item in reversed(order):
+        g = adjoint.pop(id(item), None)
         if g is None:
             continue
-        if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None:
+        if isinstance(item, _Node):
+            for p, pg in zip(item.parents, item.vjp(g)):
+                if p is None or pg is None:
                     continue
                 key = id(p)
                 if key in adjoint:
                     adjoint[key] = adjoint[key] + pg
                 else:
                     adjoint[key] = pg
-            node._vjp = None  # consume: one backward per forward
-            node._parents = ()
-        elif node.requires_grad:
-            grads[id(node)] = g if node.grad is None else node.grad + g
-            node.grad = grads[id(node)]
+            # consume: one backward per forward, and free what the vjp saved
+            item.vjp, item.parents, item.consumed = None, (), True
+        else:
+            grads[id(item)] = g if item.grad is None else item.grad + g
+            item.grad = grads[id(item)]
     return grads

@@ -399,13 +399,16 @@ class TTLinearLayer(CoreLayer):
 
         codes = tt_chain(x_codes, frozen.codes, self.plan, requantize)
         # float64(codes) * scale + bias, cast once, a row block at a time
+        # through one reused float64 buffer
         real_scale = in_scale * frozen.scale
         y = np.empty(codes.shape, dtype=x2d.dtype)
         step = max(1, q.BLOCK // codes.shape[1])
+        buf = np.empty((min(step, len(y)), codes.shape[1]), dtype=np.float64)
         for start in range(0, len(y), step):
-            block = np.multiply(codes[start:start + step], real_scale, dtype=np.float64)
-            block += self.bias.data  # widened to float64 exactly
-            y[start:start + step] = block
+            rows = slice(start, start + step)
+            block = buf[:min(step, len(y) - start)]
+            np.multiply(codes[rows], real_scale, out=block, dtype=np.float64)
+            np.add(block, self.bias.data, out=y[rows])  # the bias widens to float64 exactly
         return y
 
 

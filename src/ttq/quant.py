@@ -202,7 +202,9 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     stored as ``value_dtype`` (else ``None``).  Each block of
     ``block_size`` elements runs divide, clip, ``round_ratio`` and store into
     reused buffers; a block whose ratios all lie in range skips the clip, and the
-    two reductions that tell also catch a non-finite input.
+    two reductions that tell also catch a non-finite input.  The clip bounds
+    every code and the entry check makes ``code_dtype`` hold that range, so
+    the codes need no range check of their own.
 
     The working dtype is float32 when ``x`` is float32 and ``scale`` is a
     float32 value (every scale of a float32 model), else float64.  In
@@ -246,8 +248,6 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
         codes[start:start + k] = c
         if values is not None:
             np.multiply(c, scale, out=values[start:start + k], dtype=value_work)
-    if n and (codes.min() < lo or codes.max() > hi):
-        raise QuantParamError(f"codes outside [{lo}, {hi}] for {bits}-bit")
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
 
 

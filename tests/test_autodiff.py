@@ -1,6 +1,9 @@
 """Engine gradients vs central finite differences (FP64)."""
 
+import contextlib
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +103,43 @@ class TestElementwiseOps:
             tracemalloc.stop()
         assert forward_peak < 2 * x.data.nbytes + slack  # the output and the kept tanh
         assert backward_peak < gx.nbytes + slack
+
+    def test_no_grad_gelu_allocates_its_output_and_block_scratch_only(self):
+        x = ad.Parameter(np.random.default_rng(3).normal(size=(256, 3072)).astype(np.float32))
+        slack = 4 * 8 * BLOCK
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.gelu(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes + slack  # the output; the tanh lives in block scratch
+        assert held < x.data.nbytes + slack
+        np.testing.assert_array_equal(bits_of(out.data), bits_of(gelu(x.data)))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_layer_norm_allocates_one_temporary(self, grad):
+        data_rng = np.random.default_rng(5)
+        x = ad.Parameter(data_rng.normal(size=(256, 3072)).astype(np.float32))
+        gamma = ad.Parameter(data_rng.normal(size=3072).astype(np.float32))
+        beta = ad.Parameter(data_rng.normal(size=3072).astype(np.float32))
+        slack = 4 * 8 * BLOCK
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                out = ad.layer_norm(x, gamma, beta)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = 2 if grad else 1  # the output, and xhat when a backward will read it
+        assert held < kept * x.data.nbytes + slack
+        assert peak < 2 * x.data.nbytes + slack  # plus the squares for the variance
+        xd, g, b = x.data, gamma.data, beta.data  # the expression form
+        mu = xd.mean(axis=-1, keepdims=True)
+        xc = xd - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        np.testing.assert_array_equal(bits_of(out.data), bits_of(xc * inv * g + b))
 
 
 class TestShapeOps:
@@ -348,3 +388,83 @@ class TestBackwardMechanics:
         first = a.grad.copy()
         ad.backward(ad.sum_all(ad.mul(a, a)))
         np.testing.assert_allclose(a.grad, 2 * first, rtol=1e-12)
+
+    def test_no_grad_loss_has_no_graph(self):
+        a = randp(3)
+        with ad.no_grad():
+            out = ad.sum_all(ad.mul(a, a))
+        with pytest.raises(ad.BackwardError):
+            ad.backward(out)
+
+    def test_backward_into_a_consumed_subgraph_rejected(self):
+        a = randp(3)
+        b = ad.mul(a, a)
+        ad.backward(ad.sum_all(b))
+        first = a.grad.copy()
+        with pytest.raises(ad.BackwardError):
+            ad.backward(ad.sum_all(ad.scale(b, 2.0)))
+        np.testing.assert_array_equal(a.grad, first)  # raised before any gradient moved
+
+    def test_leaf_loss_gets_gradient_one(self):
+        a = ad.Parameter(np.asarray(2.5))
+        grads = ad.backward(a)
+        assert list(grads) == [id(a)] and a.grad == 1.0
+
+
+def gelu_loss(keep_input: bool):
+    """sum(gelu(a + b) * w) on fresh leaves; returns the leaves, the loss and
+    a weak reference to ``a + b``'s array, whose Tensor only the graph
+    sees unless ``keep_input``."""
+    data_rng = np.random.default_rng(8)
+    a, b = ad.Parameter(data_rng.normal(size=(6, 5))), ad.Parameter(data_rng.normal(size=5))
+    w = data_rng.normal(size=(6, 5))
+    x = ad.add(a, b)
+    loss = ad.sum_all(ad.mul(ad.gelu(x), w))
+    return (a, b), loss, weakref.ref(x.data), (x if keep_input else None)
+
+
+class TestSavedArrays:
+    """A node keeps the arrays its backward reads and nothing else, and what
+    it keeps does not depend on what the caller holds."""
+
+    def test_an_output_no_backward_reads_is_freed_with_its_tensor(self):
+        a, b = randp(6, 5), randp(5)
+        w = rng.normal(size=(6, 5))
+        grads = []
+        for keep in (True, False):
+            a.zero_grad(), b.zero_grad()
+            y = ad.add(a, b)
+            alive = weakref.ref(y.data)
+            loss = ad.sum_all(ad.mul(ad.scale(y, 3.0), w))
+            if not keep:
+                del y
+                assert alive() is None
+            ad.backward(loss)
+            grads.append([a.grad, b.grad])
+        for held, freed in zip(*grads):
+            np.testing.assert_array_equal(bits_of(freed), bits_of(held))
+
+    def test_an_input_a_backward_reads_lives_until_the_backward(self):
+        grads = []
+        for keep in (True, False):
+            leaves, loss, alive, _held = gelu_loss(keep)
+            assert alive() is not None
+            ad.backward(loss)
+            if not keep:
+                assert alive() is None  # the consumed node let go of it
+            grads.append([p.grad for p in leaves])
+        for held, freed in zip(*grads):
+            np.testing.assert_array_equal(bits_of(freed), bits_of(held))
+
+    def test_parameters_free_without_the_cycle_collector(self):
+        # a node refers to a parameter directly; nothing refers back
+        gc.disable()
+        try:
+            p = randp(4)
+            alive = weakref.ref(p.data)
+            loss = ad.sum_all(ad.mul(p, p))
+            ad.backward(loss)
+            del p, loss
+            assert alive() is None
+        finally:
+            gc.enable()

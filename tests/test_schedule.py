@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference_tt import composite_tt_linear, composite_ttm_lookup, einsum_stages, measured_mults
@@ -114,7 +114,8 @@ def int64_walk(layer, x):
             acc = out.astype(np.float64) * real_scale
         else:
             in_scale = layer.stage_scales[i]
-            acc = q.round_half_away(np.clip(out * (real_scale / in_scale), -128, 127)).astype(np.int64)
+            r = np.clip(out * (real_scale / in_scale), -128, 127)  # a float64 copy
+            acc = q.round_clipped(r, np.empty_like(r)).astype(np.int64)
     y = acc.reshape(len(x), plan.padded_rows)[:, : plan.rows]
     return y + layer.bias.data
 
@@ -193,14 +194,15 @@ def test_float32_integer_walk_is_bit_identical_to_int64(plan, batch, seed):
 
 
 @given(plan=tt_plans(), batch=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
-       k=st.integers(1, 126),
+       k=st.integers(0, 126),
        delta=st.sampled_from([0.0, 2.0 ** -40, -2.0 ** -40, 2.0 ** -24, -2.0 ** -24,
                               2.0 ** -16, -2.0 ** -16]))
 @settings(max_examples=60, deadline=None)
+# a float64 ratio of 0.49999999999999994, which rounds to 0
+@example(plan=TensorShapePlan(3, 2, (3,), (2,), (1, 3, 1)), batch=3, seed=18, k=0, delta=0.0)
 def test_float32_requantize_near_a_half_is_bit_identical_to_int64(plan, batch, seed, k, delta):
     # stage 0's largest output times its multiplier lands within |delta| of
-    # k + 0.5, where the float32 product may fall on either side.  k >= 1:
-    # int64_walk's round_half_away rounds 0.49999999999999994 to 1.
+    # k + 0.5, where the float32 product may fall on either side.
     rng = np.random.default_rng(seed)
     layer = calibrated_int8_layer(plan, rng, batch, dtype=np.float32)
     x = (2.0 * rng.normal(size=(batch, plan.cols))).astype(np.float32)
