@@ -6,7 +6,7 @@ from .accounting import CostReport, flops_estimate, param_count
 from .data import Dataset, gen_synthetic_dataset
 from .distill import DistillConfig, loss_terms, run_distillation, stage_loss
 from .model import ModelConfig, PlanSpec, TransformerModel, model_flops, model_size_bytes
-from .quant import QuantizedTensor, QuantSpec, fake_quant_forward, quantize
+from .quant import QuantizedTensor, fake_quant_forward, quantize
 from .train import TrainConfig, adam_step, train_end_to_end, tt_matvec_vjp
 from .tt import (
     TensorShapePlan,
@@ -22,7 +22,7 @@ from .tt import (
 
 __all__ = [
     "CostReport", "Dataset", "DistillConfig", "ModelConfig", "PlanSpec",
-    "QuantSpec", "QuantizedTensor", "TensorShapePlan", "TTCores", "TTFormat",
+    "QuantizedTensor", "TensorShapePlan", "TTCores", "TTFormat",
     "TTMCores", "TrainConfig", "TransformerModel", "adam_step", "fake_quant_forward",
     "flops_estimate", "gen_synthetic_dataset", "loss_terms", "model_flops",
     "model_size_bytes", "param_count", "plan_factorization", "quantize",

@@ -10,16 +10,15 @@ accumulator width is ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from .quant import FULL_PRECISION
 from .tt import TensorShapePlan, TTFormat, tt_matvec_mult_count, ttm_lookup_mult_count
 
 FLOPS_CONVENTION = (
     "ops = 2 * multiplies (adds weighted like multiplies); multiply weight = "
     "weight_bits*activation_bits/64 when either operand is quantized, 1.0 for FP32xFP32"
 )
-
-FULL_PRECISION_BITS = 32
 
 
 @dataclass
@@ -42,29 +41,12 @@ class CostReport:
         return 4 * self.param_count_dense / self.bytes
 
     def to_dict(self) -> dict:
-        return {
-            "param_count_compressed": self.param_count_compressed,
-            "param_count_dense": self.param_count_dense,
-            "compression_ratio": self.compression_ratio,
-            "flops": self.flops,
-            "flops_dense": self.flops_dense,
-            "bytes": self.bytes,
-            "fixed_point": self.fixed_point,
-            "convention": self.convention,
-            "items": self.items,
-        }
+        return asdict(self)
 
 
 def plan_param_count(plan: TensorShapePlan) -> int:
     """Trainable core entries of one compressed matrix."""
-    d = plan.order
-    if plan.format is TTFormat.TT:
-        modes = plan.row_factors + plan.col_factors
-        return sum(plan.ranks[i] * modes[i] * plan.ranks[i + 1] for i in range(2 * d))
-    return sum(
-        plan.ranks[i] * plan.row_factors[i] * plan.col_factors[i] * plan.ranks[i + 1]
-        for i in range(d)
-    )
+    return sum(math.prod(s) for s in plan.core_shapes())
 
 
 def param_count(plan: TensorShapePlan) -> CostReport:
@@ -79,7 +61,7 @@ def param_count(plan: TensorShapePlan) -> CostReport:
 
 
 def multiply_weight(weight_bits: int, activation_bits: int) -> float:
-    if weight_bits == FULL_PRECISION_BITS and activation_bits == FULL_PRECISION_BITS:
+    if weight_bits == FULL_PRECISION and activation_bits == FULL_PRECISION:
         return 1.0
     return (weight_bits * activation_bits) / 64.0
 
@@ -110,13 +92,13 @@ def flops_estimate(
     return CostReport(
         flops=ops * weight,
         flops_dense=dense_ops,
-        fixed_point=weight_bits != FULL_PRECISION_BITS or activation_bits != FULL_PRECISION_BITS,
+        fixed_point=weight_bits != FULL_PRECISION or activation_bits != FULL_PRECISION,
     )
 
 
 def packed_code_bytes(num_values: int, bits: int) -> int:
     """Bytes needed to store num_values codes at 2/4/8 bits, packed little-endian."""
-    if bits == FULL_PRECISION_BITS:
+    if bits == FULL_PRECISION:
         return 4 * num_values
     values_per_byte = 8 // bits
     return math.ceil(num_values / values_per_byte)

@@ -98,9 +98,6 @@ class Tensor:
     def _vjp(self) -> Callable[[np.ndarray], tuple] | None:
         return None if self._node is None else self._node.vjp
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 

@@ -24,8 +24,10 @@ Record order follows ``TransformerModel.layers()``: for each leaf layer, a
 TT/TTM layer's JSON ``<layer>.meta`` record first, then one record per entry
 of ``layer.params()``, kind 1 where ``stored_bits`` is below 32, else kind 0
 (a 0-d scale is written with dims (1,)).  A missing, repeated or unread
-record, a record of the wrong kind, shape or width, or a plan for another
-matrix is a ``CheckpointError`` that names the record.
+record, a record of the wrong kind, shape or width (kind 1 allows 2, 4 or 8),
+a blob that is not UTF-8 JSON, or a plan for another matrix is a
+``CheckpointError`` that names the record (a name that is not UTF-8, by its
+index).  So is a config that is not a valid ``ModelConfig``.
 
 Quantized layers store integer codes, not master floats: reloading yields the
 dequantized surrogate, which forwards identically to the saved model by
@@ -176,11 +178,21 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _json(raw: bytes, what: str):
+    try:
+        return json.loads(raw.decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CheckpointError(f"{what} is not UTF-8 JSON: {exc}") from exc
+
+
 def _read_records(reader: _Reader, n: int) -> dict:
     records = {}
-    for _ in range(n):
+    for i in range(n):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode()
+        try:
+            name = reader.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"record {i}: name is not UTF-8") from exc
         if name in records:
             raise CheckpointError(f"record {name} appears twice")
         (kind,) = reader.unpack("<B")
@@ -192,6 +204,8 @@ def _read_records(reader: _Reader, n: int) -> dict:
             records[name] = ("array", arr)
         elif kind == 1:
             (bits,) = reader.unpack("<B")
+            if bits not in (2, 4, 8):
+                raise CheckpointError(f"record {name} has code width {bits}, expected 2, 4 or 8")
             (scale,) = reader.unpack("<f")
             (ndim,) = reader.unpack("<B")
             shape = reader.unpack(f"<{ndim}I")
@@ -202,7 +216,7 @@ def _read_records(reader: _Reader, n: int) -> dict:
             records[name] = ("packed", (codes, scale, bits))
         elif kind == 2:
             (blen,) = reader.unpack("<I")
-            records[name] = ("json", json.loads(reader.take(blen).decode()))
+            records[name] = ("json", _json(reader.take(blen), f"record {name}"))
         else:
             raise CheckpointError(f"unknown record kind {kind}")
     return records
@@ -231,7 +245,10 @@ def checkpoint_load(path: str | Path) -> TransformerModel:
     digest = reader.take(32)
     if hashlib.sha256(cfg_bytes).digest() != digest:
         raise CheckpointError("config digest mismatch")
-    config = ModelConfig.from_dict(json.loads(cfg_bytes.decode()))
+    try:
+        config = ModelConfig.from_dict(_json(cfg_bytes, "config"))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"config holds no valid model config: {exc!r}") from exc
     (n_rec,) = reader.unpack("<I")
     records = _read_records(reader, n_rec)
     model = TransformerModel(config, 0)  # every parameter is overwritten from its record

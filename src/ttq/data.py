@@ -39,6 +39,10 @@ class Dataset:
                 raise DataFormatError("token and slot sequences must align")
             if any(t < 0 or t >= self.vocab_size for t in toks):
                 raise DataFormatError("token id out of vocabulary range")
+            if not 0 <= intent < self.num_intents:
+                raise DataFormatError(f"intent id {intent} outside [0, {self.num_intents})")
+            if any(s < 0 or s >= self.num_slots for s in slots):
+                raise DataFormatError(f"slot id outside [0, {self.num_slots})")
 
     def max_len(self) -> int:
         return max((len(t) for t, _, _ in self.examples), default=0)
@@ -170,7 +174,14 @@ def read_corpus(data_dir: str | Path) -> dict[str, Dataset]:
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise DataFormatError(f"missing {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+        sizes = [meta[key] for key in ("vocab_size", "num_intents", "num_slots")]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataFormatError(f"{meta_path}: not a JSON object with vocab_size, "
+                              f"num_intents and num_slots ({exc!r})") from exc
+    if not all(isinstance(n, int) and n > 0 for n in sizes):
+        raise DataFormatError(f"{meta_path}: sizes must be positive integers, got {sizes}")
     datasets = {}
     for name in ("train", "dev", "test"):
         path = root / f"{name}.tsv"
@@ -190,8 +201,7 @@ def read_corpus(data_dir: str | Path) -> dict[str, Dataset]:
                 examples.append((toks, int(intent_part), slots))
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed line") from exc
-        datasets[name] = Dataset(examples, meta["vocab_size"], meta["num_intents"],
-                                 meta["num_slots"], split=name)
+        datasets[name] = Dataset(examples, *sizes, split=name)
     if not datasets:
         raise DataFormatError(f"no split files found in {root}")
     return datasets

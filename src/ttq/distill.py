@@ -15,7 +15,7 @@ classifier heads (sequence-level intent and token-level slots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class DistillConfig:
     final_lr: float = 5e-5
     batch_size: int = 32
     seed: int = 0
-    term_weights: dict = field(default_factory=lambda: {"mse": 1.0, "cos": 1.0,
-                                                        "attn": 1.0, "soft": 1.0})
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -153,20 +151,18 @@ def loss_terms(teacher: ForwardTrace, student: ForwardTrace, temperature: float 
 
 
 def stage_loss(stage_index: int, terms: dict, num_layers: int,
-               weights: dict | None = None, final: bool = False) -> ad.Tensor:
-    """Cumulative stage loss; ``final`` adds the soft-label term to stage L."""
-    w = {"mse": 1.0, "cos": 1.0, "attn": 1.0, "soft": 1.0}
-    if weights:
-        w.update(weights)
+               final: bool = False) -> ad.Tensor:
+    """Cumulative stage loss, the unweighted sum of its terms (each weighs 1);
+    ``final`` adds the soft-label term to stage L."""
     if not 0 <= stage_index <= num_layers:
         raise StageError(f"stage {stage_index} outside 0..{num_layers}")
-    total = ad.add(ad.scale(terms["mse_emb"], w["mse"]), ad.scale(terms["cos_emb"], w["cos"]))
+    total = ad.add(terms["mse_emb"], terms["cos_emb"])
     for i in range(stage_index):
-        total = ad.add(total, ad.scale(terms["mse_layers"][i], w["mse"]))
-        total = ad.add(total, ad.scale(terms["cos_layers"][i], w["cos"]))
-        total = ad.add(total, ad.scale(terms["attn_ce_layers"][i], w["attn"]))
+        total = ad.add(total, terms["mse_layers"][i])
+        total = ad.add(total, terms["cos_layers"][i])
+        total = ad.add(total, terms["attn_ce_layers"][i])
     if final:
-        total = ad.add(total, ad.scale(terms["ce_soft"], w["soft"]))
+        total = ad.add(total, terms["ce_soft"])
     return total
 
 
@@ -229,7 +225,7 @@ def _distill_stage(teacher: TransformerModel, student: TransformerModel, dataset
             t_trace = teacher.forward(ids, mask, mode="train")
         s_trace = student.forward(ids, mask, mode="train")
         terms = loss_terms(t_trace, s_trace, config.temperature)
-        return stage_loss(idx, terms, num_layers, config.term_weights, final=stage.is_final)
+        return stage_loss(idx, terms, num_layers, final=stage.is_final)
 
     def end_epoch(epoch, mean_loss):
         curve.append(mean_loss)

@@ -62,7 +62,6 @@ from .tt import (
 
 MODES = ("train", "infer_fp", "infer_int")
 INT_LOGIT_BOUND = 0.2  # the integer path's documented bound on logits (module docstring)
-ACT_BITS_DEFAULT = 8
 MASK_NEG = -1e9
 CALIB_ROWS = 256  # rows per calibration chain: bounds its float64 stage outputs
 

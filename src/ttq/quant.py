@@ -41,6 +41,11 @@ rounded half away from zero), and so is the input gradient:
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
+
+This module holds no integer matmul: integer inference multiplies codes in
+the staged TT walk (``model.TTLinearLayer._forward_int``), which takes its
+codes from ``quantize_blocks`` and requantizes each stage with
+``requantize``.
 """
 
 from __future__ import annotations
@@ -76,23 +81,6 @@ def code_bounds(bits: int) -> tuple[int, int]:
     return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
 
 
-def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to nearest integer, ties away from zero, into ``out`` if given
-    (``out`` may be ``x``).
-
-    Bitwise equal, signed zeros included, to ``sign(x) * floor(|x| + 0.5)``:
-    x + 0.5*sign(x) has the magnitude of |x| + 0.5 and turns -0.0 into +0.0.
-    Like that form it rounds ±0.49999999999999994 to ±1, so it is a test
-    oracle only; the kernels round with ``round_clipped``.
-    """
-    x = np.asarray(x)
-    half = np.empty(x.shape, dtype=np.result_type(x, 0.5))  # an array even for 0-d x
-    np.sign(x, out=half, dtype=half.dtype)
-    half *= 0.5
-    out = np.add(x, half, out=half if out is None else out)
-    return np.trunc(out, out=out)
-
-
 def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Half-away-from-zero rounding of a clipped ratio (``|r| <= 128``) into
     ``out``, as ``trunc(2r) - trunc(r)``; ``r`` is left holding ``trunc(r)``.
@@ -111,24 +99,6 @@ def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.trunc(r, out=r)
     out -= r
     return out
-
-
-@dataclass
-class QuantSpec:
-    """Bit width plus the (learnable) positive scale of one tensor group."""
-
-    bits: int
-    scale: float = 1.0
-    learnable: bool = True
-
-    def __post_init__(self):
-        _check_bits(self.bits)
-        if self.bits != FULL_PRECISION and self.scale <= 0:
-            raise QuantParamError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def is_full_precision(self) -> bool:
-        return self.bits == FULL_PRECISION
 
 
 @dataclass
@@ -441,25 +411,3 @@ def init_scale(x: np.ndarray, bits: int) -> float:
         return 1.0
     return peak / (2 ** (bits - 1) - 1)
 
-
-def int_matvec(w: QuantizedTensor, x: QuantizedTensor) -> tuple[np.ndarray, float]:
-    """Exact integer matvec: returns (int64 accumulator, combined scale).
-
-    The real-valued result is accumulator * combined_scale.  Raises when the
-    worst-case accumulation could exceed a 32-bit accumulator (cannot happen
-    for INT8xINT8 with inner dim < 2**15).
-    """
-    if w.codes.ndim != 2 or x.codes.ndim != 1:
-        raise ValueError("expected a 2-D weight and 1-D input")
-    if w.codes.shape[1] != x.codes.shape[0]:
-        raise ValueError(f"inner dims mismatch: {w.codes.shape[1]} vs {x.codes.shape[0]}")
-    inner = w.codes.shape[1]
-    w_peak = max(abs(code_bounds(w.bits)[0]), code_bounds(w.bits)[1])
-    x_peak = max(abs(code_bounds(x.bits)[0]), code_bounds(x.bits)[1])
-    worst = inner * w_peak * x_peak
-    if worst >= 2 ** 31:
-        raise KernelError(
-            f"worst-case accumulation {worst} exceeds the 32-bit accumulator bound"
-        )
-    acc = w.codes.astype(np.int64) @ x.codes.astype(np.int64)
-    return acc, w.scale * x.scale

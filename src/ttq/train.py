@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, pad_batch
+from .data import DataFormatError, Dataset, pad_batch
 from .model import ForwardTrace, TransformerModel
 from .quant import MIN_SCALE
 from .tt import TensorShapePlan, TTFormat, _check_cores, tt_chain_vjp
@@ -172,16 +172,19 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
 
 def intent_slot_loss(trace: ForwardTrace, intents: np.ndarray, slots: np.ndarray) -> ad.Tensor:
     """Sum of intent cross-entropy (mean over batch) and slot cross-entropy
-    (mean over unmasked tokens)."""
+    (mean over unmasked tokens).  A label outside the model's heads raises
+    ``DataFormatError``."""
     b, s, k = trace.slot_logits.shape
+    n = trace.intent_logits.shape[1]
+    if intents.min() < 0 or intents.max() >= n or slots.min() < 0 or slots.max() >= k:
+        raise DataFormatError(f"labels outside the model's {n} intents and {k} slots")
     logp_int = ad.log_softmax(trace.intent_logits, axis=-1)
-    picked = ad.gather_rows(ad.reshape(logp_int, (-1,)),
-                            np.arange(b) * trace.intent_logits.shape[1] + intents)
+    picked = ad.gather_rows(ad.reshape(logp_int, (-1,)), np.arange(b) * n + intents)
     intent_ce = ad.scale(ad.sum_all(picked), -1.0 / b)
     logp_slot = ad.log_softmax(trace.slot_logits, axis=-1)
     flat = ad.reshape(logp_slot, (-1,))
     mask = trace.mask.reshape(-1)
-    slot_idx = np.arange(b * s) * k + np.clip(slots.reshape(-1), 0, k - 1)
+    slot_idx = np.arange(b * s) * k + slots.reshape(-1)
     picked_slots = ad.gather_rows(flat, slot_idx)
     m = ad.Tensor(mask.astype(flat.data.dtype))
     denom = max(mask.sum(), 1.0)

@@ -1,6 +1,8 @@
 """Checkpoint round-trips, checksums, packing, and size cross-checks."""
 
+import hashlib
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +233,74 @@ class TestMalformedRecords:
         save_edited_records(TransformerModel(small_config(), 0), p, monkeypatch,
                             lambda records: records + [r for r in records if r[0] == "pos_emb"])
         with pytest.raises(CheckpointError, match="record pos_emb appears twice"):
+            checkpoint_load(p)
+
+
+def with_crc(raw: bytearray) -> bytes:
+    """``raw`` with its crc32 recomputed, so only the field checks can object."""
+    raw[-12:-8] = struct.pack("<I", zlib.crc32(bytes(raw[:-12])) & 0xFFFFFFFF)
+    return bytes(raw)
+
+
+def record_kind_offset(raw: bytes, name: str) -> int:
+    """File offset of record ``name``'s kind byte."""
+    framed = struct.pack("<H", len(name)) + name.encode()
+    return raw.index(framed) + len(framed)
+
+
+def with_config(raw: bytes, edit) -> bytes:
+    """``raw`` with its config JSON rewritten by ``edit`` (same length) and
+    the digest and crc32 recomputed."""
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    cfg = edit(raw[12:12 + cfg_len])
+    assert len(cfg) == cfg_len
+    out = bytearray(raw)
+    out[12:12 + cfg_len] = cfg
+    out[12 + cfg_len:44 + cfg_len] = hashlib.sha256(cfg).digest()
+    return with_crc(out)
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_code_width_outside_2_4_8_names_the_record(self, tmp_path, width):
+        raw = bytearray(FIXTURE.read_bytes())
+        at = record_kind_offset(raw, "embedding.core0")
+        assert raw[at] == 1  # a packed record: its code width follows
+        raw[at + 1] = width
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_crc(raw))
+        with pytest.raises(CheckpointError, match=f"record embedding.core0 has code width {width}"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("first", [b"\xff", b"["])
+    def test_meta_blob_not_utf8_json_names_the_record(self, tmp_path, first):
+        raw = bytearray(FIXTURE.read_bytes())
+        at = record_kind_offset(raw, "encoder0.q.meta")
+        assert raw[at] == 2  # a JSON record: u32 length, then the blob
+        raw[at + 5:at + 6] = first
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_crc(raw))
+        with pytest.raises(CheckpointError, match="record encoder0.q.meta is not UTF-8 JSON"):
+            checkpoint_load(p)
+
+    def test_record_name_not_utf8_is_a_checkpoint_error(self, tmp_path):
+        raw = bytearray(FIXTURE.read_bytes())
+        raw[record_kind_offset(raw, "pos_emb") - 1] = 0xFF
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_crc(raw))
+        with pytest.raises(CheckpointError, match="name is not UTF-8"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: b"\xff" + cfg[1:],  # not UTF-8
+        lambda cfg: b"[" + cfg[1:],  # not JSON
+        lambda cfg: cfg.replace(b'"hidden"', b'"hidder"'),  # TypeError: unknown field
+        lambda cfg: cfg.replace(b'"format":"tt"', b'"format":"xx"'),  # ValueError
+    ], ids=["utf8", "json", "field", "value"])
+    def test_bad_config_is_a_checkpoint_error(self, tmp_path, edit):
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_config(FIXTURE.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match="config"):
             checkpoint_load(p)
 
 

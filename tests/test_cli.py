@@ -281,6 +281,26 @@ class TestErrorPaths:
         p = write_cfg(tmp_path, cfg)
         assert main(["train", str(p)]) == 2
 
+    @pytest.mark.parametrize("damage", ["label", "meta_json", "meta_key"])
+    def test_bad_corpus_exit_code(self, tmp_path, corpus, capsys, damage):
+        if damage == "label":
+            train = corpus / "train.tsv"
+            train.write_text(train.read_text() + "3\t5:0\n")  # intents are 0..2
+        else:
+            meta = corpus / "meta.json"
+            meta.write_text("{not json" if damage == "meta_json" else '{"vocab_size": 40}')
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, tmp_path / "run"))
+        assert main(["train", str(cfg_path)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_corpus_with_more_labels_than_the_model_exit_code(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--seed", "3", "--vocab-size", "40",
+                     "--num-intents", "5", "--num-slots", "4", "--num-examples", "60"]) == 0
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(data_dir, tmp_path / "run"))  # 3 intents
+        assert main(["train", str(cfg_path)]) == 3
+        assert "labels outside the model's 3 intents" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exit_code(self, tmp_path, corpus):
         out = tmp_path / "run"
         cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
@@ -290,6 +310,16 @@ class TestErrorPaths:
         raw[len(raw) // 2] ^= 0xFF
         ckpt.write_bytes(bytes(raw))
         assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
+
+    def test_bad_code_width_exit_code(self, tmp_path, corpus, capsys):
+        from test_checkpoint import FIXTURE, record_kind_offset, with_crc
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, tmp_path / "run"))
+        raw = bytearray(FIXTURE.read_bytes())
+        raw[record_kind_offset(raw, "embedding.core0") + 1] = 0
+        ckpt = tmp_path / "bad_width.ttq"
+        ckpt.write_bytes(with_crc(raw))
+        assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt), "--int8"]) == 5
+        assert "embedding.core0" in capsys.readouterr().err
 
     def test_malformed_checkpoint_exit_code(self, tmp_path, corpus, monkeypatch, capsys):
         from ttq import checkpoint as ckpt_module

@@ -120,3 +120,30 @@ class TestCorpusIO:
     def test_misaligned_slots_rejected(self):
         with pytest.raises(DataFormatError):
             Dataset([([1, 2], 0, [0])], vocab_size=10, num_intents=2, num_slots=3)
+
+    @pytest.mark.parametrize("intent, slots", [(2, [0, 1]), (-1, [0, 1]), (0, [0, 3]),
+                                               (0, [99, 0]), (0, [-1, 0])])
+    def test_label_outside_its_range_rejected(self, intent, slots):
+        with pytest.raises(DataFormatError, match="intent id|slot id"):
+            Dataset([([1, 2], intent, slots)], vocab_size=10, num_intents=2, num_slots=3)
+
+    def test_labels_at_the_range_edges_accepted(self):
+        assert len(Dataset([([1, 2], 1, [2, 0])], vocab_size=10, num_intents=2,
+                           num_slots=3)) == 1
+
+    @pytest.mark.parametrize("meta", ["{not json", "[1, 2]",
+                                      '{"vocab_size": 120, "num_intents": 6}',
+                                      '{"vocab_size": 120, "num_intents": "6", "num_slots": 9}'])
+    def test_meta_not_json_lacking_a_key_or_a_size_rejected(self, tmp_path, meta):
+        write_corpus(gen_synthetic_dataset(seed=10, num_examples=40), tmp_path, seed=10)
+        (tmp_path / "meta.json").write_text(meta)
+        with pytest.raises(DataFormatError, match="meta.json"):
+            read_corpus(tmp_path)
+
+    def test_label_outside_meta_range_rejected_on_read(self, tmp_path):
+        splits = gen_synthetic_dataset(seed=10, num_examples=40)
+        write_corpus(splits, tmp_path, seed=10)
+        bad = tmp_path / "train.tsv"
+        bad.write_text(bad.read_text() + f"{splits['train'].num_intents}\t5:0\n")
+        with pytest.raises(DataFormatError, match="intent id"):
+            read_corpus(tmp_path)

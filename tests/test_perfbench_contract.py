@@ -17,3 +17,15 @@ def test_every_traced_target_is_defined_on_its_owner(monkeypatch):
     for owner, attr, name, _ in spans.targets():
         # Tracer._wrap saves and restores owner.__dict__[attr]
         assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is not defined there"
+
+
+def test_per_layer_table_reads_only_traced_names(monkeypatch):
+    # per_layer indexes its span table by name, so a target that disappears
+    # (a deleted autodiff op, say) fails here with the KeyError a traced run
+    # would raise
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.names = [name for _, _, name, _ in spans.targets()]
+    values, _ = spans.per_layer(tracer, 1, 0.0)
+    assert values.keys() == spans.PER_LAYER.keys()

@@ -13,22 +13,18 @@ from hypothesis.extra import numpy as hnp
 from ttq.quant import (
     BLOCK,
     MIN_SCALE,
-    KernelError,
     QuantInputError,
     QuantParamError,
     QuantizedTensor,
-    QuantSpec,
     code_bounds,
     fake_quant_forward,
     init_scale,
-    int_matvec,
     pairwise_sum,
     quantize,
     quantize_blocks,
     ratio_thresholds,
     requantize,
     round_clipped,
-    round_half_away,
     ste_backward,
     ste_grad_input,
     ste_grad_scale,
@@ -364,54 +360,6 @@ class TestSharedScale:
         np.testing.assert_allclose(full, parts, rtol=1e-12)
 
 
-class TestIntMatvec:
-    def test_identity_codes(self):
-        w = QuantizedTensor(np.eye(2, dtype=np.int32), 1.0, 8)
-        x = QuantizedTensor(np.array([3, 5], dtype=np.int32), 1.0, 8)
-        acc, scale = int_matvec(w, x)
-        np.testing.assert_array_equal(acc, [3, 5])
-        assert scale == 1.0
-
-    def test_matches_fp64_reference(self):
-        # Integer accumulation is exact, so it must equal the FP64 evaluation
-        # of the code matmul bit for bit (codes are well inside 2**53).
-        rng = np.random.default_rng(2)
-        wc = rng.integers(-128, 128, size=(16, 64)).astype(np.int32)
-        xc = rng.integers(-128, 128, size=64).astype(np.int32)
-        w = QuantizedTensor(wc, 0.03, 8)
-        x = QuantizedTensor(xc, 0.11, 8)
-        acc, scale = int_matvec(w, x)
-        ref = wc.astype(np.float64) @ xc.astype(np.float64)
-        np.testing.assert_array_equal(acc.astype(np.float64), ref)
-        np.testing.assert_array_equal(acc * scale, (0.03 * 0.11) * ref)
-
-    def test_zero_codes(self):
-        w = QuantizedTensor(np.zeros((4, 8), dtype=np.int32), 0.5, 4)
-        x = QuantizedTensor(np.zeros(8, dtype=np.int32), 0.5, 8)
-        acc, _ = int_matvec(w, x)
-        np.testing.assert_array_equal(acc, np.zeros(4))
-
-    def test_int8_safe_below_range_analysis_bound(self):
-        n = 2 ** 15 - 1
-        w = QuantizedTensor(np.zeros((1, n), dtype=np.int32), 1.0, 8)
-        x = QuantizedTensor(np.zeros(n, dtype=np.int32), 1.0, 8)
-        acc, _ = int_matvec(w, x)
-        assert acc[0] == 0
-
-    def test_overflow_bound_detected(self):
-        n = 2 ** 17
-        w = QuantizedTensor(np.zeros((1, n), dtype=np.int32), 1.0, 8)
-        x = QuantizedTensor(np.zeros(n, dtype=np.int32), 1.0, 8)
-        with pytest.raises(KernelError):
-            int_matvec(w, x)
-
-    def test_inner_dim_mismatch(self):
-        w = QuantizedTensor(np.zeros((2, 3), dtype=np.int32), 1.0, 8)
-        x = QuantizedTensor(np.zeros(4, dtype=np.int32), 1.0, 8)
-        with pytest.raises(ValueError):
-            int_matvec(w, x)
-
-
 def neighbours(centres, dtype, steps: int = 4) -> np.ndarray:
     """Each centre and its ``steps`` nearest values of ``dtype`` either side."""
     out = []
@@ -485,43 +433,9 @@ class TestSteBackward:
 
 
 class TestSpecAndTensorValidation:
-    def test_bad_bits_rejected(self):
-        with pytest.raises(QuantParamError):
-            QuantSpec(bits=3)
-
-    def test_full_precision_spec_allowed(self):
-        assert QuantSpec(bits=32).is_full_precision
-
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(QuantParamError):
             QuantizedTensor(np.array([8], dtype=np.int32), 1.0, 4)
-
-
-def test_round_half_away_behaviour():
-    np.testing.assert_array_equal(
-        round_half_away(np.array([-2.5, -0.5, 0.0, 0.5, 2.5, 2.4])),
-        [-3.0, -1.0, 0.0, 1.0, 3.0, 2.0],
-    )
-
-
-@given(
-    st.sampled_from([np.float32, np.float64]),
-    st.lists(st.one_of(
-        st.floats(allow_nan=False, width=32),
-        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 127.5, -128.5,
-                         0.49999999999999994, -0.49999999999999994]),
-    ), min_size=1, max_size=32),
-)
-@settings(max_examples=200, deadline=None)
-def test_round_half_away_bitwise_equals_sign_floor_form(dtype, values):
-    x = np.array(values, dtype=dtype)
-    ref = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    got = round_half_away(x)
-    assert got.dtype == ref.dtype
-    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"))
-    in_place = x.copy()
-    assert round_half_away(in_place, out=in_place) is in_place
-    np.testing.assert_array_equal(bits_of(in_place), bits_of(ref))
 
 
 @given(st.lists(st.one_of(
@@ -531,9 +445,9 @@ def test_round_half_away_bitwise_equals_sign_floor_form(dtype, values):
 ), min_size=1, max_size=32))
 @settings(max_examples=200, deadline=None)
 def test_round_clipped_is_exact_half_away_rounding(values):
-    # Against exact rational arithmetic, not round_half_away: that one's
-    # x + 0.5 rounds 0.49999999999999994 + 0.5 up to 1.0, so it returns 1
-    # there; round_clipped returns 0.
+    # Against exact rational arithmetic, not the sign(x) * floor(|x| + 0.5)
+    # form: its |x| + 0.5 rounds 0.49999999999999994 + 0.5 up to 1.0, so it
+    # returns 1 there; round_clipped returns 0.
     def exact(v):
         n = math.floor(abs(Fraction(v)) + Fraction(1, 2))
         return float(n if v >= 0 else -n)  # an int 0 converts to +0.0

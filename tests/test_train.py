@@ -11,7 +11,7 @@ from ttq import autodiff as ad
 from ttq import quant as q
 from ttq import train
 from ttq.config import RunConfig
-from ttq.data import gen_synthetic_dataset
+from ttq.data import DataFormatError, gen_synthetic_dataset
 from ttq.model import ModelConfig, PlanSpec, TransformerModel
 from ttq.train import (
     AdamState,
@@ -444,6 +444,17 @@ class TestLossFunction:
         trace = model.forward(ids, mask)
         loss = intent_slot_loss(trace, intents, slots)
         assert loss.item() > 0
+
+    @pytest.mark.parametrize("intent, slot", [(3, 0), (-1, 0), (0, 5), (0, 99), (0, -1)])
+    def test_label_outside_the_heads_raises(self, intent, slot):
+        # intent 3 of 3 once read example 1's class 0, and slot 99 was clipped to 4
+        model, data = tiny_model_and_data()
+        ids, mask, intents, slots = next(data["train"].batches(8))
+        trace = model.forward(ids, mask)
+        intents, slots = intents.copy(), slots.copy()
+        intents[0], slots[0, 0] = intent, slot
+        with pytest.raises(DataFormatError, match="labels outside"):
+            intent_slot_loss(trace, intents, slots)
 
     def test_loss_gradients_flow_to_all_heads(self):
         model, data = tiny_model_and_data()
