@@ -7,12 +7,10 @@ from .data import Dataset, gen_synthetic_dataset
 from .distill import DistillConfig, loss_terms, run_distillation, stage_loss
 from .model import ModelConfig, PlanSpec, TransformerModel, model_flops, model_size_bytes
 from .quant import QuantizedTensor, fake_quant_forward, quantize
-from .train import TrainConfig, adam_step, train_end_to_end, tt_matvec_vjp
+from .train import TrainConfig, adam_step, train_end_to_end
 from .tt import (
     TensorShapePlan,
-    TTCores,
     TTFormat,
-    TTMCores,
     plan_factorization,
     tt_matvec,
     tt_to_dense,
@@ -22,10 +20,10 @@ from .tt import (
 
 __all__ = [
     "CostReport", "Dataset", "DistillConfig", "ModelConfig", "PlanSpec",
-    "QuantizedTensor", "TensorShapePlan", "TTCores", "TTFormat",
-    "TTMCores", "TrainConfig", "TransformerModel", "adam_step", "fake_quant_forward",
+    "QuantizedTensor", "TensorShapePlan", "TTFormat", "TrainConfig",
+    "TransformerModel", "adam_step", "fake_quant_forward",
     "flops_estimate", "gen_synthetic_dataset", "loss_terms", "model_flops",
     "model_size_bytes", "param_count", "plan_factorization", "quantize",
     "run_distillation", "stage_loss", "train_end_to_end", "tt_matvec",
-    "tt_matvec_vjp", "tt_to_dense", "ttm_row_lookup", "ttm_to_dense",
+    "tt_to_dense", "ttm_row_lookup", "ttm_to_dense",
 ]

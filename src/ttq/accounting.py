@@ -71,18 +71,16 @@ def flops_estimate(
     weight_bits: int = 32,
     activation_bits: int = 32,
     seq_len: int = 1,
-    dense: bool = False,
 ) -> CostReport:
     """Weighted op count of one matvec (or row lookup for TTM) per forward.
 
-    ``dense`` counts the uncompressed M*N matvec on the logical dims; the
-    factorized count walks the actual contraction order on the padded dims.
-    A TTM row is counted as one id looked up alone (``ttm_lookup_mult_count``
-    without ids), an upper bound per id of a batched lookup.
+    ``flops`` walks the actual contraction order on the padded dims;
+    ``flops_dense`` counts the uncompressed M*N matvec on the logical dims,
+    unweighted.  A TTM row is counted as one id looked up alone
+    (``ttm_lookup_mult_count`` without ids), an upper bound per id of a
+    batched lookup.
     """
-    if dense:
-        mults = plan.rows * plan.cols
-    elif plan.format is TTFormat.TT:
+    if plan.format is TTFormat.TT:
         mults = tt_matvec_mult_count(plan)
     else:
         mults = ttm_lookup_mult_count(plan)

@@ -205,12 +205,6 @@ def sqrt(a) -> Tensor:
     return pow_const(a, 0.5)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
@@ -284,12 +278,6 @@ def gelu(a) -> Tensor:
         return (gx,)
 
     return _make(out, (a,), vjp)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ TT/TTM layer's JSON ``<layer>.meta`` record first, then one record per entry
 of ``layer.params()``, kind 1 where ``stored_bits`` is below 32, else kind 0
 (a 0-d scale is written with dims (1,)).  A missing, repeated or unread
 record, a record of the wrong kind, shape or width (kind 1 allows 2, 4 or 8),
-a blob that is not UTF-8 JSON, or a plan for another matrix is a
-``CheckpointError`` that names the record (a name that is not UTF-8, by its
-index).  So is a config that is not a valid ``ModelConfig``.
+a kind-1 scale that is not finite and positive or differs from the float32
+``<layer>.wscale`` of its layer, a blob that is not UTF-8 JSON, or a plan for
+another matrix is a ``CheckpointError`` that names the record (a name that is
+not UTF-8, by its index).  So is a config that is not a valid ``ModelConfig``.
 
 Quantized layers store integer codes, not master floats: reloading yields the
 dequantized surrogate, which forwards identically to the saved model by
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -210,9 +212,8 @@ def _read_records(reader: _Reader, n: int) -> dict:
             (ndim,) = reader.unpack("<B")
             shape = reader.unpack(f"<{ndim}I")
             count = int(np.prod(shape))
-            per_byte = 8 // bits
-            nbytes = (count + per_byte - 1) // per_byte
-            codes = unpack_codes(reader.take(nbytes), bits, count).reshape(shape)
+            codes = unpack_codes(reader.take(packed_code_bytes(count, bits)), bits, count)
+            codes = codes.reshape(shape)
             records[name] = ("packed", (codes, scale, bits))
         elif kind == 2:
             (blen,) = reader.unpack("<I")
@@ -273,12 +274,14 @@ def _restore_model(model: TransformerModel, records: dict):
     for layer in model.layers():
         if isinstance(layer, CoreLayer):
             _restore_meta(layer, take(f"{layer.name}.meta", "json"), dtype)
+        record_scales = []
         for name, param in layer.params():
             bits = stored_bits(layer, param)
             if bits < q.FULL_PRECISION:
                 codes, scale, stored = take(name, "packed")
                 if stored != bits:
                     raise CheckpointError(f"record {name} holds {stored}-bit codes, expected {bits}")
+                record_scales.append((name, scale))
                 value = scale * codes.astype(np.float64)
             else:
                 value = take(name, "array")
@@ -287,6 +290,15 @@ def _restore_model(model: TransformerModel, records: dict):
                 raise CheckpointError(
                     f"record {name} has shape {value.shape}, expected {param.data.shape}")
             param.data = value.reshape(param.data.shape).astype(dtype)
+        # the writer stores the layer's one weight scale in each packed record
+        for name, scale in record_scales:
+            wscale = float(np.float32(layer.weight_scale.data))
+            if not (math.isfinite(scale) and scale > 0):
+                raise CheckpointError(f"record {name} has scale {scale}, expected a finite "
+                                      "positive one")
+            if scale != wscale:
+                raise CheckpointError(f"record {name} has scale {scale}, but "
+                                      f"{layer.weight_scale.name} is {wscale}")
     if records:
         raise CheckpointError(f"record {next(iter(records))} is read by no layer")
 
@@ -307,16 +319,3 @@ def _restore_meta(layer, meta, dtype):
         if layer.act_scale is not None:
             layer.act_scale_ready = bool(meta.get("act_ready", True))
         layer.stage_scales = list(meta["stage_scales"]) if meta.get("stage_scales") else None
-
-
-def payload_bytes(model: TransformerModel) -> int:
-    """Array payload bytes the checkpoint will contain (no framing): must
-    agree with the size-accounting report."""
-    total = 0
-    for name, kind, value in _records_for_model(model):
-        if kind == 0:
-            total += 4 * int(np.asarray(value).size)
-        elif kind == 1:
-            data, _, bits = value
-            total += packed_code_bytes(int(np.asarray(data).size), bits)
-    return total

@@ -112,6 +112,11 @@ class PlanSpec:
         )
 
 
+# each layer group's plan spec and the one format its layers take
+SPEC_FORMATS = {"emb_spec": TTFormat.TTM, "attn_spec": TTFormat.TT, "ffn_spec": TTFormat.TT,
+                "head_spec": TTFormat.TT}
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -136,6 +141,12 @@ class ModelConfig:
             raise ValueError("hidden dim must divide evenly over heads")
         if self.weight_bits not in q.ALLOWED_BITS or self.act_bits not in q.ALLOWED_BITS:
             raise ValueError(f"bits must be in {q.ALLOWED_BITS}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        for key, need in SPEC_FORMATS.items():
+            fmt = TTFormat(getattr(self, key).fmt)
+            if fmt is not need:
+                raise ValueError(f"{key} format must be {need.value!r}, got {fmt.value!r}")
 
     @property
     def np_dtype(self):
@@ -145,14 +156,14 @@ class ModelConfig:
         d = {k: getattr(self, k) for k in (
             "vocab_size", "hidden", "ffn_dim", "num_layers", "num_heads", "max_seq",
             "num_intents", "num_slots", "compress", "weight_bits", "act_bits", "dtype")}
-        for key in ("emb_spec", "attn_spec", "ffn_spec", "head_spec"):
+        for key in SPEC_FORMATS:
             d[key] = getattr(self, key).to_dict()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         kw = dict(d)
-        for key in ("emb_spec", "attn_spec", "ffn_spec", "head_spec"):
+        for key in SPEC_FORMATS:
             if key in kw:
                 kw[key] = PlanSpec.from_dict(kw[key])
         return cls(**kw)
@@ -210,10 +221,43 @@ class FrozenCores:
 
 
 class CoreLayer:
-    """A layer whose weight is a plan's TT/TTM cores."""
+    """A layer whose weight is a plan's TT/TTM cores behind one learnable
+    weight scale, shared by every core, when ``bits`` is below 32.
+
+    The parameter order, cores, then ``bias`` and the scales where a layer
+    has them, is the checkpoint's record order."""
 
     name: str
+    bias: ad.Tensor | None = None
+    act_scale: ad.Tensor | None = None  # the input quantizer's scale
     _frozen: FrozenCores | None = None
+
+    def __init__(self, cores: list[np.ndarray], plan: TensorShapePlan, bits: int, name: str):
+        self.name = name
+        self.bits = bits
+        self.set_cores(cores, plan)
+        self.weight_scale = None
+        if bits != q.FULL_PRECISION:
+            flat = np.concatenate([c.data.ravel() for c in self.cores])
+            self.weight_scale = ad.Parameter(np.asarray(q.init_scale(flat, bits), dtype=flat.dtype),
+                                             name=f"{name}.wscale")
+
+    def params(self):
+        named = self.cores + [self.bias] + self.scale_params()
+        return [(p.name, p) for p in named if p is not None]
+
+    def scale_params(self):
+        return [p for p in (self.weight_scale, self.act_scale) if p is not None]
+
+    def weight_cores(self, mode: str) -> list:
+        """The cores a ``mode`` forward reads: the masters in ``infer_fp`` or
+        at 32 bits, the frozen dequantized cores in ``infer_int`` (bit for
+        bit what fake quantization gives), else the fake-quantized cores."""
+        if mode == "infer_fp" or self.bits == q.FULL_PRECISION:
+            return self.cores
+        if mode == "infer_int":
+            return self.frozen_cores().values
+        return [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
 
     def set_cores(self, cores: list[np.ndarray], plan: TensorShapePlan):
         """Adopt ``plan`` and ``cores`` as fresh parameters named after the layer."""
@@ -257,23 +301,12 @@ class TTLinearLayer(CoreLayer):
 
     def __init__(self, plan: TensorShapePlan, bits: int, act_bits: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "tt_linear"):
-        self.bits = bits
+        super().__init__(init_tt_cores(plan, rng, dtype=dtype), plan, bits, name)
         self.act_bits = act_bits
-        self.name = name
-        self.set_cores(init_tt_cores(plan, rng, dtype=dtype).cores, plan)
         self.bias = ad.Parameter(np.zeros(plan.rows, dtype=dtype), name=f"{name}.bias")
-        if bits != q.FULL_PRECISION:
-            flat = np.concatenate([c.data.ravel() for c in self.cores])
-            self.weight_scale = ad.Parameter(np.asarray(q.init_scale(flat, bits), dtype=dtype),
-                                             name=f"{name}.wscale")
-        else:
-            self.weight_scale = None
+        self.act_scale_ready = act_bits == q.FULL_PRECISION
         if act_bits != q.FULL_PRECISION:
             self.act_scale = ad.Parameter(np.asarray(1.0, dtype=dtype), name=f"{name}.ascale")
-            self.act_scale_ready = False
-        else:
-            self.act_scale = None
-            self.act_scale_ready = True
         self.stage_scales: list[float] | None = None
         # running per-stage max |out| while TransformerModel.calibrate_int runs
         self._calib_peaks: np.ndarray | None = None
@@ -285,22 +318,6 @@ class TTLinearLayer(CoreLayer):
     @property
     def out_dim(self) -> int:
         return self.plan.rows
-
-    def params(self):
-        out = [(c.name, c) for c in self.cores] + [(self.bias.name, self.bias)]
-        if self.weight_scale is not None:
-            out.append((self.weight_scale.name, self.weight_scale))
-        if self.act_scale is not None:
-            out.append((self.act_scale.name, self.act_scale))
-        return out
-
-    def scale_params(self):
-        return [p for p in (self.weight_scale, self.act_scale) if p is not None]
-
-    def _quantized_cores(self) -> list[ad.Tensor]:
-        if self.bits == q.FULL_PRECISION:
-            return self.cores
-        return [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
 
     def _quantize_input(self, x2d: ad.Tensor) -> ad.Tensor:
         if self.act_bits == q.FULL_PRECISION:
@@ -316,15 +333,13 @@ class TTLinearLayer(CoreLayer):
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
-        if mode == "train":
-            y = tt_chain_apply(self._quantize_input(x2d), self._quantized_cores(), self.plan)
-            return ad.add(y, self.bias)
-        if mode == "infer_fp":
-            y = tt_chain_apply(x2d, self.cores, self.plan)
-            return ad.add(y, self.bias)
         if mode == "infer_int":
             return ad.Tensor(self._forward_int(x2d.data))
-        raise ModeError(f"unknown mode {mode!r}")
+        if mode == "train":
+            x2d = self._quantize_input(x2d)
+        elif mode != "infer_fp":
+            raise ModeError(f"unknown mode {mode!r}")
+        return ad.add(tt_chain_apply(x2d, self.weight_cores(mode), self.plan), self.bias)
 
     # -- integer inference -------------------------------------------------
 
@@ -450,15 +465,7 @@ class TTMEmbedding(CoreLayer):
 
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
                  dtype=np.float32, name: str = "embedding"):
-        self.bits = bits
-        self.name = name
-        self.set_cores(init_ttm_cores(plan, rng, dtype=dtype).cores, plan)
-        if bits != q.FULL_PRECISION:
-            flat = np.concatenate([c.data.ravel() for c in self.cores])
-            self.weight_scale = ad.Parameter(np.asarray(q.init_scale(flat, bits), dtype=dtype),
-                                             name=f"{name}.wscale")
-        else:
-            self.weight_scale = None
+        super().__init__(init_ttm_cores(plan, rng, dtype=dtype), plan, bits, name)
 
     @property
     def vocab(self):
@@ -468,26 +475,11 @@ class TTMEmbedding(CoreLayer):
     def dim(self):
         return self.plan.cols
 
-    def params(self):
-        out = [(c.name, c) for c in self.cores]
-        if self.weight_scale is not None:
-            out.append((self.weight_scale.name, self.weight_scale))
-        return out
-
-    def scale_params(self):
-        return [self.weight_scale] if self.weight_scale is not None else []
-
     def forward(self, ids: np.ndarray, mode: str = "train") -> ad.Tensor:
         if np.any(ids >= self.plan.rows) or np.any(ids < 0):
             raise IndexError(f"{self.name}: token id out of vocabulary range")
-        cores = self.cores
-        if mode == "infer_int" and self.bits != q.FULL_PRECISION:
-            # the frozen dequantized cores, the values train mode's fake-quant
-            # gives; the lookup itself stays float
-            cores = self.frozen_cores().values
-        elif mode != "infer_fp" and self.bits != q.FULL_PRECISION:
-            cores = [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
-        return ad.ttm_lookup(ids, cores, self.plan)
+        # infer_int looks up the frozen dequantized cores in float
+        return ad.ttm_lookup(ids, self.weight_cores(mode), self.plan)
 
 
 class DenseEmbedding:
@@ -759,13 +751,11 @@ def tt_model_from_dense(dense: TransformerModel) -> TransformerModel:
     for layer, source in zip(student.layers(), dense.layers()):
         if isinstance(layer, TTLinearLayer):
             w = source.weight.data
-            cores, plan = tt_from_dense_exact(w, *factors(w))
-            layer.set_cores(cores.cores, plan)
+            layer.set_cores(*tt_from_dense_exact(w, *factors(w)))
             layer.bias.data = source.bias.data.copy()
         elif isinstance(layer, TTMEmbedding):
             table = source.table.data
-            cores, plan = ttm_from_dense_exact(table, *factors(table))
-            layer.set_cores(cores.cores, plan)
+            layer.set_cores(*ttm_from_dense_exact(table, *factors(table)))
         else:
             for (_, p), (_, src) in zip(layer.params(), source.params()):
                 p.data = src.data.copy()
@@ -790,7 +780,7 @@ def model_size_bytes(model: TransformerModel) -> CostReport:
                            for _, p in layer.params())}
              for layer in model.layers()]
     compressed = _model_param_count(model)
-    dense = _dense_param_count(model.config)
+    dense = _dense_param_count(model)
     return CostReport(
         param_count_compressed=compressed,
         param_count_dense=dense,
@@ -804,15 +794,16 @@ def _model_param_count(model: TransformerModel) -> int:
     return sum(p.data.size for _, p in model.params())
 
 
-def _dense_param_count(config: ModelConfig) -> int:
-    """Parameter count of the architecturally congruent uncompressed model."""
-    h = config.hidden
-    total = config.vocab_size * h
-    total += config.max_seq * h + 2 * h
-    per_enc = sum(rows * cols + rows for _, rows, cols, _ in encoder_linear_shapes(config))
-    total += config.num_layers * (per_enc + 2 * 2 * h)
-    for classes in (config.num_intents, config.num_slots):
-        total += (h * h + h) + (h * classes + classes)
+def _dense_param_count(model: TransformerModel) -> int:
+    """Parameter count of the architecturally congruent uncompressed model:
+    a layer's cores count as the matrix they represent, its scales as none."""
+    total = 0
+    for layer in model.layers():
+        skip = {id(p) for p in layer.scale_params()}
+        if isinstance(layer, CoreLayer):
+            total += layer.plan.rows * layer.plan.cols
+            skip.update(id(c) for c in layer.cores)
+        total += sum(p.data.size for _, p in layer.params() if id(p) not in skip)
     return total
 
 

@@ -1,4 +1,4 @@
-"""Training: the TT matvec adjoint, Adam, and the optimization loop.
+"""Training: Adam and the optimization loop.
 
 ``train_step`` and ``fit`` are the one optimizer step and epoch loop, for
 end-to-end training (intent plus slot cross-entropy) and every distillation
@@ -18,7 +18,6 @@ from . import autodiff as ad
 from .data import DataFormatError, Dataset, pad_batch
 from .model import ForwardTrace, TransformerModel
 from .quant import MIN_SCALE
-from .tt import TensorShapePlan, TTFormat, _check_cores, tt_chain_vjp
 
 
 class DivergenceError(RuntimeError):
@@ -58,27 +57,6 @@ class TrainConfig:
     @property
     def effective_scale_lr(self) -> float:
         return 0.1 * self.learning_rate if self.scale_lr is None else self.scale_lr
-
-
-# ---------------------------------------------------------------------------
-# Exact adjoints of the TT matvec
-
-
-def tt_matvec_vjp(cores, plan: TensorShapePlan, x: np.ndarray, upstream: np.ndarray):
-    """Gradients of upstream . (W x) w.r.t. every core and x, without
-    materializing W: the batch-1 case of the ``ad.tt_linear`` backward
-    (``tt.tt_chain_vjp``)."""
-    core_list = list(cores)
-    _check_cores(core_list, plan, TTFormat.TT)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (plan.cols,):
-        raise ValueError(f"expected input of length {plan.cols}, got {x.shape}")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (plan.rows,):
-        raise ValueError(f"expected upstream of length {plan.rows}, got {upstream.shape}")
-    _, pullback = tt_chain_vjp(x[None], core_list, plan)
-    gx, *grads = pullback(upstream[None])
-    return grads, gx[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,25 @@ each carrying one row mode and one column mode jointly.
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for ``tt_matvec``, integer
 inference and its calibration; ``tt_chain_vjp`` adds the reverse walk, the
-backward of the ``ad.tt_linear`` node and of ``train.tt_matvec_vjp``.  Its
-twin ``ttm_stages(plan)`` is the TTM row lookup: shared prefix and suffix
-tables, then one join per distinct id; ``ttm_lookup_vjp`` walks it for the
-``ad.ttm_lookup`` node and ``ttm_row_lookup``.  The op counts behind
-``flops_estimate`` follow the same stages.
+backward of the ``ad.tt_linear`` node.  Its twin ``ttm_stages(plan)`` is
+the TTM row lookup: shared prefix and suffix tables, then one join per
+distinct id; ``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node and
+``ttm_row_lookup``.  The op counts behind ``flops_estimate`` follow the same
+stages.
 
-Dense reconstruction here is the reference path: it is used by oracles and
-tests, never by the training or inference hot path.
+Cores are plain lists of arrays, which ``tt_to_dense``, ``ttm_to_dense``,
+``tt_matvec`` and ``ttm_row_lookup`` check against the plan.  Dense
+reconstruction here is the reference path: it is used by oracles and tests,
+never by the training or inference hot path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,7 +225,7 @@ def plan_factorization(
 
 
 # ---------------------------------------------------------------------------
-# Core containers
+# Cores
 
 
 def _check_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan, fmt: TTFormat):
@@ -235,34 +237,6 @@ def _check_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan, fmt: TTForm
     for i, (core, shape) in enumerate(zip(cores, shapes)):
         if tuple(core.shape) != shape:
             raise StructureError(f"core {i} has shape {core.shape}, expected {shape}")
-
-
-@dataclass
-class _Cores:
-    cores: list[np.ndarray]
-    plan: TensorShapePlan = field(repr=False)
-    format: ClassVar[TTFormat]
-
-    def __post_init__(self):
-        _check_cores(self.cores, self.plan, self.format)
-
-    def __iter__(self):
-        return iter(self.cores)
-
-    def __len__(self):
-        return len(self.cores)
-
-
-class TTCores(_Cores):
-    """2d order-3 factors of a TT-compressed matrix."""
-
-    format = TTFormat.TT
-
-
-class TTMCores(_Cores):
-    """d order-4 factors of a TTM-compressed matrix."""
-
-    format = TTFormat.TTM
 
 
 def _gaussian_cores(plan: TensorShapePlan, rng: np.random.Generator, target_std: float,
@@ -283,23 +257,24 @@ def _gaussian_cores(plan: TensorShapePlan, rng: np.random.Generator, target_std:
     return [rng.normal(0.0, per_core_std, size=s).astype(dtype) for s in shapes]
 
 
-def init_tt_cores(plan: TensorShapePlan, rng: np.random.Generator, dtype=np.float64) -> TTCores:
+def init_tt_cores(plan: TensorShapePlan, rng: np.random.Generator,
+                  dtype=np.float64) -> list[np.ndarray]:
     """Random TT cores of a linear weight: entries of std about
     1/sqrt(cols) (fan-in rule)."""
-    return TTCores(_gaussian_cores(plan, rng, 1.0 / math.sqrt(plan.cols), dtype), plan)
+    return _gaussian_cores(plan, rng, 1.0 / math.sqrt(plan.cols), dtype)
 
 
 def init_ttm_cores(plan: TensorShapePlan, rng: np.random.Generator,
-                   dtype=np.float64) -> TTMCores:
+                   dtype=np.float64) -> list[np.ndarray]:
     """Random TTM cores of an embedding table: entries of std about 0.02."""
-    return TTMCores(_gaussian_cores(plan, rng, 0.02, dtype), plan)
+    return _gaussian_cores(plan, rng, 0.02, dtype)
 
 
 # ---------------------------------------------------------------------------
 # Dense reconstruction (oracle path, FP64)
 
 
-def tt_to_dense(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
+def tt_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
     """Materialize the full (rows x cols) matrix from TT cores.
 
     Slice-product reconstruction: chain the cores into the order-2d tensor,
@@ -319,7 +294,7 @@ def tt_to_dense(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan) ->
     return padded[: plan.rows, : plan.cols]
 
 
-def ttm_to_dense(cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
+def ttm_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
     """Materialize the full matrix from TTM cores via joint (row, col) slices."""
     core_list = list(cores)
     _check_cores(core_list, plan, TTFormat.TTM)
@@ -454,8 +429,7 @@ def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShape
     return y, pullback
 
 
-def tt_matvec(cores: TTCores | Sequence[np.ndarray], plan: TensorShapePlan,
-              x: np.ndarray) -> np.ndarray:
+def tt_matvec(cores: Sequence[np.ndarray], plan: TensorShapePlan, x: np.ndarray) -> np.ndarray:
     """y = W x without materializing W, along ``tt_stages(plan)``."""
     core_list = list(cores)
     _check_cores(core_list, plan, TTFormat.TT)
@@ -655,9 +629,7 @@ def ttm_lookup_mult_count(plan: TensorShapePlan) -> int:
     return sum(st.mults for st in ttm_stages(plan))
 
 
-def ttm_row_lookup(
-    cores: TTMCores | Sequence[np.ndarray], plan: TensorShapePlan, row: int
-) -> np.ndarray:
+def ttm_row_lookup(cores: Sequence[np.ndarray], plan: TensorShapePlan, row: int) -> np.ndarray:
     """Row ``row`` of the represented matrix, from core slices only."""
     core_list = list(cores)
     _check_cores(core_list, plan, TTFormat.TTM)
@@ -670,7 +642,8 @@ def ttm_row_lookup(
 # Exact high-rank embeddings of dense matrices (oracle constructions)
 
 
-def tt_from_dense_exact(w: np.ndarray, row_factors, col_factors) -> tuple[TTCores, TensorShapePlan]:
+def tt_from_dense_exact(w: np.ndarray, row_factors,
+                        col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
     """Exact TT representation of a dense matrix by index encoding.
 
     Row cores are identity encoders of the row digits, the first column core
@@ -720,10 +693,11 @@ def tt_from_dense_exact(w: np.ndarray, row_factors, col_factors) -> tuple[TTCore
                 core[j * tail + b, j, b] = 1.0
         cores.append(core)
         right = tail
-    return TTCores(cores, plan), plan
+    return cores, plan
 
 
-def ttm_from_dense_exact(w: np.ndarray, row_factors, col_factors) -> tuple[TTMCores, TensorShapePlan]:
+def ttm_from_dense_exact(w: np.ndarray, row_factors,
+                         col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
     """Exact TTM representation: leading cores encode (row, col) digit pairs,
     the final core carries the data."""
     w = np.asarray(w)
@@ -744,7 +718,7 @@ def ttm_from_dense_exact(w: np.ndarray, row_factors, col_factors) -> tuple[TTMCo
     plan = TensorShapePlan(rows=rows, cols=cols, row_factors=rf, col_factors=cf,
                            ranks=tuple(ranks), format=TTFormat.TTM)
     if d == 1:
-        return TTMCores([padded.reshape(1, pr, pc, 1)], plan), plan
+        return [padded.reshape(1, pr, pc, 1)], plan
     cores = []
     left = 1
     for k in range(d - 1):
@@ -760,4 +734,4 @@ def ttm_from_dense_exact(w: np.ndarray, row_factors, col_factors) -> tuple[TTMCo
     perm = [ax for k in range(d) for ax in (k, d + k)]
     interleaved = np.ascontiguousarray(tensor.transpose(perm))
     cores.append(interleaved.reshape(left, rf[-1], cf[-1], 1))
-    return TTMCores(cores, plan), plan
+    return cores, plan

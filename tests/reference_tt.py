@@ -8,7 +8,9 @@ from the arrays each one contracts.  ``composite_tt_linear`` chains them as
 built before the fused ``ad.tt_linear`` node, and serves as its oracle.
 ``composite_ttm_lookup`` is the TTM row lookup as the take/einsum/reshape
 chain it was before the ``ad.ttm_lookup`` node: every core contracted again
-for every id.  It is that node's gradient oracle.
+for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
+single-vector TT adjoint, checked against finite differences and the
+composite chain.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from ttq import autodiff as ad
+from ttq.tt import TTFormat, _check_cores, tt_chain_vjp
 
 
 def einsum_stages(plan):
@@ -90,3 +93,20 @@ def composite_ttm_lookup(ids, cores, plan):
     if plan.padded_cols != plan.cols:
         out = ad.slice_axis(out, 1, 0, plan.cols)
     return out
+
+
+def tt_matvec_vjp(cores, plan, x, upstream):
+    """Gradients of upstream . (W x) w.r.t. every core and x, without
+    materializing W: the batch-1 case of the ``ad.tt_linear`` backward
+    (``tt.tt_chain_vjp``)."""
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TT)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (plan.cols,):
+        raise ValueError(f"expected input of length {plan.cols}, got {x.shape}")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (plan.rows,):
+        raise ValueError(f"expected upstream of length {plan.rows}, got {upstream.shape}")
+    _, pullback = tt_chain_vjp(x[None], core_list, plan)
+    gx, *grads = pullback(upstream[None])
+    return grads, gx[0]

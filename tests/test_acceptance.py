@@ -12,17 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_checkpoint import payload_bytes
+from reference_distill import attention_entropy_floors, soft_label_entropy_floor
+
 from ttq import autodiff as ad
 from ttq.accounting import param_count
-from ttq.checkpoint import checkpoint_load, checkpoint_save, payload_bytes
+from ttq.checkpoint import checkpoint_load, checkpoint_save
 from ttq.config import RunConfig
 from ttq.data import gen_synthetic_dataset
 from ttq.distill import (
     DistillConfig,
-    attention_entropy_floors,
     loss_terms,
     run_distillation,
-    soft_label_entropy_floor,
     stage_loss,
 )
 from ttq.model import (

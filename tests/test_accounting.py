@@ -52,15 +52,15 @@ class TestParamCount:
 class TestFlopsEstimate:
     def test_dense_fp32_matvec(self):
         plan = plan_factorization(768, 768, 2, 10, row_factors=(24, 32), col_factors=(32, 24))
-        report = flops_estimate(plan, 32, 32, seq_len=1, dense=True)
-        assert report.flops == 2 * 768 * 768 == 1_179_648
+        report = flops_estimate(plan, 32, 32, seq_len=1)
+        assert report.flops_dense == 2 * 768 * 768 == 1_179_648
         assert not report.fixed_point
 
     def test_int8_same_count_flagged_fixed_point(self):
         plan = plan_factorization(768, 768, 2, 10, row_factors=(24, 32), col_factors=(32, 24))
-        fp = flops_estimate(plan, 32, 32, dense=True)
-        q = flops_estimate(plan, 8, 8, dense=True)
-        assert q.flops == fp.flops
+        fp = flops_estimate(plan, 32, 32)
+        q = flops_estimate(plan, 8, 8)
+        assert q.flops_dense == fp.flops_dense
         assert q.fixed_point and not fp.fixed_point
 
     def test_int4_weights_int8_acts_halve_cost(self):

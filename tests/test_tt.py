@@ -11,9 +11,7 @@ from ttq.tt import (
     PlanError,
     StructureError,
     TensorShapePlan,
-    TTCores,
     TTFormat,
-    TTMCores,
     init_tt_cores,
     init_ttm_cores,
     plan_factorization,
@@ -40,9 +38,9 @@ def slice_product_tt(cores, plan):
             cidx = row_digits(c, plan.col_factors)
             acc = np.eye(1)
             for k in range(d):
-                acc = acc @ cores.cores[k][:, ridx[k], :]
+                acc = acc @ cores[k][:, ridx[k], :]
             for k in range(d):
-                acc = acc @ cores.cores[d + k][:, cidx[k], :]
+                acc = acc @ cores[d + k][:, cidx[k], :]
             out[r, c] = acc[0, 0]
     return out[: plan.rows, : plan.cols]
 
@@ -56,7 +54,7 @@ def slice_product_ttm(cores, plan):
             cidx = row_digits(c, plan.col_factors)
             acc = np.eye(1)
             for k in range(d):
-                acc = acc @ cores.cores[k][:, ridx[k], cidx[k], :]
+                acc = acc @ cores[k][:, ridx[k], cidx[k], :]
             out[r, c] = acc[0, 0]
     return out[: plan.rows, : plan.cols]
 
@@ -111,13 +109,13 @@ class TestPlanFactorization:
 class TestTTDense:
     def test_rank_one_outer_product(self):
         plan = TensorShapePlan(2, 2, (2,), (2,), (1, 1, 1), TTFormat.TT)
-        cores = TTCores([np.array([[[1.0], [2.0]]]).reshape(1, 2, 1),
-                         np.array([[[3.0], [4.0]]]).reshape(1, 2, 1)], plan)
+        cores = [np.array([[[1.0], [2.0]]]).reshape(1, 2, 1),
+                 np.array([[[3.0], [4.0]]]).reshape(1, 2, 1)]
         np.testing.assert_allclose(tt_to_dense(cores, plan), [[3.0, 4.0], [6.0, 8.0]])
 
     def test_all_ones_rank_one(self):
         plan = TensorShapePlan(6, 6, (2, 3), (3, 2), (1, 1, 1, 1, 1), TTFormat.TT)
-        cores = TTCores([np.ones(s) for s in plan.core_shapes()], plan)
+        cores = [np.ones(s) for s in plan.core_shapes()]
         np.testing.assert_allclose(tt_to_dense(cores, plan), np.ones((6, 6)))
 
     def test_matches_slice_product_oracle(self):
@@ -137,7 +135,7 @@ class TestTTDense:
             tt_to_dense(bad, plan)
         ttm_plan = plan_factorization(4, 4, 2, 2, fmt=TTFormat.TTM)
         with pytest.raises(StructureError, match="not TT format"):
-            TTCores([np.zeros(s) for s in ttm_plan.core_shapes()], ttm_plan)
+            tt_to_dense([np.zeros(s) for s in ttm_plan.core_shapes()], ttm_plan)
 
 
 class TestTTMDense:
@@ -151,7 +149,7 @@ class TestTTMDense:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(1, 2, 2, 1))
         b = rng.normal(size=(1, 2, 3, 1))
-        cores = TTMCores([a, b], plan)
+        cores = [a, b]
         dense = ttm_to_dense(cores, plan)
         expected = np.kron(a[0, :, :, 0], b[0, :, :, 0])
         np.testing.assert_allclose(dense, expected, rtol=1e-12)
@@ -159,7 +157,7 @@ class TestTTMDense:
 
     def test_zero_cores_zero_matrix(self):
         plan = plan_factorization(8, 6, 2, 2, TTFormat.TTM, row_factors=(2, 4), col_factors=(2, 3))
-        cores = TTMCores([np.zeros(s) for s in plan.core_shapes()], plan)
+        cores = [np.zeros(s) for s in plan.core_shapes()]
         np.testing.assert_allclose(ttm_to_dense(cores, plan), np.zeros((8, 6)))
 
     def test_matches_slice_product_oracle(self):
@@ -173,7 +171,7 @@ class TestTTMDense:
 class TestTTMatvec:
     def test_all_ones_sums_input(self):
         plan = TensorShapePlan(6, 6, (2, 3), (3, 2), (1, 1, 1, 1, 1), TTFormat.TT)
-        cores = TTCores([np.ones(s) for s in plan.core_shapes()], plan)
+        cores = [np.ones(s) for s in plan.core_shapes()]
         x = np.arange(6.0)
         y = tt_matvec(cores, plan, x)
         np.testing.assert_allclose(y, np.full(6, x.sum()))
@@ -253,12 +251,12 @@ class TestTTMRowLookup:
 
     def test_zero_cores_row(self):
         plan = plan_factorization(8, 6, 2, 2, TTFormat.TTM, row_factors=(2, 4), col_factors=(2, 3))
-        cores = TTMCores([np.zeros(s) for s in plan.core_shapes()], plan)
+        cores = [np.zeros(s) for s in plan.core_shapes()]
         np.testing.assert_allclose(ttm_row_lookup(cores, plan, 0), np.zeros(6))
 
     def test_out_of_range_rejected(self):
         plan = plan_factorization(8, 6, 2, 2, TTFormat.TTM, row_factors=(2, 4), col_factors=(2, 3))
-        cores = TTMCores([np.zeros(s) for s in plan.core_shapes()], plan)
+        cores = [np.zeros(s) for s in plan.core_shapes()]
         with pytest.raises(IndexError):
             ttm_row_lookup(cores, plan, 8)
 
