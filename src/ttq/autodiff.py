@@ -16,10 +16,11 @@ feeding many cores) accumulate additively.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
-and backward, run through BLAS matrix products.  A TT linear map is one
-node, ``tt_linear``, whose backward runs the stage adjoints of
-``tt.tt_chain_vjp``; a TTM row lookup is one node, ``ttm_lookup``, over
-``tt.ttm_lookup_vjp``.  Scatter-adds (``take``, the lookup's backward) are
+and backward, run through BLAS matrix products.  A TT layer (input and
+weight quantizers, TT product and bias) is one node, ``tt_linear``, whose
+backward runs the stage adjoints of ``tt.tt_chain_vjp`` and rebuilds the
+quantized values from their int8 codes; a TTM row lookup is one node,
+``ttm_lookup``, over ``tt.ttm_lookup_vjp``.  Scatter-adds (``take``, the lookup's backward) are
 one sorted ``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move
 distinct rows, so each is the other's plain-indexing adjoint.
 """
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quant as q
-from .tt import TensorShapePlan, segment_sum, tt_chain_vjp, ttm_lookup_vjp
+from .tt import TensorShapePlan, segment_sum, tt_chain, tt_chain_vjp, ttm_lookup_vjp
 
 _grad_enabled = True
 
@@ -421,12 +422,107 @@ def einsum(subscripts: str, *operands) -> Tensor:
     return _make(result, tensors, vjp)
 
 
-def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan) -> Tensor:
-    """Batched y = W x, (batch, cols) to (batch, rows), for the TT cores of ``plan``."""
+def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
+              weight=None) -> Tensor:
+    """Batched y = W x + bias, (batch, cols) to (batch, rows), for the TT cores
+    of ``plan``: one node for a whole TT layer.
+
+    ``act`` and ``weight`` are the input and weight quantizers, each a
+    ``(scale Tensor, bits)`` pair or None; 32 bits is none.  The forward
+    quantizes the input once and the cores once, in one ``quantize_blocks``
+    call over their concatenation, walks ``tt.tt_stages`` and adds the bias
+    in place on the last stage's fresh output.
+
+    For the backward the node keeps the input, the int8 codes of the input
+    and of the cores, and the stage inputs after the first.  Stage 0's input
+    and the quantized cores are rebuilt from the codes with
+    ``quant.dequantize``, bit for bit the forward's values.  The input
+    gradient is the straight-through mask applied in place on the stage-0
+    gradient (into a fresh array when padded columns make that gradient a
+    strided view), and likewise each core's.  Each core's scale gradient is
+    cast to the scale's dtype and the casts are summed in core order, so
+    every gradient equals that of a ``fake_quant`` node per input and core
+    feeding a plain TT product and a bias ``add``.  Under ``no_grad``
+    nothing is kept.
+    """
     x2d = _as_tensor(x2d)
     cores = [_as_tensor(c) for c in cores]
-    out, pullback = tt_chain_vjp(x2d.data, [c.data for c in cores], plan)
-    return _make(out, (x2d, *cores), pullback)
+    act, weight = _quantizer(act), _quantizer(weight)
+    scales = [spec[0] for spec in (act, weight) if spec is not None]
+    inputs = [x2d, *cores] + [t for t in [bias] if t is not None] + scales
+    xd, masters = x2d.data, [c.data for c in cores]
+    x_in, w_in = xd, masters
+    if act is not None:
+        a_scale, a_bits = float(act[0].data), act[1]
+        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype)
+    if weight is not None:
+        w_scale, w_bits = float(weight[0].data), weight[1]
+        flat = np.concatenate([m.reshape(-1) for m in masters])
+        w_dtype = flat.dtype
+        w_codes, w_in = q.quantize_blocks(flat, w_scale, w_bits, np.int8, w_dtype)
+        w_in = _split_like(w_in, masters)
+    keep = _records(*inputs)
+    if keep:
+        y, pullback = tt_chain_vjp(x_in, w_in, plan)
+    else:
+        y = tt_chain(x_in, w_in, plan)
+    if bias is not None:
+        b = bias.data
+        fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype
+        y = np.add(y, b, out=None if fresh else y)
+    if not keep:
+        return Tensor(y)
+    quant_x, quant_w = act is not None, weight is not None
+    scale_like = [(t.data.dtype, t.data.shape) for t in scales]
+    bias_shape = None if bias is None else bias.data.shape
+
+    def vjp(g):
+        x_vals = q.dequantize(x_codes, a_scale, xd.dtype) if quant_x else xd
+        w_vals = (_split_like(q.dequantize(w_codes, w_scale, w_dtype), masters)
+                  if quant_w else masters)
+        gx, *g_cores = pullback(g, x_vals, w_vals)
+        del x_vals, w_vals
+        scale_grads = []
+        if quant_x:
+            gx, gs = q.ste_backward(xd, x_codes, a_scale, a_bits, gx, out=_owned(gx))
+            scale_grads.append(_scale_grad(gs, *scale_like[0]))
+        if quant_w:
+            gs_w = None
+            for k, (m, c) in enumerate(zip(masters, _split_like(w_codes, masters))):
+                g_cores[k], gs = q.ste_backward(m, c, w_scale, w_bits, g_cores[k],
+                                                out=_owned(g_cores[k]))
+                gs = _scale_grad(gs, *scale_like[-1])
+                gs_w = gs if gs_w is None else gs_w + gs
+            scale_grads.append(gs_w)
+        bias_grad = [] if bias_shape is None else [_unbroadcast(g, bias_shape)]
+        return (gx, *g_cores, *bias_grad, *scale_grads)
+
+    return _make(y, inputs, vjp)
+
+
+def _quantizer(spec):
+    """A ``(scale Tensor, bits)`` quantizer, or None for none or 32 bits."""
+    return None if spec is None or spec[1] == q.FULL_PRECISION else spec
+
+
+def _owned(g: np.ndarray) -> np.ndarray | None:
+    """``g`` as ``ste_backward``'s in-place ``out`` when it is C-contiguous,
+    else None (a fresh output).  A cropped stage-0 gradient, when the columns
+    are padded, is a strided view: ``ste_backward`` reads it as it is, since
+    its float64 dot products differ in the last bit between a strided and a
+    contiguous copy of the same values."""
+    return g if g.flags.c_contiguous else None
+
+
+def _split_like(flat: np.ndarray, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views of the concatenation ``flat`` in the shapes of ``arrays``."""
+    offsets = np.cumsum([a.size for a in arrays])[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(flat, offsets), arrays)]
+
+
+def _scale_grad(gs, dtype, shape) -> np.ndarray:
+    """A float64 scale gradient in its scale's dtype and shape."""
+    return np.asarray(gs, dtype=dtype).reshape(shape)
 
 
 def ttm_lookup(ids, cores: Sequence, plan: TensorShapePlan) -> Tensor:
@@ -511,12 +607,12 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
         return x
     s = float(scale_t.data)
     xd = x.data
-    s_dtype, s_shape = scale_t.data.dtype, scale_t.data.shape
+    s_like = (scale_t.data.dtype, scale_t.data.shape)
     codes, out = q.quantize_blocks(xd, s, bits, np.int8, xd.dtype)
 
     def vjp(g):
         gx, gs = q.ste_backward(xd, codes, s, bits, g)
-        return (gx, np.asarray(gs, dtype=s_dtype).reshape(s_shape))
+        return (gx, _scale_grad(gs, *s_like))
 
     return _make(out, (x, scale_t), vjp)
 

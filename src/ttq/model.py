@@ -81,6 +81,15 @@ class PlanSpec:
     col_factors: tuple[int, ...] | None = None
     ranks: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.d < 1 or self.rank < 1:
+            raise ValueError(f"plan spec d and rank must be >= 1, "
+                             f"got d={self.d}, rank={self.rank}")
+        for key in ("row_factors", "col_factors", "ranks"):
+            values = getattr(self, key)
+            if values is not None and any(v < 1 for v in values):
+                raise ValueError(f"plan spec {key} must all be >= 1, got {list(values)}")
+
     def resolve(self, rows: int, cols: int) -> TensorShapePlan:
         return plan_factorization(
             rows, cols, self.d, self.rank, self.fmt,
@@ -137,6 +146,12 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for key in ("vocab_size", "hidden", "ffn_dim", "num_heads", "max_seq", "num_intents",
+                    "num_slots"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.num_layers < 0:
+            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
         if self.hidden % self.num_heads:
             raise ValueError("hidden dim must divide evenly over heads")
         if self.weight_bits not in q.ALLOWED_BITS or self.act_bits not in q.ALLOWED_BITS:
@@ -185,9 +200,11 @@ class ForwardTrace:
 # Differentiable TT chains
 
 
-def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan) -> ad.Tensor:
-    """Batched y = W x for TT cores: one ``ad.tt_linear`` node."""
-    return ad.tt_linear(x2d, cores, plan)
+def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan,
+                   bias: ad.Tensor | None = None, act=None, weight=None) -> ad.Tensor:
+    """Batched y = W x + bias for TT cores, with the optional input and weight
+    quantizers ``(scale, bits)``: one ``ad.tt_linear`` node."""
+    return ad.tt_linear(x2d, cores, plan, bias, act, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +230,9 @@ class FrozenCores:
 
     @cached_property
     def values(self) -> list[np.ndarray]:
-        """scale * codes in the cores' dtype: computed in float64 and stored,
-        as ``quantize_blocks`` does, so bit for bit what ``ad.fake_quant``
-        gives."""
-        return [np.multiply(c, self.scale, dtype=np.float64).astype(self.value_dtype)
-                for c in self.codes]
+        """scale * codes in the cores' dtype (``quant.dequantize``), bit for
+        bit what the fake quantizer gives."""
+        return [q.dequantize(c, self.scale, self.value_dtype) for c in self.codes]
 
 
 class CoreLayer:
@@ -249,15 +264,24 @@ class CoreLayer:
     def scale_params(self):
         return [p for p in (self.weight_scale, self.act_scale) if p is not None]
 
-    def weight_cores(self, mode: str) -> list:
-        """The cores a ``mode`` forward reads: the masters in ``infer_fp`` or
-        at 32 bits, the frozen dequantized cores in ``infer_int`` (bit for
-        bit what fake quantization gives), else the fake-quantized cores."""
+    def weight_quantizer(self, mode: str):
+        """``(scale, bits)`` of the fake quantizer a ``mode`` forward applies to
+        the cores, or None: ``infer_fp`` and a 32-bit layer read the masters."""
         if mode == "infer_fp" or self.bits == q.FULL_PRECISION:
+            return None
+        return self.weight_scale, self.bits
+
+    def weight_cores(self, mode: str) -> list:
+        """The cores a ``mode`` forward reads: the masters without a
+        ``weight_quantizer``, the frozen dequantized cores in ``infer_int``
+        (bit for bit what fake quantization gives), else the fake-quantized
+        cores."""
+        quantizer = self.weight_quantizer(mode)
+        if quantizer is None:
             return self.cores
         if mode == "infer_int":
             return self.frozen_cores().values
-        return [ad.fake_quant(c, self.weight_scale, self.bits) for c in self.cores]
+        return [ad.fake_quant(c, *quantizer) for c in self.cores]
 
     def set_cores(self, cores: list[np.ndarray], plan: TensorShapePlan):
         """Adopt ``plan`` and ``cores`` as fresh parameters named after the layer."""
@@ -297,7 +321,9 @@ class CoreLayer:
 
 class TTLinearLayer(CoreLayer):
     """TT-compressed linear map with one shared weight scale and an INT8
-    input quantizer (when ``act_bits`` < 32)."""
+    input quantizer (when ``act_bits`` < 32).  A ``train`` or ``infer_fp``
+    forward is one ``ad.tt_linear`` node (through ``tt_chain_apply``): input
+    quantizer, weight quantizer, TT product and bias together."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, act_bits: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "tt_linear"):
@@ -319,27 +345,27 @@ class TTLinearLayer(CoreLayer):
     def out_dim(self) -> int:
         return self.plan.rows
 
-    def _quantize_input(self, x2d: ad.Tensor) -> ad.Tensor:
-        if self.act_bits == q.FULL_PRECISION:
-            return x2d
-        if not self.act_scale_ready:
-            self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
-                                             dtype=self.act_scale.data.dtype)
-            self.act_scale_ready = True
-        if self._calib_peaks is not None:
-            np.maximum(self._calib_peaks, self.stage_peaks(x2d.data), out=self._calib_peaks)
-        return ad.fake_quant(x2d, self.act_scale, self.act_bits)
-
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
+        """The first ``train`` forward with an input quantizer sets its scale
+        from the input; while ``TransformerModel.calibrate_int`` runs, each
+        input's per-stage peaks are folded into the running ones."""
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
         if mode == "infer_int":
             return ad.Tensor(self._forward_int(x2d.data))
-        if mode == "train":
-            x2d = self._quantize_input(x2d)
-        elif mode != "infer_fp":
+        if mode not in ("train", "infer_fp"):
             raise ModeError(f"unknown mode {mode!r}")
-        return ad.add(tt_chain_apply(x2d, self.weight_cores(mode), self.plan), self.bias)
+        act = None
+        if mode == "train" and self.act_bits != q.FULL_PRECISION:
+            if not self.act_scale_ready:
+                self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
+                                                 dtype=self.act_scale.data.dtype)
+                self.act_scale_ready = True
+            if self._calib_peaks is not None:
+                np.maximum(self._calib_peaks, self.stage_peaks(x2d.data), out=self._calib_peaks)
+            act = (self.act_scale, self.act_bits)
+        return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act,
+                              self.weight_quantizer(mode))
 
     # -- integer inference -------------------------------------------------
 

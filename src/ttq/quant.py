@@ -11,13 +11,15 @@ One blocked kernel, ``quantize_blocks``, does every quantization: it walks
 the input in blocks of 128 KiB of scratch per buffer (``block_size``), so
 the scratch stays in cache, and stores the integer codes (and, on request,
 the dequantized values) block by block.  ``quantize``,
-``fake_quant_forward``, the autodiff ``fake_quant`` node and integer
-inference all call it, so rounding lives in one place.  The autodiff node
-keeps only the int8 codes (1 byte per element) between forward and
-backward, and ``ste_backward`` allocates nothing shaped like the input but
-the input gradient.  Codes and values are bit for bit those of the
-elementwise float64 reference (the float64 ratio ``x / scale``, clipped and
-rounded half away from zero), and so is the input gradient:
+``fake_quant_forward``, the autodiff ``fake_quant`` and ``tt_linear`` nodes
+and integer inference all call it, so rounding lives in one place.  The
+autodiff nodes keep only the int8 codes (1 byte per element) between
+forward and backward; ``dequantize`` rebuilds the values from them bit for
+bit, and ``ste_backward`` allocates nothing shaped like the input but the
+input gradient, which it may write over ``g``.  Codes and values are bit
+for bit those of the elementwise float64 reference (the float64 ratio
+``x / scale``, clipped and rounded half away from zero), and so is the
+input gradient:
 
 * the elementwise work runs in float32 when that is exact (a float32 input
   with a float32 scale), else in float64.  ``round_ratio`` rounds the
@@ -221,6 +223,20 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
 
 
+def dequantize(codes: np.ndarray, scale: float, dtype) -> np.ndarray:
+    """``scale * codes`` stored as ``dtype``: bit for bit the values
+    ``quantize_blocks`` gives for an input of ``dtype`` at ``scale``.
+
+    When ``quantize_blocks`` works in float32 (a float32 ``dtype`` and a
+    float32 ``scale``) this is one float32 multiply, as there; otherwise the
+    float64 product stored as ``dtype``, as there.  The codes are integers
+    of at most 8 bits, so every dtype holds them exactly."""
+    dtype = np.dtype(dtype)
+    if dtype == np.float32 and float(np.float32(scale)) == scale:
+        return np.multiply(codes, np.float32(scale), dtype=np.float32)
+    return np.multiply(codes, scale, dtype=np.float64).astype(dtype, copy=False)
+
+
 REQUANT_TOL = 2.0 ** -14  # float32 requantize: bounds |r32 - r64| for |r| <= 128.5
 
 
@@ -327,26 +343,34 @@ def pairwise_sum(leaf_sum, start: int, stop: int):
 
 
 def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
-                 g: np.ndarray) -> tuple[np.ndarray, float]:
+                 g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of ``fake_quant_forward``.
 
     ``x`` is the floating input, ``codes`` the forward's codes of it.
     Returns ``g`` masked to the in-range elements (``gx = g *
     ste_grad_input``, in ``g``'s dtype, bit for bit) and the float64 scale
-    gradient ``sum(g * ste_grad_scale(x))``.  The mask is two compares of
-    ``x`` against ``ratio_thresholds``.  In range the surrogate is
-    ``code - x/scale`` and outside it the code, so the scale gradient is the
-    two dot products ``sum(g * code) - sum(gx * x) / scale``: each leaf of
-    ``pairwise_sum`` takes both in float64, and the leaves add along the
-    pairwise tree.  Their order differs from the reference's, so they agree
-    within the float64 dot-product error bound, not bit for bit.
+    gradient ``sum(g * ste_grad_scale(x))``.  ``gx`` is written into ``out``
+    when given: a C-contiguous array of ``g``'s shape and dtype, which may be
+    ``g`` itself.  The mask is two compares of ``x`` against
+    ``ratio_thresholds``.  In range the surrogate is ``code - x/scale`` and
+    outside it the code, so the scale gradient is the two dot products
+    ``sum(g * code) - sum(gx * x) / scale``: each leaf of ``pairwise_sum``
+    takes both in float64 (``g``'s before its block is masked), and the
+    leaves add along the pairwise tree.  Their order differs from the
+    reference's, so they agree within the float64 dot-product error bound,
+    not bit for bit.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     flat, cflat = x.reshape(-1), codes.reshape(-1)
     g = np.asarray(g)
     gflat = g.reshape(-1)
     n = flat.size
-    gx = np.empty(n, dtype=g.dtype)
+    if out is None:
+        gx = np.empty(n, dtype=g.dtype)
+    elif out.shape == g.shape and out.dtype == g.dtype and out.flags.c_contiguous:
+        gx = out.reshape(-1)
+    else:
+        raise ValueError("out must be a C-contiguous array of g's shape and dtype")
     width = min(n, BLOCK)
     inside = np.empty(width, dtype=bool)
     not_above = np.empty(width, dtype=bool)
@@ -357,10 +381,10 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)
         m &= o
+        g_code = np.einsum("i,i->", gb, cb, dtype=np.float64)
         gxb = gx[start:stop]
         np.multiply(gb, m, out=gxb)
-        return np.array([np.einsum("i,i->", gb, cb, dtype=np.float64),
-                         np.einsum("i,i->", gxb, xb, dtype=np.float64)])
+        return np.array([g_code, np.einsum("i,i->", gxb, xb, dtype=np.float64)])
 
     g_code, gx_x = pairwise_sum(leaf_sum, 0, n)
     return gx.reshape(x.shape), np.float64(g_code - gx_x / scale)

@@ -67,7 +67,12 @@ class TrainConfig:
 class AdamState:
     """Step count, first and second moments, and for each parameter of rank
     >= 1 with rows never touched so far, the mask of the leading-axis rows
-    that ever had a nonzero gradient."""
+    that ever had a nonzero gradient.
+
+    A parameter of rank >= 1 stores its moments only up to the last row that
+    ever had a nonzero gradient; the rows past the stored ones are +0.0.  So
+    the position table's moments cover the positions batches have reached,
+    not ``max_seq``."""
 
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -84,6 +89,15 @@ def _adam_update(p, g, m, v, t: int, lr: float, config: TrainConfig):
     v_hat = v / (1 - b2 ** t)
     # an ndarray even for a 0-d p, whose arithmetic gives numpy scalars
     return np.asarray(p - lr * m_hat / (np.sqrt(v_hat) + config.eps), dtype=p.dtype), m, v
+
+
+def _stored(moment: np.ndarray, rows: int) -> np.ndarray:
+    """``moment`` grown with +0.0 rows to at least ``rows`` leading rows."""
+    if len(moment) >= rows:
+        return moment
+    grown = np.zeros((rows,) + moment.shape[1:])
+    grown[:len(moment)] = moment
+    return grown
 
 
 def _live_rows(state: AdamState, key: int, g: np.ndarray):
@@ -111,7 +125,8 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
     Only live rows are updated: a row whose gradient has been zero (either
     sign) at every step so far has m = v = +0, so its update is exactly zero
     and skipping it is bit-identical.  A batch touches only its positions'
-    rows of the position table.
+    rows of the position table.  The moments are stored up to the last live
+    row and grow when a later row goes live (``AdamState``).
     """
     for p in params:
         g = grads.get(id(p))
@@ -125,14 +140,17 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
         if g is None:
             continue
         key = id(p)
-        if key not in state.m:
-            state.m[key] = np.zeros_like(p.data, dtype=np.float64)
-            state.v[key] = np.zeros_like(p.data, dtype=np.float64)
+        if key not in state.m:  # no rows stored yet
+            shape = (0,) + p.data.shape[1:] if p.data.ndim else ()
+            state.m[key], state.v[key] = np.zeros(shape), np.zeros(shape)
             if p.data.ndim:
                 state.live[key] = np.zeros(len(p.data), dtype=bool)
-        m, v = state.m[key], state.v[key]
         lr = config.effective_scale_lr if key in scale_params else config.learning_rate
         rows = _live_rows(state, key, g)
+        if p.data.ndim:
+            n = len(p.data) if rows is None else (int(rows[-1]) + 1 if rows.size else 0)
+            state.m[key], state.v[key] = _stored(state.m[key], n), _stored(state.v[key], n)
+        m, v = state.m[key], state.v[key]
         if rows is None:
             p.data, state.m[key], state.v[key] = _adam_update(p.data, g, m, v, t, lr, config)
         else:
@@ -219,6 +237,12 @@ def train_step(model: TransformerModel, state: AdamState, config: TrainConfig,
     """One Adam step on ``loss``, a scalar from a forward of ``model``;
     returns the loss value.  A non-finite loss raises ``DivergenceError``
     before anything changes.
+
+    The backward consumes the graph, which frees what the forward kept for
+    it: for each TT layer, its one ``ad.tt_linear`` node's input, int8 codes
+    and stage inputs after the first, no float copy of a quantized input.
+    Each ``.grad`` then lives until the next step clears it, and Adam's
+    moments are stored up to each parameter's last live row (``AdamState``).
 
     ``.grad`` is cleared just before the backward, its only writer, so the
     values equal those of clearing before the forward.  ``ad.backward`` and

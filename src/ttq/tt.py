@@ -10,7 +10,8 @@ each carrying one row mode and one column mode jointly.
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for ``tt_matvec``, integer
 inference and its calibration; ``tt_chain_vjp`` adds the reverse walk, the
-backward of the ``ad.tt_linear`` node.  Its twin ``ttm_stages(plan)`` is
+backward of the ``ad.tt_linear`` node, which keeps the stage inputs after
+the first.  Its twin ``ttm_stages(plan)`` is
 the TTM row lookup: shared prefix and suffix tables, then one join per
 distinct id; ``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node and
 ``ttm_row_lookup``.  The op counts behind ``flops_estimate`` follow the same
@@ -407,22 +408,30 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
 
 
 def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan):
-    """``tt_chain`` plus its pullback: the map from the gradient of the
-    (batch, rows) result to the gradients ``(x2d, *cores)``, running each
-    stage's ``adjoint`` in reverse over the kept stage inputs."""
+    """``tt_chain`` plus its pullback ``pullback(g, x2d, cores)``: the map from
+    the gradient of the (batch, rows) result to the gradients
+    ``(x2d, *cores)``, running each stage's ``adjoint`` in reverse.
+
+    Only the stage inputs after the first are kept.  Stage 0's input is
+    ``x2d`` padded, and the pullback takes ``x2d`` and the cores again from
+    its caller, so a caller that can rebuild them (the ``ad.tt_linear`` node
+    rebuilds quantized ones from their int8 codes) need not keep them."""
     inputs = []
 
     def keep(i, stage, acc, core, out):
-        inputs.append(acc)
+        if i:
+            inputs.append(acc)
         return out
 
     y = tt_chain(x2d, cores, plan, keep)
 
-    def pullback(g: np.ndarray) -> tuple:
+    def pullback(g: np.ndarray, x2d: np.ndarray, cores: Sequence[np.ndarray]) -> tuple:
         pad = plan.padded_rows - plan.rows
         g = np.pad(g, ((0, 0), (0, pad))) if pad else g
+        pad = plan.padded_cols - plan.cols
+        first = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
         grads = [None] * len(cores)
-        for stage, acc in zip(reversed(tt_stages(plan)), reversed(inputs)):
+        for stage, acc in zip(reversed(tt_stages(plan)), reversed([first] + inputs)):
             g, grads[stage.core] = stage.adjoint(acc, cores[stage.core], g)
         return (g[:, : plan.cols], *grads)
 

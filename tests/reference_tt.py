@@ -6,9 +6,11 @@ one einsum per stage.  ``measured_mults`` walks them and counts multiplies
 from the arrays each one contracts.  ``composite_tt_linear`` chains them as
 ``ad.reshape`` + ``ad.einsum`` autodiff nodes, which is how a TT layer was
 built before the fused ``ad.tt_linear`` node, and serves as its oracle.
-``composite_ttm_lookup`` is the TTM row lookup as the take/einsum/reshape
-chain it was before the ``ad.ttm_lookup`` node: every core contracted again
-for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
+``composed_tt_layer`` is a quantized TT layer as the ``fake_quant`` +
+``tt_linear`` + ``add`` nodes it was before they became one node, and is
+that node's oracle.  ``composite_ttm_lookup`` is the TTM row lookup as the
+take/einsum/reshape chain it was before the ``ad.ttm_lookup`` node: every
+core contracted again for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
 single-vector TT adjoint, checked against finite differences and the
 composite chain.
 """
@@ -72,6 +74,21 @@ def composite_tt_linear(x2d, cores, plan):
     return out
 
 
+def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None):
+    """A TT layer as separate autodiff nodes, as it was built before its
+    quantizers and bias joined the ``ad.tt_linear`` node: ``ad.fake_quant``
+    of the input and of each core (for ``act``/``weight`` quantizers
+    ``(scale, bits)``), the plain ``ad.tt_linear`` product, and ``ad.add`` of
+    the bias.  ``ad.fake_quant`` is looked up at call time.  It takes the
+    arguments of ``model.tt_chain_apply`` and is that node's oracle."""
+    if act is not None:
+        x2d = ad.fake_quant(x2d, *act)
+    if weight is not None:
+        cores = [ad.fake_quant(c, *weight) for c in cores]
+    y = ad.tt_linear(x2d, cores, plan)
+    return y if bias is None else ad.add(y, bias)
+
+
 def composite_ttm_lookup(ids, cores, plan):
     """Rows ``ids`` of a TTM matrix as a chain of take, einsum and reshape
     autodiff nodes over the mixed-radix digits of every id."""
@@ -108,5 +125,5 @@ def tt_matvec_vjp(cores, plan, x, upstream):
     if upstream.shape != (plan.rows,):
         raise ValueError(f"expected upstream of length {plan.rows}, got {upstream.shape}")
     _, pullback = tt_chain_vjp(x[None], core_list, plan)
-    gx, *grads = pullback(upstream[None])
+    gx, *grads = pullback(upstream[None], x[None], core_list)
     return grads, gx[0]

@@ -310,7 +310,9 @@ class TestMalformedHeaders:
         lambda cfg: cfg.replace(b'"format":"tt"', b'"format":"xx"'),  # ValueError
         lambda cfg: cfg.replace(b'"dtype":"float32"', b'"dtype":"float16"'),
         lambda cfg: cfg.replace(b'"format":"ttm"', b'"format":"tt" '),  # a TT embedding
-    ], ids=["utf8", "json", "field", "value", "dtype", "spec_format"])
+        lambda cfg: cfg.replace(b'"num_heads":2', b'"num_heads":0'),  # was ZeroDivisionError
+        lambda cfg: cfg.replace(b'"rank":4', b'"rank":0'),
+    ], ids=["utf8", "json", "field", "value", "dtype", "spec_format", "size", "rank"])
     def test_bad_config_is_a_checkpoint_error(self, tmp_path, edit):
         p = tmp_path / "m.ttq"
         p.write_bytes(with_config(FIXTURE.read_bytes(), edit))

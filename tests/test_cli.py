@@ -333,11 +333,27 @@ class TestErrorPaths:
         assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
         assert "record embedding.core0 has scale nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key, value", [
+    BAD_MODEL_CONFIGS = [
         ("model", "dtype", "float16"),
         ("attn_spec", "format", "ttm"),
         ("emb_spec", "format", "tt"),
-    ])
+        ("model", "num_heads", 0),
+        ("model", "vocab_size", 0),
+        ("model", "hidden", 0),
+        ("model", "ffn_dim", 0),
+        ("attn_spec", "rank", 0),
+        ("model", "max_seq", 0),
+        ("model", "num_intents", 0),
+        ("model", "num_slots", 0),
+        ("model", "num_layers", -1),
+        ("ffn_spec", "d", 0),
+        ("head_spec", "row_factors", [0, 4]),
+        ("emb_spec", "ranks", [1, 0, 1]),
+    ]
+
+    @pytest.mark.parametrize("section, key, value", BAD_MODEL_CONFIGS,
+                             ids=["-".join(str(part).replace(" ", "") for part in case)
+                                  for case in BAD_MODEL_CONFIGS])
     def test_bad_model_config_exit_code(self, tmp_path, corpus, capsys, section, key, value):
         cfg = toy_cfg_dict(corpus, tmp_path / "run")
         target = cfg["model"] if section == "model" else cfg["model"][section]

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference_tt import tt_matvec_vjp
+from reference_tt import composed_tt_layer, tt_matvec_vjp
 
 from ttq import autodiff as ad
 from ttq import quant as q
+from ttq import model as model_module
 from ttq import train
 from ttq.config import RunConfig
 from ttq.data import DataFormatError, gen_synthetic_dataset
@@ -24,6 +25,7 @@ from ttq.train import (
     intent_slot_loss,
     snapshot_params,
     train_end_to_end,
+    train_step,
 )
 from ttq.tt import TTFormat, init_tt_cores, plan_factorization, tt_to_dense, TensorShapePlan
 
@@ -123,7 +125,8 @@ class TestAdam:
         state = AdamState()
         adam_step([p], {id(p): np.zeros(1)}, state, TrainConfig(epochs=1))
         np.testing.assert_array_equal(p.data, [3.0])
-        np.testing.assert_array_equal(state.m[id(p)], [0.0])
+        assert_stored_moment(state.m[id(p)], np.zeros(1))
+        assert_stored_moment(state.v[id(p)], np.zeros(1))
 
     def test_deterministic_across_runs(self):
         def run():
@@ -199,11 +202,47 @@ class TestAdam:
             for p, q in zip(live_params, full_params):
                 assert p.data.dtype == q.data.dtype
                 assert p.data.tobytes() == q.data.tobytes(), (step, p.name)
-                assert live.m[id(p)].tobytes() == full.m[id(q)].tobytes(), (step, p.name)
-                assert live.v[id(p)].tobytes() == full.v[id(q)].tobytes(), (step, p.name)
+                assert_stored_moment(live.m[id(p)], full.m[id(q)], (step, p.name))
+                assert_stored_moment(live.v[id(p)], full.v[id(q)], (step, p.name))
         # rows 7 and 8 of the last parameter never had a nonzero gradient
         assert not live.live[id(live_params[4])][7:].any()
         assert np.signbit(live_params[4].data[7:]).all()
+
+    def test_moments_grow_when_a_high_row_goes_live_late(self):
+        """Rows 0 and 1 train for three steps, then row 8 of 10 goes live:
+        the stored moments grow from 2 to 9 rows and then to all 10, equal
+        byte for byte to the full-size reference, whose rows past them are
+        +0.0."""
+        rng = np.random.default_rng(7)
+        init = rng.normal(size=(10, 3)).astype(np.float32)
+        p, ref = ad.Parameter(init.copy(), name="p"), ad.Parameter(init.copy(), name="p")
+        live, full = AdamState(), ReferenceAdamState()
+        cfg = TrainConfig(learning_rate=0.05, epochs=1)
+        stored = []
+        for step, rows in enumerate([[0, 1], [1], [0], [8], [2, 8], [9], [3, 4, 5, 6, 7]]):
+            g = np.zeros(init.shape, dtype=np.float32)
+            g[rows] = rng.normal(size=(len(rows), 3))
+            adam_step([p], {id(p): g}, live, cfg)
+            reference_adam_step([ref], {id(ref): g.copy()}, full, cfg)
+            assert p.data.tobytes() == ref.data.tobytes(), step
+            assert_stored_moment(live.m[id(p)], full.m[id(ref)], step)
+            assert_stored_moment(live.v[id(p)], full.v[id(ref)], step)
+            stored.append(len(live.m[id(p)]))
+        assert stored == [2, 2, 2, 9, 9, 10, 10]
+        assert id(p) not in live.live  # every row has gone live
+
+
+def assert_stored_moment(stored, full, label=None):
+    """``stored`` holds the leading rows of the full-size moment ``full`` byte
+    for byte (all of it for a 0-d one), and every row of ``full`` past them
+    is +0.0."""
+    assert stored.dtype == full.dtype and stored.shape[1:] == full.shape[1:], label
+    if full.ndim == 0:
+        assert stored.shape == () and stored.tobytes() == full.tobytes(), label
+        return
+    assert stored.tobytes() == full[:len(stored)].tobytes(), label
+    rest = full[len(stored):]
+    assert not rest.any() and not np.signbit(rest).any(), label
 
 
 @dataclass
@@ -403,11 +442,17 @@ def toy_int8_qat_steps(monkeypatch, steps=2):
 
 
 def test_qat_steps_bit_identical_to_reference_fake_quant(monkeypatch):
+    """The reference run builds every TT layer as the composition of
+    ``reference_fake_quant`` nodes, a plain TT product and a bias add, so it
+    checks the fused TT node and the embedding's quantizer together."""
     kernel = toy_int8_qat_steps(monkeypatch)
     reference_fake_quant.calls = 0
     monkeypatch.setattr(ad, "fake_quant", reference_fake_quant)
+    monkeypatch.setattr(model_module, "tt_chain_apply", composed_tt_layer)
     reference = toy_int8_qat_steps(monkeypatch)
-    assert reference_fake_quant.calls > 0
+    # per step: the embedding's 2 cores, and the input and 4 cores of each
+    # of the 12 encoder TT layers
+    assert reference_fake_quant.calls == 2 * (2 + 12 * 5)
     for got, want in zip(kernel, reference):
         for key in ("loss", "grads", "params"):
             assert len(got[key]) == len(want[key])
@@ -436,6 +481,34 @@ def test_toy_int8_graph_holds_only_what_the_backward_reads():
         tracemalloc.stop()
     assert held < 12e3 * mask.sum()
     assert set(ad.backward(loss)) == {id(p) for _, p in model.params()}
+
+
+def test_toy_int8_graph_keeps_no_float_copy_of_a_quantized_tt_input():
+    """The TT layers' one autodiff node keeps its input's int8 codes, not the
+    fake-quantized copy: the graph after a train-mode forward held ~10.35 KB
+    per real token with that copy and ~8.33 KB without it, so the bound is
+    the second figure plus 10%.  One step later the position table's Adam
+    moments cover only the positions the batch reached."""
+    cfg = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "toy_int8.json")
+    data = gen_synthetic_dataset(seed=11, vocab_size=120, num_intents=6, num_slots=8,
+                                 num_examples=200)
+    model = TransformerModel(cfg.model, cfg.seed)
+    ids, mask, intents, slots = next(data["train"].batches(cfg.train.batch_size))
+    with ad.no_grad():
+        model.forward(ids, mask)  # sets the input scales
+    tracemalloc.start()
+    try:
+        loss = intent_slot_loss(model.forward(ids, mask), intents, slots)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * 8.33e3 * mask.sum()
+    state = AdamState()
+    train_step(model, state, TrainConfig(), loss)
+    seq = ids.shape[1]
+    assert mask[:, seq - 1].any() and seq < cfg.model.max_seq
+    for moment in (state.m[id(model.pos_emb)], state.v[id(model.pos_emb)]):
+        assert moment.shape == (seq, cfg.model.hidden)
 
 
 class TestLossFunction:
