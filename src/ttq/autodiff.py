@@ -423,7 +423,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
 
 
 def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
-              weight=None) -> Tensor:
+              weight=None, post=None) -> Tensor:
     """Batched y = W x + bias, (batch, cols) to (batch, rows), for the TT cores
     of ``plan``: one node for a whole TT layer.
 
@@ -431,7 +431,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     ``(scale Tensor, bits)`` pair or None; 32 bits is none.  The forward
     quantizes the input once and the cores once, in one ``quantize_blocks``
     call over their concatenation, walks ``tt.tt_stages`` and adds the bias
-    in place on the last stage's fresh output.
+    in place on the last stage's fresh output.  ``post`` is ``tt.tt_chain``'s
+    stage hook.
 
     For the backward the node keeps the input, the int8 codes of the input
     and of the cores, and the stage inputs after the first.  Stage 0's input
@@ -463,9 +464,9 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
         w_in = _split_like(w_in, masters)
     keep = _records(*inputs)
     if keep:
-        y, pullback = tt_chain_vjp(x_in, w_in, plan)
+        y, pullback = tt_chain_vjp(x_in, w_in, plan, post)
     else:
-        y = tt_chain(x_in, w_in, plan)
+        y = tt_chain(x_in, w_in, plan, post)
     if bias is not None:
         b = bias.data
         fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype

@@ -26,8 +26,9 @@ of ``layer.params()``, kind 1 where ``stored_bits`` is below 32, else kind 0
 (a 0-d scale is written with dims (1,)).  A missing, repeated or unread
 record, a record of the wrong kind, shape or width (kind 1 allows 2, 4 or 8),
 a kind-1 scale that is not finite and positive or differs from the float32
-``<layer>.wscale`` of its layer, a blob that is not UTF-8 JSON, or a plan for
-another matrix is a ``CheckpointError`` that names the record (a name that is
+``<layer>.wscale`` of its layer, a blob that is not UTF-8 JSON, a plan for
+another matrix, or ``stage_scales`` other than null or one finite positive
+number per stage is a ``CheckpointError`` that names the record (a name that is
 not UTF-8, by its index).  So is a config that is not a valid ``ModelConfig``.
 
 Quantized layers store integer codes, not master floats: reloading yields the
@@ -41,15 +42,17 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import quant as q
 from .accounting import packed_code_bytes
 from .model import CoreLayer, ModelConfig, TransformerModel, TTLinearLayer, stored_bits
-from .tt import TensorShapePlan
+from .tt import TensorShapePlan, tt_stages
 
 MAGIC = b"TTQ1"
 VERSION = 1
@@ -165,11 +168,11 @@ def checkpoint_save(model: TransformerModel, path: str | Path) -> int:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError("truncated checkpoint")
         chunk = self.buf[self.pos:self.pos + n]
@@ -180,9 +183,9 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _json(raw: bytes, what: str):
+def _json(raw: memoryview, what: str):
     try:
-        return json.loads(raw.decode())
+        return json.loads(str(raw, "utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise CheckpointError(f"{what} is not UTF-8 JSON: {exc}") from exc
 
@@ -192,7 +195,7 @@ def _read_records(reader: _Reader, n: int) -> dict:
     for i in range(n):
         (name_len,) = reader.unpack("<H")
         try:
-            name = reader.take(name_len).decode()
+            name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"record {i}: name is not UTF-8") from exc
         if name in records:
@@ -232,7 +235,7 @@ def checkpoint_load(path: str | Path) -> TransformerModel:
     if total != len(raw):
         raise CheckpointError(f"length mismatch: header says {total}, file is {len(raw)}")
     (crc_stored,) = struct.unpack("<I", raw[-12:-8])
-    body = raw[:-12]
+    body = memoryview(raw)[:-12]  # the records are read in place
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError("checksum failure")
     reader = _Reader(body)
@@ -252,7 +255,8 @@ def checkpoint_load(path: str | Path) -> TransformerModel:
         raise CheckpointError(f"config holds no valid model config: {exc!r}") from exc
     (n_rec,) = reader.unpack("<I")
     records = _read_records(reader, n_rec)
-    model = TransformerModel(config, 0)  # every parameter is overwritten from its record
+    # every parameter is overwritten from its record, so none is drawn
+    model = TransformerModel(config, SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size)))
     _restore_model(model, records)
     return model
 
@@ -318,4 +322,10 @@ def _restore_meta(layer, meta, dtype):
     if isinstance(layer, TTLinearLayer):
         if layer.act_scale is not None:
             layer.act_scale_ready = bool(meta.get("act_ready", True))
-        layer.stage_scales = list(meta["stage_scales"]) if meta.get("stage_scales") else None
+        scales, stages = meta.get("stage_scales"), len(tt_stages(plan))
+        if scales is not None and not (
+                isinstance(scales, list) and len(scales) == stages
+                and all(type(s) in (int, float) and 0 < s <= sys.float_info.max for s in scales)):
+            raise CheckpointError(f"record {name} has stage_scales {scales!r:.60}, "
+                                  f"expected null or {stages} finite positive numbers")
+        layer.stage_scales = None if scales is None else [float(s) for s in scales]

@@ -10,7 +10,8 @@ Three forward modes:
 * ``train``     - fake-quantized surrogates (also used for evaluation),
 * ``infer_fp``  - raw master parameters, no quantization,
 * ``infer_int`` - integer core contractions with per-stage INT8 requantization
-                  using scales calibrated from training-time activations.
+                  by static scales read from the stage outputs of ``train``
+                  forwards over calibration batches (``calibrate_int``).
                   The cores are quantized once per weight state
                   (``CoreLayer.frozen_cores``), so a forward quantizes only
                   its input.  The integer codes are contracted as exact BLAS
@@ -32,7 +33,8 @@ Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
 Relative to the stage RMS this is about (max/rms)/(127*sqrt(12)) ~ 0.8e-2 for
 Gaussian-like intermediates, and the stages add in quadrature, so a d=2 layer
-lands near 1.4e-2.  The documented layer-level bound is 2.5e-2 (relative L2
+lands near 1.4e-2 (float32 stage sums move a float32 model's scales by only
+~(K+2)*2**-24).  The documented layer-level bound is 2.5e-2 (relative L2
 against the training-mode surrogate) and the model-level bound on logits,
 ``INT_LOGIT_BOUND``, is 0.2 normalized by the max-abs logit.
 """
@@ -63,7 +65,6 @@ from .tt import (
 MODES = ("train", "infer_fp", "infer_int")
 INT_LOGIT_BOUND = 0.2  # the integer path's documented bound on logits (module docstring)
 MASK_NEG = -1e9
-CALIB_ROWS = 256  # rows per calibration chain: bounds its float64 stage outputs
 
 
 class ModeError(ValueError):
@@ -201,10 +202,10 @@ class ForwardTrace:
 
 
 def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan,
-                   bias: ad.Tensor | None = None, act=None, weight=None) -> ad.Tensor:
+                   bias: ad.Tensor | None = None, act=None, weight=None, post=None) -> ad.Tensor:
     """Batched y = W x + bias for TT cores, with the optional input and weight
-    quantizers ``(scale, bits)``: one ``ad.tt_linear`` node."""
-    return ad.tt_linear(x2d, cores, plan, bias, act, weight)
+    quantizers ``(scale, bits)`` and stage hook: one ``ad.tt_linear`` node."""
+    return ad.tt_linear(x2d, cores, plan, bias, act, weight, post)
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +347,32 @@ class TTLinearLayer(CoreLayer):
         return self.plan.rows
 
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
-        """The first ``train`` forward with an input quantizer sets its scale
-        from the input; while ``TransformerModel.calibrate_int`` runs, each
-        input's per-stage peaks are folded into the running ones."""
+        """The first ``train`` forward with an input quantizer and rows sets
+        its scale from them; while ``_calib_peaks`` is set (calibration), a
+        ``train`` chain folds its stage outputs into the running peaks."""
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
         if mode == "infer_int":
             return ad.Tensor(self._forward_int(x2d.data))
         if mode not in ("train", "infer_fp"):
             raise ModeError(f"unknown mode {mode!r}")
-        act = None
+        act = post = None
         if mode == "train" and self.act_bits != q.FULL_PRECISION:
-            if not self.act_scale_ready:
+            if not self.act_scale_ready and len(x2d.data):
                 self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
                                                  dtype=self.act_scale.data.dtype)
                 self.act_scale_ready = True
-            if self._calib_peaks is not None:
-                np.maximum(self._calib_peaks, self.stage_peaks(x2d.data), out=self._calib_peaks)
             act = (self.act_scale, self.act_bits)
+            if self._calib_peaks is not None:
+                post = self._fold_peaks
         return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act,
-                              self.weight_quantizer(mode))
+                              self.weight_quantizer(mode), post)
+
+    def _fold_peaks(self, i, stage, acc, core, out):
+        """Fold stage i's max |out| (no copy of ``out``), if it has rows."""
+        if out.size:
+            self._calib_peaks[i] = max(self._calib_peaks[i], np.maximum(out.max(), -out.min()))
+        return out
 
     # -- integer inference -------------------------------------------------
 
@@ -386,24 +393,16 @@ class TTLinearLayer(CoreLayer):
         return np.float32 if worst < 2 ** 24 else np.float64
 
     def stage_peaks(self, x2d: np.ndarray) -> np.ndarray:
-        """max |out| of each stage's real-valued intermediate over the rows of
-        ``x2d``, walked ``CALIB_ROWS`` rows at a time (a max is exact over any
-        split of the rows); -inf for every stage when there are no rows."""
-        frozen = self.frozen_cores()
-        deq = [np.multiply(c, frozen.scale, dtype=np.float64) for c in frozen.codes]
-        a_scale = float(self.act_scale.data)
-        peaks = np.full(len(tt_stages(self.plan)), -np.inf)
-
-        def record(i, stage, acc, core, out):
-            # max |out| without a copy of out
-            peaks[i] = max(peaks[i], np.maximum(out.max(), -out.min()))
-            return out
-
-        for start in range(0, x2d.shape[0], CALIB_ROWS):
-            block = x2d[start:start + CALIB_ROWS]
-            _, xq = q.quantize_blocks(block, a_scale, self.act_bits, np.int8, np.float64)
-            tt_chain(xq, deq, self.plan, record)
-        return peaks
+        """max |out| of each stage of a ``no_grad`` ``train`` forward over the
+        rows of ``x2d``, as calibration folds them; -inf for every stage when
+        there are no rows."""
+        outer, self._calib_peaks = self._calib_peaks, np.full(len(tt_stages(self.plan)), -np.inf)
+        try:
+            with ad.no_grad():
+                self.forward(ad.Tensor(x2d))
+            return self._calib_peaks
+        finally:
+            self._calib_peaks = outer
 
     def calibrate_int(self, x2d: np.ndarray):
         """Derive static per-stage INT8 requantization scales from the max-abs
@@ -411,9 +410,11 @@ class TTLinearLayer(CoreLayer):
         self.set_stage_scales(self.stage_peaks(x2d))
 
     def set_stage_scales(self, peaks: np.ndarray):
-        """Per-stage scales max|out| / 127 from ``stage_peaks``-style peaks."""
+        """Per-stage scales max|out| / 127 from ``stage_peaks``-style peaks;
+        the integer forward's cores are frozen here, not in that forward."""
         if not np.isfinite(peaks).all():
             raise ModeError(f"{self.name}: no calibration data reached this layer")
+        self.frozen_cores()
         self.stage_scales = [max(float(p), 1e-12) / 127.0 for p in peaks]
 
     def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
@@ -474,9 +475,6 @@ class DenseLinear:
     def params(self):
         return [(self.weight.name, self.weight), (self.bias.name, self.bias)]
 
-    def scale_params(self):
-        return []
-
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
         if mode == "infer_int":
             raise ModeError(f"{self.name}: dense layer has no integer path")
@@ -526,9 +524,6 @@ class DenseEmbedding:
     def params(self):
         return [(self.table.name, self.table)]
 
-    def scale_params(self):
-        return []
-
     def forward(self, ids: np.ndarray, mode: str = "train") -> ad.Tensor:
         if np.any(ids >= self.vocab) or np.any(ids < 0):
             raise IndexError(f"{self.name}: token id out of vocabulary range")
@@ -544,9 +539,6 @@ class LayerNorm:
     def params(self):
         return [(self.gamma.name, self.gamma), (self.beta.name, self.beta)]
 
-    def scale_params(self):
-        return []
-
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
 
@@ -560,9 +552,6 @@ class ParamLeaf:
 
     def params(self):
         return [(self.name, self.param)]
-
-    def scale_params(self):
-        return []
 
 
 def encoder_linear_shapes(config: ModelConfig) -> list[tuple[str, int, int, PlanSpec]]:
@@ -690,7 +679,8 @@ class TransformerModel:
         return [named for layer in self.layers() for named in layer.params()]
 
     def scale_params(self) -> list[ad.Tensor]:
-        return [p for layer in self.layers() for p in layer.scale_params()]
+        return [p for layer in self.layers() if isinstance(layer, CoreLayer)
+                for p in layer.scale_params()]
 
     def tt_layers(self) -> list[TTLinearLayer]:
         out = []
@@ -738,8 +728,8 @@ class TransformerModel:
                             intent_logits=intent_logits, slot_logits=slot_logits, mask=mask)
 
     def calibrate_int(self, batches: Iterable[tuple[np.ndarray, np.ndarray]]):
-        """Run surrogate forwards over calibration batches.  Each TT layer
-        folds its input rows, batch by batch, into running per-stage max-abs
+        """Run ``no_grad`` surrogate forwards over calibration batches.  Each TT
+        layer folds its chain's stage outputs into running per-stage max-abs
         peaks, and derives its static requantization scales from them."""
         layers = self.tt_layers()
         for layer in layers:
@@ -805,7 +795,7 @@ def model_size_bytes(model: TransformerModel) -> CostReport:
               "bytes": sum(packed_code_bytes(p.data.size, stored_bits(layer, p))
                            for _, p in layer.params())}
              for layer in model.layers()]
-    compressed = _model_param_count(model)
+    compressed = sum(p.data.size for _, p in model.params())
     dense = _dense_param_count(model)
     return CostReport(
         param_count_compressed=compressed,
@@ -816,19 +806,15 @@ def model_size_bytes(model: TransformerModel) -> CostReport:
     )
 
 
-def _model_param_count(model: TransformerModel) -> int:
-    return sum(p.data.size for _, p in model.params())
-
-
 def _dense_param_count(model: TransformerModel) -> int:
     """Parameter count of the architecturally congruent uncompressed model:
     a layer's cores count as the matrix they represent, its scales as none."""
     total = 0
     for layer in model.layers():
-        skip = {id(p) for p in layer.scale_params()}
+        skip = set()
         if isinstance(layer, CoreLayer):
             total += layer.plan.rows * layer.plan.cols
-            skip.update(id(c) for c in layer.cores)
+            skip = {id(p) for p in layer.cores + layer.scale_params()}
         total += sum(p.data.size for _, p in layer.params() if id(p) not in skip)
     return total
 

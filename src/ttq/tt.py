@@ -407,10 +407,11 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 
-def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan):
-    """``tt_chain`` plus its pullback ``pullback(g, x2d, cores)``: the map from
-    the gradient of the (batch, rows) result to the gradients
-    ``(x2d, *cores)``, running each stage's ``adjoint`` in reverse.
+def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
+                 post=None):
+    """``tt_chain`` (with its ``post``) plus its pullback ``pullback(g, x2d,
+    cores)``: the map from the gradient of the (batch, rows) result to the
+    gradients ``(x2d, *cores)``, running each stage's ``adjoint`` in reverse.
 
     Only the stage inputs after the first are kept.  Stage 0's input is
     ``x2d`` padded, and the pullback takes ``x2d`` and the cores again from
@@ -421,7 +422,7 @@ def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShape
     def keep(i, stage, acc, core, out):
         if i:
             inputs.append(acc)
-        return out
+        return post(i, stage, acc, core, out) if post else out
 
     y = tt_chain(x2d, cores, plan, keep)
 

@@ -8,7 +8,8 @@ from the arrays each one contracts.  ``composite_tt_linear`` chains them as
 built before the fused ``ad.tt_linear`` node, and serves as its oracle.
 ``composed_tt_layer`` is a quantized TT layer as the ``fake_quant`` +
 ``tt_linear`` + ``add`` nodes it was before they became one node, and is
-that node's oracle.  ``composite_ttm_lookup`` is the TTM row lookup as the
+that node's oracle.  ``chain_peaks`` over ``quantized_operands`` is the
+rule calibration folds each stage's peak by.  ``composite_ttm_lookup`` is the TTM row lookup as the
 take/einsum/reshape chain it was before the ``ad.ttm_lookup`` node: every
 core contracted again for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
 single-vector TT adjoint, checked against finite differences and the
@@ -20,7 +21,8 @@ import math
 import numpy as np
 
 from ttq import autodiff as ad
-from ttq.tt import TTFormat, _check_cores, tt_chain_vjp
+from ttq import quant as q
+from ttq.tt import TTFormat, _check_cores, tt_chain, tt_chain_vjp
 
 
 def einsum_stages(plan):
@@ -74,19 +76,45 @@ def composite_tt_linear(x2d, cores, plan):
     return out
 
 
-def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None):
+def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None, post=None):
     """A TT layer as separate autodiff nodes, as it was built before its
     quantizers and bias joined the ``ad.tt_linear`` node: ``ad.fake_quant``
     of the input and of each core (for ``act``/``weight`` quantizers
     ``(scale, bits)``), the plain ``ad.tt_linear`` product, and ``ad.add`` of
     the bias.  ``ad.fake_quant`` is looked up at call time.  It takes the
-    arguments of ``model.tt_chain_apply`` and is that node's oracle."""
+    arguments of ``model.tt_chain_apply`` (``post`` sees the product's
+    stages) and is that node's oracle."""
     if act is not None:
         x2d = ad.fake_quant(x2d, *act)
     if weight is not None:
         cores = [ad.fake_quant(c, *weight) for c in cores]
-    y = ad.tt_linear(x2d, cores, plan)
+    y = ad.tt_linear(x2d, cores, plan, post=post)
     return y if bias is None else ad.add(y, bias)
+
+
+def chain_peaks(x2d, cores, plan) -> np.ndarray:
+    """max |out| of each stage of ``tt.tt_chain(x2d, cores, plan)``."""
+    peaks = []
+
+    def record(i, stage, acc, core, out):
+        peaks.append(np.abs(out).max())
+        return out
+
+    tt_chain(x2d, cores, plan, record)
+    return np.array(peaks, dtype=np.float64)
+
+
+def quantized_operands(layer, x2d, dtype):
+    """A quantized TT layer's input rows and cores as their fake quantizers
+    give them, ``scale * code``, in ``dtype``.  In the layer's own dtype these
+    are the operands of its ``train`` chain."""
+
+    def values(a, scale, bits):
+        return (scale * q.quantize(a, scale, bits).codes).astype(dtype)
+
+    a_scale, w_scale = float(layer.act_scale.data), float(layer.weight_scale.data)
+    return (values(x2d, a_scale, layer.act_bits),
+            [values(c.data, w_scale, layer.bits) for c in layer.cores])
 
 
 def composite_ttm_lookup(ids, cores, plan):

@@ -1,6 +1,7 @@
 """Checkpoint round-trips, checksums, packing, and size cross-checks."""
 
 import hashlib
+import json
 import struct
 import zlib
 from pathlib import Path
@@ -318,6 +319,59 @@ class TestMalformedHeaders:
         p.write_bytes(with_config(FIXTURE.read_bytes(), edit))
         with pytest.raises(CheckpointError, match="config"):
             checkpoint_load(p)
+
+
+def with_meta(raw: bytes, name: str, edit) -> bytes:
+    """``raw`` with JSON record ``name`` rewritten by ``edit`` (to any
+    length) and the total length and crc32 recomputed."""
+    at = record_kind_offset(raw, name)
+    assert raw[at] == 2  # a JSON record: u32 length, then the blob
+    (size,) = struct.unpack("<I", raw[at + 1:at + 5])
+    blob = json.dumps(edit(json.loads(raw[at + 5:at + 5 + size]))).encode()
+    out = bytearray(raw[:at + 1] + struct.pack("<I", len(blob)) + blob + raw[at + 5 + size:])
+    out[-8:] = struct.pack("<Q", len(out))
+    return with_crc(out)
+
+
+def with_stage_scales(scales):
+    return lambda meta: {**meta, "stage_scales": scales}
+
+
+class TestStageScales:
+    """A TT layer's ``stage_scales`` load only as null or one finite,
+    positive number per stage; anything else failed only at the first
+    integer forward, or gave wrong logits."""
+
+    BAD = [[1.0], [0.0] * 4, [float("nan")] * 4, "abc", [-1.0] * 4, [float("inf")] * 4,
+           [1.0] * 5, [True] * 4, ["1.0"] * 4, [10 ** 400] * 4, [], {"0": 1.0}]
+
+    @pytest.mark.parametrize("scales", BAD, ids=["length", "zero", "nan", "string", "negative",
+                                                 "inf", "long", "bool", "text", "huge", "empty",
+                                                 "object"])
+    def test_bad_stage_scales_name_the_meta(self, tmp_path, scales):
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_meta(FIXTURE.read_bytes(), "encoder0.q.meta", with_stage_scales(scales)))
+        with pytest.raises(CheckpointError, match="record encoder0.q.meta has stage_scales"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("scales", [None, [0.5, 2, 1e-30, 3.0]], ids=["null", "numbers"])
+    def test_good_stage_scales_load(self, tmp_path, scales):
+        p = tmp_path / "m.ttq"
+        p.write_bytes(with_meta(FIXTURE.read_bytes(), "encoder0.q.meta", with_stage_scales(scales)))
+        assert checkpoint_load(p).encoders[0].q_proj.stage_scales == scales
+
+
+def test_load_draws_no_random_values(monkeypatch):
+    """Every parameter comes from its record, so load builds its model
+    without drawing an initialization."""
+
+    def draw(*args, **kwargs):
+        raise AssertionError("checkpoint_load drew random values")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    model = checkpoint_load(FIXTURE)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(model.pos_emb.data, checkpoint_load(FIXTURE).pos_emb.data)
 
 
 def file_record_names(raw: bytes) -> list[str]:

@@ -333,6 +333,15 @@ class TestErrorPaths:
         assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt)]) == 5
         assert "record embedding.core0 has scale nan" in capsys.readouterr().err
 
+    def test_bad_stage_scales_exit_code(self, tmp_path, corpus, capsys):
+        from test_checkpoint import FIXTURE, with_meta, with_stage_scales
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, tmp_path / "run"))
+        ckpt = tmp_path / "bad_stage_scales.ttq"
+        ckpt.write_bytes(with_meta(FIXTURE.read_bytes(), "encoder0.q.meta",
+                                   with_stage_scales([-1.0] * 4)))
+        assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt), "--int8"]) == 5
+        assert "record encoder0.q.meta has stage_scales" in capsys.readouterr().err
+
     BAD_MODEL_CONFIGS = [
         ("model", "dtype", "float16"),
         ("attn_spec", "format", "ttm"),

@@ -1,5 +1,6 @@
 """Model-level tests: TT layer modes, encoder behaviour, traces, accounting."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_dense import reference_forward
+from reference_tt import chain_peaks, quantized_operands
 
 from ttq import autodiff as ad
-from ttq import model as model_module
 from ttq import quant as q
 from ttq.config import RunConfig
 from ttq.model import (
@@ -27,7 +28,14 @@ from ttq.model import (
 )
 from ttq.quant import KernelError
 from ttq.train import intent_slot_loss
-from ttq.tt import TensorShapePlan, TTFormat, plan_factorization, tt_to_dense, ttm_to_dense
+from ttq.tt import (
+    TensorShapePlan,
+    TTFormat,
+    plan_factorization,
+    tt_stages,
+    tt_to_dense,
+    ttm_to_dense,
+)
 
 
 def toy_config(**kw):
@@ -57,6 +65,11 @@ def ragged_batch(cfg, lengths, width, seed=0):
     """Utterances of ``lengths`` real tokens, padded to ``width``."""
     ids = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=(len(lengths), width))
     return ids, (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
+
+
+def all_padding(cfg, batch=2):
+    """A batch whose every position is padding."""
+    return np.zeros((batch, cfg.max_seq), dtype=np.int64), np.zeros((batch, cfg.max_seq))
 
 
 class TestTTLinearLayer:
@@ -343,9 +356,9 @@ class TestIntInferenceModelLevel:
         assert err < 0.2  # documented model-level requantization bound
 
     def test_streamed_calibration_equals_one_shot(self, monkeypatch):
-        # calibrate_int folds each batch into running per-stage peaks, in
-        # blocks of CALIB_ROWS rows; a max is exact over any split of the
-        # rows, so only BLAS rounding of the stage products may differ
+        # calibrate_int folds each batch's stage outputs into running
+        # per-stage peaks; a max is exact over any split of the rows, so only
+        # BLAS rounding of the stage products may differ
         cfg = toy_config(weight_bits=8, act_bits=8)
         model = TransformerModel(cfg, 21)
         batches = [ragged_batch(cfg, lengths, cfg.max_seq, seed) for seed, lengths
@@ -360,13 +373,12 @@ class TestIntInferenceModelLevel:
             return tt_forward(layer, x2d, mode)
 
         monkeypatch.setattr(TTLinearLayer, "forward", record)
-        monkeypatch.setattr(model_module, "CALIB_ROWS", 3)
         model.calibrate_int(batches)
         monkeypatch.undo()
         for layer in model.tt_layers():
             streamed = layer.stage_scales
             rows = np.concatenate(seen[layer.name])
-            assert len(rows) == 34 < model_module.CALIB_ROWS  # one block
+            assert len(rows) == 34
             layer.calibrate_int(rows)
             np.testing.assert_allclose(streamed, layer.stage_scales, rtol=1e-13)
 
@@ -377,6 +389,93 @@ class TestIntInferenceModelLevel:
         layer = model.tt_layers()[0]
         with pytest.raises(ModeError):
             layer.calibrate_int(np.zeros((0, layer.in_dim)))
+        with ad.no_grad():
+            model.forward(*random_batch(model.config), mode="train")  # sets the input scales
+        with pytest.raises(ModeError):
+            model.calibrate_int([all_padding(model.config)])
+
+    CALIB_LENGTHS = [[3, 8], [1, 5, 2], [7]]
+
+    def calibrated(self, cfg, seed, batches):
+        """A model of ``cfg`` whose input scales are set, calibrated on
+        ``batches``, and the rows each TT layer saw while it calibrated."""
+        model = TransformerModel(cfg, seed)
+        with ad.no_grad():
+            model.forward(*batches[0], mode="train")  # sets the activation scales
+        seen = {}
+        tt_forward = TTLinearLayer.forward
+
+        def record(layer, x2d, mode="train"):
+            seen.setdefault(layer.name, []).append(x2d.data)
+            return tt_forward(layer, x2d, mode)
+
+        TTLinearLayer.forward = record
+        try:
+            model.calibrate_int(batches)
+        finally:
+            TTLinearLayer.forward = tt_forward
+        return model, {name: np.concatenate(rows) for name, rows in seen.items()}
+
+    def test_float32_stage_scales_within_the_sum_bound_of_the_float64_walk(self):
+        """A float32 model's stage sums run in float32.  Against the float64
+        walk over the same codes (how calibration ran before it read the
+        forward's own chain), stage i's max |out| moves by at most
+        sum_{j<=i} (K_j + 2) * 2**-24 of the largest sum of |products| at
+        that stage, to first order: each stage of K_j products adds K_j - 1
+        summation roundings and one for each operand's float32 value, and a
+        stage's input carries the earlier stages' errors.  That sum of
+        magnitudes is the max of the chain walked on |input| and |cores|."""
+        cfg = toy_config(weight_bits=8, act_bits=8, dtype="float32")
+        batches = [ragged_batch(cfg, lengths, cfg.max_seq, seed)
+                   for seed, lengths in enumerate(self.CALIB_LENGTHS)]
+        model, seen = self.calibrated(cfg, 25, batches)
+        moved = 0
+        for layer in model.tt_layers():
+            x64, cores64 = quantized_operands(layer, seen[layer.name], np.float64)
+            ref = chain_peaks(x64, cores64, layer.plan)
+            magnitude = chain_peaks(np.abs(x64), [np.abs(c) for c in cores64], layer.plan)
+            terms = np.cumsum([math.prod(s.core_shape[1:]) + 2 for s in tt_stages(layer.plan)])
+            bound = terms * (2.0 ** -24 + 2.0 ** -53) * magnitude * (1 + 1e-6)
+            got = np.array(layer.stage_scales) * 127
+            assert np.all(np.abs(got - ref) <= bound + 2.0 ** -50 * ref), layer.name
+            moved += int(np.any(got != ref))
+        assert moved  # float32 sums, not float64 ones
+
+    def test_calibration_forwards_return_the_surrogate_logits(self, monkeypatch):
+        """The peak hook reads each stage's output and changes none: while
+        calibrate_int runs, every forward's logits are byte for byte those
+        of a plain no_grad train forward."""
+        cfg = toy_config(weight_bits=8, act_bits=8, dtype="float32")
+        batches = [ragged_batch(cfg, lengths, cfg.max_seq, seed)
+                   for seed, lengths in enumerate(self.CALIB_LENGTHS)]
+        model = TransformerModel(cfg, 23)
+        with ad.no_grad():
+            model.forward(*batches[0], mode="train")  # sets the activation scales
+        seen = []
+        forward = TransformerModel.forward
+
+        def record(self, *args, **kwargs):
+            trace = forward(self, *args, **kwargs)
+            seen.append((trace.intent_logits.data.tobytes(), trace.slot_logits.data.tobytes()))
+            return trace
+
+        monkeypatch.setattr(TransformerModel, "forward", record)
+        model.calibrate_int(batches)
+        monkeypatch.undo()
+        assert len(seen) == len(batches)
+        for got, (ids, mask) in zip(seen, batches):
+            with ad.no_grad():
+                trace = model.forward(ids, mask, mode="train")
+            assert got == (trace.intent_logits.data.tobytes(), trace.slot_logits.data.tobytes())
+
+    def test_all_padding_batch_leaves_the_scales(self):
+        cfg = toy_config(weight_bits=8, act_bits=8)
+        batches = [ragged_batch(cfg, lengths, cfg.max_seq, seed)
+                   for seed, lengths in enumerate(self.CALIB_LENGTHS)]
+        model, _ = self.calibrated(cfg, 24, batches)
+        want = [layer.stage_scales for layer in model.tt_layers()]
+        model.calibrate_int(batches[:1] + [all_padding(cfg)] + batches[1:])
+        assert [layer.stage_scales for layer in model.tt_layers()] == want
 
 
 class TestBatchAndPaddingInvariance:

@@ -26,6 +26,7 @@ from ttq.checkpoint import checkpoint_load, checkpoint_save
 from ttq.model import ModelConfig, PlanSpec, TransformerModel, TTLinearLayer
 from ttq.train import AdamState, TrainConfig, adam_step
 from ttq.tt import (
+    Stage,
     TensorShapePlan,
     TTFormat,
     init_ttm_cores,
@@ -316,6 +317,43 @@ def test_new_input_and_stage_scales_apply_without_refreezing():
     third = assert_matches_int64_walk(layer, x)
     assert layer.frozen_cores() is frozen
     assert not np.array_equal(first, second) and not np.array_equal(second, third)
+
+
+def test_calibration_runs_no_chain_beyond_its_forwards(monkeypatch):
+    """calibrate_int reads each TT layer's peaks from the chain its
+    surrogate forwards run: over two batches it runs the stages of two plain
+    no_grad train forwards, and not one more."""
+    model, _, _, (ids, mask) = int8_model_layer()
+    batches = [(ids, mask), (ids[1:], mask[1:])]
+    calls = []
+    stage_forward = Stage.forward
+
+    def counting(stage, acc, core):
+        calls.append(stage)
+        return stage_forward(stage, acc, core)
+
+    monkeypatch.setattr(Stage, "forward", counting)
+    with ad.no_grad():
+        for batch in batches:
+            model.forward(*batch, mode="train")
+    plain = len(calls)
+    calls.clear()
+    model.calibrate_int(batches)
+    assert plain and len(calls) == plain
+
+
+def test_calibration_leaves_every_integer_plan_frozen(monkeypatch):
+    """calibrate_int ends with each TT layer's integer cores frozen, so the
+    first integer forward quantizes only its input."""
+    model, _, _, _ = int8_model_layer()  # calibrated
+    frozen = [layer._frozen for layer in model.tt_layers()]
+
+    def requantize(*args, **kwargs):
+        raise AssertionError("frozen_cores quantized the cores again")
+
+    monkeypatch.setattr(q, "quantize_blocks", requantize)
+    for layer, plan in zip(model.tt_layers(), frozen):
+        assert plan is not None and layer.frozen_cores() is plan
 
 
 def test_embedding_integer_lookup_reads_the_fake_quant_values():

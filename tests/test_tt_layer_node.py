@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_tt import composed_tt_layer
+from reference_tt import chain_peaks, composed_tt_layer, quantized_operands
 from test_schedule import tt_plans
 
 from ttq import autodiff as ad
@@ -77,6 +77,9 @@ def test_node_is_byte_identical_to_the_composition(plan, batch, act_bits, w_bits
 
 
 def test_first_forward_sets_the_input_scale_and_calibration_folds_peaks():
+    """Calibration folds the max |out| of each stage of the chain the
+    forward runs: ``tt_chain`` over the fake-quantized input and cores, the
+    same arithmetic, so the peaks are equal bit for bit."""
     rng = np.random.default_rng(3)
     layer = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
     x1 = rng.normal(size=(6, 16)).astype(np.float32)
@@ -87,11 +90,14 @@ def test_first_forward_sets_the_input_scale_and_calibration_folds_peaks():
         layer.forward(ad.Tensor(x1))
         scale = float(layer.act_scale.data)
         assert layer.act_scale_ready and scale == np.float32(q.init_scale(x1, 8))
-        np.testing.assert_array_equal(layer._calib_peaks, layer.stage_peaks(x1))
+        peaks1 = chain_peaks(*quantized_operands(layer, x1, np.float32), layer.plan)
+        np.testing.assert_array_equal(layer._calib_peaks, peaks1)
         layer.forward(ad.Tensor(x2))
     assert float(layer.act_scale.data) == scale  # set once
-    np.testing.assert_array_equal(layer._calib_peaks,
-                                  np.maximum(layer.stage_peaks(x1), layer.stage_peaks(x2)))
+    peaks2 = chain_peaks(*quantized_operands(layer, x2, np.float32), layer.plan)
+    np.testing.assert_array_equal(layer._calib_peaks, np.maximum(peaks1, peaks2))
+    np.testing.assert_array_equal(layer.stage_peaks(x2), peaks2)  # the layer-level rule
+    np.testing.assert_array_equal(layer.stage_peaks(x2[:0]), np.full(len(peaks2), -np.inf))
     # infer_fp reads neither the input scale nor the peaks
     fresh = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
     fresh.forward(ad.Tensor(x1), mode="infer_fp")
