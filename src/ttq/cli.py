@@ -239,7 +239,8 @@ def cmd_bench(args) -> int:
     runs = [("dense", dense, "train"), ("tensor_compressed", compressed, "train")]
     if cfg.model.compress and FULL_PRECISION not in (cfg.model.weight_bits, cfg.model.act_bits):
         compressed.calibrate_int([(ids, mask)])
-        runs.append(("infer_int", compressed, "infer_int"))
+        # the float forward of the same model, beside which infer_int is read
+        runs += [("infer_fp", compressed, "infer_fp"), ("infer_int", compressed, "infer_int")]
     records = []
     text_lines = [f"bench: batch={batch} seq={seq} repeats={repeats} (informational only)"]
 

@@ -17,17 +17,18 @@ Three forward modes:
                   its input.  The integer codes are contracted as exact BLAS
                   GEMMs: a stage summing K products of input codes
                   (|code| <= 128) and core codes of peak |code| w is bounded
-                  by 128 * w * K.  Below 2**24 for every stage, every partial
-                  sum is an exact float32 integer and the codes ride in
-                  float32; otherwise in float64, whose exact-integer range
-                  the 2**31 accumulator check keeps every sum inside.
-                  A float32 model's activation codes are divided in
-                  float32 (``quant.quantize_blocks``) and float32 stages
-                  are requantized in float32 (``quant.requantize``); the
-                  few ratios near a rounding tie are recomputed from the
-                  float64 ones, so every code is that of float64
-                  arithmetic.  The last stage's scale and bias run in
-                  float64, a row block at a time.
+                  by 128 * w * K.  In a float32 layer with that bound below
+                  2**24 for every stage, every partial sum is an exact
+                  float32 integer and the codes ride in float32; otherwise
+                  in float64, whose exact-integer range the 2**31
+                  accumulator check keeps every sum inside.  A layer whose
+                  codes ride in float32 rescales in float32: each stage is
+                  requantized from the float32 product of its sums and
+                  multiplier (``quant.requantize``), and the last stage's
+                  scale and bias are float32 products and sums.  A code
+                  then differs from the float64 rule's by one at most,
+                  where the float64 ratio lies within ~2**-23 * |ratio| of
+                  a half.  Float64 codes rescale in float64.
 
 Integer-path error bound: each of the 2d-1 intermediate requantizations adds
 uniform noise of half a step of that stage's static scale (max-abs / 127).
@@ -379,9 +380,10 @@ class TTLinearLayer(CoreLayer):
     def _code_dtype(self, codes: list[np.ndarray]) -> type:
         """The stage GEMM dtype, from the static bound 128 * peak|code| * K
         of each stage's K-term sums of input codes (|code| <= 128) times core
-        codes: float32 when every bound is below 2**24, so that every partial
-        sum is an exact float32 integer, else float64.  A bound of 2**31 or
-        more raises: the sums would overflow a 32-bit accumulator."""
+        codes: float32 for float32 cores when every bound is below 2**24, so
+        that every partial sum is an exact float32 integer, else float64.  A
+        bound of 2**31 or more raises: the sums would overflow a 32-bit
+        accumulator."""
         worst = 0
         for i, stage in enumerate(tt_stages(self.plan)):
             core = codes[stage.core]
@@ -390,7 +392,8 @@ class TTLinearLayer(CoreLayer):
             if bound >= 2 ** 31:
                 raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
             worst = max(worst, bound)
-        return np.float32 if worst < 2 ** 24 else np.float64
+        exact32 = worst < 2 ** 24 and self.cores[0].data.dtype == np.float32
+        return np.float32 if exact32 else np.float64
 
     def stage_peaks(self, x2d: np.ndarray) -> np.ndarray:
         """max |out| of each stage of a ``no_grad`` ``train`` forward over the
@@ -439,18 +442,11 @@ class TTLinearLayer(CoreLayer):
             return q.requantize(out, real_scale / in_scale)
 
         codes = tt_chain(x_codes, frozen.codes, self.plan, requantize)
-        # float64(codes) * scale + bias, cast once, a row block at a time
-        # through one reused float64 buffer
-        real_scale = in_scale * frozen.scale
-        y = np.empty(codes.shape, dtype=x2d.dtype)
-        step = max(1, q.BLOCK // codes.shape[1])
-        buf = np.empty((min(step, len(y)), codes.shape[1]), dtype=np.float64)
-        for start in range(0, len(y), step):
-            rows = slice(start, start + step)
-            block = buf[:min(step, len(y) - start)]
-            np.multiply(codes[rows], real_scale, out=block, dtype=np.float64)
-            np.add(block, self.bias.data, out=y[rows])  # the bias widens to float64 exactly
-        return y
+        # the last stage's scale and bias, in place in the codes' dtype (a
+        # float32 bias widens to float64 exactly), then one cast
+        codes *= codes.dtype.type(in_scale * frozen.scale)
+        codes += self.bias.data
+        return codes.astype(x2d.dtype, copy=False)
 
 
 class DenseLinear:
@@ -730,7 +726,9 @@ class TransformerModel:
     def calibrate_int(self, batches: Iterable[tuple[np.ndarray, np.ndarray]]):
         """Run ``no_grad`` surrogate forwards over calibration batches.  Each TT
         layer folds its chain's stage outputs into running per-stage max-abs
-        peaks, and derives its static requantization scales from them."""
+        peaks, and derives its static requantization scales from them.  The
+        frozen cores of every TT layer and of a quantized TTM embedding are
+        built here, so the first integer forward quantizes only activations."""
         layers = self.tt_layers()
         for layer in layers:
             layer._calib_peaks = np.full(len(tt_stages(layer.plan)), -np.inf)
@@ -740,6 +738,8 @@ class TransformerModel:
                     self.forward(ids, mask, mode="train")
             for layer in layers:
                 layer.set_stage_scales(layer._calib_peaks)
+            if isinstance(self.embedding, TTMEmbedding):
+                self.embedding.weight_cores("infer_int")  # the integer lookup's frozen cores
         finally:
             for layer in layers:
                 layer._calib_peaks = None

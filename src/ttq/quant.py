@@ -23,14 +23,14 @@ input gradient:
 
 * the elementwise work runs in float32 when that is exact (a float32 input
   with a float32 scale), else in float64.  ``round_ratio`` rounds the
-  clipped ratio with ``np.rint``, flags the elements within ``tol`` of a
-  half-integer, recomputes only those from the float64 ratio with
-  ``round_clipped``, and turns -0.0 into +0.0, as an integer round trip
-  gives, so ``scale * code`` is never -0.0.  ``requantize``, the integer TT
-  walk's per-stage step, shares it;
+  clipped ratio with ``np.rint``, recomputes only the ratios on a
+  half-integer from the float64 ratio with ``round_clipped``, and turns
+  -0.0 into +0.0, as an integer round trip gives, so ``scale * code`` is
+  never -0.0;
 * ``round_clipped`` rounds a float64 ratio r as ``trunc(2r) - trunc(r)``:
   with ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
-  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``;
+  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``
+  (in float32 too, for a float32 ``r``: ``requantize`` rounds so);
 * the STE mask is two compares of the raw input against
   ``ratio_thresholds``: the smallest and the largest ``x`` of its dtype
   whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
@@ -47,7 +47,7 @@ identity and no codes exist.
 This module holds no integer matmul: integer inference multiplies codes in
 the staged TT walk (``model.TTLinearLayer._forward_int``), which takes its
 codes from ``quantize_blocks`` and requantizes each stage with
-``requantize``.
+``requantize`` (a float32 stage in float32).
 """
 
 from __future__ import annotations
@@ -133,20 +133,19 @@ def block_size(dtype) -> int:
     return BLOCK * 8 // np.dtype(dtype).itemsize
 
 
-def round_ratio(r: np.ndarray, out: np.ndarray, tol: float, exact) -> np.ndarray:
+def round_ratio(r: np.ndarray, out: np.ndarray, exact) -> np.ndarray:
     """Half-away-from-zero codes of a clipped ratio into ``out``, bit for bit
     those of ``round_clipped`` on the exact float64 ratio.
 
     ``r`` holds the clipped ratio in the working dtype (float32 or float64;
-    ``out`` has the same dtype) and differs from the clipped float64 ratio by
-    less than ``tol``.  ``exact(idx)`` returns the clipped float64 ratio at
-    the flat indices ``idx``.  The steps:
+    ``out`` has the same dtype), on the same side of every half-integer as
+    the clipped float64 ratio, or on it.  ``exact(idx)`` returns the clipped
+    float64 ratio at the flat indices ``idx``.  The steps:
 
     1. ``out = rint(r)`` (ties to even);
-    2. flag each element with ``|r - rint(r)| >= 0.5 - tol``.  Elsewhere ``r``
-       lies more than ``tol`` from every half-integer, so the float64 ratio
-       lies on the same side of each and is not one: its nearest integer is
-       ``rint(r)``, whichever way ties go;
+    2. flag each element with ``|r - rint(r)| = 0.5``.  Elsewhere ``r`` is
+       not a half-integer, and neither is the float64 ratio: its nearest
+       integer is ``rint(r)``, whichever way ties go;
     3. recompute only the flagged elements from ``exact`` with
        ``round_clipped``;
     4. turn ``-0.0`` into ``+0.0`` (``+= 0.0``), as an integer round trip gives.
@@ -156,9 +155,8 @@ def round_ratio(r: np.ndarray, out: np.ndarray, tol: float, exact) -> np.ndarray
     """
     np.rint(r, out=out)
     r -= out
-    edge = 0.5 - tol
-    if r.max() >= edge or r.min() <= -edge:
-        idx = np.flatnonzero(np.abs(r) >= edge)
+    if r.max() >= 0.5 or r.min() <= -0.5:
+        idx = np.flatnonzero(np.abs(r) >= 0.5)
         e = exact(idx)
         out[idx] = round_clipped(e, np.empty_like(e))
     out += 0.0
@@ -173,21 +171,22 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     ``value_dtype`` is given, the dequantized surrogate ``scale * codes``
     stored as ``value_dtype`` (else ``None``).  Each block of
     ``block_size`` elements runs divide, clip, ``round_ratio`` and store into
-    reused buffers; a block whose ratios all lie in range skips the clip, and the
-    two reductions that tell also catch a non-finite input.  The clip bounds
-    every code and the entry check makes ``code_dtype`` hold that range, so
-    the codes need no range check of their own.
+    reused buffers (straight into the codes when ``code_dtype`` is the
+    working dtype); a block whose ratios all lie in range skips the clip,
+    and the two reductions that tell also catch a non-finite input.  The
+    clip bounds every code and the entry check makes ``code_dtype`` hold
+    that range, so the codes need no range check of their own.
 
     The working dtype is float32 when ``x`` is float32 and ``scale`` is a
     float32 value (every scale of a float32 model), else float64.  In
-    float32 the codes are exact with ``tol = 0``: the float32 and float64
-    quotients round the same real ``x/scale``, every half-integer up to 128
-    is a value of both dtypes, and rounding is monotone, so the float32
-    quotient lies on the same side of each half-integer as the float64 one,
-    or on it (a float64 quotient on a half-integer puts the float32 one on
-    it too).  The float32 value ``scale * code`` is the exact product
-    correctly rounded, as the float64 product stored in float32 is.  Other
-    value dtypes are multiplied in float64.
+    float32 the codes are exact: the float32 and float64 quotients round
+    the same real ``x/scale``, every half-integer up to 128 is a value of
+    both dtypes, and rounding is monotone, so the float32 quotient lies on
+    the same side of each half-integer as the float64 one, or on it (a
+    float64 quotient on a half-integer puts the float32 one on it too).
+    The float32 value ``scale * code`` is the exact product correctly
+    rounded, as the float64 product stored in float32 is.  Other value
+    dtypes are multiplied in float64.
     """
     _check_bits(bits)
     if scale <= 0:
@@ -205,19 +204,21 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     step = block_size(work)
     width = min(n, step)
     ratio = np.empty(width, dtype=work)
-    code = np.empty(width, dtype=work)
+    direct = codes.dtype == work  # round straight into the codes
+    code = None if direct else np.empty(width, dtype=work)
     for start in range(0, n, step):
         xb = flat[start:start + step]
         k = xb.size
-        r, c = ratio[:k], code[:k]
+        r = ratio[:k]
+        c = codes[start:start + k] if direct else code[:k]
         np.divide(xb, scale, out=r, dtype=work)
         if not (lo <= r.min() and r.max() <= hi):  # a NaN fails both compares
             if not np.isfinite(xb).all():  # a finite x may still overflow the ratio
                 raise QuantInputError("input contains non-finite values")
             np.clip(r, lo, hi, out=r)
-        round_ratio(r, c, 0.0,
-                    lambda idx: np.clip(np.divide(xb[idx], scale, dtype=np.float64), lo, hi))
-        codes[start:start + k] = c
+        round_ratio(r, c, lambda idx: np.clip(np.divide(xb[idx], scale, dtype=np.float64), lo, hi))
+        if not direct:
+            codes[start:start + k] = c
         if values is not None:
             np.multiply(c, scale, out=values[start:start + k], dtype=value_work)
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
@@ -237,45 +238,43 @@ def dequantize(codes: np.ndarray, scale: float, dtype) -> np.ndarray:
     return np.multiply(codes, scale, dtype=np.float64).astype(dtype, copy=False)
 
 
-REQUANT_TOL = 2.0 ** -14  # float32 requantize: bounds |r32 - r64| for |r| <= 128.5
-
-
 def requantize(out: np.ndarray, m: float) -> np.ndarray:
-    """INT8 codes of a stage output, ``round_clipped(clip(float64(out) * m,
-    -128, 127))`` bit for bit, written into ``out`` (float32 or float64,
-    holding exact integers), which is returned.
+    """INT8 codes of a stage output: the ratio ``r = out * m`` clipped to
+    [-128, 127] and rounded half away from zero as ``trunc(2r) - trunc(r)``,
+    written into ``out`` (float32 or float64, holding exact integers), which
+    is returned.
 
-    A float64 ``out`` is multiplied in float64 and rounded with ``tol = 0``.
-    A float32 ``out`` is multiplied by ``float32(m)`` in float32.  With ``r = out * m`` exactly, the float32
-    ratio is ``r (1 + d1)(1 + d2)`` with ``|d1|, |d2| <= 2**-24`` (less
-    absolute error for an ``m`` below float32's normal range), and the
-    float64 one is ``r (1 + d3)`` with ``|d3| <= 2**-53``.  For
-    ``|r| <= 128.5`` they differ by at most about ``2**-23 * |r|``,
-    ~1.6e-5, below ``REQUANT_TOL = 2**-14``; beyond it both saturate at the
-    same bound.  So ``round_ratio`` with that ``tol`` recomputes from the
-    float64 product only the ratios near a half.  An ``m`` past float32's
-    range multiplies in float64.  The work runs in blocks of ``block_size``
-    elements with reused buffers: no float64 array the size of ``out`` is
-    made.
+    A float32 ``out`` is rescaled in float32 (``r`` is the float32 product
+    ``out * float32(m)``) when ``m`` is a normal float32, else in float64, as
+    a float64 ``out`` is.  For ``|r| <= 128`` every rounding step is exact
+    in either dtype, and a zero comes out +0.0, so the float64 rule is
+    ``round_clipped`` of the float64 ratio bit for bit.  The float32 ratio is
+    the float64 one to within about ``2**-23 * |r|``, so a float32 code
+    differs from the float64 rule's by one at most, and only where the
+    float64 ratio lies that close to a half.  The work runs in blocks of
+    ``block_size`` elements with reused buffers: no float64 array the size
+    of ``out`` is made.
     """
     lo, hi = code_bounds(8)
-    fast = out.dtype == np.float32 and m <= np.finfo(np.float32).max
+    f32 = np.finfo(np.float32)
+    fast = out.dtype == np.float32 and float(f32.smallest_normal) <= m <= float(f32.max)
     work = np.float32 if fast else np.float64
-    tol = REQUANT_TOL if fast else 0.0
     flat = out.reshape(-1)
     step = block_size(work)
     width = min(flat.size, step)
     ratio = np.empty(width, dtype=work)
-    code = np.empty(width, dtype=work)
+    code = None if flat.dtype == work else np.empty(width, dtype=work)
     for start in range(0, flat.size, step):
         ob = flat[start:start + step]
-        r, c = ratio[:ob.size], code[:ob.size]
-        np.multiply(ob, m, out=r, dtype=work)
+        r = ratio[:ob.size]
+        np.multiply(ob, work(m), out=r, dtype=work)
         if not (lo <= r.min() and r.max() <= hi):
             np.clip(r, lo, hi, out=r)
-        round_ratio(r, c, tol,
-                    lambda idx: np.clip(np.multiply(ob[idx], m, dtype=np.float64), lo, hi))
-        ob[...] = c
+        c = ob if code is None else code[:ob.size]
+        np.add(r, r, out=c)
+        np.trunc(c, out=c)
+        np.trunc(r, out=r)
+        np.subtract(c, r, out=ob)
     return flat.reshape(out.shape)
 
 

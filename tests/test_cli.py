@@ -245,7 +245,8 @@ class TestReports:
         lines = (out / "bench_report.jsonl").read_text().strip().split("\n")
         recs = [json.loads(l) for l in lines]
         assert {r["model"]: r["mode"] for r in recs} == {
-            "dense": "train", "tensor_compressed": "train", "infer_int": "infer_int"}
+            "dense": "train", "tensor_compressed": "train", "infer_fp": "infer_fp",
+            "infer_int": "infer_int"}
         for r in recs:
             assert r["mean_s"] > 0
 
@@ -256,7 +257,7 @@ class TestReports:
         lines = (out / "bench_report.jsonl").read_text().strip().split("\n")
         assert [(r["model"], r["mode"], r["timed"]) for r in map(json.loads, lines)] == [
             ("dense", "train", "forward"), ("tensor_compressed", "train", "forward"),
-            ("infer_int", "infer_int", "forward"),
+            ("infer_fp", "infer_fp", "forward"), ("infer_int", "infer_int", "forward"),
             ("dense", "train", "train_step"), ("tensor_compressed", "train", "train_step")]
 
     def test_bench_times_infer_int_only_for_quantized_models(self, tmp_path, corpus):

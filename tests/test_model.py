@@ -125,6 +125,22 @@ class TestTTLinearLayer:
             rel = np.linalg.norm(out - ref) / np.linalg.norm(ref)
             assert rel < 2.5e-2
 
+    def test_float32_infer_int_close_to_train_surrogate(self):
+        # a float32 layer's codes ride in float32 and it rescales in float32;
+        # the documented 2.5e-2 relative L2 bound is the same
+        for seed in range(5):
+            rng = np.random.default_rng(4 + seed)
+            plan = plan_factorization(24, 24, 2, 4)
+            layer = TTLinearLayer(plan, 8, 8, rng, dtype=np.float32)
+            x = rng.normal(size=(16, 24)).astype(np.float32)
+            ref = layer.forward(ad.Tensor(x), mode="train").data
+            layer.calibrate_int(x)
+            assert layer.frozen_cores().codes[0].dtype == np.float32
+            out = layer.forward(ad.Tensor(x), mode="infer_int").data
+            assert out.dtype == np.float32
+            rel = np.linalg.norm(out - ref) / np.linalg.norm(ref)
+            assert rel < 2.5e-2
+
     def test_infer_int_single_core_stage_within_spec_bound(self):
         # with a single intermediate requantization (d=1) the 1e-2 bound holds
         rng = np.random.default_rng(40)

@@ -244,12 +244,17 @@ def requantize_reference(out: np.ndarray, m: float) -> np.ndarray:
     return round_clipped(r, np.empty_like(r))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.floats(2.0 ** 13, 2.0 ** 17), st.sampled_from([1, 30]))
-@settings(max_examples=60, deadline=None)
-def test_requantize_near_halves_bit_identical_to_float64(seed, inv_m, reps):
-    # integers whose products with m = 1/inv_m fall within ~2.5/inv_m
-    # (at most 3.1e-4) of every half from -129.5 to 129.5, a spread of
-    # random ones up to 2**24, and small negatives that round to -0.0
+def requantize_float32_reference(out: np.ndarray, m: float) -> np.ndarray:
+    """The float32 requantize: the float32 product ``out * float32(m)``,
+    clipped, then rounded exactly (in float64) with ``round_clipped``."""
+    r = np.clip(np.asarray(out, dtype=np.float32) * np.float32(m), -128, 127).astype(np.float64)
+    return round_clipped(r, np.empty_like(r)).astype(np.float32)
+
+
+def near_half_stage_sums(seed, inv_m, reps):
+    """Integers whose products with m = 1/inv_m fall within ~2.5/inv_m (at
+    most 3.1e-4) of every half from -129.5 to 129.5, a spread of random
+    ones up to 2**24, and small negatives that round to -0.0; and m."""
     rng = np.random.default_rng(seed)
     m = 1.0 / inv_m
     halves = np.arange(-130, 130) + 0.5
@@ -259,13 +264,56 @@ def test_requantize_near_halves_bit_identical_to_float64(seed, inv_m, reps):
     out64 = np.tile(np.concatenate([near, spread, small]), reps)
     r = out64 * m
     assert (np.abs(r - np.floor(r) - 0.5) < 2.0 ** -14).sum() > 100
+    return out64, m
+
+
+near_half_cases = given(st.integers(0, 2 ** 32 - 1), st.floats(2.0 ** 13, 2.0 ** 17),
+                        st.sampled_from([1, 30]))
+
+
+@near_half_cases
+@settings(max_examples=60, deadline=None)
+def test_requantize_near_halves_bit_identical_to_float64(seed, inv_m, reps):
+    out64, m = near_half_stage_sums(seed, inv_m, reps)
     ref = requantize_reference(out64, m)
-    for dtype in (np.float32, np.float64):
-        out = out64.astype(dtype)
-        got = requantize(out, m)
-        assert got.dtype == dtype and got.shape == out64.shape
-        np.testing.assert_array_equal(bits_of(got), bits_of(ref.astype(dtype)))
-        np.testing.assert_array_equal(bits_of(out), bits_of(got))  # in place
+    out = out64.copy()
+    got = requantize(out, m)
+    assert got.dtype == np.float64 and got.shape == out64.shape
+    np.testing.assert_array_equal(bits_of(got), bits_of(ref))
+    np.testing.assert_array_equal(bits_of(out), bits_of(got))  # in place
+
+
+@near_half_cases
+@settings(max_examples=60, deadline=None)
+def test_float32_requantize_near_halves_bit_identical_to_float32_reference(seed, inv_m, reps):
+    out64, m = near_half_stage_sums(seed, inv_m, reps)
+    out = out64.astype(np.float32)
+    ref = requantize_float32_reference(out, m)
+    got = requantize(out, m)
+    assert got.dtype == np.float32 and got.shape == out64.shape
+    np.testing.assert_array_equal(bits_of(got), bits_of(ref))
+    np.testing.assert_array_equal(bits_of(out), bits_of(got))  # in place
+
+
+@near_half_cases
+@settings(max_examples=60, deadline=None)
+def test_float32_requantize_moves_a_code_only_next_to_a_half(seed, inv_m, reps):
+    # the float32 ratio is out * m within ~2**-23 * |out * m| <= 2**-16
+    out64, m = near_half_stage_sums(seed, inv_m, reps)
+    diff = requantize(out64.astype(np.float32), m) - requantize_reference(out64, m)
+    assert np.abs(diff).max() <= 1
+    r = out64 * m
+    assert not diff[np.abs(r - np.floor(r) - 0.5) >= 2.0 ** -14].any()
+
+
+@pytest.mark.parametrize("m, codes", [(1e39, [0.0, 127.0, -128.0, 127.0]),
+                                      (1e-40, [0.0, 0.0, 0.0, 0.0])])
+def test_float32_requantize_outside_float32_normals_follows_float64(m, codes):
+    # float32(1e39) is inf, and inf * 0 would be nan; 1e-40 is subnormal
+    out = np.array([0.0, 1.0, -1.0, 2.0 ** 24 - 1], dtype=np.float32)
+    got = requantize(out, m)
+    assert got.dtype == np.float32 and got.tolist() == codes
+    assert not np.signbit(got[got == 0]).any()
 
 
 class TestFakeQuant:

@@ -4,6 +4,7 @@ The TTM lookup schedule: the ``ad.ttm_lookup`` node along ``ttm_stages``
 matches the dense oracle and the composite take/einsum chain."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,21 +108,24 @@ def test_tt_linear_matches_the_composite_chain(plan, batch, seed):
 
 def int64_walk(layer, x):
     """The integer walk in int64: plain ``np.einsum`` over the codes, then the
-    same requantization as ``TTLinearLayer._forward_int``."""
+    requantization rules of ``TTLinearLayer._forward_int``.  When the frozen
+    codes ride in float32, the rescales are float32 products (each ratio
+    rounded exactly, in float64, from its float32 value), else float64 ones."""
     plan, w_scale, in_scale = layer.plan, float(layer.weight_scale.data), float(layer.act_scale.data)
+    work = layer.frozen_cores().codes[0].dtype.type
     cores = [q.quantize(c.data, w_scale, layer.bits).codes.astype(np.int64) for c in layer.cores]
     acc = q.quantize(x, in_scale, layer.act_bits).codes.astype(np.int64)
     acc = np.pad(acc, ((0, 0), (0, plan.padded_cols - plan.cols)))
     stages = einsum_stages(plan)
     for i, (k, in_shape, core_shape, subscripts) in enumerate(stages):
         acc = acc.reshape((len(x),) + in_shape)
-        out = np.einsum(subscripts, acc, cores[k].reshape(core_shape))
+        out = np.einsum(subscripts, acc, cores[k].reshape(core_shape)).astype(work)
         real_scale = in_scale * w_scale
         if i == len(stages) - 1:
-            acc = out.astype(np.float64) * real_scale
+            acc = out * work(real_scale)
         else:
             in_scale = layer.stage_scales[i]
-            r = np.clip(out * (real_scale / in_scale), -128, 127)  # a float64 copy
+            r = np.clip(out * work(real_scale / in_scale), -128, 127).astype(np.float64)
             acc = q.round_clipped(r, np.empty_like(r)).astype(np.int64)
     y = acc.reshape(len(x), plan.padded_rows)[:, : plan.rows]
     return y + layer.bias.data
@@ -224,6 +228,41 @@ def test_float32_requantize_near_a_half_is_bit_identical_to_int64(plan, batch, s
     layer.stage_scales[0] = a_scale * frozen.scale * peak / (k + 0.5 + delta)
     assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
                          np.float32)
+
+
+def test_float32_walk_rescales_in_float32(monkeypatch):
+    """A float32 layer requantizes next to a half without a float64
+    recompute (no ``round_clipped``), and its last stage's scale and bias
+    make no float64 array the size of the output."""
+    plan = TensorShapePlan(1024, 4, (32, 32), (2, 2), (1, 2, 2, 2, 1))
+    rng = np.random.default_rng(7)
+    layer = calibrated_int8_layer(plan, rng, 32, dtype=np.float32)
+    x = (2.0 * rng.normal(size=(32, plan.cols))).astype(np.float32)
+    frozen = layer.frozen_cores()
+    assert frozen.codes[0].dtype == np.float32
+    # each stage's largest output times its multiplier lands on 2.5
+    a_scale = float(layer.act_scale.data)
+    acc = q.quantize_blocks(x, a_scale, layer.act_bits, np.float32)[0]
+    in_scale = a_scale
+    for i, stage in enumerate(tt_stages(plan)[:-1]):
+        out = stage.forward(acc, frozen.codes[stage.core])
+        layer.stage_scales[i] = in_scale * frozen.scale * float(np.abs(out).max()) / 2.5
+        acc = q.requantize(out, in_scale * frozen.scale / layer.stage_scales[i])
+        in_scale = layer.stage_scales[i]
+    ref = int64_walk(layer, x)
+
+    def round_clipped(*args, **kwargs):
+        raise AssertionError("a float32 stage was rounded again in float64")
+
+    monkeypatch.setattr(q, "round_clipped", round_clipped)
+    tracemalloc.start()
+    try:
+        got = layer._forward_int(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float32 and peak < 8 * got.size
+    assert_bitwise_equal(got, ref, np.float32)
 
 
 @pytest.mark.parametrize("core0_code, dtype", [(127, np.float32), (-128, np.float64)])
@@ -365,10 +404,7 @@ def test_embedding_integer_lookup_reads_the_fake_quant_values():
     assert_bitwise_equal(got, ref, np.float32)
 
 
-def test_repeated_integer_forward_quantizes_activations_only(monkeypatch):
-    model, _, _, (ids, mask) = int8_model_layer()
-    with ad.no_grad():
-        model.forward(ids, mask, mode="infer_int")
+def assert_integer_forward_quantizes_activations_only(monkeypatch, model, ids, mask):
     calls = []
     quantize_blocks = q.quantize_blocks
 
@@ -386,6 +422,29 @@ def test_repeated_integer_forward_quantizes_activations_only(monkeypatch):
     for x, layer in zip(calls, tt_layers):
         assert x.shape == (tokens, layer.in_dim)
         assert not any(x is c for c in cores)
+
+
+def test_repeated_integer_forward_quantizes_activations_only(monkeypatch):
+    model, _, _, (ids, mask) = int8_model_layer()
+    with ad.no_grad():
+        model.forward(ids, mask, mode="infer_int")
+    assert_integer_forward_quantizes_activations_only(monkeypatch, model, ids, mask)
+
+
+def test_calibration_freezes_the_embedding_cores(monkeypatch):
+    """calibrate_int also builds the frozen cores (codes and values) that
+    the integer TTM lookup reads, so the first integer forward after it
+    quantizes and dequantizes no core."""
+    model, _, _, (ids, mask) = int8_model_layer()  # calibrated, no integer forward yet
+    frozen = model.embedding._frozen
+    assert frozen is not None and "values" in vars(frozen)
+
+    def dequantize(*args, **kwargs):
+        raise AssertionError("the first integer forward dequantized the cores")
+
+    monkeypatch.setattr(q, "dequantize", dequantize)
+    assert_integer_forward_quantizes_activations_only(monkeypatch, model, ids, mask)
+    assert model.embedding._frozen is frozen
 
 
 # ---------------------------------------------------------------------------
