@@ -66,10 +66,6 @@ def _canonical_config(config: ModelConfig) -> bytes:
     return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def config_digest(config: ModelConfig) -> str:
-    return hashlib.sha256(_canonical_config(config)).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Bit packing
 
@@ -151,7 +147,7 @@ def checkpoint_save(model: TransformerModel, path: str | Path) -> int:
             out += arr.tobytes()
         elif kind == 1:
             data, scale, bits = value
-            codes = q.quantize(np.asarray(data, dtype=np.float64), scale, bits).codes
+            codes = q.quantize(data, scale, bits)
             out += struct.pack("<B", bits)
             out += struct.pack("<f", scale)
             out += struct.pack("<B", codes.ndim)

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .checkpoint import CheckpointError, checkpoint_load, checkpoint_save
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, positive_count
 from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_corpus
 from .distill import compare_schedules, run_distillation
 from .model import INT_LOGIT_BOUND, TransformerModel, architecture_flops, model_size_bytes
@@ -62,6 +62,13 @@ def _write_report(cfg: RunConfig, stem: str, text: str, records: list[dict]):
     with open(out / f"{stem}.jsonl", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _has_int_path(model_cfg) -> bool:
+    """Whether a model of ``model_cfg`` has an ``infer_int`` forward: TT
+    cores with quantized weights and activations."""
+    return model_cfg.compress and FULL_PRECISION not in (model_cfg.weight_bits,
+                                                         model_cfg.act_bits)
 
 
 def _load_data(cfg: RunConfig):
@@ -149,6 +156,11 @@ def cmd_eval(args) -> int:
     if split is None:
         raise DataFormatError(f"split {args.split!r} not present in {cfg.data_dir}")
     if args.int8:
+        mc = model.config
+        if not _has_int_path(mc):
+            raise ConfigError(f"--int8 needs TT cores with quantized weights and activations; "
+                              f"the checkpoint has compress={mc.compress}, "
+                              f"weight_bits={mc.weight_bits}, act_bits={mc.act_bits}")
         if "train" not in data:
             raise DataFormatError(f"--int8 calibrates on the train split, absent from {cfg.data_dir}")
         batches = itertools.islice(data["train"].batches(cfg.train.batch_size), 4)
@@ -209,6 +221,7 @@ def cmd_report_size(args) -> int:
 
 def cmd_report_flops(args) -> int:
     cfg = RunConfig.load(args.config)
+    positive_count("--seq-len", args.seq_len)
     _write_manifest(cfg, "report-flops", {"seq_len": args.seq_len})
     report = architecture_flops(cfg.model, args.seq_len)
     text = (
@@ -226,18 +239,21 @@ def cmd_report_flops(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = RunConfig.load(args.config)
-    _write_manifest(cfg, "bench", {"repeats": args.repeats})
-    rng = np.random.default_rng(cfg.seed)
+    repeats = (cfg.bench["repeats"] if args.repeats is None
+               else positive_count("--repeats", args.repeats))
     seq = cfg.bench["seq_len"]
     batch = cfg.bench["batch"]
-    repeats = args.repeats or cfg.bench["repeats"]
+    if seq > cfg.model.max_seq:
+        raise ConfigError(f"bench.seq_len {seq} exceeds model.max_seq {cfg.model.max_seq}")
+    _write_manifest(cfg, "bench", {"repeats": args.repeats})
+    rng = np.random.default_rng(cfg.seed)
     compressed = TransformerModel(cfg.model, cfg.seed)
     dense_cfg = dataclasses.replace(cfg.model, compress=False, weight_bits=32, act_bits=32)
     dense = TransformerModel(dense_cfg, cfg.seed)
     ids = rng.integers(0, cfg.model.vocab_size, size=(batch, seq))
     mask = np.ones((batch, seq))
     runs = [("dense", dense, "train"), ("tensor_compressed", compressed, "train")]
-    if cfg.model.compress and FULL_PRECISION not in (cfg.model.weight_bits, cfg.model.act_bits):
+    if _has_int_path(cfg.model):
         compressed.calibrate_int([(ids, mask)])
         # the float forward of the same model, beside which infer_int is read
         runs += [("infer_fp", compressed, "infer_fp"), ("infer_int", compressed, "infer_int")]

@@ -28,6 +28,13 @@ class ConfigError(ValueError):
     """Missing or inconsistent run configuration."""
 
 
+def positive_count(name: str, value) -> int:
+    """``value`` as a count of at least 1, else ``ConfigError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -48,7 +55,13 @@ class RunConfig:
             model = ModelConfig.from_dict(d["model"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        seed = int(os.environ.get("TTQ_SEED", d.get("seed", 0)))
+        seed = os.environ.get("TTQ_SEED", d.get("seed", 0))
+        try:
+            seed = int(seed) if isinstance(seed, str) else seed
+        except ValueError:
+            pass  # rejected below, with the value
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0 (TTQ_SEED or 'seed'), got {seed!r}")
         train_kw = dict(d.get("train", {}))
         train_kw.setdefault("seed", seed)
         distill_kw = dict(d.get("distill", {}))
@@ -61,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"bad train/distill section: {exc}") from exc
         bench = {"repeats": 10, "seq_len": 16, "batch": 8}
         bench.update(d.get("bench", {}))
+        for key in ("repeats", "seq_len", "batch"):
+            positive_count(f"bench.{key}", bench[key])
         return cls(model=model, train=train, distill=distill, seed=seed,
                    output_dir=d.get("output_dir", "runs/out"),
                    data_dir=d.get("data_dir"), teacher_checkpoint=teacher,

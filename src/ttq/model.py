@@ -664,8 +664,7 @@ class TransformerModel:
 
     def layers(self) -> list:
         """Every leaf layer, in parameter order.  The parameter list, the
-        checkpoint records, size accounting and dense->TT conversion all walk
-        this one list."""
+        checkpoint records and size accounting all walk this one list."""
         out = [self.embedding, ParamLeaf(self.pos_emb), self.ln_emb]
         for block in self.encoders + [self.intent_head, self.slot_head]:
             out.extend(block.layers())
@@ -743,39 +742,6 @@ class TransformerModel:
         finally:
             for layer in layers:
                 layer._calib_peaks = None
-
-
-def tt_model_from_dense(dense: TransformerModel) -> TransformerModel:
-    """Exact full-rank TT re-representation of a dense model.
-
-    Every dense weight matrix is embedded into TT (TTM for the table) cores
-    that reconstruct it exactly; all other parameters are copied.  The result
-    is a full-precision compressed model whose forward matches the source up
-    to contraction-order rounding.
-    """
-    from .tt import tt_from_dense_exact, ttm_from_dense_exact, _plan_axis
-
-    cfg = dense.config
-    if cfg.compress:
-        raise ValueError("source model must be dense")
-    student_cfg = replace(cfg, compress=True, weight_bits=32, act_bits=32)
-    student = TransformerModel(student_cfg, np.random.default_rng(0))
-
-    def factors(matrix):
-        return _plan_axis(matrix.shape[0], 2), _plan_axis(matrix.shape[1], 2)
-
-    for layer, source in zip(student.layers(), dense.layers()):
-        if isinstance(layer, TTLinearLayer):
-            w = source.weight.data
-            layer.set_cores(*tt_from_dense_exact(w, *factors(w)))
-            layer.bias.data = source.bias.data.copy()
-        elif isinstance(layer, TTMEmbedding):
-            table = source.table.data
-            layer.set_cores(*ttm_from_dense_exact(table, *factors(table)))
-        else:
-            for (_, p), (_, src) in zip(layer.params(), source.params()):
-                p.data = src.data.copy()
-    return student
 
 
 def _masked_mean(x: ad.Tensor, mask: np.ndarray) -> ad.Tensor:

@@ -10,9 +10,9 @@ range, saturation values outside).
 One blocked kernel, ``quantize_blocks``, does every quantization: it walks
 the input in blocks of 128 KiB of scratch per buffer (``block_size``), so
 the scratch stays in cache, and stores the integer codes (and, on request,
-the dequantized values) block by block.  ``quantize``,
-``fake_quant_forward``, the autodiff ``fake_quant`` and ``tt_linear`` nodes
-and integer inference all call it, so rounding lives in one place.  The
+the dequantized values) block by block.  ``quantize`` (the checkpoint
+writer's codes), the autodiff ``fake_quant`` and ``tt_linear`` nodes and
+integer inference all call it, so rounding lives in one place.  The
 autodiff nodes keep only the int8 codes (1 byte per element) between
 forward and backward; ``dequantize`` rebuilds the values from them bit for
 bit, and ``ste_backward`` allocates nothing shaped like the input but the
@@ -38,8 +38,9 @@ input gradient:
 * the scale gradient is two float64 dot products,
   ``sum(g * code) - sum(g_in * x) / scale``, taken per leaf of
   ``pairwise_sum`` (runs of at most ``BLOCK`` terms) and added along
-  numpy's pairwise tree.  It equals ``(g * ste_grad_scale(x)).sum()``
-  within the float64 dot-product error bound.
+  numpy's pairwise tree.  It equals the sum of ``g`` times the
+  elementwise scale surrogate (``code - x/scale`` in range, the clip bound
+  outside) within the float64 dot-product error bound.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -51,8 +52,6 @@ codes from ``quantize_blocks`` and requantizes each stage with
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,30 +100,6 @@ def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.trunc(r, out=r)
     out -= r
     return out
-
-
-@dataclass
-class QuantizedTensor:
-    """Integer codes with their scale; the represented value is scale*codes."""
-
-    codes: np.ndarray
-    scale: float
-    bits: int
-
-    def __post_init__(self):
-        _check_bits(self.bits)
-        if self.bits == FULL_PRECISION:
-            raise QuantParamError("a full-precision tensor has no integer codes")
-        lo, hi = code_bounds(self.bits)
-        if self.codes.size and (self.codes.min() < lo or self.codes.max() > hi):
-            raise QuantParamError(f"codes outside [{lo}, {hi}] for {self.bits}-bit")
-
-    @property
-    def shape(self):
-        return self.codes.shape
-
-    def dequantize(self) -> np.ndarray:
-        return self.scale * self.codes.astype(np.float64)
 
 
 def block_size(dtype) -> int:
@@ -278,18 +253,9 @@ def requantize(out: np.ndarray, m: float) -> np.ndarray:
     return flat.reshape(out.shape)
 
 
-def quantize(x: np.ndarray, scale: float, bits: int) -> QuantizedTensor:
-    """Quantize to integer codes: round(clip(x/scale, lo, hi))."""
-    codes, _ = quantize_blocks(x, scale, bits, np.int32)
-    return QuantizedTensor(codes=codes, scale=scale, bits=bits)
-
-
-def fake_quant_forward(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    """Quantize-dequantize surrogate used inside training-mode forwards."""
-    x = np.asarray(x)
-    if bits == FULL_PRECISION:
-        return x
-    return quantize_blocks(x, scale, bits, np.int8, x.dtype)[1]
+def quantize(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
+    """Integer codes round(clip(x/scale, lo, hi)) of ``x``, as int32."""
+    return quantize_blocks(x, scale, bits, np.int32)[0]
 
 
 def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
@@ -343,21 +309,22 @@ def pairwise_sum(leaf_sum, start: int, stop: int):
 
 def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Straight-through vector-Jacobian product of ``fake_quant_forward``.
+    """Straight-through vector-Jacobian product of the fake quantizer
+    ``scale * quantize(x)``.
 
     ``x`` is the floating input, ``codes`` the forward's codes of it.
-    Returns ``g`` masked to the in-range elements (``gx = g *
-    ste_grad_input``, in ``g``'s dtype, bit for bit) and the float64 scale
-    gradient ``sum(g * ste_grad_scale(x))``.  ``gx`` is written into ``out``
-    when given: a C-contiguous array of ``g``'s shape and dtype, which may be
-    ``g`` itself.  The mask is two compares of ``x`` against
+    Returns ``g`` masked to the elements whose float64 ratio ``x/scale``
+    lies in the clip range (``gx``, in ``g``'s dtype, bit for bit) and the
+    float64 scale gradient, the sum of ``g`` times the elementwise scale
+    surrogate.  ``gx`` is written into ``out`` when given: a C-contiguous
+    array of ``g``'s shape and dtype, which may be ``g`` itself.  The mask is two compares of ``x`` against
     ``ratio_thresholds``.  In range the surrogate is ``code - x/scale`` and
     outside it the code, so the scale gradient is the two dot products
     ``sum(g * code) - sum(gx * x) / scale``: each leaf of ``pairwise_sum``
     takes both in float64 (``g``'s before its block is masked), and the
-    leaves add along the pairwise tree.  Their order differs from the
-    reference's, so they agree within the float64 dot-product error bound,
-    not bit for bit.
+    leaves add along the pairwise tree.  Their order differs from an
+    elementwise sum's, so the two agree within the float64 dot-product error
+    bound, not bit for bit.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     flat, cflat = x.reshape(-1), codes.reshape(-1)
@@ -387,40 +354,6 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
 
     g_code, gx_x = pairwise_sum(leaf_sum, 0, n)
     return gx.reshape(x.shape), np.float64(g_code - gx_x / scale)
-
-
-def ste_grad_input(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    """Elementwise surrogate d(quantize)/dx: 1 inside the clip range, else 0."""
-    if scale <= 0:
-        raise QuantParamError(f"scale must be positive, got {scale}")
-    if bits == FULL_PRECISION:
-        return np.ones_like(np.asarray(x, dtype=np.float64))
-    lo, hi = code_bounds(bits)
-    ratio = np.asarray(x, dtype=np.float64) / scale
-    return ((ratio >= lo) & (ratio <= hi)).astype(np.float64)
-
-
-def ste_grad_scale(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    """Elementwise surrogate d(quantize)/d(scale).
-
-    In range: (Q(x) - x) / scale.  Below range: the lower clip bound.  Above:
-    the upper clip bound.  A layer's scalar scale gradient is the sum of this
-    over every element sharing the scale.
-    """
-    if scale <= 0:
-        raise QuantParamError(f"scale must be positive, got {scale}")
-    if bits == FULL_PRECISION:
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-    lo, hi = code_bounds(bits)
-    x = np.asarray(x, dtype=np.float64)
-    ratio = x / scale
-    clipped = np.empty(ratio.shape)  # an array even for 0-d x, as round_clipped writes in place
-    np.clip(ratio, lo, hi, out=clipped)
-    q = scale * round_clipped(clipped, np.empty_like(clipped))
-    grad = (q - x) / scale
-    grad = np.where(ratio < lo, float(lo), grad)
-    grad = np.where(ratio > hi, float(hi), grad)
-    return grad
 
 
 def init_scale(x: np.ndarray, bits: int) -> float:

@@ -8,19 +8,18 @@ each carrying one row mode and one column mode jointly.
 
 ``tt_stages(plan)`` is the one TT contraction schedule: a tuple of stages,
 each one matmul with one core, holding its forward, its adjoint and its
-multiply count.  ``tt_chain`` walks it forward for ``tt_matvec``, integer
-inference and its calibration; ``tt_chain_vjp`` adds the reverse walk, the
-backward of the ``ad.tt_linear`` node, which keeps the stage inputs after
-the first.  Its twin ``ttm_stages(plan)`` is
-the TTM row lookup: shared prefix and suffix tables, then one join per
-distinct id; ``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node and
-``ttm_row_lookup``.  The op counts behind ``flops_estimate`` follow the same
-stages.
+multiply count.  ``tt_chain`` walks it forward for the ``ad.tt_linear``
+node's no-grad forward (calibration included) and integer inference;
+``tt_chain_vjp`` adds the reverse walk, the backward of the
+``ad.tt_linear`` node, which keeps the stage inputs after the first.  Its
+twin ``ttm_stages(plan)`` is the TTM row lookup: shared prefix and suffix
+tables, then one join per distinct id; ``ttm_lookup_vjp`` walks it for the
+``ad.ttm_lookup`` node.  The op counts behind ``flops_estimate`` follow the
+same stages.
 
-Cores are plain lists of arrays, which ``tt_to_dense``, ``ttm_to_dense``,
-``tt_matvec`` and ``ttm_row_lookup`` check against the plan.  Dense
-reconstruction here is the reference path: it is used by oracles and tests,
-never by the training or inference hot path.
+Cores are plain lists of arrays whose shapes are ``plan.core_shapes()``.
+No dense matrix is ever built from them: a TT or TTM weight exists only as
+its cores.
 """
 
 from __future__ import annotations
@@ -229,17 +228,6 @@ def plan_factorization(
 # Cores
 
 
-def _check_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan, fmt: TTFormat):
-    if plan.format is not fmt:
-        raise StructureError(f"plan is not {fmt.name} format")
-    shapes = plan.core_shapes()
-    if len(cores) != len(shapes):
-        raise StructureError(f"expected {len(shapes)} cores, got {len(cores)}")
-    for i, (core, shape) in enumerate(zip(cores, shapes)):
-        if tuple(core.shape) != shape:
-            raise StructureError(f"core {i} has shape {core.shape}, expected {shape}")
-
-
 def _gaussian_cores(plan: TensorShapePlan, rng: np.random.Generator, target_std: float,
                     dtype) -> list[np.ndarray]:
     """Random Gaussian cores scaled so the reconstructed matrix has roughly
@@ -269,51 +257,6 @@ def init_ttm_cores(plan: TensorShapePlan, rng: np.random.Generator,
                    dtype=np.float64) -> list[np.ndarray]:
     """Random TTM cores of an embedding table: entries of std about 0.02."""
     return _gaussian_cores(plan, rng, 0.02, dtype)
-
-
-# ---------------------------------------------------------------------------
-# Dense reconstruction (oracle path, FP64)
-
-
-def tt_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
-    """Materialize the full (rows x cols) matrix from TT cores.
-
-    Slice-product reconstruction: chain the cores into the order-2d tensor,
-    reshape to the padded matrix, crop to the logical shape.
-    """
-    core_list = list(cores)
-    _check_cores(core_list, plan, TTFormat.TT)
-    out = np.asarray(core_list[0], dtype=np.float64)  # (1, m1, r1)
-    acc = out.reshape(out.shape[1], out.shape[2])
-    modes = [core_list[0].shape[1]]
-    for core in core_list[1:]:
-        c = np.asarray(core, dtype=np.float64)
-        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
-        modes.append(c.shape[1])
-    acc = acc.reshape(modes)  # trailing rank is 1
-    padded = acc.reshape(plan.padded_rows, plan.padded_cols)
-    return padded[: plan.rows, : plan.cols]
-
-
-def ttm_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
-    """Materialize the full matrix from TTM cores via joint (row, col) slices."""
-    core_list = list(cores)
-    _check_cores(core_list, plan, TTFormat.TTM)
-    first = np.asarray(core_list[0], dtype=np.float64)
-    acc = first.reshape(first.shape[1], first.shape[2], first.shape[3])  # (m1, n1, p1)
-    row_modes = [first.shape[1]]
-    col_modes = [first.shape[2]]
-    for core in core_list[1:]:
-        c = np.asarray(core, dtype=np.float64)
-        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
-        row_modes.append(c.shape[1])
-        col_modes.append(c.shape[2])
-    # modes are interleaved (m1, n1, m2, n2, ...); bring rows forward
-    acc = acc.reshape([x for pair in zip(row_modes, col_modes) for x in pair])
-    order = list(range(0, 2 * len(row_modes), 2)) + list(range(1, 2 * len(row_modes), 2))
-    tensor = acc.transpose(order)
-    padded = tensor.reshape(plan.padded_rows, plan.padded_cols)
-    return padded[: plan.rows, : plan.cols]
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +380,6 @@ def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShape
         return (g[:, : plan.cols], *grads)
 
     return y, pullback
-
-
-def tt_matvec(cores: Sequence[np.ndarray], plan: TensorShapePlan, x: np.ndarray) -> np.ndarray:
-    """y = W x without materializing W, along ``tt_stages(plan)``."""
-    core_list = list(cores)
-    _check_cores(core_list, plan, TTFormat.TT)
-    x = np.asarray(x)
-    if x.shape != (plan.cols,):
-        raise ValueError(f"expected input of length {plan.cols}, got shape {x.shape}")
-    return tt_chain(x[None], core_list, plan)[0]
 
 
 def tt_matvec_mult_count(plan: TensorShapePlan) -> int:
@@ -637,111 +570,3 @@ def ttm_lookup_mult_count(plan: TensorShapePlan) -> int:
     counted.
     """
     return sum(st.mults for st in ttm_stages(plan))
-
-
-def ttm_row_lookup(cores: Sequence[np.ndarray], plan: TensorShapePlan, row: int) -> np.ndarray:
-    """Row ``row`` of the represented matrix, from core slices only."""
-    core_list = list(cores)
-    _check_cores(core_list, plan, TTFormat.TTM)
-    if not 0 <= row < plan.rows:
-        raise IndexError(f"row {row} out of range [0, {plan.rows})")
-    return ttm_lookup_vjp(np.array([row]), core_list, plan)[0][0]
-
-
-# ---------------------------------------------------------------------------
-# Exact high-rank embeddings of dense matrices (oracle constructions)
-
-
-def tt_from_dense_exact(w: np.ndarray, row_factors,
-                        col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
-    """Exact TT representation of a dense matrix by index encoding.
-
-    Row cores are identity encoders of the row digits, the first column core
-    holds the data, and remaining column cores decode the column digits.  The
-    ranks are full (no approximation); useful for constructing students that
-    reproduce a dense teacher bit-for-bit modulo arithmetic order.
-    """
-    w = np.asarray(w)
-    rows, cols = w.shape
-    rf, cf = tuple(row_factors), tuple(col_factors)
-    d = len(rf)
-    pr, pc = math.prod(rf), math.prod(cf)
-    if pr < rows or pc < cols:
-        raise PlanError("factors do not cover the matrix")
-    padded = np.zeros((pr, pc), dtype=w.dtype)
-    padded[:rows, :cols] = w
-    ranks = [1]
-    left = 1
-    for k in range(d):
-        left *= rf[k]
-        ranks.append(left)
-    right_tail = [1]
-    for k in range(d - 1, 0, -1):
-        right_tail.append(right_tail[-1] * cf[k])
-    right_tail = list(reversed(right_tail))  # prod(cf[k:]) for k = 1..d, then 1
-    ranks.extend(right_tail)
-    plan = TensorShapePlan(rows=rows, cols=cols, row_factors=rf, col_factors=cf,
-                           ranks=tuple(ranks), format=TTFormat.TT)
-    cores: list[np.ndarray] = []
-    left = 1
-    for k in range(d):
-        core = np.zeros((left, rf[k], left * rf[k]), dtype=w.dtype)
-        for a in range(left):
-            for i in range(rf[k]):
-                core[a, i, a * rf[k] + i] = 1.0
-        cores.append(core)
-        left *= rf[k]
-    # data core: (pr, cf[0], prod(cf[1:]))
-    data = padded.reshape((pr, cf[0], math.prod(cf[1:]) if d > 1 else 1))
-    cores.append(data)
-    right = math.prod(cf[1:]) if d > 1 else 1
-    for k in range(1, d):
-        tail = math.prod(cf[k + 1:]) if k + 1 < d else 1
-        core = np.zeros((right, cf[k], tail), dtype=w.dtype)
-        for j in range(cf[k]):
-            for b in range(tail):
-                core[j * tail + b, j, b] = 1.0
-        cores.append(core)
-        right = tail
-    return cores, plan
-
-
-def ttm_from_dense_exact(w: np.ndarray, row_factors,
-                         col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
-    """Exact TTM representation: leading cores encode (row, col) digit pairs,
-    the final core carries the data."""
-    w = np.asarray(w)
-    rows, cols = w.shape
-    rf, cf = tuple(row_factors), tuple(col_factors)
-    d = len(rf)
-    pr, pc = math.prod(rf), math.prod(cf)
-    if pr < rows or pc < cols:
-        raise PlanError("factors do not cover the matrix")
-    padded = np.zeros((pr, pc), dtype=w.dtype)
-    padded[:rows, :cols] = w
-    ranks = [1]
-    vol = 1
-    for k in range(d - 1):
-        vol *= rf[k] * cf[k]
-        ranks.append(vol)
-    ranks.append(1)
-    plan = TensorShapePlan(rows=rows, cols=cols, row_factors=rf, col_factors=cf,
-                           ranks=tuple(ranks), format=TTFormat.TTM)
-    if d == 1:
-        return [padded.reshape(1, pr, pc, 1)], plan
-    cores = []
-    left = 1
-    for k in range(d - 1):
-        core = np.zeros((left, rf[k], cf[k], left * rf[k] * cf[k]), dtype=w.dtype)
-        for a in range(left):
-            for i in range(rf[k]):
-                for j in range(cf[k]):
-                    core[a, i, j, (a * rf[k] + i) * cf[k] + j] = 1.0
-        cores.append(core)
-        left *= rf[k] * cf[k]
-    # final core: rank index enumerates (i1, j1, ..., i_{d-1}, j_{d-1})
-    tensor = padded.reshape(list(rf) + list(cf))
-    perm = [ax for k in range(d) for ax in (k, d + k)]
-    interleaved = np.ascontiguousarray(tensor.transpose(perm))
-    cores.append(interleaved.reshape(left, rf[-1], cf[-1], 1))
-    return cores, plan

@@ -1,10 +1,19 @@
 """Plain-numpy dense transformer forward, independent of the autodiff engine.
 
 Mirrors the package architecture operation by operation so engine forwards can
-be checked against straight-line array code.
+be checked against straight-line array code.  ``tt_model_from_dense`` turns a
+dense model into a full-precision TT model with the same weights, the twin
+the compressed forward and distillation are checked against.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from reference_tt import tt_from_dense_exact, ttm_from_dense_exact
+
+from ttq.model import TransformerModel, TTLinearLayer, TTMEmbedding
+from ttq.tt import _plan_axis
 
 
 def _ln(x, gamma, beta, eps=1e-5):
@@ -86,3 +95,34 @@ def reference_forward(model, ids, mask):
     intent = head_fwd(model.intent_head, pooled)
     slots = head_fwd(model.slot_head, x.reshape(b * s, h)).reshape(b, s, -1)
     return emb_out, outs, attns, intent, slots * real
+
+
+def tt_model_from_dense(dense: TransformerModel) -> TransformerModel:
+    """Exact full-rank TT re-representation of a dense model.
+
+    Every dense weight matrix is embedded into TT (TTM for the table) cores
+    that reconstruct it exactly; all other parameters are copied.  The result
+    is a full-precision compressed model whose forward matches the source up
+    to contraction-order rounding.
+    """
+    cfg = dense.config
+    if cfg.compress:
+        raise ValueError("source model must be dense")
+    student_cfg = replace(cfg, compress=True, weight_bits=32, act_bits=32)
+    student = TransformerModel(student_cfg, np.random.default_rng(0))
+
+    def factors(matrix):
+        return _plan_axis(matrix.shape[0], 2), _plan_axis(matrix.shape[1], 2)
+
+    for layer, source in zip(student.layers(), dense.layers()):
+        if isinstance(layer, TTLinearLayer):
+            w = source.weight.data
+            layer.set_cores(*tt_from_dense_exact(w, *factors(w)))
+            layer.bias.data = source.bias.data.copy()
+        elif isinstance(layer, TTMEmbedding):
+            table = source.table.data
+            layer.set_cores(*ttm_from_dense_exact(table, *factors(table)))
+        else:
+            for (_, p), (_, src) in zip(layer.params(), source.params()):
+                p.data = src.data.copy()
+    return student

@@ -14,16 +14,170 @@ take/einsum/reshape chain it was before the ``ad.ttm_lookup`` node: every
 core contracted again for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
 single-vector TT adjoint, checked against finite differences and the
 composite chain.
+
+``tt_to_dense`` and ``ttm_to_dense`` materialize the matrix a plan's cores
+represent, the dense oracle of every factorized product.
+``tt_from_dense_exact`` and ``ttm_from_dense_exact`` go the other way:
+full-rank cores that reconstruct a given matrix exactly, by index encoding
+(an exact TT representation in the sense of Oseledets 2011,
+"Tensor-Train Decomposition").
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from ttq import autodiff as ad
 from ttq import quant as q
-from ttq.tt import TTFormat, _check_cores, tt_chain, tt_chain_vjp
+from ttq.tt import PlanError, StructureError, TensorShapePlan, TTFormat, tt_chain, tt_chain_vjp
 
+
+def _check_cores(cores: Sequence[np.ndarray], plan: TensorShapePlan, fmt: TTFormat):
+    if plan.format is not fmt:
+        raise StructureError(f"plan is not {fmt.name} format")
+    shapes = plan.core_shapes()
+    if len(cores) != len(shapes):
+        raise StructureError(f"expected {len(shapes)} cores, got {len(cores)}")
+    for i, (core, shape) in enumerate(zip(cores, shapes)):
+        if tuple(core.shape) != shape:
+            raise StructureError(f"core {i} has shape {core.shape}, expected {shape}")
+
+
+def tt_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
+    """Materialize the full (rows x cols) matrix from TT cores.
+
+    Slice-product reconstruction: chain the cores into the order-2d tensor,
+    reshape to the padded matrix, crop to the logical shape.
+    """
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TT)
+    out = np.asarray(core_list[0], dtype=np.float64)  # (1, m1, r1)
+    acc = out.reshape(out.shape[1], out.shape[2])
+    modes = [core_list[0].shape[1]]
+    for core in core_list[1:]:
+        c = np.asarray(core, dtype=np.float64)
+        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
+        modes.append(c.shape[1])
+    acc = acc.reshape(modes)  # trailing rank is 1
+    padded = acc.reshape(plan.padded_rows, plan.padded_cols)
+    return padded[: plan.rows, : plan.cols]
+
+
+def ttm_to_dense(cores: Sequence[np.ndarray], plan: TensorShapePlan) -> np.ndarray:
+    """Materialize the full matrix from TTM cores via joint (row, col) slices."""
+    core_list = list(cores)
+    _check_cores(core_list, plan, TTFormat.TTM)
+    first = np.asarray(core_list[0], dtype=np.float64)
+    acc = first.reshape(first.shape[1], first.shape[2], first.shape[3])  # (m1, n1, p1)
+    row_modes = [first.shape[1]]
+    col_modes = [first.shape[2]]
+    for core in core_list[1:]:
+        c = np.asarray(core, dtype=np.float64)
+        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
+        row_modes.append(c.shape[1])
+        col_modes.append(c.shape[2])
+    # modes are interleaved (m1, n1, m2, n2, ...); bring rows forward
+    acc = acc.reshape([x for pair in zip(row_modes, col_modes) for x in pair])
+    order = list(range(0, 2 * len(row_modes), 2)) + list(range(1, 2 * len(row_modes), 2))
+    tensor = acc.transpose(order)
+    padded = tensor.reshape(plan.padded_rows, plan.padded_cols)
+    return padded[: plan.rows, : plan.cols]
+
+
+def tt_from_dense_exact(w: np.ndarray, row_factors,
+                        col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
+    """Exact TT representation of a dense matrix by index encoding.
+
+    Row cores are identity encoders of the row digits, the first column core
+    holds the data, and remaining column cores decode the column digits.  The
+    ranks are full (no approximation); useful for constructing students that
+    reproduce a dense teacher bit-for-bit modulo arithmetic order.
+    """
+    w = np.asarray(w)
+    rows, cols = w.shape
+    rf, cf = tuple(row_factors), tuple(col_factors)
+    d = len(rf)
+    pr, pc = math.prod(rf), math.prod(cf)
+    if pr < rows or pc < cols:
+        raise PlanError("factors do not cover the matrix")
+    padded = np.zeros((pr, pc), dtype=w.dtype)
+    padded[:rows, :cols] = w
+    ranks = [1]
+    left = 1
+    for k in range(d):
+        left *= rf[k]
+        ranks.append(left)
+    right_tail = [1]
+    for k in range(d - 1, 0, -1):
+        right_tail.append(right_tail[-1] * cf[k])
+    right_tail = list(reversed(right_tail))  # prod(cf[k:]) for k = 1..d, then 1
+    ranks.extend(right_tail)
+    plan = TensorShapePlan(rows=rows, cols=cols, row_factors=rf, col_factors=cf,
+                           ranks=tuple(ranks), format=TTFormat.TT)
+    cores: list[np.ndarray] = []
+    left = 1
+    for k in range(d):
+        core = np.zeros((left, rf[k], left * rf[k]), dtype=w.dtype)
+        for a in range(left):
+            for i in range(rf[k]):
+                core[a, i, a * rf[k] + i] = 1.0
+        cores.append(core)
+        left *= rf[k]
+    # data core: (pr, cf[0], prod(cf[1:]))
+    data = padded.reshape((pr, cf[0], math.prod(cf[1:]) if d > 1 else 1))
+    cores.append(data)
+    right = math.prod(cf[1:]) if d > 1 else 1
+    for k in range(1, d):
+        tail = math.prod(cf[k + 1:]) if k + 1 < d else 1
+        core = np.zeros((right, cf[k], tail), dtype=w.dtype)
+        for j in range(cf[k]):
+            for b in range(tail):
+                core[j * tail + b, j, b] = 1.0
+        cores.append(core)
+        right = tail
+    return cores, plan
+
+
+def ttm_from_dense_exact(w: np.ndarray, row_factors,
+                         col_factors) -> tuple[list[np.ndarray], TensorShapePlan]:
+    """Exact TTM representation: leading cores encode (row, col) digit pairs,
+    the final core carries the data."""
+    w = np.asarray(w)
+    rows, cols = w.shape
+    rf, cf = tuple(row_factors), tuple(col_factors)
+    d = len(rf)
+    pr, pc = math.prod(rf), math.prod(cf)
+    if pr < rows or pc < cols:
+        raise PlanError("factors do not cover the matrix")
+    padded = np.zeros((pr, pc), dtype=w.dtype)
+    padded[:rows, :cols] = w
+    ranks = [1]
+    vol = 1
+    for k in range(d - 1):
+        vol *= rf[k] * cf[k]
+        ranks.append(vol)
+    ranks.append(1)
+    plan = TensorShapePlan(rows=rows, cols=cols, row_factors=rf, col_factors=cf,
+                           ranks=tuple(ranks), format=TTFormat.TTM)
+    if d == 1:
+        return [padded.reshape(1, pr, pc, 1)], plan
+    cores = []
+    left = 1
+    for k in range(d - 1):
+        core = np.zeros((left, rf[k], cf[k], left * rf[k] * cf[k]), dtype=w.dtype)
+        for a in range(left):
+            for i in range(rf[k]):
+                for j in range(cf[k]):
+                    core[a, i, j, (a * rf[k] + i) * cf[k] + j] = 1.0
+        cores.append(core)
+        left *= rf[k] * cf[k]
+    # final core: rank index enumerates (i1, j1, ..., i_{d-1}, j_{d-1})
+    tensor = padded.reshape(list(rf) + list(cf))
+    perm = [ax for k in range(d) for ax in (k, d + k)]
+    interleaved = np.ascontiguousarray(tensor.transpose(perm))
+    cores.append(interleaved.reshape(left, rf[-1], cf[-1], 1))
+    return cores, plan
 
 def einsum_stages(plan):
     """(core index, per-vector input shape, core view, subscripts) of every
@@ -110,7 +264,7 @@ def quantized_operands(layer, x2d, dtype):
     are the operands of its ``train`` chain."""
 
     def values(a, scale, bits):
-        return (scale * q.quantize(a, scale, bits).codes).astype(dtype)
+        return (scale * q.quantize(a, scale, bits)).astype(dtype)
 
     a_scale, w_scale = float(layer.act_scale.data), float(layer.weight_scale.data)
     return (values(x2d, a_scale, layer.act_bits),

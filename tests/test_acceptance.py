@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from reference_checkpoint import payload_bytes
+from reference_dense import tt_model_from_dense
 from reference_distill import attention_entropy_floors, soft_label_entropy_floor
+from reference_quant import ste_grad_input, ste_grad_scale
+from reference_tt import tt_to_dense, ttm_to_dense
 
 from ttq import autodiff as ad
 from ttq.accounting import param_count
@@ -32,19 +35,15 @@ from ttq.model import (
     TransformerModel,
     architecture_flops,
     model_size_bytes,
-    tt_model_from_dense,
 )
-from ttq.quant import ste_grad_input, ste_grad_scale
 from ttq.train import TrainConfig, evaluate, intent_slot_loss, train_end_to_end
 from ttq.tt import (
     TTFormat,
     init_tt_cores,
     init_ttm_cores,
     plan_factorization,
-    tt_matvec,
-    tt_to_dense,
-    ttm_row_lookup,
-    ttm_to_dense,
+    tt_chain,
+    ttm_lookup_vjp,
 )
 
 
@@ -118,7 +117,7 @@ class TestCriterion1OracleEquivalence:
             plan = plan_factorization(rows, cols, d, rank)
             cores = init_tt_cores(plan, rng)
             x = rng.normal(size=cols)
-            y = tt_matvec(cores, plan, x)
+            y = tt_chain(x[None], cores, plan)[0]
             ref = tt_to_dense(cores, plan) @ x
             scale = max(np.linalg.norm(ref), 1e-30)
             worst_tt = max(worst_tt, np.linalg.norm(y - ref) / scale)
@@ -127,7 +126,7 @@ class TestCriterion1OracleEquivalence:
             mcores = init_ttm_cores(mplan, rng)
             dense = ttm_to_dense(mcores, mplan)
             row = int(rng.integers(0, rows))
-            got = ttm_row_lookup(mcores, mplan, row)
+            got = ttm_lookup_vjp(np.array([row]), mcores, mplan)[0][0]
             rscale = max(np.linalg.norm(dense[row]), 1e-30)
             worst_ttm = max(worst_ttm, np.linalg.norm(got - dense[row]) / rscale)
         elapsed = time.time() - t0

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_dense import gelu, gelu_vjp
+from reference_quant import ste_grad_input, ste_grad_scale
 from test_quant import KERNEL_SHAPES, bits_of, kernel_input
 from ttq import autodiff as ad
-from ttq.quant import BLOCK, code_bounds, quantize, ste_grad_input, ste_grad_scale
+from ttq.quant import BLOCK, code_bounds, quantize
 
 
 def finite_diff(f, x, h=1e-6):
@@ -253,7 +254,7 @@ def assert_scale_grad_within_dot_bound(got, x, g, scale, bits):
     by at most (2n + 8) * 2**-53 * S, plus the cast to the scale's dtype.
     """
     x64, g64 = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
-    codes = quantize(x, scale, bits).codes
+    codes = quantize(x, scale, bits)
     ref = (g * ste_grad_scale(x, scale, bits)).sum()
     terms = np.abs(g64) * (np.abs(codes) + np.abs(x64) / scale)
     bound = (2 * x64.size + 8) * 2.0 ** -53 * terms.sum()
@@ -332,7 +333,7 @@ class TestFakeQuantNode:
             loss = ad.sum_all(ad.mul(out, up))
             g = up
         ad.backward(loss)
-        expected = (scale * quantize(x.data, scale, bits).codes).astype(dtype)
+        expected = (scale * quantize(x.data, scale, bits)).astype(dtype)
         assert out.data.dtype == dtype
         np.testing.assert_array_equal(bits_of(out.data), bits_of(expected))
         gx = g * ste_grad_input(x.data, scale, bits).astype(dtype)

@@ -12,18 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_checkpoint import payload_bytes
+from reference_dense import tt_model_from_dense
 
 from ttq import checkpoint as ckpt_module
 from ttq.checkpoint import (
     CheckpointError,
     checkpoint_load,
     checkpoint_save,
-    config_digest,
     pack_codes,
     unpack_codes,
 )
 from ttq.data import gen_synthetic_dataset
-from ttq.model import ModelConfig, PlanSpec, TransformerModel, model_size_bytes, tt_model_from_dense
+from ttq.model import ModelConfig, PlanSpec, TransformerModel, model_size_bytes
 from ttq.train import TrainConfig, evaluate, train_end_to_end
 from ttq.tt import TTFormat
 
@@ -164,10 +164,19 @@ class TestSizeCrossCheck:
         # framing (names, dims, metadata, header) is bounded and payload-independent
         assert framing < 8192
 
-    def test_config_digest_stable(self):
-        cfg = small_config()
-        assert config_digest(cfg) == config_digest(small_config())
-        assert config_digest(cfg) != config_digest(small_config(weight_bits=8))
+    def test_config_digest_stable(self, tmp_path):
+        def header(cfg, seed):
+            path = tmp_path / "header.ttq"
+            checkpoint_save(TransformerModel(cfg, seed), path)
+            raw = path.read_bytes()
+            (n,) = struct.unpack("<I", raw[8:12])
+            config, digest = raw[12:12 + n], raw[12 + n:12 + n + 32]
+            assert digest == hashlib.sha256(config).digest()
+            return config, digest
+
+        # the header depends on the config alone, not on the weights
+        assert header(small_config(), 0) == header(small_config(), 1)
+        assert header(small_config(), 0)[1] != header(small_config(weight_bits=8), 0)[1]
 
 
 def save_edited_records(model, path, monkeypatch, edit):

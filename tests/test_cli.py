@@ -371,6 +371,58 @@ class TestErrorPaths:
         assert main(["report-size", str(write_cfg(tmp_path, cfg))]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["dense", "fp32_compressed"])
+    def test_int8_eval_without_an_integer_path_exit_code(self, tmp_path, corpus, capsys,
+                                                         compress):
+        from ttq.checkpoint import checkpoint_save
+        cfg = toy_cfg_dict(corpus, tmp_path / "run", weight_bits=32, compress=compress)
+        ckpt = tmp_path / "float.ttq"
+        checkpoint_save(TransformerModel(ModelConfig.from_dict(cfg["model"]), 0), ckpt)
+        assert main(["eval", str(write_cfg(tmp_path, cfg)), "--checkpoint", str(ckpt),
+                     "--int8"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --int8 needs TT cores with quantized weights" in err
+        assert f"compress={compress}, weight_bits=32" in err
+
+    @pytest.mark.parametrize("env, seed, shown", [("abc", 5, "'abc'"), ("1.5", 5, "'1.5'"),
+                                                  ("-1", 5, "-1"), (None, 1.5, "1.5"),
+                                                  (None, True, "True")],
+                             ids=["env-abc", "env-1.5", "env-minus1", "config-1.5", "config-true"])
+    def test_bad_seed_exit_code(self, tmp_path, corpus, monkeypatch, capsys, env, seed, shown):
+        if env is not None:
+            monkeypatch.setenv("TTQ_SEED", env)
+        cfg = dict(toy_cfg_dict(corpus, tmp_path / "run"), seed=seed)
+        assert main(["report-size", str(write_cfg(tmp_path, cfg))]) == 2
+        assert f"config error: seed must be an integer >= 0 (TTQ_SEED or 'seed'), got {shown}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, bench, name", [
+        pytest.param(["bench", "--repeats", "-1"], None, "--repeats", id="repeats=-1"),
+        pytest.param(["bench", "--repeats", "0"], None, "--repeats", id="repeats=0"),
+        pytest.param(["report-flops", "--seq-len", "-3"], None, "--seq-len", id="seq-len=-3"),
+        pytest.param(["report-flops", "--seq-len", "0"], None, "--seq-len", id="seq-len=0"),
+        pytest.param(["bench"], ("repeats", 0), "bench.repeats", id="bench.repeats=0"),
+        pytest.param(["bench"], ("seq_len", -1), "bench.seq_len", id="bench.seq_len=-1"),
+        pytest.param(["bench"], ("batch", 0), "bench.batch", id="bench.batch=0"),
+        pytest.param(["bench"], ("batch", 2.5), "bench.batch", id="bench.batch=2.5"),
+    ])
+    def test_counts_below_one_exit_code(self, tmp_path, corpus, capsys, argv, bench, name):
+        out = tmp_path / "run"
+        cfg = toy_cfg_dict(corpus, out)
+        if bench is not None:
+            cfg["bench"][bench[0]] = bench[1]
+        command, *flags = argv
+        assert main([command, str(write_cfg(tmp_path, cfg)), *flags]) == 2
+        assert f"config error: {name} must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any report or manifest
+
+    def test_bench_sequence_longer_than_the_model_exit_code(self, tmp_path, corpus, capsys):
+        cfg = toy_cfg_dict(corpus, tmp_path / "run")
+        cfg["bench"]["seq_len"] = cfg["model"]["max_seq"] + 1
+        assert main(["bench", str(write_cfg(tmp_path, cfg))]) == 2
+        assert "config error: bench.seq_len 13 exceeds model.max_seq 12" in capsys.readouterr().err
+        assert main(["report-size", str(write_cfg(tmp_path, cfg))]) == 0  # only bench reads it
+
     def test_malformed_checkpoint_exit_code(self, tmp_path, corpus, monkeypatch, capsys):
         from ttq import checkpoint as ckpt_module
         out = tmp_path / "run"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_dense import tt_model_from_dense
 from reference_distill import attention_entropy_floor, soft_label_entropy_floor
 
 from ttq import autodiff as ad
@@ -16,7 +17,7 @@ from ttq.distill import (
     run_distillation,
     stage_loss,
 )
-from ttq.model import ModelConfig, PlanSpec, TransformerModel, tt_model_from_dense
+from ttq.model import ModelConfig, PlanSpec, TransformerModel
 from ttq.train import DivergenceError, snapshot_params
 from ttq.tt import TTFormat
 

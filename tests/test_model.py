@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_dense import reference_forward
-from reference_tt import chain_peaks, quantized_operands
+from reference_dense import reference_forward, tt_model_from_dense
+from reference_tt import chain_peaks, quantized_operands, tt_to_dense, ttm_to_dense
 
 from ttq import autodiff as ad
 from ttq import quant as q
@@ -24,7 +24,6 @@ from ttq.model import (
     model_flops,
     model_size_bytes,
     tt_chain_apply,
-    tt_model_from_dense,
 )
 from ttq.quant import KernelError
 from ttq.train import intent_slot_loss
@@ -33,8 +32,6 @@ from ttq.tt import (
     TTFormat,
     plan_factorization,
     tt_stages,
-    tt_to_dense,
-    ttm_to_dense,
 )
 
 
@@ -235,7 +232,7 @@ class TestCoreLayer:
                 return layer.forward(ad.Tensor(x), mode).data
 
             def reference(cores, quantized_input):
-                x_in = q.fake_quant_forward(x, float(layer.act_scale.data), bits) \
+                x_in = ad.fake_quant(x, float(layer.act_scale.data), bits).data \
                     if quantized_input else x
                 return ad.tt_linear(ad.Tensor(x_in), cores, layer.plan).data + layer.bias.data
         else:
@@ -272,7 +269,7 @@ class TestCoreLayer:
             return
         # train reads the cores fake-quantized at the one weight scale
         scale = float(layer.weight_scale.data)
-        fq = [q.fake_quant_forward(c, scale, bits) for c in masters]
+        fq = [ad.fake_quant(c, scale, bits).data for c in masters]
         np.testing.assert_array_equal(train_out, reference(fq, True))
         # infer_int reads the frozen cores, bit for bit the fake-quantized ones
         for frozen, ref in zip(layer.frozen_cores().values, fq):

@@ -1,0 +1,125 @@
+"""The package holds what a program runs: every public module-level function
+and class in ``src/ttq`` is referenced by a program file.
+
+Program files are the package itself, ``scripts/`` and ``perfbench/`` (its
+own tests excluded).  A reference is a use of the name, resolved through the
+file's imports: ``name`` bound by ``from ttq.m import name`` or defined in
+the same module, or ``alias.name`` with ``alias`` bound to a package module.
+An import alone is no reference, so a re-export does not keep a name alive,
+and neither does a use inside the name's own definition or inside another
+unreferenced one.  Oracles only tests call belong in ``tests/reference_*.py``.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ttq"
+
+# (module, name) -> why it stays with no reference the resolver can see
+READ_BY_STRING = {
+    ("autodiff", "einsum"): "perfbench/spans.py wraps every op spans.autodiff_ops() lists, "
+                            "and reads autodiff.einsum_ms and autodiff.einsum_calls from its span",
+}
+
+
+def program_files() -> list[Path]:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    return files + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                          if not p.name.startswith("test_"))
+
+
+def is_definition(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef))
+
+
+def package_source(node: ast.ImportFrom, in_package: bool) -> str | None:
+    """The package module an ``ImportFrom`` reads from ("" for the package
+    itself), or None for an import from elsewhere."""
+    if node.level:
+        return (node.module or "") if in_package else None
+    if node.module == "ttq":
+        return ""
+    if node.module and node.module.startswith("ttq."):
+        return node.module[len("ttq."):]
+    return None
+
+
+def scan(path: Path, package: Path):
+    """The public definitions of one file, as (module, name) keys when it is
+    a package module, and its uses of package names as (used key, key of the
+    public definition the use sits in, or None)."""
+    tree = ast.parse(path.read_text())
+    in_package = path.parent == package
+    modules, names = {}, {}  # local name -> package module, or -> (module, name)
+    if in_package:
+        names = {n.name: (path.stem, n.name) for n in tree.body if is_definition(n)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = package_source(node, in_package)
+        for alias in node.names if source is not None else []:
+            local = alias.asname or alias.name
+            if source == "":  # from ttq import autodiff as ad
+                modules[local] = alias.name
+            else:
+                names[local] = (source, alias.name)
+    defs, uses = [], []
+    for top in tree.body:
+        owner = None
+        if in_package and is_definition(top) and not top.name.startswith("_"):
+            owner = (path.stem, top.name)
+            defs.append(owner)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                uses.append((names[node.id], owner))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                uses.append(((modules[node.value.id], node.attr), owner))
+    return defs, uses
+
+
+def unreferenced(files: list[Path], package: Path = PACKAGE) -> list[str]:
+    """Public package names with no reference from ``files``, as module.name.
+    Found as a fixed point: a use inside an unreferenced definition does not
+    count."""
+    defs, uses = set(), []
+    for path in files:
+        found, used = scan(path, package)
+        defs.update(found)
+        uses += used
+    dead: set = set()
+    while True:
+        live = {key for key, owner in uses if owner != key and owner not in dead}
+        now = defs - live
+        if now == dead:
+            return sorted(f"{m}.{n}" for m, n in dead if (m, n) not in READ_BY_STRING)
+        dead = now
+
+
+def test_every_public_package_name_has_a_program_reference():
+    assert unreferenced(program_files()) == []
+
+
+def test_names_read_by_string_are_what_perfbench_reads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for module, name in READ_BY_STRING:
+        assert hasattr(importlib.import_module(f"ttq.{module}"), name)
+    assert "einsum" in spans.autodiff_ops()
+    assert {"autodiff.einsum_ms", "autodiff.einsum_calls"} <= spans.PER_LAYER.keys()
+
+
+def test_a_name_only_tests_would_call_is_reported(tmp_path):
+    package = tmp_path / "ttq"
+    package.mkdir()
+    (package / "helpers.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
+        "def only_tests():\n    return inner()\n\n\n"
+        "def inner():\n    return 2\n")
+    (package / "__init__.py").write_text("from .helpers import only_tests\n")
+    (package / "main.py").write_text("from . import helpers as h\n\n\nVALUE = h.used()\n")
+    assert unreferenced(sorted(package.glob("*.py")), package) == [
+        "helpers.inner", "helpers.only_tests", "helpers.recursive"]

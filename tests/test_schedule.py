@@ -18,6 +18,8 @@ from reference_tt import (
     einsum_stages,
     measured_mults,
     tt_matvec_vjp,
+    tt_to_dense,
+    ttm_to_dense,
 )
 
 from ttq import autodiff as ad
@@ -33,13 +35,10 @@ from ttq.tt import (
     init_ttm_cores,
     plan_factorization,
     tt_chain,
-    tt_matvec,
     tt_matvec_mult_count,
     tt_stages,
-    tt_to_dense,
     ttm_lookup_mult_count,
     ttm_stages,
-    ttm_to_dense,
 )
 
 
@@ -66,7 +65,8 @@ def test_every_walk_of_the_schedule_matches_dense(plan, batch, seed):
     tol = dict(rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
     np.testing.assert_allclose(tt_chain(x, cores, plan), ref, **tol)
-    np.testing.assert_allclose(np.stack([tt_matvec(cores, plan, row) for row in x]), ref, **tol)
+    one_by_one = [tt_chain(row[None], cores, plan)[0] for row in x]
+    np.testing.assert_allclose(np.stack(one_by_one), ref, **tol)
     np.testing.assert_allclose(layer.forward(ad.Tensor(x), mode="infer_fp").data, ref, **tol)
 
     assert measured_mults(cores, plan) == tt_matvec_mult_count(plan)
@@ -113,8 +113,8 @@ def int64_walk(layer, x):
     rounded exactly, in float64, from its float32 value), else float64 ones."""
     plan, w_scale, in_scale = layer.plan, float(layer.weight_scale.data), float(layer.act_scale.data)
     work = layer.frozen_cores().codes[0].dtype.type
-    cores = [q.quantize(c.data, w_scale, layer.bits).codes.astype(np.int64) for c in layer.cores]
-    acc = q.quantize(x, in_scale, layer.act_bits).codes.astype(np.int64)
+    cores = [q.quantize(c.data, w_scale, layer.bits).astype(np.int64) for c in layer.cores]
+    acc = q.quantize(x, in_scale, layer.act_bits).astype(np.int64)
     acc = np.pad(acc, ((0, 0), (0, plan.padded_cols - plan.cols)))
     stages = einsum_stages(plan)
     for i, (k, in_shape, core_shape, subscripts) in enumerate(stages):
@@ -277,7 +277,7 @@ def test_stage_dtype_is_float32_exactly_below_two_to_the_24(core0_code, dtype):
     layer.weight_scale.data = np.asarray(1.0, dtype=np.float32)
     layer.act_scale.data = np.asarray(1.0, dtype=np.float32)
     layer.stage_scales = [1.0, 1.0]
-    bounds = [128 * int(np.abs(q.quantize(layer.cores[s.core].data, 1.0, 8).codes).max())
+    bounds = [128 * int(np.abs(q.quantize(layer.cores[s.core].data, 1.0, 8)).max())
               * math.prod(s.core_shape[1:]) for s in tt_stages(plan)]
     assert (max(bounds) < 2 ** 24) == (dtype == np.float32)
     assert all(c.dtype == dtype for c in layer.frozen_cores().codes)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference_tt import composed_tt_layer, tt_matvec_vjp
+from reference_quant import ste_grad_input, ste_grad_scale
+from reference_tt import composed_tt_layer, tt_matvec_vjp, tt_to_dense
 
 from ttq import autodiff as ad
 from ttq import quant as q
@@ -27,7 +28,7 @@ from ttq.train import (
     train_end_to_end,
     train_step,
 )
-from ttq.tt import TTFormat, init_tt_cores, plan_factorization, tt_to_dense, TensorShapePlan
+from ttq.tt import TTFormat, init_tt_cores, plan_factorization, TensorShapePlan
 
 
 class TestTtMatvecVjp:
@@ -399,12 +400,12 @@ def reference_fake_quant(x, scale_t, bits):
     if bits == q.FULL_PRECISION:
         return x
     s = float(scale_t.data)
-    codes = q.quantize(x.data, s, bits).codes
+    codes = q.quantize(x.data, s, bits)
     out = (s * codes).astype(x.data.dtype)
 
     def vjp(g):
-        gx = g * q.ste_grad_input(x.data, s, bits).astype(g.dtype)
-        gs = np.asarray((g * q.ste_grad_scale(x.data, s, bits)).sum(), dtype=scale_t.data.dtype)
+        gx = g * ste_grad_input(x.data, s, bits).astype(g.dtype)
+        gs = np.asarray((g * ste_grad_scale(x.data, s, bits)).sum(), dtype=scale_t.data.dtype)
         return gx, gs.reshape(scale_t.data.shape)
 
     reference_fake_quant.calls += 1

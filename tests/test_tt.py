@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from reference_tt import measured_mults
+from reference_tt import (
+    measured_mults,
+    tt_from_dense_exact,
+    tt_to_dense,
+    ttm_from_dense_exact,
+    ttm_to_dense,
+)
 
 from ttq.tt import (
     PlanError,
@@ -16,13 +22,9 @@ from ttq.tt import (
     init_ttm_cores,
     plan_factorization,
     row_digits,
-    tt_from_dense_exact,
-    tt_matvec,
+    tt_chain,
     tt_matvec_mult_count,
-    tt_to_dense,
-    ttm_from_dense_exact,
-    ttm_row_lookup,
-    ttm_to_dense,
+    ttm_lookup_vjp,
     uniform_ranks,
 )
 
@@ -173,7 +175,7 @@ class TestTTMatvec:
         plan = TensorShapePlan(6, 6, (2, 3), (3, 2), (1, 1, 1, 1, 1), TTFormat.TT)
         cores = [np.ones(s) for s in plan.core_shapes()]
         x = np.arange(6.0)
-        y = tt_matvec(cores, plan, x)
+        y = tt_chain(x[None], cores, plan)[0]
         np.testing.assert_allclose(y, np.full(6, x.sum()))
 
     def test_matches_dense_reconstruction(self):
@@ -181,7 +183,7 @@ class TestTTMatvec:
         plan = plan_factorization(768, 768, 2, 10, row_factors=(24, 32), col_factors=(32, 24))
         cores = init_tt_cores(plan, rng)
         x = rng.normal(size=768)
-        y = tt_matvec(cores, plan, x)
+        y = tt_chain(x[None], cores, plan)[0]
         ref = tt_to_dense(cores, plan) @ x
         np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
 
@@ -189,14 +191,7 @@ class TestTTMatvec:
         rng = np.random.default_rng(4)
         plan = plan_factorization(12, 12, 2, 3)
         cores = init_tt_cores(plan, rng)
-        np.testing.assert_allclose(tt_matvec(cores, plan, np.zeros(12)), np.zeros(12))
-
-    def test_length_mismatch_rejected(self):
-        rng = np.random.default_rng(5)
-        plan = plan_factorization(12, 12, 2, 3)
-        cores = init_tt_cores(plan, rng)
-        with pytest.raises(ValueError):
-            tt_matvec(cores, plan, np.zeros(13))
+        np.testing.assert_allclose(tt_chain(np.zeros((1, 12)), cores, plan), np.zeros((1, 12)))
 
     def test_padded_input_cropped_output(self):
         rng = np.random.default_rng(6)
@@ -204,7 +199,7 @@ class TestTTMatvec:
         assert plan.has_padding
         cores = init_tt_cores(plan, rng)
         x = rng.normal(size=11)
-        np.testing.assert_allclose(tt_matvec(cores, plan, x),
+        np.testing.assert_allclose(tt_chain(x[None], cores, plan)[0],
                                    tt_to_dense(cores, plan) @ x, rtol=1e-11, atol=1e-12)
 
     def test_float32_accumulation_within_relaxed_tolerance(self):
@@ -212,7 +207,7 @@ class TestTTMatvec:
         plan = plan_factorization(768, 768, 2, 10, row_factors=(24, 32), col_factors=(32, 24))
         cores = init_tt_cores(plan, rng, dtype=np.float32)
         x = rng.normal(size=768).astype(np.float32)
-        y = tt_matvec(cores, plan, x)
+        y = tt_chain(x[None], cores, plan)[0]
         ref = tt_to_dense(cores, plan) @ x.astype(np.float64)
         rel = np.linalg.norm(y - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
@@ -238,7 +233,8 @@ class TestTTMRowLookup:
     def test_single_core_table(self):
         plan = TensorShapePlan(3, 4, (3,), (4,), (1, 1), TTFormat.TTM)
         core = np.arange(12.0).reshape(1, 3, 4, 1)
-        np.testing.assert_allclose(ttm_row_lookup([core], plan, 1), [4.0, 5.0, 6.0, 7.0])
+        rows, _ = ttm_lookup_vjp(np.array([1]), [core], plan)
+        np.testing.assert_allclose(rows[0], [4.0, 5.0, 6.0, 7.0])
 
     def test_matches_dense_row(self):
         rng = np.random.default_rng(8)
@@ -246,19 +242,14 @@ class TestTTMRowLookup:
         cores = init_ttm_cores(plan, rng)
         dense = ttm_to_dense(cores, plan)
         for row in range(8):
-            np.testing.assert_allclose(ttm_row_lookup(cores, plan, row), dense[row],
-                                       rtol=1e-12, atol=1e-14)
+            got = ttm_lookup_vjp(np.array([row]), cores, plan)[0][0]
+            np.testing.assert_allclose(got, dense[row], rtol=1e-12, atol=1e-14)
 
     def test_zero_cores_row(self):
         plan = plan_factorization(8, 6, 2, 2, TTFormat.TTM, row_factors=(2, 4), col_factors=(2, 3))
         cores = [np.zeros(s) for s in plan.core_shapes()]
-        np.testing.assert_allclose(ttm_row_lookup(cores, plan, 0), np.zeros(6))
-
-    def test_out_of_range_rejected(self):
-        plan = plan_factorization(8, 6, 2, 2, TTFormat.TTM, row_factors=(2, 4), col_factors=(2, 3))
-        cores = [np.zeros(s) for s in plan.core_shapes()]
-        with pytest.raises(IndexError):
-            ttm_row_lookup(cores, plan, 8)
+        rows, _ = ttm_lookup_vjp(np.array([0]), cores, plan)
+        np.testing.assert_allclose(rows, np.zeros((1, 6)))
 
 
 class TestOracleEquivalenceSweep:
@@ -277,14 +268,14 @@ class TestOracleEquivalenceSweep:
             plan = plan_factorization(rows, cols, d_eff, rank)
             cores = init_tt_cores(plan, rng)
             x = rng.normal(size=cols)
-            np.testing.assert_allclose(tt_matvec(cores, plan, x),
+            np.testing.assert_allclose(tt_chain(x[None], cores, plan)[0],
                                        tt_to_dense(cores, plan) @ x, rtol=1e-12, atol=1e-10)
             mplan = plan_factorization(rows, cols, d_eff, rank, TTFormat.TTM)
             mcores = init_ttm_cores(mplan, rng)
             dense = ttm_to_dense(mcores, mplan)
             row = int(rng.integers(0, rows))
-            np.testing.assert_allclose(ttm_row_lookup(mcores, mplan, row), dense[row],
-                                       rtol=1e-12, atol=1e-12)
+            got = ttm_lookup_vjp(np.array([row]), mcores, mplan)[0][0]
+            np.testing.assert_allclose(got, dense[row], rtol=1e-12, atol=1e-12)
 
 
 class TestPaddingInvariance:
@@ -307,7 +298,8 @@ class TestExactDenseEmbedding:
         cores, plan = tt_from_dense_exact(w, (3, 4), (4, 5))
         np.testing.assert_allclose(tt_to_dense(cores, plan), w, rtol=0, atol=1e-15)
         x = rng.normal(size=20)
-        np.testing.assert_allclose(tt_matvec(cores, plan, x), w @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(tt_chain(x[None], cores, plan)[0], w @ x,
+                                   rtol=1e-13, atol=1e-13)
 
     def test_tt_roundtrip_exact_with_padding(self):
         rng = np.random.default_rng(11)
@@ -321,8 +313,8 @@ class TestExactDenseEmbedding:
         cores, plan = ttm_from_dense_exact(w, (4, 6), (3, 4))
         np.testing.assert_allclose(ttm_to_dense(cores, plan), w, rtol=0, atol=1e-15)
         for row in (0, 5, 23):
-            np.testing.assert_allclose(ttm_row_lookup(cores, plan, row), w[row],
-                                       rtol=0, atol=1e-15)
+            got = ttm_lookup_vjp(np.array([row]), cores, plan)[0][0]
+            np.testing.assert_allclose(got, w[row], rtol=0, atol=1e-15)
 
     def test_ttm_roundtrip_three_cores(self):
         rng = np.random.default_rng(13)
