@@ -12,7 +12,7 @@ label distribution matches the corpus distribution up to rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -370,7 +370,8 @@ class TTLinearLayer(CoreLayer):
                               self.weight_quantizer(mode), post)
 
     def _fold_peaks(self, i, stage, acc, core, out):
-        """Fold stage i's max |out| (no copy of ``out``), if it has rows."""
+        """Fold stage i's max |out| (no copy of ``out``), if it has rows, and
+        return ``out`` itself, as the hook of a recorded node must."""
         if out.size:
             self._calib_peaks[i] = max(self._calib_peaks[i], np.maximum(out.max(), -out.min()))
         return out

@@ -16,7 +16,9 @@ integer inference all call it, so rounding lives in one place.  The
 autodiff nodes keep only the int8 codes (1 byte per element) between
 forward and backward; ``dequantize`` rebuilds the values from them bit for
 bit, and ``ste_backward`` allocates nothing shaped like the input but the
-input gradient, which it may write over ``g``.  Codes and values are bit
+input gradient, which it may write over ``g``.  It reads the input block by
+block, so it takes a recipe that rebuilds a LayerNorm or GELU output a
+block at a time in place of the output itself.  Codes and values are bit
 for bit those of the elementwise float64 reference (the float64 ratio
 ``x / scale``, clipped and rounded half away from zero), and so is the
 input gradient:
@@ -307,19 +309,23 @@ def pairwise_sum(leaf_sum, start: int, stop: int):
     return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, half, stop)
 
 
-def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
+def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of the fake quantizer
     ``scale * quantize(x)``.
 
-    ``x`` is the floating input, ``codes`` the forward's codes of it.
-    Returns ``g`` masked to the elements whose float64 ratio ``x/scale``
-    lies in the clip range (``gx``, in ``g``'s dtype, bit for bit) and the
-    float64 scale gradient, the sum of ``g`` times the elementwise scale
-    surrogate.  ``gx`` is written into ``out`` when given: a C-contiguous
-    array of ``g``'s shape and dtype, which may be ``g`` itself.  The mask is two compares of ``x`` against
-    ``ratio_thresholds``.  In range the surrogate is ``code - x/scale`` and
-    outside it the code, so the scale gradient is the two dot products
+    ``x`` is the floating input, or a recipe that rebuilds it block by block
+    (``autodiff.Rebuild``: its ``dtype`` and ``fill(start, stop, buf)``, which
+    writes the flat elements ``start:stop`` into ``buf``), called once per
+    leaf below into one leaf-sized buffer; ``codes`` are the forward's codes
+    of it.  Returns ``g`` masked to the elements whose float64 ratio
+    ``x/scale`` lies in the clip range (``gx``, in ``g``'s dtype, bit for
+    bit) and the float64 scale gradient, the sum of ``g`` times the
+    elementwise scale surrogate.  ``gx`` is written into ``out`` when given:
+    a C-contiguous array of ``g``'s shape and dtype, which may be ``g``
+    itself.  The mask is two compares of ``x`` against ``ratio_thresholds``.
+    In range the surrogate is ``code - x/scale`` and outside it the code, so
+    the scale gradient is the two dot products
     ``sum(g * code) - sum(gx * x) / scale``: each leaf of ``pairwise_sum``
     takes both in float64 (``g``'s before its block is masked), and the
     leaves add along the pairwise tree.  Their order differs from an
@@ -327,10 +333,10 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
     bound, not bit for bit.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
-    flat, cflat = x.reshape(-1), codes.reshape(-1)
+    cflat = codes.reshape(-1)
     g = np.asarray(g)
     gflat = g.reshape(-1)
-    n = flat.size
+    n = cflat.size
     if out is None:
         gx = np.empty(n, dtype=g.dtype)
     elif out.shape == g.shape and out.dtype == g.dtype and out.flags.c_contiguous:
@@ -340,9 +346,19 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
     width = min(n, BLOCK)
     inside = np.empty(width, dtype=bool)
     not_above = np.empty(width, dtype=bool)
+    if isinstance(x, np.ndarray):
+        flat = x.reshape(-1)
+
+        def x_block(start, stop):
+            return flat[start:stop]
+    else:
+        rebuilt = np.empty(width, dtype=x.dtype)
+
+        def x_block(start, stop):
+            return x.fill(start, stop, rebuilt[:stop - start])
 
     def leaf_sum(start, stop):
-        xb, cb, gb = flat[start:stop], cflat[start:stop], gflat[start:stop]
+        xb, cb, gb = x_block(start, stop), cflat[start:stop], gflat[start:stop]
         m, o = inside[:xb.size], not_above[:xb.size]
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)
@@ -353,7 +369,7 @@ def ste_backward(x: np.ndarray, codes: np.ndarray, scale: float, bits: int,
         return np.array([g_code, np.einsum("i,i->", gxb, xb, dtype=np.float64)])
 
     g_code, gx_x = pairwise_sum(leaf_sum, 0, n)
-    return gx.reshape(x.shape), np.float64(g_code - gx_x / scale)
+    return gx.reshape(codes.shape), np.float64(g_code - gx_x / scale)
 
 
 def init_scale(x: np.ndarray, bits: int) -> float:

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataFormatError, Dataset, pad_batch
+from .data import DataFormatError, Dataset
 from .model import ForwardTrace, TransformerModel
 from .quant import MIN_SCALE
 
@@ -239,8 +239,9 @@ def train_step(model: TransformerModel, state: AdamState, config: TrainConfig,
     before anything changes.
 
     The backward consumes the graph, which frees what the forward kept for
-    it: for each TT layer, its one ``ad.tt_linear`` node's input, int8 codes
-    and stage inputs after the first, no float copy of a quantized input.
+    it: for each TT layer, its one ``ad.tt_linear`` node's int8 codes and
+    its input, or the ``ad.Rebuild`` of a LayerNorm or GELU input, and no
+    float copy of a quantized input or stage input.
     Each ``.grad`` then lives until the next step clears it, and Adam's
     moments are stored up to each parameter's last live row (``AdamState``).
 

@@ -9,13 +9,13 @@ each carrying one row mode and one column mode jointly.
 ``tt_stages(plan)`` is the one TT contraction schedule: a tuple of stages,
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for the ``ad.tt_linear``
-node's no-grad forward (calibration included) and integer inference;
-``tt_chain_vjp`` adds the reverse walk, the backward of the
-``ad.tt_linear`` node, which keeps the stage inputs after the first.  Its
-twin ``ttm_stages(plan)`` is the TTM row lookup: shared prefix and suffix
-tables, then one join per distinct id; ``ttm_lookup_vjp`` walks it for the
-``ad.ttm_lookup`` node.  The op counts behind ``flops_estimate`` follow the
-same stages.
+node's forward (calibration included) and integer inference.
+``tt_chain_vjp``, that node's backward, reruns the forward walk to rebuild
+the stage inputs and then walks the adjoints in reverse, so a forward keeps
+no stage input for it.  Its twin ``ttm_stages(plan)`` is the TTM row
+lookup: shared prefix and suffix tables, then one join per distinct id;
+``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node.  The op counts
+behind ``flops_estimate`` follow the same stages.
 
 Cores are plain lists of arrays whose shapes are ``plan.core_shapes()``.
 No dense matrix is ever built from them: a TT or TTM weight exists only as
@@ -350,36 +350,31 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 
-def tt_chain_vjp(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
-                 post=None):
-    """``tt_chain`` (with its ``post``) plus its pullback ``pullback(g, x2d,
-    cores)``: the map from the gradient of the (batch, rows) result to the
-    gradients ``(x2d, *cores)``, running each stage's ``adjoint`` in reverse.
+def tt_chain_vjp(g: np.ndarray, x2d: np.ndarray, cores: Sequence[np.ndarray],
+                 plan: TensorShapePlan) -> tuple:
+    """The gradients ``(x2d, *cores)`` of ``sum(g * tt_chain(x2d, cores,
+    plan))``, for ``g`` the gradient of the (batch, rows) result.
 
-    Only the stage inputs after the first are kept.  Stage 0's input is
-    ``x2d`` padded, and the pullback takes ``x2d`` and the cores again from
-    its caller, so a caller that can rebuild them (the ``ad.tt_linear`` node
-    rebuilds quantized ones from their int8 codes) need not keep them."""
-    inputs = []
-
-    def keep(i, stage, acc, core, out):
-        if i:
-            inputs.append(acc)
-        return post(i, stage, acc, core, out) if post else out
-
-    y = tt_chain(x2d, cores, plan, keep)
-
-    def pullback(g: np.ndarray, x2d: np.ndarray, cores: Sequence[np.ndarray]) -> tuple:
-        pad = plan.padded_rows - plan.rows
-        g = np.pad(g, ((0, 0), (0, pad))) if pad else g
-        pad = plan.padded_cols - plan.cols
-        first = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
-        grads = [None] * len(cores)
-        for stage, acc in zip(reversed(tt_stages(plan)), reversed([first] + inputs)):
-            g, grads[stage.core] = stage.adjoint(acc, cores[stage.core], g)
-        return (g[:, : plan.cols], *grads)
-
-    return y, pullback
+    Nothing is kept from the forward: the stage forwards rerun on ``x2d`` and
+    the cores to rebuild every stage's input, the same GEMMs on the same
+    operands as ``tt_chain``'s, so bit for bit its stage inputs when its
+    ``post`` returned each ``out`` unchanged.  Then each stage's ``adjoint``
+    runs in reverse, and each stage input is dropped once its adjoint ran.
+    The last stage's forward does not rerun: no stage reads its output."""
+    stages = tt_stages(plan)
+    pad = plan.padded_cols - plan.cols
+    acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
+    inputs = [acc]
+    for stage in stages[:-1]:
+        acc = stage.forward(acc, cores[stage.core])
+        inputs.append(acc)
+    del acc
+    pad = plan.padded_rows - plan.rows
+    g = np.pad(g, ((0, 0), (0, pad))) if pad else g
+    grads = [None] * len(cores)
+    for stage in reversed(stages):
+        g, grads[stage.core] = stage.adjoint(inputs.pop(), cores[stage.core], g)
+    return (g[:, : plan.cols], *grads)
 
 
 def tt_matvec_mult_count(plan: TensorShapePlan) -> int:
@@ -507,20 +502,26 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
     Repeated ids are looked up once and gathered.  The pullback runs the
     stages in reverse: it sums over repeated ids with ``segment_sum``, and
     over the ids sharing a prefix or suffix and the entries sharing a core
-    slice inside GEMMs.
+    slice inside GEMMs.  It keeps the tables each stage read and gathers the
+    core slices from ``cores`` again, bit for bit the forward's gather.
     """
     entries, id_of, p_of, s_of, digits = _lookup_index(ids, plan)
     stages = ttm_stages(plan)
     dtype = np.result_type(*cores)
     tables = {side: np.ones((entries[side], 1, 1), dtype) for side in ("prefix", "suffix")}
-    kept = []
-    for st in stages[:-1]:
+
+    def operands(st, table):
+        """(a, b) of stage ``st``'s ``a @ b`` on the running ``table``; the
+        digit's (r, n, r') slice of each entry is gathered contiguous."""
         rows, inner, cols = st.shape
-        # the digit's (r, n, r') slice of each entry, gathered contiguous
         sl = np.moveaxis(cores[st.core], 1, 0)[digits[st.core]]
-        a, b = (tables["prefix"], sl) if st.side == "prefix" else (sl, tables["suffix"])
-        a, b = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
-        kept.append((a, b))
+        a, b = (table, sl) if st.side == "prefix" else (sl, table)
+        return a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
+
+    kept = []  # the running table each side stage read
+    for st in stages[:-1]:
+        kept.append(tables[st.side])
+        a, b = operands(st, tables[st.side])
         tables[st.side] = a @ b
     width, rank, tail = stages[-1].shape
     prefix = tables["prefix"].reshape(-1, width, rank)
@@ -542,7 +543,8 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
             # the ids of one suffix have distinct prefixes: each += lands once
             grads["prefix"][p_of[group]] += (g_ids @ suffix[s].T).reshape(-1, width, rank)
         core_grads = [None] * len(cores)
-        for st, (a, b) in zip(reversed(stages[:-1]), reversed(kept)):
+        for st, table in zip(reversed(stages[:-1]), reversed(kept)):
+            a, b = operands(st, table)  # the forward's gather again, not kept
             g = grads[st.side].reshape(a.shape[0], a.shape[1], b.shape[2])
             r, m, n, r_next = cores[st.core].shape
             if st.side == "prefix":  # acc @ slice

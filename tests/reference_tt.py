@@ -306,6 +306,5 @@ def tt_matvec_vjp(cores, plan, x, upstream):
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (plan.rows,):
         raise ValueError(f"expected upstream of length {plan.rows}, got {upstream.shape}")
-    _, pullback = tt_chain_vjp(x[None], core_list, plan)
-    gx, *grads = pullback(upstream[None], x[None], core_list)
+    gx, *grads = tt_chain_vjp(upstream[None], x[None], core_list, plan)
     return grads, gx[0]

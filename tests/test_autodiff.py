@@ -14,7 +14,8 @@ from reference_dense import gelu, gelu_vjp
 from reference_quant import ste_grad_input, ste_grad_scale
 from test_quant import KERNEL_SHAPES, bits_of, kernel_input
 from ttq import autodiff as ad
-from ttq.quant import BLOCK, code_bounds, quantize
+from ttq.quant import BLOCK, code_bounds, pairwise_sum, quantize
+from ttq.tt import TensorShapePlan, init_tt_cores, plan_factorization
 
 
 def finite_diff(f, x, h=1e-6):
@@ -139,6 +140,96 @@ class TestElementwiseOps:
         xc = xd - mu
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
         np.testing.assert_array_equal(bits_of(out.data), bits_of(xc * inv * g + b))
+
+
+def leaf_ranges(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) runs ``quant.pairwise_sum`` hands its leaves, as
+    ``quant.ste_backward`` reads its input."""
+    runs = []
+    pairwise_sum(lambda start, stop: runs.append((start, stop)) or 0.0, 0, n)
+    return runs
+
+
+class TestRebuiltOutputs:
+    """A recorded ``layer_norm`` or ``gelu`` output carries a ``Rebuild``:
+    the whole array and every range of it are the output bit for bit, and a
+    TT layer reading it gets the gradients it gets from the output itself."""
+
+    @staticmethod
+    def recorded(op, data, leaves=None):
+        """``op`` of a leaf holding ``data``; the leaves are appended to ``leaves``."""
+        x = ad.Parameter(data)
+        if op == "gelu":
+            params = [x]
+            out = ad.gelu(x)
+        else:
+            data_rng = np.random.default_rng(11)
+            gamma, beta = (ad.Parameter(data_rng.normal(size=data.shape[-1]).astype(data.dtype))
+                           for _ in range(2))
+            params = [x, gamma, beta]
+            out = ad.layer_norm(x, gamma, beta)
+        if leaves is not None:
+            leaves += params
+        return out
+
+    @pytest.mark.parametrize("op", ["layer_norm", "gelu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 9), (2, 3, BLOCK // 3 + 11), (40, 1000)])
+    def test_rebuild_is_the_output_bit_for_bit(self, op, dtype, shape):
+        data_rng = np.random.default_rng(9)
+        out = self.recorded(op, (3.0 * data_rng.normal(size=shape)).astype(dtype))
+        rebuild = out.rebuild
+        assert rebuild.shape == out.shape and rebuild.dtype == out.dtype
+        whole = rebuild.array()
+        assert whole.flags.c_contiguous
+        np.testing.assert_array_equal(bits_of(whole), bits_of(out.data))
+        flat, n = out.data.reshape(-1), out.data.size
+        ends = data_rng.integers(0, n + 1, size=(20, 2))
+        ranges = leaf_ranges(n) + [(min(a, b), max(a, b)) for a, b in ends]
+        row = shape[-1]
+        ranges += [(1, row - 1), (row - 1, row + 1), (row, 3 * row)]  # inside, across, whole rows
+        for start, stop in ranges:
+            stop = min(stop, n)
+            start = min(start, stop)
+            buf = np.full(stop - start, np.nan, dtype=out.dtype)
+            got = rebuild.fill(start, stop, buf)
+            assert got is buf
+            np.testing.assert_array_equal(bits_of(buf), bits_of(flat[start:stop]))
+
+    def test_a_transposed_gelu_input_rebuilds_in_c_order(self):
+        data = np.random.default_rng(10).normal(size=(BLOCK + 5, 3)).astype(np.float32).T
+        out = self.recorded("gelu", data)
+        np.testing.assert_array_equal(bits_of(out.rebuild.array()), bits_of(out.data))
+
+    @pytest.mark.parametrize("op", ["layer_norm", "gelu"])
+    def test_unrecorded_outputs_carry_no_rebuild(self, op):
+        with ad.no_grad():
+            assert self.recorded(op, np.ones((2, 3))).rebuild is None
+
+    @pytest.mark.parametrize("op", ["layer_norm", "gelu"])
+    @pytest.mark.parametrize("act_bits", [8, 32])
+    @pytest.mark.parametrize("plan", [TensorShapePlan(5, 7, (2, 3), (2, 4), (1, 3, 2, 4, 1)),
+                                      plan_factorization(64, 48, 2, 4)], ids=["padded", "48"])
+    def test_a_tt_layer_reads_the_rebuild_as_the_output(self, op, act_bits, plan):
+        data_rng = np.random.default_rng(12)
+        data = data_rng.normal(size=(300, plan.cols)).astype(np.float32)
+        cores = [c.astype(np.float32) for c in init_tt_cores(plan, data_rng)]
+        u = data_rng.normal(size=(300, plan.rows)).astype(np.float32)
+        grads = []
+        for keep_output in (False, True):
+            leaves = []
+            x = self.recorded(op, data.copy(), leaves)
+            if keep_output:
+                x.rebuild = None  # the node then keeps x.data itself
+            params = [ad.Parameter(c.copy()) for c in cores]
+            a_scale = ad.Parameter(np.asarray(np.abs(x.data).max() / 127, dtype=np.float32))
+            w_scale = ad.Parameter(np.asarray(0.01, dtype=np.float32))
+            y = ad.tt_linear(x, params, plan, act=(a_scale, act_bits), weight=(w_scale, 8))
+            ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+            grads.append([p.grad for p in leaves + params + [a_scale, w_scale]])
+        for got, want in zip(*grads):
+            if want is not None:
+                np.testing.assert_array_equal(bits_of(got), bits_of(want))
 
 
 class TestShapeOps:

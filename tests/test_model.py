@@ -1,6 +1,7 @@
 """Model-level tests: TT layer modes, encoder behaviour, traces, accounting."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from ttq.model import (
     TTMEmbedding,
     model_flops,
     model_size_bytes,
-    tt_chain_apply,
 )
 from ttq.quant import KernelError
 from ttq.train import intent_slot_loss
@@ -655,6 +655,33 @@ class TestPacking:
             alone_intent, alone_slots = run(ids[i:i + 1], mask[i:i + 1])
             np.testing.assert_allclose(intent[i], alone_intent[0], rtol=1e-9)
             np.testing.assert_allclose(slots[i], alone_slots[0], rtol=1e-9, atol=1e-12)
+
+
+class TestRecordedForwardMemory:
+    def test_int8_forward_keeps_two_ffn_arrays_per_encoder(self):
+        """What a recorded INT8 forward leaves for its backward, by tracemalloc.
+        Of the float (N, ffn_dim) arrays GELU's input and its tanh stay, two
+        per encoder: GELU's output, which the FFN's down projection
+        quantizes, is rebuilt from them.  The padding mask makes N unlike any
+        other dimension."""
+        cfg = toy_config(hidden=8, ffn_dim=200, act_bits=8, weight_bits=8, dtype="float32")
+        model = TransformerModel(cfg, 0)
+        ids, mask = random_batch(cfg, batch=3, seq=7)
+        rng = np.random.default_rng(0)
+        intents = rng.integers(0, cfg.num_intents, size=3)
+        slots = rng.integers(0, cfg.num_slots, size=ids.shape)
+        with ad.no_grad():
+            model.forward(ids, mask)  # the first forward sets the input scales
+        tracemalloc.start()
+        try:
+            trace = model.forward(ids, mask)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        ffn_bytes = int(mask.sum()) * cfg.ffn_dim * 4
+        assert sum(t.size == ffn_bytes for t in traces) == 2 * cfg.num_layers
+        ad.backward(intent_slot_loss(trace, intents, slots))
+        assert all(p.grad is not None for p in model.encoders[0].ffn_up.cores)
 
 
 class TestAccounting:

@@ -8,6 +8,7 @@ the same module, or ``alias.name`` with ``alias`` bound to a package module.
 An import alone is no reference, so a re-export does not keep a name alive,
 and neither does a use inside the name's own definition or inside another
 unreferenced one.  Oracles only tests call belong in ``tests/reference_*.py``.
+No program file imports a name it does not use.
 """
 
 import ast
@@ -96,6 +97,38 @@ def unreferenced(files: list[Path], package: Path = PACKAGE) -> list[str]:
         if now == dead:
             return sorted(f"{m}.{n}" for m, n in dead if (m, n) not in READ_BY_STRING)
         dead = now
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads, as ``file:line name``.  A
+    read is any ``Name`` node of the bound name, the base of an attribute
+    included; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name.split(".")[0]
+            if local not in read:
+                found.append(f"{path.name}:{node.lineno} {local}")
+    return found
+
+
+def test_program_files_import_only_what_they_use():
+    assert [name for path in program_files() for name in unused_imports(path)] == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n\n"
+                    "import os.path\nimport numpy as np\n"
+                    "from dataclasses import dataclass, field\n\n\n"
+                    "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(path) == ["mod.py:3 os", "mod.py:5 field"]
 
 
 def test_every_public_package_name_has_a_program_reference():

@@ -18,7 +18,7 @@ from test_schedule import tt_plans
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.model import TTLinearLayer, tt_chain_apply
-from ttq.tt import TensorShapePlan, plan_factorization, tt_chain, tt_stages
+from ttq.tt import TensorShapePlan, init_tt_cores, plan_factorization, tt_stages
 
 
 def run_layer(layer_fn, plan, arrays, act_bits, w_bits, use_bias):
@@ -118,8 +118,9 @@ def held_bytes(fn):
 @pytest.mark.parametrize("plan", [PADDED, plan_factorization(64, 64, 2, 4)], ids=["padded", "64"])
 def test_node_keeps_codes_not_values(plan):
     """Under ``no_grad`` the node keeps nothing but its output.  Recorded,
-    it keeps the int8 codes of its input and cores and the stage inputs
-    after the first: no float copy of the quantized input or cores."""
+    it keeps the int8 codes of its input and cores and a few scalars: no
+    float copy of the quantized input or cores, and no stage input, which
+    the backward computes again from the codes."""
     rng = np.random.default_rng(4)
     layer = TTLinearLayer(plan, 8, 8, rng)
     x = ad.Parameter(rng.normal(size=(256, plan.cols)).astype(np.float32))
@@ -128,16 +129,46 @@ def test_node_keeps_codes_not_values(plan):
     assert out._node is None and not out.requires_grad
     assert held < out.data.nbytes + 1024
 
-    later_inputs = []
-
-    def record(i, stage, acc, core, y):
-        if i:
-            later_inputs.append(acc.nbytes)
-        return y
-
-    tt_chain(x.data, [c.data for c in layer.cores], plan, record)
     codes = x.data.size + sum(c.data.size for c in layer.cores)
     out, held = held_bytes(lambda: layer.forward(x))
     assert out._node is not None
-    assert held < out.data.nbytes + codes + sum(later_inputs) + 4096
+    assert held < out.data.nbytes + codes + 4096
     assert math.prod(x.shape) * 4 > 4096  # a float32 copy of the input would not fit
+
+
+def test_recorded_calibration_folds_each_stage_once_per_forward():
+    """A recorded forward runs ``post`` once per stage; its backward reruns
+    the stages without it, so the peaks are those of a ``no_grad`` forward
+    and the backward leaves them as they were."""
+    rng = np.random.default_rng(6)
+    layer = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
+    x = ad.Parameter(rng.normal(size=(5, 16)).astype(np.float32))
+    want = layer.stage_peaks(x.data)
+    calls = []
+    fold = layer._fold_peaks
+    layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
+    layer._calib_peaks = np.full(len(want), -np.inf)
+    y = layer.forward(x)
+    assert y._node is not None and calls == list(range(len(want)))
+    np.testing.assert_array_equal(layer._calib_peaks, want)
+    ad.backward(ad.sum_all(y))
+    assert calls == list(range(len(want)))
+    np.testing.assert_array_equal(layer._calib_peaks, want)
+    assert x.grad is not None
+
+
+def test_recorded_post_must_return_out():
+    """The backward reruns the stages without ``post``, so a recorded node
+    refuses a hook that would change what the next stage reads."""
+    plan = plan_factorization(12, 16, 2, 3)
+    rng = np.random.default_rng(7)
+    x = ad.Parameter(rng.normal(size=(3, 16)))
+    cores = [ad.Parameter(c) for c in init_tt_cores(plan, rng)]
+
+    def copy(i, stage, acc, core, out):
+        return out.copy()
+
+    with pytest.raises(ValueError, match="post hook must return out"):
+        ad.tt_linear(x, cores, plan, post=copy)
+    with ad.no_grad():  # nothing is rerun: any hook goes
+        ad.tt_linear(x, cores, plan, post=copy)
