@@ -296,10 +296,10 @@ class Stage:
         core, in their shapes; ``g`` may have any shape of the output's size."""
         a, c, batched = self._operands(acc, core)
         if batched:
-            g = g.reshape(a.shape[0], c.shape[0], -1)
+            g = g.reshape(a.shape[0], c.shape[0], a.shape[2])
             g_acc, g_core = c.T @ g, (g @ a.transpose(0, 2, 1)).sum(axis=0)
         else:
-            g = g.reshape(a.shape[0], -1)
+            g = g.reshape(a.shape[0], c.shape[0])
             g_acc, g_core = g @ c, g.T @ a
         return g_acc.reshape(acc.shape), g_core.reshape(core.shape)
 

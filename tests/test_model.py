@@ -633,6 +633,20 @@ class TestPacking:
             if ref is not None:
                 np.testing.assert_allclose(g, ref, rtol=0, atol=atol, err_msg=name)
 
+    def test_all_padding_batch_backward(self):
+        """A batch with no real token still trains: every TT stage adjoint
+        runs on zero rows, and only the heads' and the intent path's
+        parameters get a nonzero gradient."""
+        model = self.model(3)
+        cfg = model.config
+        ids, mask = all_padding(cfg)
+        loss = intent_slot_loss(model.forward(ids, mask), np.zeros(len(ids), dtype=np.int64),
+                                np.zeros(ids.shape, dtype=np.int64))
+        grads = ad.backward(loss)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        for core in model.encoders[0].ffn_up.cores:
+            assert not grads[id(core)].any()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_no_mask_and_empty_rows(self, mode):
         model = self.model(2)
