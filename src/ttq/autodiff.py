@@ -32,10 +32,11 @@ stage adjoints; the input quantizer's straight-through backward reads the
 float input block by block.  For an ATIS-shaped INT8 batch of 233 real
 tokens a train forward so leaves 25.9 MB for its backward (tracemalloc),
 against 45.6 MB when the node kept its stage inputs and its input.  A TTM
-row lookup is one node, ``ttm_lookup``, over ``tt.ttm_lookup_vjp``.
-Scatter-adds (``take``, the lookup's backward) are one sorted
-``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move distinct rows,
-so each is the other's plain-indexing adjoint.
+row lookup and its weight quantizer are one node too, ``ttm_lookup``,
+over ``tt.ttm_lookup_vjp``; both nodes' weight quantizers are
+``_quantize_cores``.  Scatter-adds (``take``, the lookup's backward) are
+one sorted ``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move
+distinct rows, so each is the other's plain-indexing adjoint.
 """
 
 from __future__ import annotations
@@ -484,12 +485,11 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
 
     ``act`` and ``weight`` are the input and weight quantizers, each a
     ``(scale Tensor, bits)`` pair or None; 32 bits is none.  The forward
-    quantizes the input once and the cores once, in one ``quantize_blocks``
-    call over their concatenation, walks ``tt.tt_stages`` and adds the bias
-    in place on the last stage's fresh output.  ``post`` is ``tt.tt_chain``'s
-    stage hook.  A recorded node's ``post`` must return ``out`` itself,
-    unchanged (``ValueError`` when it returns another array): the backward
-    reruns the stages without it, so it runs once per forward.
+    quantizes the input once and the cores once (``_quantize_cores``), walks
+    ``tt.tt_stages`` and adds the bias in place on the last stage's fresh
+    output.  ``post`` is ``tt.tt_chain``'s stage hook.  The backward reruns
+    the stages without it, so a recorded node refuses one (``ValueError``):
+    a hook runs only on a forward no backward reads.
 
     For the backward the node keeps the int8 codes of the input and of the
     cores, the input's ``Rebuild`` when it has one (a LayerNorm or GELU
@@ -500,9 +500,7 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     the adjoints.  The input gradient is the straight-through mask applied in
     place on the stage-0 gradient (into a fresh array when padded columns
     make that gradient a strided view); ``quant.ste_backward`` reads the
-    float input block by block, from the ``Rebuild`` when there is one.
-    Each core's gradient is masked likewise.  Each core's scale gradient is
-    cast to the scale's dtype and the casts are summed in core order, so
+    float input block by block, from the ``Rebuild`` when there is one.  So
     every gradient equals that of a ``fake_quant`` node per input and core
     feeding a plain TT product and a bias ``add``.  Under ``no_grad``
     nothing is kept.
@@ -512,20 +510,18 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     act, weight = _quantizer(act), _quantizer(weight)
     scales = [spec[0] for spec in (act, weight) if spec is not None]
     inputs = [x2d, *cores] + [t for t in [bias] if t is not None] + scales
-    xd, masters = x2d.data, [c.data for c in cores]
-    x_in, w_in = xd, masters
-    if act is not None:
-        a_scale, a_bits = float(act[0].data), act[1]
-        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype)
-    if weight is not None:
-        w_scale, w_bits = float(weight[0].data), weight[1]
-        flat = np.concatenate([m.reshape(-1) for m in masters])
-        w_dtype = flat.dtype
-        w_codes, w_in = q.quantize_blocks(flat, w_scale, w_bits, np.int8, w_dtype)
-        w_in = _split_like(w_in, masters)
     keep = _records(*inputs)
     if keep and post is not None:
-        post = _returns_out(post)
+        raise ValueError("a recorded tt_linear node takes no post hook: its backward reruns "
+                         "the stages without it")
+    xd, masters = x2d.data, [c.data for c in cores]
+    x_in, w_in, quant_w = xd, masters, weight is not None
+    if act is not None:
+        a_scale, a_bits = float(act[0].data), act[1]
+        a_like = (act[0].data.dtype, act[0].data.shape)
+        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype)
+    if quant_w:
+        w_in, w_values, w_ste = _quantize_cores(masters, weight)
     y = tt_chain(x_in, w_in, plan, post)
     if bias is not None:
         b = bias.data
@@ -533,9 +529,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
         y = np.add(y, b, out=None if fresh else y)
     if not keep:
         return Tensor(y)
-    quant_x, quant_w = act is not None, weight is not None
+    quant_x = act is not None
     x_float, x_dtype = x2d.rebuild or xd, xd.dtype
-    scale_like = [(t.data.dtype, t.data.shape) for t in scales]
     bias_shape = None if bias is None else bias.data.shape
 
     def vjp(g):
@@ -543,42 +538,75 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
             x_vals = q.dequantize(x_codes, a_scale, x_dtype)
         else:
             x_vals = x_float.array() if isinstance(x_float, Rebuild) else x_float
-        w_vals = (_split_like(q.dequantize(w_codes, w_scale, w_dtype), masters)
-                  if quant_w else masters)
+        w_vals = w_values() if quant_w else masters
         gx, *g_cores = tt_chain_vjp(g, x_vals, w_vals, plan)
         del x_vals, w_vals
         scale_grads = []
         if quant_x:
             gx, gs = q.ste_backward(x_float, x_codes, a_scale, a_bits, gx, out=_owned(gx))
-            scale_grads.append(_scale_grad(gs, *scale_like[0]))
+            scale_grads.append(_scale_grad(gs, *a_like))
         if quant_w:
-            gs_w = None
-            for k, (m, c) in enumerate(zip(masters, _split_like(w_codes, masters))):
-                g_cores[k], gs = q.ste_backward(m, c, w_scale, w_bits, g_cores[k],
-                                                out=_owned(g_cores[k]))
-                gs = _scale_grad(gs, *scale_like[-1])
-                gs_w = gs if gs_w is None else gs_w + gs
-            scale_grads.append(gs_w)
+            scale_grads.append(w_ste(g_cores))
         bias_grad = [] if bias_shape is None else [_unbroadcast(g, bias_shape)]
         return (gx, *g_cores, *bias_grad, *scale_grads)
 
     return _make(y, inputs, vjp)
 
 
-def _returns_out(post):
-    """``post``, raising ``ValueError`` when it returns anything but ``out``."""
+def ttm_lookup(ids, cores: Sequence, plan: TensorShapePlan, weight=None) -> Tensor:
+    """Rows ``ids`` (1-D) of the TTM matrix of ``plan``, (len(ids), cols),
+    with the cores' quantizer ``weight`` as in ``tt_linear``: one node.  It
+    keeps the cores' int8 codes and rebuilds the quantized cores from them
+    for ``tt.ttm_lookup_vjp``'s pullback, so every gradient equals that of a
+    ``fake_quant`` node per core feeding a plain lookup."""
+    cores = [_as_tensor(c) for c in cores]
+    weight = _quantizer(weight)
+    masters = [c.data for c in cores]
+    if weight is None:
+        out, pullback = ttm_lookup_vjp(ids, masters, plan)
+        return _make(out, cores, lambda g: pullback(g, masters))
+    w_in, w_values, w_ste = _quantize_cores(masters, weight)
+    out, pullback = ttm_lookup_vjp(ids, w_in, plan)
 
-    def checked(i, stage, acc, core, out):
-        if post(i, stage, acc, core, out) is not out:
-            raise ValueError("a recorded tt_linear node's post hook must return out itself")
-        return out
+    def vjp(g):
+        g_cores = list(pullback(g, w_values()))
+        return (*g_cores, w_ste(g_cores))
 
-    return checked
+    return _make(out, cores + [weight[0]], vjp)
 
 
 def _quantizer(spec):
     """A ``(scale Tensor, bits)`` quantizer, or None for none or 32 bits."""
     return None if spec is None or spec[1] == q.FULL_PRECISION else spec
+
+
+def _quantize_cores(masters: Sequence[np.ndarray], weight) -> tuple:
+    """The weight quantizer ``weight`` on a node's cores: one
+    ``quantize_blocks`` call over their concatenation.  Returns the
+    quantized cores (views of one array) and, for the backward, which keeps
+    only the int8 codes: ``values()``, the quantized cores again bit for bit
+    (``quant.dequantize``), and ``ste(g_cores)``, which masks each core's
+    gradient in place (``quant.ste_backward``) and returns the scale's: each
+    core's cast to the scale's dtype, summed in core order, as a backward
+    sums those of a ``fake_quant`` node per core."""
+    scale, bits = float(weight[0].data), weight[1]
+    like = (weight[0].data.dtype, weight[0].data.shape)
+    flat = np.concatenate([m.reshape(-1) for m in masters])
+    dtype = flat.dtype
+    codes, values = q.quantize_blocks(flat, scale, bits, np.int8, dtype)
+
+    def rebuild():
+        return _split_like(q.dequantize(codes, scale, dtype), masters)
+
+    def ste(g_cores):
+        total = None
+        for k, (m, c) in enumerate(zip(masters, _split_like(codes, masters))):
+            g_cores[k], gs = q.ste_backward(m, c, scale, bits, g_cores[k], out=_owned(g_cores[k]))
+            gs = _scale_grad(gs, *like)
+            total = gs if total is None else total + gs
+        return total
+
+    return _split_like(values, masters), rebuild, ste
 
 
 def _owned(g: np.ndarray) -> np.ndarray | None:
@@ -599,13 +627,6 @@ def _split_like(flat: np.ndarray, arrays: Sequence[np.ndarray]) -> list[np.ndarr
 def _scale_grad(gs, dtype, shape) -> np.ndarray:
     """A float64 scale gradient in its scale's dtype and shape."""
     return np.asarray(gs, dtype=dtype).reshape(shape)
-
-
-def ttm_lookup(ids, cores: Sequence, plan: TensorShapePlan) -> Tensor:
-    """Rows ``ids`` (1-D) of the TTM matrix of ``plan``, (len(ids), cols)."""
-    cores = [_as_tensor(c) for c in cores]
-    out, pullback = ttm_lookup_vjp(ids, [c.data for c in cores], plan)
-    return _make(out, cores, pullback)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,9 @@ def _int8_metrics(model: TransformerModel, split, batch_size: int = 64) -> dict:
     """``evaluate``'s metrics of the ``infer_int`` forward, and its logit
     error: the worst batch's max|int - surrogate| / max|surrogate|, each
     batch taking the larger of that ratio over the intent logits and over
-    the slot logits of real tokens.  One integer forward per batch serves
-    both; each batch's surrogate forward runs first."""
+    the slot logits of real tokens (a batch with none has only the
+    intent pair).  One integer forward per batch serves both; each batch's
+    surrogate forward runs first."""
     worst = 0.0
 
     def traces():
@@ -188,9 +189,11 @@ def _int8_metrics(model: TransformerModel, split, batch_size: int = 64) -> dict:
             with ad.no_grad():
                 ref = model.forward(ids, mask, mode="train")
                 got = model.forward(ids, mask, mode="infer_int")
+            pairs = [(got.intent_logits.data, ref.intent_logits.data)]
             valid = mask > 0
-            for a, b in ((got.intent_logits.data, ref.intent_logits.data),
-                         (got.slot_logits.data[valid], ref.slot_logits.data[valid])):
+            if valid.any():
+                pairs.append((got.slot_logits.data[valid], ref.slot_logits.data[valid]))
+            for a, b in pairs:
                 worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
             yield got, intents, slots
 

@@ -57,9 +57,11 @@ class Dataset:
 
 
 def pad_batch(examples):
-    """Pad a list of (tokens, intent, slots) to rectangular arrays."""
+    """Pad a list of (tokens, intent, slots) to rectangular arrays, at least
+    one position wide: a batch of empty utterances still gives attention a
+    (masked) key to normalize over."""
     b = len(examples)
-    s = max(len(toks) for toks, _, _ in examples)
+    s = max(1, max(len(toks) for toks, _, _ in examples))
     ids = np.zeros((b, s), dtype=np.int64)
     mask = np.zeros((b, s), dtype=np.float64)
     slots = np.zeros((b, s), dtype=np.int64)

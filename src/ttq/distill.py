@@ -40,6 +40,9 @@ class DistillConfig:
             raise ValueError("temperature must be positive")
         if self.stage_lr <= 0 or self.final_lr <= 0:
             raise ValueError("learning rates must be positive")
+        for key, low in (("batch_size", 1), ("stage_epochs", 0), ("final_epochs", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
 
 @dataclass

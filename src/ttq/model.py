@@ -273,18 +273,6 @@ class CoreLayer:
             return None
         return self.weight_scale, self.bits
 
-    def weight_cores(self, mode: str) -> list:
-        """The cores a ``mode`` forward reads: the masters without a
-        ``weight_quantizer``, the frozen dequantized cores in ``infer_int``
-        (bit for bit what fake quantization gives), else the fake-quantized
-        cores."""
-        quantizer = self.weight_quantizer(mode)
-        if quantizer is None:
-            return self.cores
-        if mode == "infer_int":
-            return self.frozen_cores().values
-        return [ad.fake_quant(c, *quantizer) for c in self.cores]
-
     def set_cores(self, cores: list[np.ndarray], plan: TensorShapePlan):
         """Adopt ``plan`` and ``cores`` as fresh parameters named after the layer."""
         self.plan = plan
@@ -371,7 +359,7 @@ class TTLinearLayer(CoreLayer):
 
     def _fold_peaks(self, i, stage, acc, core, out):
         """Fold stage i's max |out| (no copy of ``out``), if it has rows, and
-        return ``out`` itself, as the hook of a recorded node must."""
+        return ``out`` itself."""
         if out.size:
             self._calib_peaks[i] = max(self._calib_peaks[i], np.maximum(out.max(), -out.min()))
         return out
@@ -396,25 +384,8 @@ class TTLinearLayer(CoreLayer):
         exact32 = worst < 2 ** 24 and self.cores[0].data.dtype == np.float32
         return np.float32 if exact32 else np.float64
 
-    def stage_peaks(self, x2d: np.ndarray) -> np.ndarray:
-        """max |out| of each stage of a ``no_grad`` ``train`` forward over the
-        rows of ``x2d``, as calibration folds them; -inf for every stage when
-        there are no rows."""
-        outer, self._calib_peaks = self._calib_peaks, np.full(len(tt_stages(self.plan)), -np.inf)
-        try:
-            with ad.no_grad():
-                self.forward(ad.Tensor(x2d))
-            return self._calib_peaks
-        finally:
-            self._calib_peaks = outer
-
-    def calibrate_int(self, x2d: np.ndarray):
-        """Derive static per-stage INT8 requantization scales from the max-abs
-        of each stage's real-valued intermediate on a calibration batch."""
-        self.set_stage_scales(self.stage_peaks(x2d))
-
     def set_stage_scales(self, peaks: np.ndarray):
-        """Per-stage scales max|out| / 127 from ``stage_peaks``-style peaks;
+        """Per-stage scales max|out| / 127 from each stage's calibration peak;
         the integer forward's cores are frozen here, not in that forward."""
         if not np.isfinite(peaks).all():
             raise ModeError(f"{self.name}: no calibration data reached this layer")
@@ -492,15 +463,13 @@ class TTMEmbedding(CoreLayer):
     def vocab(self):
         return self.plan.rows
 
-    @property
-    def dim(self):
-        return self.plan.cols
-
     def forward(self, ids: np.ndarray, mode: str = "train") -> ad.Tensor:
         if np.any(ids >= self.plan.rows) or np.any(ids < 0):
             raise IndexError(f"{self.name}: token id out of vocabulary range")
-        # infer_int looks up the frozen dequantized cores in float
-        return ad.ttm_lookup(ids, self.weight_cores(mode), self.plan)
+        quantizer = self.weight_quantizer(mode)
+        if mode == "infer_int" and quantizer is not None:  # bit for bit the train cores
+            return ad.ttm_lookup(ids, self.frozen_cores().values, self.plan)
+        return ad.ttm_lookup(ids, self.cores, self.plan, quantizer)
 
 
 class DenseEmbedding:
@@ -513,10 +482,6 @@ class DenseEmbedding:
     @property
     def vocab(self):
         return self.table.shape[0]
-
-    @property
-    def dim(self):
-        return self.table.shape[1]
 
     def params(self):
         return [(self.table.name, self.table)]
@@ -620,7 +585,8 @@ class EncoderBlock:
 
 
 class ClassifierHead:
-    """Two-linear head: TT-compressed full-precision bottom, dense top."""
+    """Two-linear head: TT-compressed bottom, dense top, full precision in
+    every mode (both layers' ``train`` forward)."""
 
     def __init__(self, config: ModelConfig, out_classes: int, rng: np.random.Generator, name: str):
         self.name = name
@@ -637,10 +603,8 @@ class ClassifierHead:
     def layers(self):
         return [self.first, self.top]
 
-    def forward(self, x2d: ad.Tensor, mode: str) -> ad.Tensor:
-        # head inputs stay full precision; integer mode falls back to surrogate
-        head_mode = "train" if mode == "infer_int" else mode
-        return self.top.forward(ad.tanh(self.first.forward(x2d, head_mode)), head_mode)
+    def forward(self, x2d: ad.Tensor) -> ad.Tensor:
+        return self.top.forward(ad.tanh(self.first.forward(x2d)))
 
 
 class TransformerModel:
@@ -718,8 +682,8 @@ class TransformerModel:
             outs.append(padded(x))
             attns.append(attn)
         pooled = _masked_mean(outs[-1] if outs else emb_out, mask)
-        intent_logits = self.intent_head.forward(pooled, mode)
-        slot_logits = padded(self.slot_head.forward(x, mode))
+        intent_logits = self.intent_head.forward(pooled)
+        slot_logits = padded(self.slot_head.forward(x))
         return ForwardTrace(emb_out=emb_out, encoder_outs=outs, attn_probs=attns,
                             intent_logits=intent_logits, slot_logits=slot_logits, mask=mask)
 
@@ -738,8 +702,8 @@ class TransformerModel:
                     self.forward(ids, mask, mode="train")
             for layer in layers:
                 layer.set_stage_scales(layer._calib_peaks)
-            if isinstance(self.embedding, TTMEmbedding):
-                self.embedding.weight_cores("infer_int")  # the integer lookup's frozen cores
+            if isinstance(self.embedding, TTMEmbedding) and self.embedding.weight_scale is not None:
+                self.embedding.frozen_cores().values  # builds the integer lookup's cores
         finally:
             for layer in layers:
                 layer._calib_peaks = None

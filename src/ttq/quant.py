@@ -11,9 +11,9 @@ One blocked kernel, ``quantize_blocks``, does every quantization: it walks
 the input in blocks of 128 KiB of scratch per buffer (``block_size``), so
 the scratch stays in cache, and stores the integer codes (and, on request,
 the dequantized values) block by block.  ``quantize`` (the checkpoint
-writer's codes), the autodiff ``fake_quant`` and ``tt_linear`` nodes and
-integer inference all call it, so rounding lives in one place.  The
-autodiff nodes keep only the int8 codes (1 byte per element) between
+writer's codes), the autodiff ``tt_linear``, ``ttm_lookup`` and
+``fake_quant`` nodes and integer inference all call it, so rounding lives
+in one place.  The autodiff nodes keep only the int8 codes between
 forward and backward; ``dequantize`` rebuilds the values from them bit for
 bit, and ``ste_backward`` allocates nothing shaped like the input but the
 input gradient, which it may write over ``g``.  It reads the input block by
@@ -54,6 +54,8 @@ codes from ``quantize_blocks`` and requantizes each stage with
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,6 +262,7 @@ def quantize(x: np.ndarray, scale: float, bits: int) -> np.ndarray:
     return quantize_blocks(x, scale, bits, np.int32)[0]
 
 
+@lru_cache(maxsize=64)
 def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
     """The in-range interval of the STE mask as two values of ``dtype``.
 
@@ -267,7 +270,8 @@ def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
     ``float64(x) / scale >= lo`` and the largest with ``<= hi``, so for every
     ``x`` of that dtype ``lo <= float64(x)/scale <= hi`` exactly when
     ``t_lo <= x <= t_hi``.  The rounded ratio is monotone in ``x``, so each
-    threshold is a few ``nextafter`` steps from ``bound * scale``.
+    threshold is a few ``nextafter`` steps from ``bound * scale``.  Cached,
+    since all the cores of a layer share one scale.
     """
     lo, hi = code_bounds(bits)
     ftype = np.dtype(dtype).type

@@ -53,6 +53,9 @@ class TrainConfig:
             raise ValueError("betas must lie in (0, 1)")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
+        for key, low in (("batch_size", 1), ("epochs", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
     @property
     def effective_scale_lr(self) -> float:

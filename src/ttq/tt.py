@@ -14,8 +14,9 @@ node's forward (calibration included) and integer inference.
 the stage inputs and then walks the adjoints in reverse, so a forward keeps
 no stage input for it.  Its twin ``ttm_stages(plan)`` is the TTM row
 lookup: shared prefix and suffix tables, then one join per distinct id;
-``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node.  The op counts
-behind ``flops_estimate`` follow the same stages.
+``ttm_lookup_vjp`` walks it for the ``ad.ttm_lookup`` node; its pullback
+takes the cores again, so that node keeps only their int8 codes.  The op
+counts behind ``flops_estimate`` follow the same stages.
 
 Cores are plain lists of arrays whose shapes are ``plan.core_shapes()``.
 No dense matrix is ever built from them: a TT or TTM weight exists only as
@@ -104,10 +105,6 @@ class TensorShapePlan:
     @property
     def padded_cols(self) -> int:
         return math.prod(self.col_factors)
-
-    @property
-    def has_padding(self) -> bool:
-        return self.padded_rows != self.rows or self.padded_cols != self.cols
 
     def core_shapes(self) -> list[tuple[int, ...]]:
         d = self.order
@@ -502,15 +499,16 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
     Repeated ids are looked up once and gathered.  The pullback runs the
     stages in reverse: it sums over repeated ids with ``segment_sum``, and
     over the ids sharing a prefix or suffix and the entries sharing a core
-    slice inside GEMMs.  It keeps the tables each stage read and gathers the
-    core slices from ``cores`` again, bit for bit the forward's gather.
+    slice inside GEMMs.  It keeps the tables each stage read, not the cores:
+    ``pullback(g, cores)`` takes them again (arrays equal to the forward's,
+    bit for bit) and gathers the core slices from them as the forward did.
     """
     entries, id_of, p_of, s_of, digits = _lookup_index(ids, plan)
     stages = ttm_stages(plan)
     dtype = np.result_type(*cores)
     tables = {side: np.ones((entries[side], 1, 1), dtype) for side in ("prefix", "suffix")}
 
-    def operands(st, table):
+    def operands(st, table, cores):
         """(a, b) of stage ``st``'s ``a @ b`` on the running ``table``; the
         digit's (r, n, r') slice of each entry is gathered contiguous."""
         rows, inner, cols = st.shape
@@ -521,7 +519,7 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
     kept = []  # the running table each side stage read
     for st in stages[:-1]:
         kept.append(tables[st.side])
-        a, b = operands(st, tables[st.side])
+        a, b = operands(st, tables[st.side], cores)
         tables[st.side] = a @ b
     width, rank, tail = stages[-1].shape
     prefix = tables["prefix"].reshape(-1, width, rank)
@@ -532,7 +530,7 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
         joined[group] = (prefix[p_of[group]].reshape(-1, rank) @ suffix[s]).reshape(-1, width, tail)
     out = joined.reshape(entries["join"], plan.padded_cols)[:, : plan.cols][id_of]
 
-    def pullback(g: np.ndarray) -> tuple:
+    def pullback(g: np.ndarray, cores: Sequence[np.ndarray]) -> tuple:
         pad = plan.padded_cols - plan.cols
         g = np.pad(g, ((0, 0), (0, pad))) if pad else g
         g = segment_sum(g, id_of, entries["join"]).reshape(-1, width, tail)
@@ -544,7 +542,7 @@ def ttm_lookup_vjp(ids: np.ndarray, cores: Sequence[np.ndarray], plan: TensorSha
             grads["prefix"][p_of[group]] += (g_ids @ suffix[s].T).reshape(-1, width, rank)
         core_grads = [None] * len(cores)
         for st, table in zip(reversed(stages[:-1]), reversed(kept)):
-            a, b = operands(st, table)  # the forward's gather again, not kept
+            a, b = operands(st, table, cores)  # the forward's gather again
             g = grads[st.side].reshape(a.shape[0], a.shape[1], b.shape[2])
             r, m, n, r_next = cores[st.core].shape
             if st.side == "prefix":  # acc @ slice

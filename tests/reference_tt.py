@@ -8,10 +8,13 @@ from the arrays each one contracts.  ``composite_tt_linear`` chains them as
 built before the fused ``ad.tt_linear`` node, and serves as its oracle.
 ``composed_tt_layer`` is a quantized TT layer as the ``fake_quant`` +
 ``tt_linear`` + ``add`` nodes it was before they became one node, and is
-that node's oracle.  ``chain_peaks`` over ``quantized_operands`` is the
-rule calibration folds each stage's peak by.  ``composite_ttm_lookup`` is the TTM row lookup as the
-take/einsum/reshape chain it was before the ``ad.ttm_lookup`` node: every
-core contracted again for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
+that node's oracle; ``composed_ttm_lookup`` is likewise the quantized TTM
+lookup as a ``fake_quant`` node per core and a plain lookup.
+``chain_peaks`` over ``quantized_operands`` is the rule calibration folds
+each stage's peak by, and ``calibrate_layer`` calibrates one layer by it.
+``composite_ttm_lookup`` is the TTM row lookup as the take/einsum/reshape
+chain it was before the ``ad.ttm_lookup`` node: every core contracted again
+for every id.  It is that node's gradient oracle.  ``tt_matvec_vjp`` is the
 single-vector TT adjoint, checked against finite differences and the
 composite chain.
 
@@ -246,6 +249,19 @@ def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None, post=N
     return y if bias is None else ad.add(y, bias)
 
 
+_plain_ttm_lookup = ad.ttm_lookup  # a test patches ad.ttm_lookup with composed_ttm_lookup
+
+
+def composed_ttm_lookup(ids, cores, plan, weight=None):
+    """A TTM lookup as separate autodiff nodes, as it was built before its
+    weight quantizer joined the ``ad.ttm_lookup`` node: ``ad.fake_quant`` of
+    each core (for a ``weight`` quantizer ``(scale, bits)``), then the plain
+    lookup.  ``ad.fake_quant`` is looked up at call time."""
+    if weight is not None:
+        cores = [ad.fake_quant(c, *weight) for c in cores]
+    return _plain_ttm_lookup(ids, cores, plan)
+
+
 def chain_peaks(x2d, cores, plan) -> np.ndarray:
     """max |out| of each stage of ``tt.tt_chain(x2d, cores, plan)``."""
     peaks = []
@@ -269,6 +285,14 @@ def quantized_operands(layer, x2d, dtype):
     a_scale, w_scale = float(layer.act_scale.data), float(layer.weight_scale.data)
     return (values(x2d, a_scale, layer.act_bits),
             [values(c.data, w_scale, layer.bits) for c in layer.cores])
+
+
+def calibrate_layer(layer, x2d):
+    """Set a quantized TT layer's stage scales from the rows ``x2d`` by the
+    rule ``TransformerModel.calibrate_int`` folds: the stage peaks of the
+    layer's ``train`` chain.  The layer's input scale must be set."""
+    dtype = layer.cores[0].data.dtype
+    layer.set_stage_scales(chain_peaks(*quantized_operands(layer, x2d, dtype), layer.plan))
 
 
 def composite_ttm_lookup(ids, cores, plan):

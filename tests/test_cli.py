@@ -166,6 +166,24 @@ class TestTrainEval:
         assert 0.0 < record["int_logit_err"] <= record["int_logit_bound"]
 
 
+    def test_a_split_of_empty_utterances_trains_and_evaluates(self, tmp_path, corpus):
+        """``read_corpus`` accepts ``intent<TAB>`` lines.  A test split of only
+        such utterances is scored by ``train``, ``eval`` and ``eval --int8``,
+        whose logit error then reads the intent logits alone: with no real
+        token they come from the full-precision heads on a zero pool, the
+        same in both forwards."""
+        (corpus / "test.tsv").write_text("0\t\n2\t\n")
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["train", str(cfg_path)]) == 0
+        for flags in ([], ["--int8"]):
+            assert main(["eval", str(cfg_path), "--checkpoint", str(out / "model.ttq"),
+                         "--split", "test", *flags]) == 0
+            record = json.loads((out / "eval_report.jsonl").read_text().strip())
+            assert record["slot_f1"] == 0.0
+        assert record["mode"] == "infer_int" and record["int_logit_err"] == 0.0
+
+
 class TestDistillCommand:
     def test_distill_runs_from_teacher_checkpoint(self, tmp_path, corpus):
         teacher_out = tmp_path / "teacher"
@@ -370,6 +388,23 @@ class TestErrorPaths:
         target[key] = value
         assert main(["report-size", str(write_cfg(tmp_path, cfg))]) == 2
         assert "config error" in capsys.readouterr().err
+
+    BAD_LOOP_CONFIGS = [("train", "batch_size", 0), ("train", "batch_size", -4),
+                        ("train", "epochs", -1), ("distill", "batch_size", 0),
+                        ("distill", "stage_epochs", -1), ("distill", "final_epochs", -1)]
+
+    @pytest.mark.parametrize("section, key, value", BAD_LOOP_CONFIGS,
+                             ids=[f"{section}.{key}={value}"
+                                  for section, key, value in BAD_LOOP_CONFIGS])
+    def test_bad_loop_config_exit_code(self, tmp_path, corpus, capsys, section, key, value):
+        out = tmp_path / "run"
+        cfg = toy_cfg_dict(corpus, out)
+        cfg.setdefault(section, {})[key] = value
+        assert main(["train", str(write_cfg(tmp_path, cfg))]) == 2
+        bound = 1 if key == "batch_size" else 0
+        assert f"config error: bad train/distill section: {key} must be >= {bound}, got {value}" \
+            in capsys.readouterr().err
+        assert not out.exists()  # rejected before any training
 
     @pytest.mark.parametrize("compress", [False, True], ids=["dense", "fp32_compressed"])
     def test_int8_eval_without_an_integer_path_exit_code(self, tmp_path, corpus, capsys,

@@ -1,5 +1,6 @@
 """The package holds what a program runs: every public module-level function
-and class in ``src/ttq`` is referenced by a program file.
+and class in ``src/ttq``, and every public method or property of a package
+class, is referenced by a program file.
 
 Program files are the package itself, ``scripts/`` and ``perfbench/`` (its
 own tests excluded).  A reference is a use of the name, resolved through the
@@ -7,12 +8,16 @@ file's imports: ``name`` bound by ``from ttq.m import name`` or defined in
 the same module, or ``alias.name`` with ``alias`` bound to a package module.
 An import alone is no reference, so a re-export does not keep a name alive,
 and neither does a use inside the name's own definition or inside another
-unreferenced one.  Oracles only tests call belong in ``tests/reference_*.py``.
-No program file imports a name it does not use.
+unreferenced one.  A class member is referenced when its name is read as
+an attribute (``x.name``) or written as a string (``getattr(x, "name")``)
+outside its own definition; the name alone counts, whatever the object.
+Oracles only tests call belong in ``tests/reference_*.py``.  No program
+file imports a name it does not use.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +27,9 @@ PACKAGE = ROOT / "src" / "ttq"
 READ_BY_STRING = {
     ("autodiff", "einsum"): "perfbench/spans.py wraps every op spans.autodiff_ops() lists, "
                             "and reads autodiff.einsum_ms and autodiff.einsum_calls from its span",
+    ("autodiff", "fake_quant"): "perfbench/spans.py wraps every op spans.autodiff_ops() lists, "
+                                "and reads quant.fake_quant_ms and quant.fake_quant_calls "
+                                "from its span",
 }
 
 
@@ -99,6 +107,33 @@ def unreferenced(files: list[Path], package: Path = PACKAGE) -> list[str]:
         dead = now
 
 
+def members(module: str, tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """The public methods and properties of the classes a module defines at
+    top level, as ("module.Class.member", definition)."""
+    return [(f"{module}.{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def names_read(tree: ast.AST) -> list[str]:
+    """Every attribute name ``tree`` reads and every string it holds."""
+    return [node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def unread_members(files: list[Path], package: Path = PACKAGE) -> list[str]:
+    """Public members of package classes whose name no file of ``files``
+    reads outside the member's own definition, as module.Class.member."""
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    read = Counter(name for tree in trees.values() for name in names_read(tree))
+    return sorted(key for path, tree in trees.items() if path.parent == package
+                  for key, node in members(path.stem, tree)
+                  if read[node.name] == names_read(node).count(node.name))
+
+
 def unused_imports(path: Path) -> list[str]:
     """The names ``path`` imports and never reads, as ``file:line name``.  A
     read is any ``Name`` node of the bound name, the base of an attribute
@@ -135,13 +170,36 @@ def test_every_public_package_name_has_a_program_reference():
     assert unreferenced(program_files()) == []
 
 
+def test_every_public_class_member_is_read_by_a_program():
+    assert unread_members(program_files()) == []
+
+
+def test_a_member_only_tests_would_read_is_reported(tmp_path):
+    package = tmp_path / "ttq"
+    package.mkdir()
+    (package / "shapes.py").write_text(
+        "class Plan:\n"
+        "    @property\n    def rows(self):\n        return 1\n\n"
+        "    @property\n    def cols(self):\n        return 2\n\n"
+        "    def by_name(self):\n        return 3\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    def only_tests(self):\n        return self.rows\n\n"
+        "    def _private(self):\n        return 4\n")
+    (package / "main.py").write_text(
+        "from .shapes import Plan\n\n\nPLAN = Plan()\n"
+        "VALUE = PLAN.cols + getattr(PLAN, 'by_name')()\n")
+    files = sorted(package.glob("*.py"))
+    assert unread_members(files, package) == ["shapes.Plan.only_tests", "shapes.Plan.recursive"]
+
+
 def test_names_read_by_string_are_what_perfbench_reads(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     for module, name in READ_BY_STRING:
         assert hasattr(importlib.import_module(f"ttq.{module}"), name)
-    assert "einsum" in spans.autodiff_ops()
-    assert {"autodiff.einsum_ms", "autodiff.einsum_calls"} <= spans.PER_LAYER.keys()
+    assert {"einsum", "fake_quant"} <= set(spans.autodiff_ops())
+    assert {"autodiff.einsum_ms", "autodiff.einsum_calls", "quant.fake_quant_ms",
+            "quant.fake_quant_calls"} <= spans.PER_LAYER.keys()
 
 
 def test_a_name_only_tests_would_call_is_reported(tmp_path):

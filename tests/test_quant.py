@@ -446,6 +446,17 @@ class TestSteBackward:
             gx, _ = ste_backward(x, codes, scale, bits, g)
             np.testing.assert_array_equal(gx, want.astype(dtype))
 
+    def test_thresholds_are_found_once_per_scale_width_and_dtype(self):
+        """Every core of a layer shares one scale, so a backward asks for the
+        same thresholds again; they are found once and then cached."""
+        ratio_thresholds.cache_clear()
+        x = np.linspace(-1, 1, 7, dtype=np.float32)
+        codes, _ = quantize_blocks(x, 0.01, 8, np.int8)
+        gx = [ste_backward(x, codes, 0.01, 8, np.ones_like(x))[0] for _ in range(3)]
+        info = ratio_thresholds.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert all(g.tobytes() == gx[0].tobytes() for g in gx)
+
     @pytest.mark.parametrize("bits", [2, 4, 8])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scale_gradient_equals_reference_just_below_half(self, bits, sign):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference_tt import (
+    calibrate_layer,
     composite_tt_linear,
     composite_ttm_lookup,
     einsum_stages,
@@ -72,7 +73,8 @@ def test_every_walk_of_the_schedule_matches_dense(plan, batch, seed):
     assert measured_mults(cores, plan) == tt_matvec_mult_count(plan)
 
     quantized = TTLinearLayer(plan, 8, 8, rng, dtype=np.float64)
-    quantized.calibrate_int(x)
+    quantized.forward(ad.Tensor(x))  # sets the input scale
+    calibrate_layer(quantized, x)
     assert len(quantized.stage_scales) == len(tt_stages(plan))
 
 
@@ -136,7 +138,7 @@ def calibrated_int8_layer(plan, rng, batch, dtype=np.float64):
     layer.bias.data = rng.normal(size=plan.rows).astype(dtype)
     x = rng.normal(size=(batch, plan.cols)).astype(dtype)
     layer.forward(ad.Tensor(x), mode="train")  # sets the input scale
-    layer.calibrate_int(x)
+    calibrate_layer(layer, x)
     return layer
 
 

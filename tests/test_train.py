@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reference_quant import ste_grad_input, ste_grad_scale
-from reference_tt import composed_tt_layer, tt_matvec_vjp, tt_to_dense
+from reference_tt import composed_tt_layer, composed_ttm_lookup, tt_matvec_vjp, tt_to_dense
 
 from ttq import autodiff as ad
 from ttq import quant as q
@@ -308,6 +308,21 @@ class TestTrainLoop:
         losses = [e["train_loss"] for e in report["epochs"]]
         assert losses[0] == pytest.approx(losses[1], rel=1e-12)
 
+    def test_a_batch_of_empty_utterances_evaluates_and_trains(self):
+        """``read_corpus`` accepts an utterance with no token.  A batch of
+        only such utterances is padded to one masked position, so it scores
+        and takes a training step."""
+        model, data = tiny_model_and_data(weight_bits=8, act_bits=8)
+        empty = data["test"]
+        empty.examples = [([], 0, []), ([], 2, [])]
+        ids, mask, _, _ = next(empty.batches(2))
+        assert ids.shape == (2, 1) and not mask.any()
+        assert set(evaluate(model, empty)) == {"intent_accuracy", "slot_f1"}
+        before = snapshot_params(model)
+        report = train_end_to_end(model, empty, None, TrainConfig(epochs=1, batch_size=2))
+        assert np.isfinite(report["epochs"][0]["train_loss"])
+        assert any((before[k] != v).any() for k, v in snapshot_params(model).items())
+
     def test_seeded_runs_reproduce_loss_curve(self):
         def run():
             model, data = tiny_model_and_data(weight_bits=8, act_bits=8, seed=2)
@@ -444,12 +459,14 @@ def toy_int8_qat_steps(monkeypatch, steps=2):
 
 def test_qat_steps_bit_identical_to_reference_fake_quant(monkeypatch):
     """The reference run builds every TT layer as the composition of
-    ``reference_fake_quant`` nodes, a plain TT product and a bias add, so it
-    checks the fused TT node and the embedding's quantizer together."""
+    ``reference_fake_quant`` nodes, a plain TT product and a bias add, and
+    the embedding as ``reference_fake_quant`` nodes and a plain lookup, so it
+    checks the fused TT and TTM nodes' quantizers together."""
     kernel = toy_int8_qat_steps(monkeypatch)
     reference_fake_quant.calls = 0
     monkeypatch.setattr(ad, "fake_quant", reference_fake_quant)
     monkeypatch.setattr(model_module, "tt_chain_apply", composed_tt_layer)
+    monkeypatch.setattr(ad, "ttm_lookup", composed_ttm_lookup)
     reference = toy_int8_qat_steps(monkeypatch)
     # per step: the embedding's 2 cores, and the input and 4 cores of each
     # of the 12 encoder TT layers

@@ -65,13 +65,12 @@ class TestPlanFactorization:
     def test_explicit_attention_shape(self):
         plan = plan_factorization(768, 768, 2, 10, row_factors=(24, 32), col_factors=(32, 24))
         assert plan.padded_rows == 768 and plan.padded_cols == 768
-        assert not plan.has_padding
         assert plan.ranks == (1, 10, 10, 10, 1)
 
     def test_identity_case(self):
         plan = plan_factorization(1, 1, 1, 1)
         assert plan.row_factors == (1,) and plan.col_factors == (1,)
-        assert not plan.has_padding
+        assert (plan.padded_rows, plan.padded_cols) == (1, 1)
 
     def test_padded_vocab_plan(self):
         # joint shape (64, 80, 80, 60) split into row/col pairs covering (30522, 768)
@@ -80,13 +79,12 @@ class TestPlanFactorization:
         plan = plan_factorization(30522, 768, 4, 30, TTFormat.TTM, row_factors=rf, col_factors=cf)
         assert plan.padded_rows * plan.padded_cols == 24_576_000
         assert plan.padded_rows * plan.padded_cols >= 30522 * 768
-        assert plan.has_padding
         assert plan.padded_rows == 32000 and plan.padded_cols == 768
 
     def test_automatic_balanced_no_padding(self):
         plan = plan_factorization(768, 768, 2, 4)
         assert math.prod(plan.row_factors) == 768
-        assert not plan.has_padding
+        assert (plan.padded_rows, plan.padded_cols) == (768, 768)
 
     def test_automatic_padding_minimized(self):
         plan = plan_factorization(13, 13, 2, 2)
@@ -196,7 +194,7 @@ class TestTTMatvec:
     def test_padded_input_cropped_output(self):
         rng = np.random.default_rng(6)
         plan = plan_factorization(13, 11, 2, 3)
-        assert plan.has_padding
+        assert plan.padded_rows > 13 and plan.padded_cols > 11
         cores = init_tt_cores(plan, rng)
         x = rng.normal(size=11)
         np.testing.assert_allclose(tt_chain(x[None], cores, plan)[0],
@@ -282,7 +280,7 @@ class TestPaddingInvariance:
     def test_cropped_reconstruction_matches_unpadded_plan(self):
         rng = np.random.default_rng(9)
         padded_plan = plan_factorization(6, 6, 2, 2, row_factors=(2, 4), col_factors=(4, 2))
-        assert padded_plan.has_padding
+        assert (padded_plan.padded_rows, padded_plan.padded_cols) == (8, 8)
         exact_plan = plan_factorization(6, 6, 2, 2, row_factors=(2, 3), col_factors=(3, 2))
         w = rng.normal(size=(6, 6))
         padded_cores, pplan = tt_from_dense_exact(w, (2, 4), (4, 2))

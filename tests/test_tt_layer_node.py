@@ -2,7 +2,9 @@
 gradient byte for byte those of the ``fake_quant`` + ``tt_linear`` + ``add``
 composition (``reference_tt.composed_tt_layer``), the input scale's
 first-forward init and the calibration peaks at the layer's call site, and
-what the node keeps for its backward."""
+what the node keeps for its backward.  The quantized TTM lookup as one
+``ad.ttm_lookup`` node: byte for byte the ``fake_quant`` per core + lookup
+composition (``reference_tt.composed_ttm_lookup``)."""
 
 import math
 import tracemalloc
@@ -12,13 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_tt import chain_peaks, composed_tt_layer, quantized_operands
-from test_schedule import tt_plans
+from reference_tt import chain_peaks, composed_tt_layer, composed_ttm_lookup, quantized_operands
+from test_schedule import lookup_ids, tt_plans, ttm_plans
 
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.model import TTLinearLayer, tt_chain_apply
-from ttq.tt import TensorShapePlan, init_tt_cores, plan_factorization, tt_stages
+from ttq.tt import TensorShapePlan, TTFormat, init_tt_cores, plan_factorization, tt_stages
 
 
 def run_layer(layer_fn, plan, arrays, act_bits, w_bits, use_bias):
@@ -76,6 +78,45 @@ def test_node_is_byte_identical_to_the_composition(plan, batch, act_bits, w_bits
         assert a.tobytes() == b.tobytes(), i
 
 
+@given(data=st.data(), bits=st.sampled_from(q.ALLOWED_BITS),
+       dtype=st.sampled_from([np.float32, np.float64]), clip=st.sampled_from([0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(data=None, bits=8, dtype=np.float32, clip=1.0, seed=1)
+@example(data=None, bits=2, dtype=np.float64, clip=0.3, seed=2)
+@settings(max_examples=80, deadline=None)
+def test_ttm_node_is_byte_identical_to_the_composition(data, bits, dtype, clip, seed):
+    """Rows and every gradient, the weight scale's included, of the fused
+    weight quantizer equal those of a ``fake_quant`` node per core feeding a
+    plain lookup, byte for byte.  The explicit examples take the padded
+    3-core ATIS-like plan below."""
+    if data is None:
+        plan = TensorShapePlan(23, 10, (2, 3, 4), (2, 1, 5), (1, 3, 2, 1), TTFormat.TTM)
+        ids = np.array([0, 5, 22, 5, 13])
+    else:
+        plan = data.draw(ttm_plans())
+        ids = data.draw(lookup_ids(plan))
+    rng = np.random.default_rng(seed)
+    cores = [rng.normal(size=s).astype(dtype) for s in plan.core_shapes()]
+    flat = np.concatenate([c.ravel() for c in cores])
+    scale = np.asarray(clip * np.abs(flat).max() / 127, dtype=dtype)
+    u = rng.normal(size=(len(ids), plan.cols)).astype(dtype)
+
+    def run(lookup):
+        params = [ad.Parameter(c.copy()) for c in cores]
+        s = ad.Parameter(scale.copy())
+        y = lookup(ids, params, plan, (s, bits))
+        ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+        leaves = params + ([s] if bits != q.FULL_PRECISION else [])
+        return [y.data] + [leaf.grad for leaf in leaves]
+
+    got, want = run(ad.ttm_lookup), run(composed_ttm_lookup)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, i
+        assert a.tobytes() == b.tobytes(), i
+
+
 def test_first_forward_sets_the_input_scale_and_calibration_folds_peaks():
     """Calibration folds the max |out| of each stage of the chain the
     forward runs: ``tt_chain`` over the fake-quantized input and cores, the
@@ -93,11 +134,10 @@ def test_first_forward_sets_the_input_scale_and_calibration_folds_peaks():
         peaks1 = chain_peaks(*quantized_operands(layer, x1, np.float32), layer.plan)
         np.testing.assert_array_equal(layer._calib_peaks, peaks1)
         layer.forward(ad.Tensor(x2))
+        layer.forward(ad.Tensor(x2[:0]))  # no rows: nothing to fold
     assert float(layer.act_scale.data) == scale  # set once
     peaks2 = chain_peaks(*quantized_operands(layer, x2, np.float32), layer.plan)
     np.testing.assert_array_equal(layer._calib_peaks, np.maximum(peaks1, peaks2))
-    np.testing.assert_array_equal(layer.stage_peaks(x2), peaks2)  # the layer-level rule
-    np.testing.assert_array_equal(layer.stage_peaks(x2[:0]), np.full(len(peaks2), -np.inf))
     # infer_fp reads neither the input scale nor the peaks
     fresh = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
     fresh.forward(ad.Tensor(x1), mode="infer_fp")
@@ -136,39 +176,23 @@ def test_node_keeps_codes_not_values(plan):
     assert math.prod(x.shape) * 4 > 4096  # a float32 copy of the input would not fit
 
 
-def test_recorded_calibration_folds_each_stage_once_per_forward():
-    """A recorded forward runs ``post`` once per stage; its backward reruns
-    the stages without it, so the peaks are those of a ``no_grad`` forward
-    and the backward leaves them as they were."""
-    rng = np.random.default_rng(6)
-    layer = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
-    x = ad.Parameter(rng.normal(size=(5, 16)).astype(np.float32))
-    want = layer.stage_peaks(x.data)
-    calls = []
-    fold = layer._fold_peaks
-    layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
-    layer._calib_peaks = np.full(len(want), -np.inf)
-    y = layer.forward(x)
-    assert y._node is not None and calls == list(range(len(want)))
-    np.testing.assert_array_equal(layer._calib_peaks, want)
-    ad.backward(ad.sum_all(y))
-    assert calls == list(range(len(want)))
-    np.testing.assert_array_equal(layer._calib_peaks, want)
-    assert x.grad is not None
-
-
-def test_recorded_post_must_return_out():
-    """The backward reruns the stages without ``post``, so a recorded node
-    refuses a hook that would change what the next stage reads."""
+def test_a_recorded_node_refuses_a_stage_hook():
+    """The backward reruns the stages without ``post``, so a hook runs only
+    on a forward no backward reads: a recorded node given one raises, and
+    under ``no_grad`` any hook goes."""
     plan = plan_factorization(12, 16, 2, 3)
     rng = np.random.default_rng(7)
     x = ad.Parameter(rng.normal(size=(3, 16)))
     cores = [ad.Parameter(c) for c in init_tt_cores(plan, rng)]
+    calls = []
 
     def copy(i, stage, acc, core, out):
+        calls.append(i)
         return out.copy()
 
-    with pytest.raises(ValueError, match="post hook must return out"):
+    with pytest.raises(ValueError, match="takes no post hook"):
         ad.tt_linear(x, cores, plan, post=copy)
-    with ad.no_grad():  # nothing is rerun: any hook goes
+    assert calls == []
+    with ad.no_grad():
         ad.tt_linear(x, cores, plan, post=copy)
+    assert calls == list(range(len(tt_stages(plan))))
