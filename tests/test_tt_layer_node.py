@@ -176,22 +176,52 @@ def test_node_keeps_codes_not_values(plan):
     assert math.prod(x.shape) * 4 > 4096  # a float32 copy of the input would not fit
 
 
-def test_a_recorded_node_refuses_a_stage_hook():
-    """The backward reruns the stages without ``post``, so a hook runs only
-    on a forward no backward reads: a recorded node given one raises, and
-    under ``no_grad`` any hook goes."""
+def test_recorded_calibration_folds_each_stage_once_per_forward():
+    """Calibration folds each stage once per forward, and only on a forward
+    no backward reads: a calibrating layer's recorded forward raises before
+    any stage runs and leaves the peaks as they were, and its ``no_grad``
+    forward folds stage i once, to the peaks of ``chain_peaks``."""
+    rng = np.random.default_rng(6)
+    layer = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
+    x = ad.Parameter(rng.normal(size=(5, 16)).astype(np.float32))
+    n = len(tt_stages(layer.plan))
+    calls = []
+    fold = layer._fold_peaks
+    layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
+    layer._calib_peaks = np.full(n, -np.inf)
+    with pytest.raises(ValueError, match="takes no post hook"):
+        layer.forward(x)
+    assert calls == [] and x.grad is None
+    np.testing.assert_array_equal(layer._calib_peaks, np.full(n, -np.inf))
+    with ad.no_grad():
+        y = layer.forward(x)
+    assert y._node is None and calls == list(range(n))
+    want = chain_peaks(*quantized_operands(layer, x.data, np.float32), layer.plan)
+    np.testing.assert_array_equal(layer._calib_peaks, want)
+
+
+def test_recorded_post_must_return_out():
+    """The backward reruns the stages without ``post``, so a recorded node
+    takes no hook at all, not even one that returns ``out``: it raises and
+    calls the hook never.  Under ``no_grad`` nothing is rerun, so any hook
+    goes, one returning a copy included, and runs once per stage."""
     plan = plan_factorization(12, 16, 2, 3)
     rng = np.random.default_rng(7)
     x = ad.Parameter(rng.normal(size=(3, 16)))
     cores = [ad.Parameter(c) for c in init_tt_cores(plan, rng)]
     calls = []
 
+    def same(i, stage, acc, core, out):
+        calls.append(i)
+        return out
+
     def copy(i, stage, acc, core, out):
         calls.append(i)
         return out.copy()
 
-    with pytest.raises(ValueError, match="takes no post hook"):
-        ad.tt_linear(x, cores, plan, post=copy)
+    for hook in (same, copy):
+        with pytest.raises(ValueError, match="takes no post hook"):
+            ad.tt_linear(x, cores, plan, post=hook)
     assert calls == []
     with ad.no_grad():
         ad.tt_linear(x, cores, plan, post=copy)
