@@ -19,7 +19,15 @@ Some arrays are cheaper to compute again than to keep (Chen et al. 2016,
 or ``gelu`` output carries a ``Rebuild``: the op's own arithmetic on what
 its backward keeps anyway (``xhat``; GELU's input and ``tanh``), which
 gives any range of the output bit for bit.  A consumer that reads the
-output in its backward keeps the ``Rebuild`` in its place.
+output in its backward keeps the ``Rebuild`` in its place; ``array()``
+fills it once per backward, into a buffer that every consumer shares.
+
+A recorded forward and its backward draw their activation-sized arrays
+from ``buffers.take``, buffers kept across steps: GELU's output, ``tanh``
+and input gradient, a TT layer's input codes and values, its stage outputs
+and their gradients (``tt.Stage``) and its dequantized input, and a rebuilt
+output.  So after warm-up a training step maps no fresh pages for them.  A
+``no_grad`` forward allocates fresh arrays, which go to its caller.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
@@ -29,9 +37,10 @@ keeps the int8 codes of its input and cores and its input's ``Rebuild``
 (else its input).  Its backward rebuilds the quantized values from the codes
 and runs ``tt.tt_chain_vjp``, which reruns the stage forwards before the
 stage adjoints; the input quantizer's straight-through backward reads the
-float input block by block.  For an ATIS-shaped INT8 batch of 233 real
-tokens a train forward so leaves 25.9 MB for its backward (tracemalloc),
-against 45.6 MB when the node kept its stage inputs and its input.  A TTM
+float input, rebuilt once for all its consumers.  For an ATIS-shaped INT8
+batch of 233 real tokens a train forward so leaves 25.9 MB for its backward
+(tracemalloc), against 45.6 MB when the node kept its stage inputs and its
+input.  A TTM
 row lookup and its weight quantizer are one node too, ``ttm_lookup``,
 over ``tt.ttm_lookup_vjp``; both nodes' weight quantizers are
 ``_quantize_cores``.  Scatter-adds (``take``, the lookup's backward) are
@@ -41,11 +50,11 @@ distinct rows, so each is the other's plain-indexing adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import buffers
 from . import quant as q
 from .tt import TensorShapePlan, segment_sum, tt_chain, tt_chain_vjp, ttm_lookup_vjp
 
@@ -86,7 +95,6 @@ class _Node:
         self.consumed = False
 
 
-@dataclass(frozen=True)
 class Rebuild:
     """How to rebuild a recorded op's output rather than keep it.
 
@@ -94,17 +102,24 @@ class Rebuild:
     ``start:stop`` into ``buf`` (1-D, of ``dtype``) and returns ``buf``: the
     op's own arithmetic on what its backward keeps anyway, bit for bit the
     output's elements.  A consumer whose backward reads the output keeps
-    this instead of it."""
+    this instead of it, and reads it through ``array()``."""
 
-    shape: tuple
-    dtype: np.dtype
-    fill: Callable[[int, int, np.ndarray], np.ndarray]
+    __slots__ = ("shape", "dtype", "fill", "_whole")
+
+    def __init__(self, shape: tuple, dtype: np.dtype,
+                 fill: Callable[[int, int, np.ndarray], np.ndarray]):
+        self.shape, self.dtype, self.fill = shape, dtype, fill
+        self._whole = None
 
     def array(self) -> np.ndarray:
-        """The whole output, C-contiguous as the op made it."""
-        out = np.empty(self.shape, dtype=self.dtype)
-        self.fill(0, out.size, out.reshape(-1))
-        return out
+        """The whole output, C-contiguous as the op made it: filled once,
+        into a recycled buffer (``buffers.take``), and shared by every
+        consumer while this recipe lives (the q, k and v projections read
+        one LayerNorm output)."""
+        if self._whole is None:
+            self._whole = buffers.take(self.shape, self.dtype)
+            self.fill(0, self._whole.size, self._whole.reshape(-1))
+        return self._whole
 
 
 class Tensor:
@@ -278,7 +293,8 @@ def gelu(a) -> Tensor:
     Forward and backward walk the input in blocks of ``quant.BLOCK``
     elements, each an in-place chain through block-sized scratch, so nothing
     activation-sized is allocated beyond the output, the gradient and, only
-    when a backward will read it, the kept ``tanh``.  A recorded output
+    when a backward will read it, the kept ``tanh``; a recorded node takes
+    those from ``buffers.take``.  A recorded output
     carries a ``Rebuild`` that computes its elements again from the input and
     the kept ``tanh``, so a consumer need not keep it.  The operations and
     their order are those of ``0.5*x*(1 + t)`` with
@@ -291,8 +307,10 @@ def gelu(a) -> Tensor:
     x = a.data
     keep = _records(a)
     width = min(x.size, q.BLOCK)
-    out = np.empty(x.shape, dtype=x.dtype)  # C order: flat views
-    t = np.empty(x.shape if keep else width, dtype=x.dtype)
+    if keep:  # C order: flat views
+        out, t = buffers.take(x.shape, x.dtype), buffers.take(x.shape, x.dtype)
+    else:
+        out, t = np.empty(x.shape, dtype=x.dtype), np.empty(width, dtype=x.dtype)
     xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
     scratch = np.empty(width, dtype=x.dtype)
     for start in range(0, xf.size, q.BLOCK):
@@ -308,7 +326,7 @@ def gelu(a) -> Tensor:
         _gelu_from_tanh(xb, tb, of[sl], scratch[:xb.size])
 
     def vjp(g):
-        gx = np.empty(x.shape, dtype=np.result_type(g, x))
+        gx = buffers.take(x.shape, np.result_type(g, x))
         gf, gxf = g.reshape(-1), gx.reshape(-1)
         d0, e0 = np.empty(width, dtype=x.dtype), np.empty(width, dtype=x.dtype)
         for start in range(0, xf.size, q.BLOCK):
@@ -331,8 +349,11 @@ def gelu(a) -> Tensor:
         return (gx,)
 
     def fill(start, stop, buf):
-        u = np.empty(stop - start, dtype=x.dtype)
-        return _gelu_from_tanh(xf[start:stop], tf[start:stop], buf, u)
+        u = np.empty(min(stop - start, q.BLOCK), dtype=x.dtype)
+        for lo in range(start, stop, q.BLOCK):
+            hi = min(lo + q.BLOCK, stop)
+            _gelu_from_tanh(xf[lo:hi], tf[lo:hi], buf[lo - start:hi - start], u[:hi - lo])
+        return buf
 
     return _make(out, (a,), vjp, fill)
 
@@ -489,7 +510,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     ``tt.tt_stages`` and adds the bias in place on the last stage's fresh
     output.  ``post`` is ``tt.tt_chain``'s stage hook.  The backward reruns
     the stages without it, so a recorded node refuses one (``ValueError``):
-    a hook runs only on a forward no backward reads.
+    a hook runs only on a forward no backward reads.  A recorded node draws
+    its input codes and values and its stage outputs from ``buffers.take``.
 
     For the backward the node keeps the int8 codes of the input and of the
     cores, the input's ``Rebuild`` when it has one (a LayerNorm or GELU
@@ -500,7 +522,7 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     the adjoints.  The input gradient is the straight-through mask applied in
     place on the stage-0 gradient (into a fresh array when padded columns
     make that gradient a strided view); ``quant.ste_backward`` reads the
-    float input block by block, from the ``Rebuild`` when there is one.  So
+    float input, ``Rebuild.array()`` when there is one.  So
     every gradient equals that of a ``fake_quant`` node per input and core
     feeding a plain TT product and a bias ``add``.  Under ``no_grad``
     nothing is kept.
@@ -519,10 +541,11 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     if act is not None:
         a_scale, a_bits = float(act[0].data), act[1]
         a_like = (act[0].data.dtype, act[0].data.shape)
-        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype)
+        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype,
+                                          buffers.take if keep else np.empty)
     if quant_w:
         w_in, w_values, w_ste = _quantize_cores(masters, weight)
-    y = tt_chain(x_in, w_in, plan, post)
+    y = tt_chain(x_in, w_in, plan, post, keep)
     if bias is not None:
         b = bias.data
         fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype
@@ -535,15 +558,16 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
 
     def vjp(g):
         if quant_x:
-            x_vals = q.dequantize(x_codes, a_scale, x_dtype)
+            x_vals = q.dequantize(x_codes, a_scale, x_dtype, buffers.take)
         else:
-            x_vals = x_float.array() if isinstance(x_float, Rebuild) else x_float
+            x_vals = _whole(x_float)
         w_vals = w_values() if quant_w else masters
         gx, *g_cores = tt_chain_vjp(g, x_vals, w_vals, plan)
         del x_vals, w_vals
         scale_grads = []
         if quant_x:
-            gx, gs = q.ste_backward(x_float, x_codes, a_scale, a_bits, gx, out=_owned(gx))
+            gx, gs = q.ste_backward(_whole(x_float), x_codes, a_scale, a_bits, gx,
+                                    out=_owned(gx))
             scale_grads.append(_scale_grad(gs, *a_like))
         if quant_w:
             scale_grads.append(w_ste(g_cores))
@@ -607,6 +631,11 @@ def _quantize_cores(masters: Sequence[np.ndarray], weight) -> tuple:
         return total
 
     return _split_like(values, masters), rebuild, ste
+
+
+def _whole(x) -> np.ndarray:
+    """``x``, or the whole output a ``Rebuild`` ``x`` stands for."""
+    return x.array() if isinstance(x, Rebuild) else x
 
 
 def _owned(g: np.ndarray) -> np.ndarray | None:
@@ -690,12 +719,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def fill(start, stop, buf):
         """``xhat * gamma + beta`` at the flat elements ``start:stop``: the
-        forward's multiply and add over the rows they span, then the span."""
+        forward's multiply and add over the rows they span (straight into
+        ``buf`` when the span is whole rows), then the span."""
         first, last = start // n, -(-stop // n)
-        rows = np.empty((last - first, n), dtype=dtype)
+        whole = start == first * n and stop == last * n
+        rows = buf.reshape(last - first, n) if whole else np.empty((last - first, n), dtype=dtype)
         np.multiply(xhat.reshape(-1, n)[first:last], g_data, out=rows)
         np.add(rows, b_data, out=rows)
-        buf[:] = rows.reshape(-1)[start - first * n:stop - first * n]
+        if not whole:
+            buf[:] = rows.reshape(-1)[start - first * n:stop - first * n]
         return buf
 
     return _make(out, (x, gamma, beta), vjp, fill)

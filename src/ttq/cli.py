@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -263,22 +264,29 @@ def cmd_bench(args) -> int:
     records = []
     text_lines = [f"bench: batch={batch} seq={seq} repeats={repeats} (informational only)"]
 
-    def record(name, mode, timed, times):
+    def record(name, mode, timed, times, faults):
+        """``faults``: minor page faults over the timed repeats."""
         rec = {"model": name, "mode": mode, "timed": timed, "mean_s": float(np.mean(times)),
-               "std_s": float(np.std(times)), "repeats": repeats}
+               "std_s": float(np.std(times)), "repeats": repeats,
+               "minor_faults_per_step": round(faults / repeats)}
         records.append(rec)
         text_lines.append(f"  {name:18s} {timed:10s} mean {rec['mean_s']*1e3:8.2f} ms  "
-                          f"std {rec['std_s']*1e3:6.2f} ms")
+                          f"std {rec['std_s']*1e3:6.2f} ms  "
+                          f"{rec['minor_faults_per_step']:6d} minor faults")
+
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     for name, model, mode in runs:
         times = []
         with ad.no_grad():
             model.forward(ids, mask, mode=mode)  # warm-up
+            faults = minor_faults()
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 model.forward(ids, mask, mode=mode)
                 times.append(time.perf_counter() - t0)
-        record(name, mode, "forward", times)
+        record(name, mode, "forward", times, minor_faults() - faults)
     # training steps change the parameters, so they run after every forward
     intents = rng.integers(0, cfg.model.num_intents, size=batch)
     slots = rng.integers(0, cfg.model.num_slots, size=(batch, seq))
@@ -286,12 +294,14 @@ def cmd_bench(args) -> int:
         state = AdamState()
         times = []
         for i in range(repeats + 1):  # the first step warms up
+            if i == 1:
+                faults = minor_faults()
             t0 = time.perf_counter()
             loss = intent_slot_loss(model.forward(ids, mask, mode="train"), intents, slots)
             train_step(model, state, cfg.train, loss)
             if i:
                 times.append(time.perf_counter() - t0)
-        record(name, "train", "train_step", times)
+        record(name, "train", "train_step", times, minor_faults() - faults)
     text = "\n".join(text_lines) + "\n"
     _write_report(cfg, "bench_report", text, records)
     print(text, end="")

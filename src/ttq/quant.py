@@ -16,9 +16,9 @@ writer's codes), the autodiff ``tt_linear``, ``ttm_lookup`` and
 in one place.  The autodiff nodes keep only the int8 codes between
 forward and backward; ``dequantize`` rebuilds the values from them bit for
 bit, and ``ste_backward`` allocates nothing shaped like the input but the
-input gradient, which it may write over ``g``.  It reads the input block by
-block, so it takes a recipe that rebuilds a LayerNorm or GELU output a
-block at a time in place of the output itself.  Codes and values are bit
+input gradient, which it may write over ``g``.  The training callers draw
+their activation-sized codes and values from ``buffers.take`` (the
+``alloc`` arguments).  Codes and values are bit
 for bit those of the elementwise float64 reference (the float64 ratio
 ``x / scale``, clipped and rounded half away from zero), and so is the
 input gradient:
@@ -143,12 +143,14 @@ def round_ratio(r: np.ndarray, out: np.ndarray, exact) -> np.ndarray:
 
 
 def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
-                    value_dtype=None) -> tuple[np.ndarray, np.ndarray | None]:
+                    value_dtype=None, alloc=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
     """The quantizer kernel: codes round(clip(x/scale, lo, hi)) shaped like x.
 
     Returns ``(codes, values)``: the codes stored as ``code_dtype`` and, when
     ``value_dtype`` is given, the dequantized surrogate ``scale * codes``
-    stored as ``value_dtype`` (else ``None``).  Each block of
+    stored as ``value_dtype`` (else ``None``), each in a C-contiguous array
+    from ``alloc(shape, dtype)`` (``buffers.take`` for a training
+    activation).  Each block of
     ``block_size`` elements runs divide, clip, ``round_ratio`` and store into
     reused buffers (straight into the codes when ``code_dtype`` is the
     working dtype); a block whose ratios all lie in range skips the clip,
@@ -177,8 +179,8 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     flat = x.reshape(-1)
     n = flat.size
     work = np.float32 if x.dtype == np.float32 and float(np.float32(scale)) == scale else np.float64
-    codes = np.empty(n, dtype=code_dtype)
-    values = None if value_dtype is None else np.empty(n, dtype=value_dtype)
+    codes = alloc(x.shape, code_dtype).reshape(-1)
+    values = None if value_dtype is None else alloc(x.shape, value_dtype).reshape(-1)
     value_work = None if values is None or values.dtype == work else np.float64
     step = block_size(work)
     width = min(n, step)
@@ -203,18 +205,20 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
 
 
-def dequantize(codes: np.ndarray, scale: float, dtype) -> np.ndarray:
-    """``scale * codes`` stored as ``dtype``: bit for bit the values
-    ``quantize_blocks`` gives for an input of ``dtype`` at ``scale``.
+def dequantize(codes: np.ndarray, scale: float, dtype, alloc=np.empty) -> np.ndarray:
+    """``scale * codes`` stored as ``dtype`` into ``alloc(codes.shape,
+    dtype)``: bit for bit the values ``quantize_blocks`` gives for an input
+    of ``dtype`` at ``scale``.
 
     When ``quantize_blocks`` works in float32 (a float32 ``dtype`` and a
     float32 ``scale``) this is one float32 multiply, as there; otherwise the
     float64 product stored as ``dtype``, as there.  The codes are integers
     of at most 8 bits, so every dtype holds them exactly."""
     dtype = np.dtype(dtype)
+    out = alloc(codes.shape, dtype)
     if dtype == np.float32 and float(np.float32(scale)) == scale:
-        return np.multiply(codes, np.float32(scale), dtype=np.float32)
-    return np.multiply(codes, scale, dtype=np.float64).astype(dtype, copy=False)
+        return np.multiply(codes, np.float32(scale), out=out, dtype=np.float32)
+    return np.multiply(codes, scale, out=out, dtype=np.float64)
 
 
 def requantize(out: np.ndarray, m: float) -> np.ndarray:
@@ -318,11 +322,9 @@ def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
     """Straight-through vector-Jacobian product of the fake quantizer
     ``scale * quantize(x)``.
 
-    ``x`` is the floating input, or a recipe that rebuilds it block by block
-    (``autodiff.Rebuild``: its ``dtype`` and ``fill(start, stop, buf)``, which
-    writes the flat elements ``start:stop`` into ``buf``), called once per
-    leaf below into one leaf-sized buffer; ``codes`` are the forward's codes
-    of it.  Returns ``g`` masked to the elements whose float64 ratio
+    ``x`` is the floating input and ``codes`` the forward's codes of it (a
+    rebuilt LayerNorm or GELU output arrives whole, ``Rebuild.array``, filled
+    once for all its consumers).  Returns ``g`` masked to the elements whose float64 ratio
     ``x/scale`` lies in the clip range (``gx``, in ``g``'s dtype, bit for
     bit) and the float64 scale gradient, the sum of ``g`` times the
     elementwise scale surrogate.  ``gx`` is written into ``out`` when given:
@@ -350,19 +352,10 @@ def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
     width = min(n, BLOCK)
     inside = np.empty(width, dtype=bool)
     not_above = np.empty(width, dtype=bool)
-    if isinstance(x, np.ndarray):
-        flat = x.reshape(-1)
-
-        def x_block(start, stop):
-            return flat[start:stop]
-    else:
-        rebuilt = np.empty(width, dtype=x.dtype)
-
-        def x_block(start, stop):
-            return x.fill(start, stop, rebuilt[:stop - start])
+    xflat = x.reshape(-1)
 
     def leaf_sum(start, stop):
-        xb, cb, gb = x_block(start, stop), cflat[start:stop], gflat[start:stop]
+        xb, cb, gb = xflat[start:stop], cflat[start:stop], gflat[start:stop]
         m, o = inside[:xb.size], not_above[:xb.size]
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)

@@ -4,6 +4,13 @@
 end-to-end training (intent plus slot cross-entropy) and every distillation
 stage alike.  Behaviour is deterministic under a fixed seed: parameter
 order, shuffle order, and summation order are all fixed.
+
+``adam_step`` updates the parameters whose rows have all gone live in flat
+arenas (``_Arena``, as the flat buffers of Rajbhandari et al. 2020, ZeRO):
+one fixed sequence of in-place ufuncs per group, with no temporary of
+parameter size, and the same per-element arithmetic as Adam one parameter
+at a time.  A step also draws its activation-sized arrays from recycled
+buffers (``ttq.buffers``), so after warm-up it maps no fresh pages.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
+from . import buffers
 from .data import DataFormatError, Dataset
 from .model import ForwardTrace, TransformerModel
-from .quant import MIN_SCALE
+from .quant import BLOCK, MIN_SCALE
 
 
 class DivergenceError(RuntimeError):
@@ -68,30 +76,55 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Step count, first and second moments, and for each parameter of rank
-    >= 1 with rows never touched so far, the mask of the leading-axis rows
-    that ever had a nonzero gradient.
+    """Step count, the float64 first and second moments of each parameter (by
+    ``id``), for each parameter of rank >= 1 with rows never touched so far
+    the mask of the leading-axis rows that ever had a nonzero gradient, and
+    the ``_Arena`` groups that hold every other parameter.
 
     A parameter of rank >= 1 stores its moments only up to the last row that
     ever had a nonzero gradient; the rows past the stored ones are +0.0.  So
     the position table's moments cover the positions batches have reached,
-    not ``max_seq``."""
+    not ``max_seq``.  Once every row of a parameter has gone live it joins
+    an arena, and its ``m``/``v`` entries become views of the arena's."""
 
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     live: dict = field(default_factory=dict)
+    arenas: list = field(default_factory=list)
+    layout: tuple = ()
 
 
-def _adam_update(p, g, m, v, t: int, lr: float, config: TrainConfig):
-    """The Adam arithmetic on matching arrays: the new (p, m, v)."""
+def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, out: np.ndarray,
+          t: int, lr: float, config: TrainConfig):
+    """Adam's arithmetic on matching flat arrays: ``m`` and ``v`` (float64)
+    in place and the new parameters into ``out``.  Each element sees the
+    operations, order and dtypes of ``m = b1*m + (1 - b1)*g``, ``v = b2*v +
+    (1 - b2)*(g*g)`` and ``p - lr*(m/(1 - b1**t)) / (sqrt(v/(1 - b2**t)) +
+    eps)`` stored in ``out``'s dtype, as fixed in-place ufuncs over blocks of
+    ``quant.BLOCK`` elements through block-sized scratch."""
     b1, b2 = config.beta1, config.beta2
-    m = b1 * m + (1 - b1) * g
-    v = b2 * v + (1 - b2) * (g * g)
-    m_hat = m / (1 - b1 ** t)
-    v_hat = v / (1 - b2 ** t)
-    # an ndarray even for a 0-d p, whose arithmetic gives numpy scalars
-    return np.asarray(p - lr * m_hat / (np.sqrt(v_hat) + config.eps), dtype=p.dtype), m, v
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    width = min(p.size, BLOCK)
+    scaled, m_hat, denom = np.empty(width, g.dtype), np.empty(width), np.empty(width)
+    for start in range(0, p.size, BLOCK):
+        sl = slice(start, start + BLOCK)
+        gb, mb, vb = g[sl], m[sl], v[sl]
+        s, a, d = scaled[:gb.size], m_hat[:gb.size], denom[:gb.size]
+        mb *= b1
+        np.multiply(gb, 1 - b1, out=s)
+        mb += s
+        vb *= b2
+        np.multiply(gb, gb, out=s)
+        s *= 1 - b2
+        vb += s
+        np.divide(mb, c1, out=a)
+        np.divide(vb, c2, out=d)
+        np.sqrt(d, out=d)
+        d += config.eps
+        a *= lr
+        a /= d
+        np.subtract(p[sl], a, out=out[sl])
 
 
 def _stored(moment: np.ndarray, rows: int) -> np.ndarray:
@@ -116,6 +149,73 @@ def _live_rows(state: AdamState, key: int, g: np.ndarray):
     return np.flatnonzero(live)
 
 
+class _Arena:
+    """The parameters of one dtype, gradient dtype and learning rate whose
+    rows are all live, in flat buffers (Rajbhandari et al. 2020, ZeRO): their
+    values in two arenas used alternately, their gradients, and float64
+    ``m``/``v``.  Each ``p.data`` is a view of the values arena the last
+    step wrote, and each ``state.m``/``state.v`` entry a view of the moment
+    arenas, which the update writes in place.  A ``.grad`` that is the
+    backward's array becomes a view of its copy in the gradient arena, so
+    the backward's array is freed with the step."""
+
+    def __init__(self, params: list, g_dtype, scale: bool, state: AdamState):
+        self.params, self.scale = params, scale
+        ends = np.cumsum([p.data.size for p in params]).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        n, dtype = ends[-1], params[0].data.dtype
+        self.values = [np.empty(n, dtype), np.empty(n, dtype)]
+        self.grad = [np.empty(n, g_dtype)]
+        self.m, self.v = np.empty(n), np.empty(n)
+        self.views = [None] * len(params)  # no p.data is bound yet: each is adopted
+        for p, (lo, hi) in zip(params, self.bounds):
+            key = id(p)
+            for moments, arena in ((state.m, self.m), (state.v, self.v)):
+                arena[lo:hi] = _stored(moments[key], len(p.data)).reshape(-1) if p.data.ndim \
+                    else moments[key].reshape(-1)
+                moments[key] = arena[lo:hi].reshape(p.data.shape)
+
+    def update(self, grads: dict, t: int, config: TrainConfig):
+        """One Adam step: adopt any ``.data`` set from outside since the last
+        step, run ``_adam`` from one values arena into the other and bind
+        each ``p.data`` to a fresh view of the new values.  The arena to
+        write, and the gradient arena, are replaced rather than written when
+        any part of them is still held."""
+        for bufs, i in ((self.values, 1), (self.grad, 0)):
+            if not buffers.idle(bufs, i):
+                bufs[i] = np.empty_like(bufs[i])
+        (cur, new), grad = self.values, self.grad[0]
+        for i, (p, (lo, hi)) in enumerate(zip(self.params, self.bounds)):
+            if p.data is not self.views[i]:
+                cur[lo:hi] = p.data.reshape(-1)
+            g = grads[id(p)]
+            grad[lo:hi] = g.reshape(-1)
+            if p.grad is g:
+                p.grad = grad[lo:hi].reshape(g.shape)
+        lr = config.effective_scale_lr if self.scale else config.learning_rate
+        _adam(cur, grad, self.m, self.v, new, t, lr, config)
+        if self.scale:
+            np.maximum(new, MIN_SCALE, out=new)
+        self.values.reverse()
+        for i, (p, (lo, hi)) in enumerate(zip(self.params, self.bounds)):
+            p.data = self.views[i] = new[lo:hi].reshape(p.data.shape)
+
+
+def _arenas(state: AdamState, full: list, grads: dict, scale_params) -> list:
+    """The arenas of the fully-live parameters ``full``, rebuilt whenever
+    their set, order, shapes or dtypes change, moments carried over."""
+    layout = tuple((id(p), p.data.shape, p.data.dtype, grads[id(p)].dtype, id(p) in scale_params)
+                   for p in full)
+    if layout != state.layout:
+        groups: dict = {}
+        for p, (_, _, _, g_dtype, scale) in zip(full, layout):
+            groups.setdefault((p.data.dtype, g_dtype, scale), []).append(p)
+        state.arenas = [_Arena(params, g_dtype, scale, state)
+                        for (_, g_dtype, scale), params in groups.items()]
+        state.layout = layout
+    return state.arenas
+
+
 def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: AdamState,
               config: TrainConfig, scale_params: set[int] = frozenset()):
     """One Adam update with bias correction.
@@ -125,6 +225,12 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
     gradient is checked before any update, so a non-finite one raises
     ``DivergenceError`` with the parameters and the state untouched.
 
+    A parameter all of whose rows have gone live is updated in its
+    ``_Arena``: a fixed sequence of in-place ufuncs over the flat buffers
+    of its group, with no temporary of parameter size.  ``p.data`` becomes a
+    fresh view of the arena the step wrote, and no array a caller holds is
+    written, so ``CoreLayer.frozen_cores``' identity check sees every step.
+
     Only live rows are updated: a row whose gradient has been zero (either
     sign) at every step so far has m = v = +0, so its update is exactly zero
     and skipping it is bit-identical.  A batch touches only its positions'
@@ -133,11 +239,12 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
     """
     for p in params:
         g = grads.get(id(p))
-        if g is not None and not np.all(np.isfinite(g)):
+        if g is not None and g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise DivergenceError(f"non-finite gradient for parameter {p.name!r} "
                                   f"at step {state.step + 1}")
     state.step += 1
     t = state.step
+    full = []
     for p in params:
         g = grads.get(id(p))
         if g is None:
@@ -148,21 +255,24 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
             state.m[key], state.v[key] = np.zeros(shape), np.zeros(shape)
             if p.data.ndim:
                 state.live[key] = np.zeros(len(p.data), dtype=bool)
-        lr = config.effective_scale_lr if key in scale_params else config.learning_rate
         rows = _live_rows(state, key, g)
-        if p.data.ndim:
-            n = len(p.data) if rows is None else (int(rows[-1]) + 1 if rows.size else 0)
-            state.m[key], state.v[key] = _stored(state.m[key], n), _stored(state.v[key], n)
-        m, v = state.m[key], state.v[key]
         if rows is None:
-            p.data, state.m[key], state.v[key] = _adam_update(p.data, g, m, v, t, lr, config)
-        else:
-            data = p.data.copy()
-            data[rows], m[rows], v[rows] = _adam_update(data[rows], g[rows], m[rows], v[rows],
-                                                        t, lr, config)
-            p.data = data
+            full.append(p)
+            continue
+        n = int(rows[-1]) + 1 if rows.size else 0
+        state.m[key], state.v[key] = _stored(state.m[key], n), _stored(state.v[key], n)
+        m, v = state.m[key], state.v[key]
+        lr = config.effective_scale_lr if key in scale_params else config.learning_rate
+        data = p.data.copy()
+        p_rows, m_rows, v_rows = data[rows], m[rows], v[rows]
+        _adam(p_rows.reshape(-1), g[rows].reshape(-1), m_rows.reshape(-1), v_rows.reshape(-1),
+              p_rows.reshape(-1), t, lr, config)
+        data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
         if key in scale_params:
-            np.maximum(p.data, MIN_SCALE, out=p.data)  # a fresh array: no alias sees it
+            np.maximum(data, MIN_SCALE, out=data)
+        p.data = data
+    for arena in _arenas(state, full, grads, scale_params):
+        arena.update(grads, t, config)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +355,9 @@ def train_step(model: TransformerModel, state: AdamState, config: TrainConfig,
     it: for each TT layer, its one ``ad.tt_linear`` node's int8 codes and
     its input, or the ``ad.Rebuild`` of a LayerNorm or GELU input, and no
     float copy of a quantized input or stage input.
-    Each ``.grad`` then lives until the next step clears it, and Adam's
-    moments are stored up to each parameter's last live row (``AdamState``).
+    Each ``.grad`` then lives until the next step clears it (in Adam's
+    gradient arena for a parameter in an arena), and Adam's moments are
+    stored up to each parameter's last live row (``AdamState``).
 
     ``.grad`` is cleared just before the backward, its only writer, so the
     values equal those of clearing before the forward.  ``ad.backward`` and

@@ -33,6 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import buffers
+
 
 class PlanError(ValueError):
     """Raised when a factorization plan cannot be built or validated."""
@@ -284,20 +286,36 @@ class Stage:
             return acc.reshape((-1,) + self.in_shape), c, True
         return acc.reshape(-1, c.shape[1]), c, False
 
-    def forward(self, acc: np.ndarray, core: np.ndarray) -> np.ndarray:
+    @property
+    def out_size(self) -> int:
+        """Values per input vector of the stage's output."""
+        q, mode, _ = self.core_shape
+        return q * mode * self.in_shape[1] if self.row else self.in_shape[0] * q
+
+    def forward(self, acc: np.ndarray, core: np.ndarray, recycle: bool = False) -> np.ndarray:
+        """The stage's output; with ``recycle``, into a recycled buffer
+        (``buffers.take``) keyed by the values per input vector, as the
+        layer's own arrays are."""
         a, c, batched = self._operands(acc, core)
-        return c @ a if batched else a @ c.T
+        out = None
+        if recycle:
+            shape = (a.shape[0], c.shape[0], a.shape[2]) if batched else (a.shape[0], c.shape[0])
+            out = buffers.take(shape, np.result_type(a, c), self.out_size)
+        return np.matmul(c, a, out=out) if batched else np.matmul(a, c.T, out=out)
 
     def adjoint(self, acc: np.ndarray, core: np.ndarray, g: np.ndarray):
         """Gradients of ``sum(g * forward(acc, core))`` with respect to acc and
-        core, in their shapes; ``g`` may have any shape of the output's size."""
+        core, in their shapes; ``g`` may have any shape of the output's size.
+        The gradient of ``acc`` goes into a recycled buffer keyed as
+        ``forward``'s output is."""
         a, c, batched = self._operands(acc, core)
+        g_acc = buffers.take(a.shape, np.result_type(g, c), math.prod(self.in_shape))
         if batched:
             g = g.reshape(a.shape[0], c.shape[0], a.shape[2])
-            g_acc, g_core = c.T @ g, (g @ a.transpose(0, 2, 1)).sum(axis=0)
+            g_acc, g_core = np.matmul(c.T, g, out=g_acc), (g @ a.transpose(0, 2, 1)).sum(axis=0)
         else:
             g = g.reshape(a.shape[0], c.shape[0])
-            g_acc, g_core = g @ c, g.T @ a
+            g_acc, g_core = np.matmul(g, c, out=g_acc), g.T @ a
         return g_acc.reshape(acc.shape), g_core.reshape(core.shape)
 
 
@@ -329,10 +347,11 @@ def tt_stages(plan: TensorShapePlan) -> tuple[Stage, ...]:
 
 
 def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan,
-             post=None) -> np.ndarray:
+             post=None, recycle: bool = False) -> np.ndarray:
     """Batched y = W x in plain numpy along ``tt_stages(plan)``.
 
-    Every stage is one ``Stage.forward`` matmul.  ``post(i, stage, acc, core,
+    Every stage is one ``Stage.forward`` matmul, into a recycled buffer with
+    ``recycle`` (a recorded training forward).  ``post(i, stage, acc, core,
     out)`` sees stage i's input, core and output and returns what the next
     stage consumes, to keep, count or requantize it.  Returns the
     (batch, rows) result.
@@ -342,7 +361,7 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
     for i, stage in enumerate(tt_stages(plan)):
         core = cores[stage.core]
-        out = stage.forward(acc, core)
+        out = stage.forward(acc, core, recycle)
         acc = post(i, stage, acc, core, out) if post else out
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
@@ -363,7 +382,7 @@ def tt_chain_vjp(g: np.ndarray, x2d: np.ndarray, cores: Sequence[np.ndarray],
     acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
     inputs = [acc]
     for stage in stages[:-1]:
-        acc = stage.forward(acc, cores[stage.core])
+        acc = stage.forward(acc, cores[stage.core], True)
         inputs.append(acc)
     del acc
     pad = plan.padded_rows - plan.rows

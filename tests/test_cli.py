@@ -278,6 +278,17 @@ class TestReports:
             ("infer_fp", "infer_fp", "forward"), ("infer_int", "infer_int", "forward"),
             ("dense", "train", "train_step"), ("tensor_compressed", "train", "train_step")]
 
+    def test_bench_reports_minor_faults_per_timed_step(self, tmp_path, corpus):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["bench", str(cfg_path), "--repeats", "2"]) == 0
+        recs = [json.loads(l) for l in (out / "bench_report.jsonl").read_text().split("\n") if l]
+        assert {r["timed"] for r in recs} == {"forward", "train_step"}
+        for r in recs:
+            faults = r["minor_faults_per_step"]
+            assert isinstance(faults, int) and faults >= 0
+        assert "minor faults" in (out / "bench_report.txt").read_text()
+
     def test_bench_times_infer_int_only_for_quantized_models(self, tmp_path, corpus):
         out = tmp_path / "run"
         cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, weight_bits=32))

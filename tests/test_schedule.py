@@ -369,9 +369,9 @@ def test_calibration_runs_no_chain_beyond_its_forwards(monkeypatch):
     calls = []
     stage_forward = Stage.forward
 
-    def counting(stage, acc, core):
+    def counting(stage, acc, core, *recycle):
         calls.append(stage)
-        return stage_forward(stage, acc, core)
+        return stage_forward(stage, acc, core, *recycle)
 
     monkeypatch.setattr(Stage, "forward", counting)
     with ad.no_grad():

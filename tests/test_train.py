@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from reference_quant import ste_grad_input, ste_grad_scale
+from reference_train import PerParameterAdamState, per_parameter_adam_step
 from reference_tt import composed_tt_layer, composed_ttm_lookup, tt_matvec_vjp, tt_to_dense
 
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq import model as model_module
 from ttq import train
+from ttq.checkpoint import checkpoint_load, checkpoint_save
 from ttq.config import RunConfig
 from ttq.data import DataFormatError, gen_synthetic_dataset
 from ttq.model import ModelConfig, PlanSpec, TransformerModel
@@ -231,6 +233,142 @@ class TestAdam:
             stored.append(len(live.m[id(p)]))
         assert stored == [2, 2, 2, 9, 9, 10, 10]
         assert id(p) not in live.live  # every row has gone live
+
+
+class TestArenaAdam:
+    """``adam_step``'s flat arenas against ``reference_train``'s Adam one
+    parameter at a time, byte for byte: parameters and stored moments."""
+
+    @staticmethod
+    def assert_same(params, ref_params, state, ref, label):
+        for p, r in zip(params, ref_params):
+            assert p.data.dtype == r.data.dtype and p.data.shape == r.data.shape, label
+            assert p.data.tobytes() == r.data.tobytes(), (label, p.name)
+            for mine, theirs in ((state.m, ref.m), (state.v, ref.v)):
+                assert mine[id(p)].shape == theirs[id(r)].shape, (label, p.name)
+                assert mine[id(p)].tobytes() == theirs[id(r)].tobytes(), (label, p.name)
+
+    @staticmethod
+    def model_pair(dtype):
+        cfg = ModelConfig(
+            vocab_size=40, hidden=16, ffn_dim=32, num_layers=1, num_heads=2, max_seq=12,
+            num_intents=3, num_slots=5, weight_bits=8, act_bits=8, dtype=dtype,
+            emb_spec=PlanSpec(d=2, rank=4, fmt=TTFormat.TTM), attn_spec=PlanSpec(d=2, rank=4),
+            ffn_spec=PlanSpec(d=2, rank=4), head_spec=PlanSpec(d=2, rank=4))
+        data = gen_synthetic_dataset(seed=7, vocab_size=40, num_intents=3, num_slots=4,
+                                     num_examples=120)
+        return TransformerModel(cfg, 3), TransformerModel(cfg, 3), list(data["train"].batches(16))
+
+    @staticmethod
+    def step_both(model, ref, state, ref_state, config, batch):
+        ids, mask, intents, slots = batch
+        train_step(model, state, config, intent_slot_loss(model.forward(ids, mask), intents, slots))
+        params = [p for _, p in ref.params()]
+        for p in params:
+            p.zero_grad()
+        loss = intent_slot_loss(ref.forward(ids, mask), intents, slots)
+        per_parameter_adam_step(params, ad.backward(loss), ref_state, config,
+                                {id(p) for p in ref.scale_params()})
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_matches_the_oracle(self, dtype):
+        """INT8 QAT steps of a whole model, scales at their own ``scale_lr``."""
+        model, ref, batches = self.model_pair(dtype)
+        state, ref_state = AdamState(), PerParameterAdamState()
+        config = TrainConfig(learning_rate=0.01, scale_lr=0.003, epochs=1)
+        for step, batch in enumerate(batches[:6]):
+            self.step_both(model, ref, state, ref_state, config, batch)
+            self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
+                             state, ref_state, step)
+        assert {arena.scale for arena in state.arenas} == {False, True}
+
+    def test_scale_clamp_scale_lr_and_live_row_growth_match_the_oracle(self):
+        """Parameters of rank 0 to 3 in both dtypes, two 0-d scales (one
+        driven to the clamp), rows going live late, and a parameter that
+        gets no gradient at some steps, which rebuilds the arenas."""
+        rng = np.random.default_rng(8)
+        shapes = [(), (), (6,), (7, 3), (5, 2, 2), (10, 3)]
+        dtypes = [np.float32, np.float64, np.float32, np.float64, np.float64, np.float32]
+        init = [rng.normal(size=s).astype(t) for s, t in zip(shapes, dtypes)]
+        init[0] = np.asarray(1e-6, dtype=np.float32)
+        params = [ad.Parameter(x.copy(), name=f"p{i}") for i, x in enumerate(init)]
+        ref_params = [ad.Parameter(x.copy(), name=f"p{i}") for i, x in enumerate(init)]
+        scales = {id(params[0]), id(params[1])}
+        config = TrainConfig(learning_rate=0.05, scale_lr=0.5, epochs=1)
+        state, ref_state = AdamState(), PerParameterAdamState()
+        live = [[0], [0, 1], [], [2, 8], [0, 1, 2, 3, 4], [3], [1, 5], [9], [0], [4]]
+        for step, rows in enumerate(live):
+            grads, ref_grads = {}, {}
+            for i, (p, r) in enumerate(zip(params, ref_params)):
+                if i == 3 and step in (2, 5):
+                    continue  # no gradient: the arenas are rebuilt without it
+                g = np.zeros(p.data.shape, dtype=p.data.dtype)
+                if g.ndim:
+                    picked = [k for k in rows if k < len(g)] or [0]
+                    g[picked] = rng.normal(size=(len(picked),) + g.shape[1:])
+                else:
+                    g[...] = 50.0 if i == 0 else rng.normal()
+                grads[id(p)], ref_grads[id(r)] = g, g.copy()
+            adam_step(params, grads, state, config, scales)
+            per_parameter_adam_step(ref_params, ref_grads, ref_state, config,
+                                    {id(ref_params[0]), id(ref_params[1])})
+            self.assert_same(params, ref_params, state, ref_state, step)
+        assert params[0].data == np.float32(q.MIN_SCALE)  # clamped
+        assert id(params[5]) in state.live  # rows 5..7 never went live
+        assert {a.scale for a in state.arenas} == {False, True} and len(state.arenas) == 4
+
+    def test_a_non_finite_gradient_raises_before_any_arena_write(self):
+        model, _, batches = self.model_pair("float32")
+        state, config = AdamState(), TrainConfig(learning_rate=0.01, epochs=1)
+        for batch in batches[:2]:
+            ids, mask, intents, slots = batch
+            train_step(model, state, config,
+                       intent_slot_loss(model.forward(ids, mask), intents, slots))
+        params = [p for _, p in model.params()]
+        ids, mask, intents, slots = batches[2]
+        grads = ad.backward(intent_slot_loss(model.forward(ids, mask), intents, slots))
+        grads[id(params[-1])] = np.full_like(grads[id(params[-1])], np.inf)
+        data = [(p.data, p.data.tobytes()) for p in params]
+        arenas = [[buf.tobytes() for buf in (*a.values, *a.grad, a.m, a.v)] for a in state.arenas]
+        with pytest.raises(DivergenceError, match=f"{params[-1].name!r} at step 3"):
+            adam_step(params, grads, state, config, {id(p) for p in model.scale_params()})
+        assert state.step == 2
+        for p, (array, raw) in zip(params, data):
+            assert p.data is array and p.data.tobytes() == raw
+        assert arenas == [[buf.tobytes() for buf in (*a.values, *a.grad, a.m, a.v)]
+                          for a in state.arenas]
+
+    def test_set_cores_between_steps_is_adopted(self):
+        model, ref, batches = self.model_pair("float32")
+        state, ref_state = AdamState(), PerParameterAdamState()
+        config = TrainConfig(learning_rate=0.01, scale_lr=0.003, epochs=1)
+        for step, batch in enumerate(batches[:5]):
+            if step == 2:
+                for m in (model, ref):
+                    layer = m.encoders[0].ffn_up
+                    layer.set_cores([0.5 * c.data for c in layer.cores], layer.plan)
+            self.step_both(model, ref, state, ref_state, config, batch)
+            self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
+                             state, ref_state, step)
+
+    def test_values_set_from_outside_are_adopted(self, tmp_path):
+        """Values loaded from a checkpoint of an earlier state and assigned
+        to the parameters between steps are what the next step updates."""
+        model, ref, batches = self.model_pair("float32")
+        state, ref_state = AdamState(), PerParameterAdamState()
+        config = TrainConfig(learning_rate=0.01, scale_lr=0.003, epochs=1)
+        checkpoint_save(model, tmp_path / "start.ttq")
+        for step, batch in enumerate(batches[:5]):
+            if step == 3:
+                loaded = dict(checkpoint_load(tmp_path / "start.ttq").params())
+                for m in (model, ref):
+                    for name, p in m.params():
+                        p.data = loaded[name].data.copy()
+            self.step_both(model, ref, state, ref_state, config, batch)
+            self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
+                             state, ref_state, step)
+        arena = state.arenas[0]
+        assert all(p.data is view for p, view in zip(arena.params, arena.views))
 
 
 def assert_stored_moment(stored, full, label=None):
