@@ -18,9 +18,9 @@ Some arrays are cheaper to compute again than to keep (Chen et al. 2016,
 "Training Deep Nets with Sublinear Memory Cost").  A recorded ``layer_norm``
 or ``gelu`` output carries a ``Rebuild``: the op's own arithmetic on what
 its backward keeps anyway (``xhat``; GELU's input and ``tanh``), which
-gives any range of the output bit for bit.  A consumer that reads the
-output in its backward keeps the ``Rebuild`` in its place; ``array()``
-fills it once per backward, into a buffer that every consumer shares.
+gives the whole output bit for bit.  A consumer that reads the output in
+its backward keeps the ``Rebuild`` in its place; ``array()`` fills it once
+per backward, into a buffer that every consumer shares.
 
 A recorded forward and its backward draw their activation-sized arrays
 from ``buffers.take``, buffers kept across steps: GELU's output, ``tanh``
@@ -32,18 +32,19 @@ output.  So after warm-up a training step maps no fresh pages for them.  A
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
 and backward, run through BLAS matrix products.  A TT layer (input and
-weight quantizers, TT product and bias) is one node, ``tt_linear``.  It
-keeps the int8 codes of its input and cores and its input's ``Rebuild``
-(else its input).  Its backward rebuilds the quantized values from the codes
-and runs ``tt.tt_chain_vjp``, which reruns the stage forwards before the
-stage adjoints; the input quantizer's straight-through backward reads the
-float input, rebuilt once for all its consumers.  For an ATIS-shaped INT8
-batch of 233 real tokens a train forward so leaves 25.9 MB for its backward
+weight quantizers, TT product and bias) is one node, ``tt_linear``, with
+no stage hook: calibration runs a chain of its own
+(``model.TTLinearLayer._calibration_forward``).  The node keeps the int8
+codes of its input and cores and its input's ``Rebuild`` (else its input).
+Its backward rebuilds the quantized values from the codes and runs
+``tt.tt_chain_vjp``, which reruns the stage forwards before the stage
+adjoints; the input quantizer's straight-through backward reads the float
+input, rebuilt once for all its consumers.  For an ATIS-shaped INT8 batch
+of 233 real tokens a train forward so leaves 25.9 MB for its backward
 (tracemalloc), against 45.6 MB when the node kept its stage inputs and its
-input.  A TTM
-row lookup and its weight quantizer are one node too, ``ttm_lookup``,
-over ``tt.ttm_lookup_vjp``; both nodes' weight quantizers are
-``_quantize_cores``.  Scatter-adds (``take``, the lookup's backward) are
+input.  A TTM row lookup and its weight quantizer are one node too,
+``ttm_lookup``, over ``tt.ttm_lookup_vjp``; both nodes' weight quantizers
+are ``_quantize_cores``.  Scatter-adds (``take``, the lookup's backward) are
 one sorted ``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move
 distinct rows, so each is the other's plain-indexing adjoint.
 """
@@ -59,6 +60,7 @@ from . import quant as q
 from .tt import TensorShapePlan, segment_sum, tt_chain, tt_chain_vjp, ttm_lookup_vjp
 
 _grad_enabled = True
+_LN_EPS = 1e-5  # added to LayerNorm's variance
 
 
 class no_grad:
@@ -98,16 +100,16 @@ class _Node:
 class Rebuild:
     """How to rebuild a recorded op's output rather than keep it.
 
-    ``fill(start, stop, buf)`` writes the output's C-order flat elements
-    ``start:stop`` into ``buf`` (1-D, of ``dtype``) and returns ``buf``: the
-    op's own arithmetic on what its backward keeps anyway, bit for bit the
-    output's elements.  A consumer whose backward reads the output keeps
-    this instead of it, and reads it through ``array()``."""
+    ``fill(buf)`` writes the whole output into ``buf`` (C-contiguous, of
+    ``shape`` and ``dtype``) and returns ``buf``: the op's own arithmetic on
+    what its backward keeps anyway, bit for bit the output.  A consumer
+    whose backward reads the output keeps this instead of it, and reads it
+    through ``array()``."""
 
     __slots__ = ("shape", "dtype", "fill", "_whole")
 
     def __init__(self, shape: tuple, dtype: np.dtype,
-                 fill: Callable[[int, int, np.ndarray], np.ndarray]):
+                 fill: Callable[[np.ndarray], np.ndarray]):
         self.shape, self.dtype, self.fill = shape, dtype, fill
         self._whole = None
 
@@ -117,8 +119,7 @@ class Rebuild:
         consumer while this recipe lives (the q, k and v projections read
         one LayerNorm output)."""
         if self._whole is None:
-            self._whole = buffers.take(self.shape, self.dtype)
-            self.fill(0, self._whole.size, self._whole.reshape(-1))
+            self._whole = self.fill(buffers.take(self.shape, self.dtype))
         return self._whole
 
 
@@ -140,18 +141,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def _vjp(self) -> Callable[[np.ndarray], tuple] | None:
-        return None if self._node is None else self._node.vjp
 
     def item(self) -> float:
         return float(self.data)
@@ -348,11 +337,12 @@ def gelu(a) -> Tensor:
             np.multiply(gf[sl], e, out=gxf[sl])
         return (gx,)
 
-    def fill(start, stop, buf):
-        u = np.empty(min(stop - start, q.BLOCK), dtype=x.dtype)
-        for lo in range(start, stop, q.BLOCK):
-            hi = min(lo + q.BLOCK, stop)
-            _gelu_from_tanh(xf[lo:hi], tf[lo:hi], buf[lo - start:hi - start], u[:hi - lo])
+    def fill(buf):
+        bf, u = buf.reshape(-1), np.empty(width, dtype=x.dtype)
+        for start in range(0, xf.size, q.BLOCK):
+            sl = slice(start, start + q.BLOCK)
+            xb = xf[sl]
+            _gelu_from_tanh(xb, tf[sl], bf[sl], u[:xb.size])
         return buf
 
     return _make(out, (a,), vjp, fill)
@@ -438,17 +428,11 @@ def sum_all(a) -> Tensor:
     return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
+def sum_axis(a, axis: int) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.data.shape
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(out, (a,), vjp)
+    return _make(a.data.sum(axis=axis), (a,),
+                 lambda g: (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),))
 
 
 def matmul(a, b) -> Tensor:
@@ -500,7 +484,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
 
 
 def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
-              weight=None, post=None) -> Tensor:
+              weight=None) -> Tensor:
     """Batched y = W x + bias, (batch, cols) to (batch, rows), for the TT cores
     of ``plan``: one node for a whole TT layer.
 
@@ -508,10 +492,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     ``(scale Tensor, bits)`` pair or None; 32 bits is none.  The forward
     quantizes the input once and the cores once (``_quantize_cores``), walks
     ``tt.tt_stages`` and adds the bias in place on the last stage's fresh
-    output.  ``post`` is ``tt.tt_chain``'s stage hook.  The backward reruns
-    the stages without it, so a recorded node refuses one (``ValueError``):
-    a hook runs only on a forward no backward reads.  A recorded node draws
-    its input codes and values and its stage outputs from ``buffers.take``.
+    output.  A recorded node draws its input codes and values and its stage
+    outputs from ``buffers.take``.
 
     For the backward the node keeps the int8 codes of the input and of the
     cores, the input's ``Rebuild`` when it has one (a LayerNorm or GELU
@@ -533,9 +515,6 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     scales = [spec[0] for spec in (act, weight) if spec is not None]
     inputs = [x2d, *cores] + [t for t in [bias] if t is not None] + scales
     keep = _records(*inputs)
-    if keep and post is not None:
-        raise ValueError("a recorded tt_linear node takes no post hook: its backward reruns "
-                         "the stages without it")
     xd, masters = x2d.data, [c.data for c in cores]
     x_in, w_in, quant_w = xd, masters, weight is not None
     if act is not None:
@@ -545,7 +524,7 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
                                           buffers.take if keep else np.empty)
     if quant_w:
         w_in, w_values, w_ste = _quantize_cores(masters, weight)
-    y = tt_chain(x_in, w_in, plan, post, keep)
+    y = tt_chain(x_in, w_in, plan, recycle=keep)
     if bias is not None:
         b = bias.data
         fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype
@@ -687,7 +666,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine.
 
     ``x - mean`` becomes ``xhat`` in place.  The output is written into
@@ -699,7 +678,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     g_data, b_data = gamma.data, beta.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     keep = _records(x, gamma, beta)
     dtype = np.result_type(xhat, g_data, b_data)
@@ -717,18 +696,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
                     - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
         return (gx, gg, gb)
 
-    def fill(start, stop, buf):
-        """``xhat * gamma + beta`` at the flat elements ``start:stop``: the
-        forward's multiply and add over the rows they span (straight into
-        ``buf`` when the span is whole rows), then the span."""
-        first, last = start // n, -(-stop // n)
-        whole = start == first * n and stop == last * n
-        rows = buf.reshape(last - first, n) if whole else np.empty((last - first, n), dtype=dtype)
-        np.multiply(xhat.reshape(-1, n)[first:last], g_data, out=rows)
-        np.add(rows, b_data, out=rows)
-        if not whole:
-            buf[:] = rows.reshape(-1)[start - first * n:stop - first * n]
-        return buf
+    def fill(buf):
+        """``xhat * gamma + beta`` into ``buf``: the forward's multiply and add."""
+        np.multiply(xhat, g_data, out=buf)
+        return np.add(buf, b_data, out=buf)
 
     return _make(out, (x, gamma, beta), vjp, fill)
 

@@ -35,8 +35,8 @@ from .data import DataFormatError, gen_synthetic_dataset, read_corpus, write_cor
 from .distill import compare_schedules, run_distillation
 from .model import INT_LOGIT_BOUND, TransformerModel, architecture_flops, model_size_bytes
 from .quant import FULL_PRECISION
-from .train import (AdamState, DivergenceError, evaluate, intent_slot_loss, score_traces,
-                    train_end_to_end, train_step)
+from .train import (SCORING_BATCH, AdamState, DivergenceError, evaluate, intent_slot_loss,
+                    score_traces, train_end_to_end, train_step)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_IO = 2, 3, 4, 5
 
@@ -175,7 +175,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _int8_metrics(model: TransformerModel, split, batch_size: int = 64) -> dict:
+def _int8_metrics(model: TransformerModel, split) -> dict:
     """``evaluate``'s metrics of the ``infer_int`` forward, and its logit
     error: the worst batch's max|int - surrogate| / max|surrogate|, each
     batch taking the larger of that ratio over the intent logits and over
@@ -186,7 +186,7 @@ def _int8_metrics(model: TransformerModel, split, batch_size: int = 64) -> dict:
 
     def traces():
         nonlocal worst
-        for ids, mask, intents, slots in split.batches(batch_size):
+        for ids, mask, intents, slots in split.batches(SCORING_BATCH):
             with ad.no_grad():
                 ref = model.forward(ids, mask, mode="train")
                 got = model.forward(ids, mask, mode="infer_int")

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+MIN_LEN, MAX_LEN = 6, 12  # tokens per synthetic utterance
+
 
 class DataFormatError(ValueError):
     """Malformed corpus file."""
@@ -75,8 +77,7 @@ def pad_batch(examples):
 
 
 def gen_synthetic_dataset(seed: int, vocab_size: int = 120, num_intents: int = 6,
-                          num_slots: int = 8, num_examples: int = 2000,
-                          min_len: int = 6, max_len: int = 12) -> dict[str, Dataset]:
+                          num_slots: int = 8, num_examples: int = 2000) -> dict[str, Dataset]:
     """Generate a learnable intent/slot corpus with an 80/10/10 split.
 
     Each intent owns a pool of marker tokens; each slot type owns a pool of
@@ -111,7 +112,7 @@ def gen_synthetic_dataset(seed: int, vocab_size: int = 120, num_intents: int = 6
     examples = []
     for n in range(num_examples):
         intent = n % num_intents
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
         toks, slots = [], []
         pos = 0
         while pos < length:

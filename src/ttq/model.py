@@ -203,10 +203,10 @@ class ForwardTrace:
 
 
 def tt_chain_apply(x2d: ad.Tensor, cores: list[ad.Tensor], plan: TensorShapePlan,
-                   bias: ad.Tensor | None = None, act=None, weight=None, post=None) -> ad.Tensor:
+                   bias: ad.Tensor | None = None, act=None, weight=None) -> ad.Tensor:
     """Batched y = W x + bias for TT cores, with the optional input and weight
-    quantizers ``(scale, bits)`` and stage hook: one ``ad.tt_linear`` node."""
-    return ad.tt_linear(x2d, cores, plan, bias, act, weight, post)
+    quantizers ``(scale, bits)``: one ``ad.tt_linear`` node."""
+    return ad.tt_linear(x2d, cores, plan, bias, act, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +338,41 @@ class TTLinearLayer(CoreLayer):
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
         """The first ``train`` forward with an input quantizer and rows sets
         its scale from them; while ``_calib_peaks`` is set (calibration), a
-        ``train`` chain folds its stage outputs into the running peaks."""
+        ``train`` forward is ``_calibration_forward``."""
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
         if mode == "infer_int":
             return ad.Tensor(self._forward_int(x2d.data))
         if mode not in ("train", "infer_fp"):
             raise ModeError(f"unknown mode {mode!r}")
-        act = post = None
+        act = None
         if mode == "train" and self.act_bits != q.FULL_PRECISION:
             if not self.act_scale_ready and len(x2d.data):
                 self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
                                                  dtype=self.act_scale.data.dtype)
                 self.act_scale_ready = True
-            act = (self.act_scale, self.act_bits)
             if self._calib_peaks is not None:
-                post = self._fold_peaks
+                return self._calibration_forward(x2d.data)
+            act = (self.act_scale, self.act_bits)
         return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act,
-                              self.weight_quantizer(mode), post)
+                              self.weight_quantizer(mode))
+
+    def _calibration_forward(self, x2d: np.ndarray) -> ad.Tensor:
+        """The ``train`` forward's output, bit for bit that of its ``no_grad``
+        ``ad.tt_linear`` node, with each stage's peak folded into
+        ``_calib_peaks``: the input's and the cores' fake-quant values from
+        ``quant.quantize_blocks`` as the node makes them, ``tt.tt_chain``
+        with ``_fold_peaks`` as its hook, then the bias.  Nothing is recorded
+        or kept: the cores are frozen in ``set_stage_scales``."""
+        x_in = q.quantize_blocks(x2d, float(self.act_scale.data), self.act_bits, np.int8,
+                                 x2d.dtype)[1]
+        cores = [c.data for c in self.cores]
+        if self.bits != q.FULL_PRECISION:
+            scale = float(self.weight_scale.data)
+            cores = [q.quantize_blocks(c, scale, self.bits, np.int8, c.dtype)[1] for c in cores]
+        y, b = tt_chain(x_in, cores, self.plan, self._fold_peaks), self.bias.data
+        in_place = y.flags.c_contiguous and np.result_type(y, b) == y.dtype
+        return ad.Tensor(np.add(y, b, out=y if in_place else None))
 
     def _fold_peaks(self, i, stage, acc, core, out):
         """Fold stage i's max |out| (no copy of ``out``), if it has rows, and
@@ -368,16 +385,16 @@ class TTLinearLayer(CoreLayer):
 
     def _code_dtype(self, codes: list[np.ndarray]) -> type:
         """The stage GEMM dtype, from the static bound 128 * peak|code| * K
-        of each stage's K-term sums of input codes (|code| <= 128) times core
-        codes: float32 for float32 cores when every bound is below 2**24, so
-        that every partial sum is an exact float32 integer, else float64.  A
-        bound of 2**31 or more raises: the sums would overflow a 32-bit
-        accumulator."""
+        of each stage's sums of K = ``Stage.terms`` products of input codes
+        (|code| <= 128) and core codes: float32 for float32 cores when every
+        bound is below 2**24, so that every partial sum is an exact float32
+        integer, else float64.  A bound of 2**31 or more raises: the sums
+        would overflow a 32-bit accumulator."""
         worst = 0
         for i, stage in enumerate(tt_stages(self.plan)):
             core = codes[stage.core]
             peak_w = max(int(core.max()), -int(core.min()))  # no int8 abs: |-128| wraps
-            bound = 128 * peak_w * math.prod(stage.core_shape[1:])
+            bound = 128 * peak_w * stage.terms
             if bound >= 2 ** 31:
                 raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
             worst = max(worst, bound)
@@ -456,8 +473,8 @@ class TTMEmbedding(CoreLayer):
     per distinct id."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
-                 dtype=np.float32, name: str = "embedding"):
-        super().__init__(init_ttm_cores(plan, rng, dtype=dtype), plan, bits, name)
+                 dtype=np.float32):
+        super().__init__(init_ttm_cores(plan, rng, dtype=dtype), plan, bits, "embedding")
 
     @property
     def vocab(self):
@@ -473,11 +490,10 @@ class TTMEmbedding(CoreLayer):
 
 
 class DenseEmbedding:
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator,
-                 dtype=np.float32, name: str = "embedding"):
-        self.name = name
+    def __init__(self, vocab: int, dim: int, rng: np.random.Generator, dtype=np.float32):
+        self.name = "embedding"
         self.table = ad.Parameter(rng.normal(0.0, 0.02, size=(vocab, dim)).astype(dtype),
-                                  name=f"{name}.table")
+                                  name="embedding.table")
 
     @property
     def vocab(self):
@@ -688,11 +704,13 @@ class TransformerModel:
                             intent_logits=intent_logits, slot_logits=slot_logits, mask=mask)
 
     def calibrate_int(self, batches: Iterable[tuple[np.ndarray, np.ndarray]]):
-        """Run ``no_grad`` surrogate forwards over calibration batches.  Each TT
-        layer folds its chain's stage outputs into running per-stage max-abs
-        peaks, and derives its static requantization scales from them.  The
-        frozen cores of every TT layer and of a quantized TTM embedding are
-        built here, so the first integer forward quantizes only activations."""
+        """Run ``no_grad`` surrogate forwards over calibration batches.  In
+        them each encoder TT layer runs ``_calibration_forward``, which
+        folds its chain's stage outputs into running per-stage max-abs peaks,
+        and afterwards derives its static requantization scales from them.
+        The frozen cores of every TT layer and of a quantized TTM embedding
+        are built here, so the first integer forward quantizes only
+        activations."""
         layers = self.tt_layers()
         for layer in layers:
             layer._calib_peaks = np.full(len(tt_stages(layer.plan)), -np.inf)

@@ -12,14 +12,14 @@ the input in blocks of 128 KiB of scratch per buffer (``block_size``), so
 the scratch stays in cache, and stores the integer codes (and, on request,
 the dequantized values) block by block.  ``quantize`` (the checkpoint
 writer's codes), the autodiff ``tt_linear``, ``ttm_lookup`` and
-``fake_quant`` nodes and integer inference all call it, so rounding lives
-in one place.  The autodiff nodes keep only the int8 codes between
-forward and backward; ``dequantize`` rebuilds the values from them bit for
-bit, and ``ste_backward`` allocates nothing shaped like the input but the
-input gradient, which it may write over ``g``.  The training callers draw
-their activation-sized codes and values from ``buffers.take`` (the
-``alloc`` arguments).  Codes and values are bit
-for bit those of the elementwise float64 reference (the float64 ratio
+``fake_quant`` nodes, calibration and integer inference all call it, so
+rounding lives in one place.  The autodiff nodes keep only the int8 codes
+between forward and backward; ``dequantize`` rebuilds the values from them
+bit for bit, and ``ste_backward`` allocates nothing shaped like the input
+but the input gradient, which it may write over ``g``.  The training
+callers draw their activation-sized codes and values from
+``buffers.take`` (the ``alloc`` arguments).  Codes and values are bit for
+bit those of the elementwise float64 reference (the float64 ratio
 ``x / scale``, clipped and rounded half away from zero), and so is the
 input gradient:
 
@@ -29,10 +29,11 @@ input gradient:
   half-integer from the float64 ratio with ``round_clipped``, and turns
   -0.0 into +0.0, as an integer round trip gives, so ``scale * code`` is
   never -0.0;
-* ``round_clipped`` rounds a float64 ratio r as ``trunc(2r) - trunc(r)``:
-  with ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
-  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``
-  (in float32 too, for a float32 ``r``: ``requantize`` rounds so);
+* ``round_clipped`` rounds a ratio r as ``trunc(2r) - trunc(r)``: with
+  ``r = n + f``, ``n = trunc(r)``, this is ``n + trunc(2f)``, which is
+  half-away-from-zero rounding, and every step is exact for ``|r| <= 128``,
+  in float64 and, for a float32 ``r``, in float32 (``requantize`` rounds
+  so);
 * the STE mask is two compares of the raw input against
   ``ratio_thresholds``: the smallest and the largest ``x`` of its dtype
   whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
@@ -93,12 +94,13 @@ def round_clipped(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     Exact at these magnitudes, and a zero comes out +0.0, as an integer round
     trip gives.  Only vectorised ufuncs: no ``np.sign`` pass.
 
-    ``out`` must be float64, else ``TypeError``: ``2r`` is stored into it
-    before the truncation, and a float32 ``out`` rounds it: at
-    ``r = 1 - 2**-30``, ``2r`` is stored as 2.0 and the code comes out 2.
+    ``out`` must be float64 or of ``r``'s dtype, in which ``2r`` is exact,
+    else ``TypeError``: ``2r`` is stored into it before the truncation, and
+    a float32 ``out`` for a float64 ``r`` rounds it: at ``r = 1 - 2**-30``,
+    ``2r`` is stored as 2.0 and the code comes out 2.
     """
-    if out.dtype != np.float64:
-        raise TypeError(f"round_clipped needs a float64 out, got {out.dtype}")
+    if out.dtype != np.float64 and out.dtype != r.dtype:
+        raise TypeError(f"round_clipped needs a float64 out or one of r's dtype, got {out.dtype}")
     np.add(r, r, out=out)
     np.trunc(out, out=out)
     np.trunc(r, out=r)
@@ -223,7 +225,7 @@ def dequantize(codes: np.ndarray, scale: float, dtype, alloc=np.empty) -> np.nda
 
 def requantize(out: np.ndarray, m: float) -> np.ndarray:
     """INT8 codes of a stage output: the ratio ``r = out * m`` clipped to
-    [-128, 127] and rounded half away from zero as ``trunc(2r) - trunc(r)``,
+    [-128, 127] and rounded half away from zero by ``round_clipped``,
     written into ``out`` (float32 or float64, holding exact integers), which
     is returned.
 
@@ -253,11 +255,10 @@ def requantize(out: np.ndarray, m: float) -> np.ndarray:
         np.multiply(ob, work(m), out=r, dtype=work)
         if not (lo <= r.min() and r.max() <= hi):
             np.clip(r, lo, hi, out=r)
-        c = ob if code is None else code[:ob.size]
-        np.add(r, r, out=c)
-        np.trunc(c, out=c)
-        np.trunc(r, out=r)
-        np.subtract(c, r, out=ob)
+        if code is None:
+            round_clipped(r, ob)
+        else:
+            ob[...] = round_clipped(r, code[:ob.size])
     return flat.reshape(out.shape)
 
 

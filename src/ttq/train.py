@@ -27,6 +27,8 @@ from .data import DataFormatError, Dataset
 from .model import ForwardTrace, TransformerModel
 from .quant import BLOCK, MIN_SCALE
 
+SCORING_BATCH = 64  # examples per scored forward: evaluate and ``ttq eval --int8``
+
 
 class DivergenceError(RuntimeError):
     """Loss or gradients became non-finite; carries the last good state."""
@@ -301,14 +303,13 @@ def intent_slot_loss(trace: ForwardTrace, intents: np.ndarray, slots: np.ndarray
     return ad.add(intent_ce, slot_ce)
 
 
-def evaluate(model: TransformerModel, dataset: Dataset, batch_size: int = 64,
-             mode: str = "train") -> dict:
+def evaluate(model: TransformerModel, dataset: Dataset) -> dict:
     """Intent accuracy and token-level slot F1 (``score_traces``) of the
-    ``mode`` forward."""
+    ``train`` forward."""
     def traces():
-        for ids, mask, intents, slots in dataset.batches(batch_size):
+        for ids, mask, intents, slots in dataset.batches(SCORING_BATCH):
             with ad.no_grad():
-                trace = model.forward(ids, mask, mode=mode)
+                trace = model.forward(ids, mask, mode="train")
             yield trace, intents, slots
 
     return score_traces(traces())

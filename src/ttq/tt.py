@@ -9,7 +9,8 @@ each carrying one row mode and one column mode jointly.
 ``tt_stages(plan)`` is the one TT contraction schedule: a tuple of stages,
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for the ``ad.tt_linear``
-node's forward (calibration included) and integer inference.
+node's forward, and with a stage hook for integer inference and
+calibration.
 ``tt_chain_vjp``, that node's backward, reruns the forward walk to rebuild
 the stage inputs and then walks the adjoints in reverse, so a forward keeps
 no stage input for it.  Its twin ``ttm_stages(plan)`` is the TTM row
@@ -269,7 +270,9 @@ class Stage:
     a column stage computes ``acc (B*l, mode*r) @ core (q, mode*r)^T``, a row
     stage ``core (q*mode, r) @ acc (B, r, t)`` (2-D for the first, t = 1).
     Each stage's input is a view of the previous stage's output, so no path
-    search or transposed copy runs.  ``mults`` counts multiplies per vector.
+    search or transposed copy runs.  ``mults`` counts multiplies per vector
+    and ``terms`` the products each output value sums: mode*r for a column
+    stage, r for a row stage.
     """
 
     core: int
@@ -277,6 +280,7 @@ class Stage:
     in_shape: tuple[int, int]
     row: bool
     mults: int
+    terms: int
 
     def _operands(self, acc, core):
         """(acc, core) as the matmul operands, and whether the product is batched."""
@@ -337,11 +341,11 @@ def tt_stages(plan: TensorShapePlan) -> tuple[Stage, ...]:
     for k in range(2 * d - 1, d - 1, -1):
         q, n, r = shapes[k]
         length //= n
-        stages.append(Stage(k, shapes[k], (length, n * r), False, length * n * r * q))
+        stages.append(Stage(k, shapes[k], (length, n * r), False, length * n * r * q, n * r))
     tail = 1
     for k in range(d - 1, -1, -1):
         q, m, r = shapes[k]
-        stages.append(Stage(k, shapes[k], (r, tail), True, r * tail * q * m))
+        stages.append(Stage(k, shapes[k], (r, tail), True, r * tail * q * m, r))
         tail *= m
     return tuple(stages)
 
@@ -353,8 +357,8 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     Every stage is one ``Stage.forward`` matmul, into a recycled buffer with
     ``recycle`` (a recorded training forward).  ``post(i, stage, acc, core,
     out)`` sees stage i's input, core and output and returns what the next
-    stage consumes, to keep, count or requantize it.  Returns the
-    (batch, rows) result.
+    stage consumes: integer inference requantizes it, calibration folds its
+    peak.  Returns the (batch, rows) result.
     """
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
@@ -373,9 +377,9 @@ def tt_chain_vjp(g: np.ndarray, x2d: np.ndarray, cores: Sequence[np.ndarray],
 
     Nothing is kept from the forward: the stage forwards rerun on ``x2d`` and
     the cores to rebuild every stage's input, the same GEMMs on the same
-    operands as ``tt_chain``'s, so bit for bit its stage inputs when its
-    ``post`` returned each ``out`` unchanged.  Then each stage's ``adjoint``
-    runs in reverse, and each stage input is dropped once its adjoint ran.
+    operands as ``tt_chain``'s, so bit for bit its stage inputs.  Then each
+    stage's ``adjoint`` runs in reverse, and each stage input is dropped
+    once its adjoint ran.
     The last stage's forward does not rerun: no stage reads its output."""
     stages = tt_stages(plan)
     pad = plan.padded_cols - plan.cols

@@ -233,19 +233,18 @@ def composite_tt_linear(x2d, cores, plan):
     return out
 
 
-def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None, post=None):
+def composed_tt_layer(x2d, cores, plan, bias=None, act=None, weight=None):
     """A TT layer as separate autodiff nodes, as it was built before its
     quantizers and bias joined the ``ad.tt_linear`` node: ``ad.fake_quant``
     of the input and of each core (for ``act``/``weight`` quantizers
     ``(scale, bits)``), the plain ``ad.tt_linear`` product, and ``ad.add`` of
     the bias.  ``ad.fake_quant`` is looked up at call time.  It takes the
-    arguments of ``model.tt_chain_apply`` (``post`` sees the product's
-    stages) and is that node's oracle."""
+    arguments of ``model.tt_chain_apply`` and is that node's oracle."""
     if act is not None:
         x2d = ad.fake_quant(x2d, *act)
     if weight is not None:
         cores = [ad.fake_quant(c, *weight) for c in cores]
-    y = ad.tt_linear(x2d, cores, plan, post=post)
+    y = ad.tt_linear(x2d, cores, plan)
     return y if bias is None else ad.add(y, bias)
 
 

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttq import autodiff as ad
 from ttq.cli import main
 from ttq.checkpoint import checkpoint_load
 from ttq.data import read_corpus
 from ttq.model import ModelConfig, TransformerModel, model_size_bytes
-from ttq.train import evaluate
+from ttq.train import SCORING_BATCH, score_traces
 
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -147,12 +148,15 @@ class TestTrainEval:
         monkeypatch.undo()
         record = json.loads((out / "eval_report.jsonl").read_text().strip())
         corpus_data = read_corpus(corpus)
-        assert modes.count("infer_int") == len(list(corpus_data["dev"].batches(64)))
-        # the metrics are those of a separate evaluate on the calibrated model
+        assert modes.count("infer_int") == len(list(corpus_data["dev"].batches(SCORING_BATCH)))
+        # the metrics are those of scoring the calibrated model's own integer forwards
         model = checkpoint_load(out / "model.ttq")
         model.calibrate_int((ids, mask) for ids, mask, _, _ in
                             list(corpus_data["train"].batches(16))[:4])
-        metrics = evaluate(model, corpus_data["dev"], mode="infer_int")
+        with ad.no_grad():
+            metrics = score_traces((model.forward(ids, mask, mode="infer_int"), intents, slots)
+                                   for ids, mask, intents, slots
+                                   in corpus_data["dev"].batches(SCORING_BATCH))
         assert {k: record[k] for k in metrics} == metrics
 
     def test_int8_eval_reports_the_logit_error(self, tmp_path, corpus):

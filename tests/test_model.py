@@ -164,24 +164,39 @@ class TestTTLinearLayer:
         with pytest.raises(ModeError):
             layer.forward(ad.Tensor(np.zeros((1, 8))), mode="infer_int")
 
-    @pytest.mark.parametrize("core0_code, raises", [(-128, True), (-127, False)])
-    def test_infer_int_accumulator_bound_names_stage(self, core0_code, raises):
-        # d=1: stage 0 contracts core 1 over 2 modes; stage 1 contracts core 0
-        # viewed as (1, 512, 256), so its bound uses 512 * 256 = 2**17 terms.
-        # Saturated inputs (|code| 128) against |core code| 128 reach 2**31.
+    @pytest.mark.parametrize("core1_code, raises", [(-128, True), (-127, False)])
+    def test_infer_int_accumulator_bound_names_stage(self, core1_code, raises):
+        # d=1: stage 0, a column stage, contracts core 1 (1, 2**17, 1) over
+        # its 2**17 modes, so saturated inputs (|code| 128) against |core
+        # code| 128 sum to 2**31.  Stage 1, a row stage, sums one term.
+        n = 2 ** 17
+        plan = TensorShapePlan(1, n, (1,), (n,), (1, 1, 1))
+        layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(8), dtype=np.float64)
+        layer.cores[0].data = np.ones((1, 1, 1))
+        layer.cores[1].data = np.full((1, n, 1), float(core1_code))
+        layer.weight_scale.data = np.asarray(1.0)
+        layer.act_scale.data = np.asarray(1.0)
+        layer.stage_scales = [1.0, 1.0]
+        x = ad.Tensor(np.full((1, n), -1000.0))
+        if raises:
+            with pytest.raises(KernelError, match="stage 0 exceeds"):
+                layer.forward(x, mode="infer_int")
+        else:
+            assert np.all(np.isfinite(layer.forward(x, mode="infer_int").data))
+
+    def test_infer_int_row_stage_bound_counts_rank_terms(self):
+        # d=1: stage 1, a row stage, contracts core 0 (1, 512, 256) over its
+        # rank of 256, so saturated codes bound its sums by 2**22, not by the
+        # 2**31 that 512 * 256 terms would give.
         plan = TensorShapePlan(512, 2, (512,), (2,), (1, 256, 1))
         layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(8), dtype=np.float64)
-        layer.cores[0].data = np.full((1, 512, 256), float(core0_code))
+        layer.cores[0].data = np.full((1, 512, 256), -128.0)
         layer.cores[1].data = np.ones((256, 2, 1))
         layer.weight_scale.data = np.asarray(1.0)
         layer.act_scale.data = np.asarray(1.0)
         layer.stage_scales = [1.0, 1.0]
-        x = ad.Tensor(np.full((1, 2), -1000.0))
-        if raises:
-            with pytest.raises(KernelError, match="stage 1 exceeds"):
-                layer.forward(x, mode="infer_int")
-        else:
-            assert np.all(np.isfinite(layer.forward(x, mode="infer_int").data))
+        out = layer.forward(ad.Tensor(np.full((1, 2), -1000.0)), mode="infer_int").data
+        assert np.all(out == 256 * 128 * 128)
 
     def test_input_dim_checked(self):
         plan = plan_factorization(8, 8, 2, 2)

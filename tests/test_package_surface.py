@@ -13,6 +13,11 @@ an attribute (``x.name``) or written as a string (``getattr(x, "name")``)
 outside its own definition; the name alone counts, whatever the object.
 Oracles only tests call belong in ``tests/reference_*.py``.  No program
 file imports a name it does not use.
+
+Every defaulted parameter of a public package function or method (a
+class's ``__init__`` included) is passed, by position or keyword, at some
+call in a program file, resolved by name as above: an option no program
+sets is a constant instead.  ``UNPASSED`` names the exceptions and why.
 """
 
 import ast
@@ -30,6 +35,12 @@ READ_BY_STRING = {
     ("autodiff", "fake_quant"): "perfbench/spans.py wraps every op spans.autodiff_ops() lists, "
                                 "and reads quant.fake_quant_ms and quant.fake_quant_calls "
                                 "from its span",
+}
+
+# a defaulted parameter no program passes -> why it stays
+UNPASSED = {
+    "cli.main(argv)": "the ttq console script calls main() bare, so that argparse reads "
+                      "sys.argv; tests pass their argument lists",
 }
 
 
@@ -55,13 +66,12 @@ def package_source(node: ast.ImportFrom, in_package: bool) -> str | None:
     return None
 
 
-def scan(path: Path, package: Path):
-    """The public definitions of one file, as (module, name) keys when it is
-    a package module, and its uses of package names as (used key, key of the
-    public definition the use sits in, or None)."""
-    tree = ast.parse(path.read_text())
+def bindings(tree: ast.Module, path: Path, package: Path) -> tuple[dict, dict]:
+    """The file's local names bound to package modules (local -> module) and
+    to package names (local -> (module, name)): its imports from the
+    package, and a package module's own top-level definitions."""
     in_package = path.parent == package
-    modules, names = {}, {}  # local name -> package module, or -> (module, name)
+    modules, names = {}, {}
     if in_package:
         names = {n.name: (path.stem, n.name) for n in tree.body if is_definition(n)}
     for node in ast.walk(tree):
@@ -74,6 +84,16 @@ def scan(path: Path, package: Path):
                 modules[local] = alias.name
             else:
                 names[local] = (source, alias.name)
+    return modules, names
+
+
+def scan(path: Path, package: Path):
+    """The public definitions of one file, as (module, name) keys when it is
+    a package module, and its uses of package names as (used key, key of the
+    public definition the use sits in, or None)."""
+    tree = ast.parse(path.read_text())
+    in_package = path.parent == package
+    modules, names = bindings(tree, path, package)
     defs, uses = [], []
     for top in tree.body:
         owner = None
@@ -132,6 +152,88 @@ def unread_members(files: list[Path], package: Path = PACKAGE) -> list[str]:
     return sorted(key for path, tree in trees.items() if path.parent == package
                   for key, node in members(path.stem, tree)
                   if read[node.name] == names_read(node).count(node.name))
+
+
+def defaulted_params(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """``fn``'s parameters that have a default, each with its index among
+    the positional arguments a call passes (None for a keyword-only one);
+    ``bound`` drops the first parameter, a method's ``self`` or ``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def callables(module: str, tree: ast.Module):
+    """(label, callee key, defaulted parameters) of every public top-level
+    function and every public method or ``__init__`` of a top-level class.
+    A function's key is its (module, name), as ``bindings`` resolves it; a
+    class's ``__init__`` takes the class's key; a method's key is its name
+    alone, whatever the object it is called on."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", (module, node.name), defaulted_params(node, False)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name.startswith("_") and fn.name != "__init__":
+                continue
+            key = (module, node.name) if fn.name == "__init__" else fn.name
+            yield f"{module}.{node.name}.{fn.name}", key, defaulted_params(fn, True)
+
+
+def calls(path: Path, package: Path):
+    """Every call in one file, as (callee key, positional argument count,
+    keyword names): the count is unbounded past a ``*`` argument and the
+    names None (any) with a ``**`` argument.  A call of ``name`` or
+    ``alias.name`` is keyed as ``bindings`` resolves it; any other
+    ``x.name(...)`` by ``name``."""
+    tree = ast.parse(path.read_text())
+    modules, names = bindings(tree, path, package)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            key = names.get(func.id)
+        elif not isinstance(func, ast.Attribute):
+            continue
+        elif isinstance(func.value, ast.Name) and func.value.id in modules:
+            key = (modules[func.value.id], func.attr)
+        else:
+            key = func.attr
+        if key is None:
+            continue
+        count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        keywords = None if any(k.arg is None for k in node.keywords) else {
+            k.arg for k in node.keywords}
+        yield key, count, keywords
+
+
+def unpassed_defaults(files: list[Path], package: Path = PACKAGE) -> list[str]:
+    """The defaulted parameters of public package functions and methods that
+    no call in ``files`` passes, by position or keyword, as
+    ``module.name(parameter)``; ``UNPASSED`` names the ones that stay."""
+    passed: dict = {}
+    for path in files:
+        for key, count, keywords in calls(path, package):
+            passed.setdefault(key, []).append((count, keywords))
+    found = []
+    for path in files:
+        if path.parent != package:
+            continue
+        for label, key, params in callables(path.stem, ast.parse(path.read_text())):
+            for name, index in params:
+                if not any(index is not None and count > index
+                           or keywords is None or name in keywords
+                           for count, keywords in passed.get(key, [])):
+                    found.append(f"{label}({name})")
+    return sorted(f for f in found if f not in UNPASSED)
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -214,3 +316,36 @@ def test_a_name_only_tests_would_call_is_reported(tmp_path):
     (package / "main.py").write_text("from . import helpers as h\n\n\nVALUE = h.used()\n")
     assert unreferenced(sorted(package.glob("*.py")), package) == [
         "helpers.inner", "helpers.only_tests", "helpers.recursive"]
+
+
+def test_every_defaulted_parameter_is_passed_by_a_program():
+    assert unpassed_defaults(program_files()) == []
+
+
+def test_unpassed_names_only_defaulted_parameters_the_package_has():
+    params = {f"{label}({name})" for path in sorted(PACKAGE.glob("*.py"))
+              for label, _, found in callables(path.stem, ast.parse(path.read_text()))
+              for name, _ in found}
+    assert set(UNPASSED) <= params
+
+
+def test_a_default_no_program_passes_is_reported(tmp_path):
+    package = tmp_path / "ttq"
+    package.mkdir()
+    (package / "helpers.py").write_text(
+        "def scale(x, factor=2, *, offset=0, unused=1):\n    return x * factor + offset\n\n\n"
+        "def never_called(x, y=0):\n    return x + y\n\n\n"
+        "def pad(x, left=0, right=0):\n    return x\n\n\n"
+        "class Layer:\n"
+        "    def __init__(self, width, name='layer'):\n        self.width = width\n\n"
+        "    def forward(self, x, mode='train', trace=False):\n        return x\n\n"
+        "    @classmethod\n    def make(cls, width=4):\n        return cls(width)\n")
+    (package / "main.py").write_text(
+        "from . import helpers as h\nfrom .helpers import Layer\n\n\n"
+        "VALUE = h.scale(1, 3, offset=1) + h.never_called(1)\n"
+        "OUT = Layer(2).forward(1, 'infer') + Layer.make(8).width\n"
+        "KEYWORDS = {'right': 1}\n"
+        "PADDED = h.pad(*[1, 2], **KEYWORDS)\n")
+    assert unpassed_defaults(sorted(package.glob("*.py")), package) == [
+        "helpers.Layer.__init__(name)", "helpers.Layer.forward(trace)",
+        "helpers.never_called(y)", "helpers.scale(unused)"]

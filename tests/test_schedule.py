@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from reference_tt import (
     calibrate_layer,
+    chain_peaks,
     composite_tt_linear,
     composite_ttm_lookup,
     einsum_stages,
     measured_mults,
+    quantized_operands,
     tt_matvec_vjp,
     tt_to_dense,
     ttm_to_dense,
@@ -234,8 +236,8 @@ def test_float32_requantize_near_a_half_is_bit_identical_to_int64(plan, batch, s
 
 def test_float32_walk_rescales_in_float32(monkeypatch):
     """A float32 layer requantizes next to a half without a float64
-    recompute (no ``round_clipped``), and its last stage's scale and bias
-    make no float64 array the size of the output."""
+    recompute (``round_clipped`` sees float32 ratios only), and its last
+    stage's scale and bias make no float64 array the size of the output."""
     plan = TensorShapePlan(1024, 4, (32, 32), (2, 2), (1, 2, 2, 2, 1))
     rng = np.random.default_rng(7)
     layer = calibrated_int8_layer(plan, rng, 32, dtype=np.float32)
@@ -253,10 +255,13 @@ def test_float32_walk_rescales_in_float32(monkeypatch):
         in_scale = layer.stage_scales[i]
     ref = int64_walk(layer, x)
 
-    def round_clipped(*args, **kwargs):
-        raise AssertionError("a float32 stage was rounded again in float64")
+    round_clipped = q.round_clipped
 
-    monkeypatch.setattr(q, "round_clipped", round_clipped)
+    def float32_only(r, out):
+        assert r.dtype == out.dtype == np.float32, "a float32 stage was rounded in float64"
+        return round_clipped(r, out)
+
+    monkeypatch.setattr(q, "round_clipped", float32_only)
     tracemalloc.start()
     try:
         got = layer._forward_int(x)
@@ -279,11 +284,35 @@ def test_stage_dtype_is_float32_exactly_below_two_to_the_24(core0_code, dtype):
     layer.weight_scale.data = np.asarray(1.0, dtype=np.float32)
     layer.act_scale.data = np.asarray(1.0, dtype=np.float32)
     layer.stage_scales = [1.0, 1.0]
-    bounds = [128 * int(np.abs(q.quantize(layer.cores[s.core].data, 1.0, 8)).max())
-              * math.prod(s.core_shape[1:]) for s in tt_stages(plan)]
+    bounds = [128 * int(np.abs(q.quantize(layer.cores[s.core].data, 1.0, 8)).max()) * s.terms
+              for s in tt_stages(plan)]
     assert (max(bounds) < 2 ** 24) == (dtype == np.float32)
     assert all(c.dtype == dtype for c in layer.frozen_cores().codes)
     x = np.array([[-1000.0, 3.0], [1000.0, -0.4]], dtype=np.float32)
+    assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
+                         np.float32)
+
+
+def test_row_stage_bound_counts_rank_terms():
+    # d=1 with row mode 2 and rank 2**10: the row stage sums r = 2**10
+    # products of core-0 codes |127|, bound 128 * 127 * 2**10 < 2**24, so
+    # the codes ride in float32; counting its mode * r terms would double
+    # the bound past 2**24 and put them in float64.
+    r = 2 ** 10
+    plan = TensorShapePlan(2, 2, (2,), (2,), (1, r, 1))
+    stage = tt_stages(plan)[-1]
+    assert stage.row and stage.terms == r
+    layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(5), dtype=np.float32)
+    layer.cores[0].data = np.full((1, 2, r), 127.0, dtype=np.float32)
+    layer.cores[0].data[0, 1, ::2] = -127.0
+    layer.cores[1].data = np.ones((r, 2, 1), dtype=np.float32)
+    layer.cores[1].data[::3, 1, 0] = -1.0
+    layer.weight_scale.data = np.asarray(1.0, dtype=np.float32)
+    layer.act_scale.data = np.asarray(1.0, dtype=np.float32)
+    layer.stage_scales = [1.0, 1.0]
+    assert 128 * 127 * r < 2 ** 24 <= 128 * 127 * 2 * r
+    assert all(c.dtype == np.float32 for c in layer.frozen_cores().codes)
+    x = np.array([[-1000.0, 3.0], [1000.0, -0.4], [7.0, 1000.0]], dtype=np.float32)
     assert_bitwise_equal(layer._forward_int(x), int64_walk(layer, x).astype(np.float32),
                          np.float32)
 
@@ -381,6 +410,34 @@ def test_calibration_runs_no_chain_beyond_its_forwards(monkeypatch):
     calls.clear()
     model.calibrate_int(batches)
     assert plain and len(calls) == plain
+
+
+def test_calibration_scales_are_the_chain_peaks_of_the_node_operands(monkeypatch):
+    """calibrate_int over two batches sets each TT layer's stage scales to
+    max(peak, 1e-12) / 127 of the stage peaks ``chain_peaks`` reads over the
+    fake-quantized input rows and cores of the layer's ``train`` forwards."""
+    model, _, _, (ids, mask) = int8_model_layer()
+    batches = [(ids, mask), (ids[1:], mask[1:])]
+    inputs = {id(layer): [] for layer in model.tt_layers()}
+    layer_forward = TTLinearLayer.forward
+
+    def recording(layer, x2d, mode="train"):
+        if id(layer) in inputs:
+            inputs[id(layer)].append(x2d.data.copy())
+        return layer_forward(layer, x2d, mode)
+
+    monkeypatch.setattr(TTLinearLayer, "forward", recording)
+    with ad.no_grad():
+        for batch in batches:
+            model.forward(*batch, mode="train")
+    monkeypatch.undo()
+    model.calibrate_int(batches)
+    for layer in model.tt_layers():
+        xs = inputs[id(layer)]
+        assert len(xs) == 2
+        peaks = np.maximum(*(chain_peaks(*quantized_operands(layer, x, np.float32), layer.plan)
+                             for x in xs))
+        assert layer.stage_scales == [max(float(p), 1e-12) / 127.0 for p in peaks]
 
 
 def test_calibration_leaves_every_integer_plan_frozen(monkeypatch):

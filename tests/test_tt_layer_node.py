@@ -20,7 +20,7 @@ from test_schedule import lookup_ids, tt_plans, ttm_plans
 from ttq import autodiff as ad
 from ttq import quant as q
 from ttq.model import TTLinearLayer, tt_chain_apply
-from ttq.tt import TensorShapePlan, TTFormat, init_tt_cores, plan_factorization, tt_stages
+from ttq.tt import TensorShapePlan, TTFormat, plan_factorization, tt_stages
 
 
 def run_layer(layer_fn, plan, arrays, act_bits, w_bits, use_bias):
@@ -177,52 +177,22 @@ def test_node_keeps_codes_not_values(plan):
 
 
 def test_recorded_calibration_folds_each_stage_once_per_forward():
-    """Calibration folds each stage once per forward, and only on a forward
-    no backward reads: a calibrating layer's recorded forward raises before
-    any stage runs and leaves the peaks as they were, and its ``no_grad``
-    forward folds stage i once, to the peaks of ``chain_peaks``."""
-    rng = np.random.default_rng(6)
-    layer = TTLinearLayer(plan_factorization(12, 16, 2, 3), 8, 8, rng)
-    x = ad.Parameter(rng.normal(size=(5, 16)).astype(np.float32))
-    n = len(tt_stages(layer.plan))
-    calls = []
-    fold = layer._fold_peaks
-    layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
-    layer._calib_peaks = np.full(n, -np.inf)
-    with pytest.raises(ValueError, match="takes no post hook"):
-        layer.forward(x)
-    assert calls == [] and x.grad is None
-    np.testing.assert_array_equal(layer._calib_peaks, np.full(n, -np.inf))
-    with ad.no_grad():
+    """A calibrating layer's forward folds stage i once, to the peaks of
+    ``chain_peaks``, records nothing, and returns the ``no_grad`` node's
+    output bit for bit (padded rows and columns, float64, included)."""
+    for plan, dtype in ((plan_factorization(12, 16, 2, 3), np.float32), (PADDED, np.float64)):
+        rng = np.random.default_rng(6)
+        layer = TTLinearLayer(plan, 8, 8, rng, dtype=dtype)
+        x = ad.Parameter(rng.normal(size=(5, plan.cols)).astype(dtype))
+        n = len(tt_stages(layer.plan))
+        calls = []
+        fold = layer._fold_peaks
+        layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
+        with ad.no_grad():
+            want_y = layer.forward(x).data
+        layer._calib_peaks = np.full(n, -np.inf)
         y = layer.forward(x)
-    assert y._node is None and calls == list(range(n))
-    want = chain_peaks(*quantized_operands(layer, x.data, np.float32), layer.plan)
-    np.testing.assert_array_equal(layer._calib_peaks, want)
-
-
-def test_recorded_post_must_return_out():
-    """The backward reruns the stages without ``post``, so a recorded node
-    takes no hook at all, not even one that returns ``out``: it raises and
-    calls the hook never.  Under ``no_grad`` nothing is rerun, so any hook
-    goes, one returning a copy included, and runs once per stage."""
-    plan = plan_factorization(12, 16, 2, 3)
-    rng = np.random.default_rng(7)
-    x = ad.Parameter(rng.normal(size=(3, 16)))
-    cores = [ad.Parameter(c) for c in init_tt_cores(plan, rng)]
-    calls = []
-
-    def same(i, stage, acc, core, out):
-        calls.append(i)
-        return out
-
-    def copy(i, stage, acc, core, out):
-        calls.append(i)
-        return out.copy()
-
-    for hook in (same, copy):
-        with pytest.raises(ValueError, match="takes no post hook"):
-            ad.tt_linear(x, cores, plan, post=hook)
-    assert calls == []
-    with ad.no_grad():
-        ad.tt_linear(x, cores, plan, post=copy)
-    assert calls == list(range(len(tt_stages(plan))))
+        assert y._node is None and calls == list(range(n))
+        assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
+        want = chain_peaks(*quantized_operands(layer, x.data, dtype), layer.plan)
+        np.testing.assert_array_equal(layer._calib_peaks, want)
