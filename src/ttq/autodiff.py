@@ -128,11 +128,10 @@ class Tensor:
     when the op can rebuild the output from what its backward keeps
     (``layer_norm`` and ``gelu``), its ``Rebuild``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_node", "rebuild")
+    __slots__ = ("data", "requires_grad", "name", "_node", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
         self._node: _Node | None = None
@@ -144,9 +143,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -760,8 +756,9 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """One reverse sweep from a scalar loss.
 
     Returns a map from ``id(tensor)`` to gradient for every requires-grad
-    leaf; each leaf's ``.grad`` is also populated.  The recorded graph is
-    consumed: a second backward through the same nodes raises.
+    leaf, the one place a gradient is kept: a leaf reached from two losses
+    gets one gradient from each call, never their sum.  The recorded graph
+    is consumed: a second backward through the same nodes raises.
     """
     if loss.data.size != 1:
         raise BackwardError("backward expects a scalar loss")
@@ -787,6 +784,5 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
             # consume: one backward per forward, and free what the vjp saved
             item.vjp, item.parents, item.consumed = None, (), True
         else:
-            grads[id(item)] = g if item.grad is None else item.grad + g
-            item.grad = grads[id(item)]
+            grads[id(item)] = g
     return grads

@@ -249,7 +249,7 @@ def cmd_bench(args) -> int:
     batch = cfg.bench["batch"]
     if seq > cfg.model.max_seq:
         raise ConfigError(f"bench.seq_len {seq} exceeds model.max_seq {cfg.model.max_seq}")
-    _write_manifest(cfg, "bench", {"repeats": args.repeats})
+    _write_manifest(cfg, "bench", {"repeats": repeats})
     rng = np.random.default_rng(cfg.seed)
     compressed = TransformerModel(cfg.model, cfg.seed)
     dense_cfg = dataclasses.replace(cfg.model, compress=False, weight_bits=32, act_bits=32)

@@ -46,9 +46,6 @@ class Dataset:
             if any(s < 0 or s >= self.num_slots for s in slots):
                 raise DataFormatError(f"slot id outside [0, {self.num_slots})")
 
-    def max_len(self) -> int:
-        return max((len(t) for t, _, _ in self.examples), default=0)
-
     def batches(self, batch_size: int, order: np.ndarray | None = None):
         """Yield (ids, mask, intents, slots) arrays padded per batch, taking
         the examples in ``order`` (default: as stored)."""

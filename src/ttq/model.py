@@ -284,11 +284,11 @@ class CoreLayer:
         (Jacob et al. 2018: inference quantizes only its activations).
 
         Every writer of a core (``adam_step``, ``checkpoint_load``,
-        ``set_cores``) assigns a new ``.data`` array and none writes into
-        one, so the cores' arrays and the scale's value name the weight
-        state.  The cache keeps weak references to the arrays: a freed
-        array's id may be reused, but its reference then returns None, and
-        old codes keep no old cores alive.
+        ``set_cores``) assigns a new ``.data`` array object (``adam_step`` a
+        fresh view of the storage it updated in place), so the cores' arrays
+        and the scale's value name the weight state.  The cache keeps weak
+        references to the arrays: a freed array's id may be reused, but its
+        reference then returns None, and old codes keep no old cores alive.
         """
         if self.bits == q.FULL_PRECISION:
             raise ModeError(f"{self.name}: full-precision cores have no integer codes")
@@ -374,7 +374,7 @@ class TTLinearLayer(CoreLayer):
         in_place = y.flags.c_contiguous and np.result_type(y, b) == y.dtype
         return ad.Tensor(np.add(y, b, out=y if in_place else None))
 
-    def _fold_peaks(self, i, stage, acc, core, out):
+    def _fold_peaks(self, i, out):
         """Fold stage i's max |out| (no copy of ``out``), if it has rows, and
         return ``out`` itself."""
         if out.size:
@@ -422,7 +422,7 @@ class TTLinearLayer(CoreLayer):
         last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
 
-        def requantize(i, stage, acc, core, out):
+        def requantize(i, out):
             nonlocal in_scale
             if i == last:
                 return out
@@ -475,10 +475,6 @@ class TTMEmbedding(CoreLayer):
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
                  dtype=np.float32):
         super().__init__(init_ttm_cores(plan, rng, dtype=dtype), plan, bits, "embedding")
-
-    @property
-    def vocab(self):
-        return self.plan.rows
 
     def forward(self, ids: np.ndarray, mode: str = "train") -> ad.Tensor:
         if np.any(ids >= self.plan.rows) or np.any(ids < 0):

@@ -9,8 +9,10 @@ order, shuffle order, and summation order are all fixed.
 arenas (``_Arena``, as the flat buffers of Rajbhandari et al. 2020, ZeRO):
 one fixed sequence of in-place ufuncs per group, with no temporary of
 parameter size, and the same per-element arithmetic as Adam one parameter
-at a time.  A step also draws its activation-sized arrays from recycled
-buffers (``ttq.buffers``), so after warm-up it maps no fresh pages.
+at a time.  Every parameter is updated in place in Adam's one copy of it,
+and a gradient lives only in the map ``ad.backward`` returns.  A step also
+draws its activation-sized arrays from recycled buffers (``ttq.buffers``),
+so after warm-up it maps no fresh pages.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from . import buffers
 from .data import DataFormatError, Dataset
 from .model import ForwardTrace, TransformerModel
 from .quant import BLOCK, MIN_SCALE
@@ -80,14 +81,21 @@ class TrainConfig:
 class AdamState:
     """Step count, the float64 first and second moments of each parameter (by
     ``id``), for each parameter of rank >= 1 with rows never touched so far
-    the mask of the leading-axis rows that ever had a nonzero gradient, and
-    the ``_Arena`` groups that hold every other parameter.
+    the mask of the leading-axis rows that ever had a nonzero gradient, the
+    ``_Arena`` groups that hold every other parameter, and the view of its
+    values that the last step bound to each parameter's ``.data``
+    (``bound``).
 
     A parameter of rank >= 1 stores its moments only up to the last row that
     ever had a nonzero gradient; the rows past the stored ones are +0.0.  So
     the position table's moments cover the positions batches have reached,
     not ``max_seq``.  Once every row of a parameter has gone live it joins
-    an arena, and its ``m``/``v`` entries become views of the arena's."""
+    an arena, and its ``m``/``v`` entries become views of the arena's.
+
+    Adam owns one copy of each parameter's values and updates it in place.
+    A ``.data`` that is not its ``bound`` view (the array a ``Parameter``
+    was built from, or one assigned from outside) is copied into that
+    storage at the next step and never written."""
 
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -95,15 +103,16 @@ class AdamState:
     live: dict = field(default_factory=dict)
     arenas: list = field(default_factory=list)
     layout: tuple = ()
+    bound: dict = field(default_factory=dict)
 
 
-def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, out: np.ndarray,
-          t: int, lr: float, config: TrainConfig):
-    """Adam's arithmetic on matching flat arrays: ``m`` and ``v`` (float64)
-    in place and the new parameters into ``out``.  Each element sees the
+def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float,
+          config: TrainConfig):
+    """Adam's arithmetic on matching flat arrays, all in place: ``m`` and
+    ``v`` (float64) and the parameters ``p``.  Each element sees the
     operations, order and dtypes of ``m = b1*m + (1 - b1)*g``, ``v = b2*v +
     (1 - b2)*(g*g)`` and ``p - lr*(m/(1 - b1**t)) / (sqrt(v/(1 - b2**t)) +
-    eps)`` stored in ``out``'s dtype, as fixed in-place ufuncs over blocks of
+    eps)`` stored in ``p``'s dtype, as fixed in-place ufuncs over blocks of
     ``quant.BLOCK`` elements through block-sized scratch."""
     b1, b2 = config.beta1, config.beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
@@ -126,7 +135,7 @@ def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, out: np.nd
         d += config.eps
         a *= lr
         a /= d
-        np.subtract(p[sl], a, out=out[sl])
+        np.subtract(p[sl], a, out=p[sl])
 
 
 def _stored(moment: np.ndarray, rows: int) -> np.ndarray:
@@ -153,54 +162,41 @@ def _live_rows(state: AdamState, key: int, g: np.ndarray):
 
 class _Arena:
     """The parameters of one dtype, gradient dtype and learning rate whose
-    rows are all live, in flat buffers (Rajbhandari et al. 2020, ZeRO): their
-    values in two arenas used alternately, their gradients, and float64
-    ``m``/``v``.  Each ``p.data`` is a view of the values arena the last
-    step wrote, and each ``state.m``/``state.v`` entry a view of the moment
-    arenas, which the update writes in place.  A ``.grad`` that is the
-    backward's array becomes a view of its copy in the gradient arena, so
-    the backward's array is freed with the step."""
+    rows are all live, in flat buffers (Rajbhandari et al. 2020, ZeRO):
+    their values, their gradients and float64 ``m``/``v``, which the update
+    writes in place.  Each ``p.data`` is a view of the values, and each
+    ``state.m``/``state.v`` entry a view of the moments."""
 
     def __init__(self, params: list, g_dtype, scale: bool, state: AdamState):
         self.params, self.scale = params, scale
         ends = np.cumsum([p.data.size for p in params]).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))
-        n, dtype = ends[-1], params[0].data.dtype
-        self.values = [np.empty(n, dtype), np.empty(n, dtype)]
-        self.grad = [np.empty(n, g_dtype)]
+        n = ends[-1]
+        self.values, self.grad = np.empty(n, params[0].data.dtype), np.empty(n, g_dtype)
         self.m, self.v = np.empty(n), np.empty(n)
-        self.views = [None] * len(params)  # no p.data is bound yet: each is adopted
         for p, (lo, hi) in zip(params, self.bounds):
             key = id(p)
+            state.bound.pop(key, None)  # no p.data is a view of this arena yet: each is adopted
             for moments, arena in ((state.m, self.m), (state.v, self.v)):
                 arena[lo:hi] = _stored(moments[key], len(p.data)).reshape(-1) if p.data.ndim \
                     else moments[key].reshape(-1)
                 moments[key] = arena[lo:hi].reshape(p.data.shape)
 
-    def update(self, grads: dict, t: int, config: TrainConfig):
-        """One Adam step: adopt any ``.data`` set from outside since the last
-        step, run ``_adam`` from one values arena into the other and bind
-        each ``p.data`` to a fresh view of the new values.  The arena to
-        write, and the gradient arena, are replaced rather than written when
-        any part of them is still held."""
-        for bufs, i in ((self.values, 1), (self.grad, 0)):
-            if not buffers.idle(bufs, i):
-                bufs[i] = np.empty_like(bufs[i])
-        (cur, new), grad = self.values, self.grad[0]
-        for i, (p, (lo, hi)) in enumerate(zip(self.params, self.bounds)):
-            if p.data is not self.views[i]:
-                cur[lo:hi] = p.data.reshape(-1)
-            g = grads[id(p)]
-            grad[lo:hi] = g.reshape(-1)
-            if p.grad is g:
-                p.grad = grad[lo:hi].reshape(g.shape)
+    def update(self, grads: dict, bound: dict, t: int, config: TrainConfig):
+        """One Adam step: adopt each ``.data`` that is not its ``bound``
+        view, run ``_adam`` on the values in place and bind each ``p.data``
+        to a fresh view of them."""
+        values, grad = self.values, self.grad
+        for p, (lo, hi) in zip(self.params, self.bounds):
+            if p.data is not bound.get(id(p)):
+                values[lo:hi] = p.data.reshape(-1)
+            grad[lo:hi] = grads[id(p)].reshape(-1)
         lr = config.effective_scale_lr if self.scale else config.learning_rate
-        _adam(cur, grad, self.m, self.v, new, t, lr, config)
+        _adam(values, grad, self.m, self.v, t, lr, config)
         if self.scale:
-            np.maximum(new, MIN_SCALE, out=new)
-        self.values.reverse()
-        for i, (p, (lo, hi)) in enumerate(zip(self.params, self.bounds)):
-            p.data = self.views[i] = new[lo:hi].reshape(p.data.shape)
+            np.maximum(values, MIN_SCALE, out=values)
+        for p, (lo, hi) in zip(self.params, self.bounds):
+            p.data = bound[id(p)] = values[lo:hi].reshape(p.data.shape)
 
 
 def _arenas(state: AdamState, full: list, grads: dict, scale_params) -> list:
@@ -229,9 +225,12 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
 
     A parameter all of whose rows have gone live is updated in its
     ``_Arena``: a fixed sequence of in-place ufuncs over the flat buffers
-    of its group, with no temporary of parameter size.  ``p.data`` becomes a
-    fresh view of the arena the step wrote, and no array a caller holds is
-    written, so ``CoreLayer.frozen_cores``' identity check sees every step.
+    of its group, with no temporary of parameter size.  Every parameter is
+    updated in place in Adam's one copy of it (``AdamState.bound``), and
+    ``p.data`` becomes a fresh view of that copy after every step, so
+    ``CoreLayer.frozen_cores``' identity check sees every step.  The array a
+    ``Parameter`` was built from, or one assigned to ``.data`` from outside,
+    is copied into Adam's copy and never written.
 
     Only live rows are updated: a row whose gradient has been zero (either
     sign) at every step so far has m = v = +0, so its update is exactly zero
@@ -265,16 +264,16 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
         state.m[key], state.v[key] = _stored(state.m[key], n), _stored(state.v[key], n)
         m, v = state.m[key], state.v[key]
         lr = config.effective_scale_lr if key in scale_params else config.learning_rate
-        data = p.data.copy()
+        data = p.data if p.data is state.bound.get(key) else p.data.copy()
         p_rows, m_rows, v_rows = data[rows], m[rows], v[rows]
         _adam(p_rows.reshape(-1), g[rows].reshape(-1), m_rows.reshape(-1), v_rows.reshape(-1),
-              p_rows.reshape(-1), t, lr, config)
+              t, lr, config)
         data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
         if key in scale_params:
             np.maximum(data, MIN_SCALE, out=data)
-        p.data = data
+        p.data = state.bound[key] = data.view()
     for arena in _arenas(state, full, grads, scale_params):
-        arena.update(grads, t, config)
+        arena.update(grads, state.bound, t, config)
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +354,17 @@ def train_step(model: TransformerModel, state: AdamState, config: TrainConfig,
     The backward consumes the graph, which frees what the forward kept for
     it: for each TT layer, its one ``ad.tt_linear`` node's int8 codes and
     its input, or the ``ad.Rebuild`` of a LayerNorm or GELU input, and no
-    float copy of a quantized input or stage input.
-    Each ``.grad`` then lives until the next step clears it (in Adam's
-    gradient arena for a parameter in an arena), and Adam's moments are
-    stored up to each parameter's last live row (``AdamState``).
+    float copy of a quantized input or stage input.  The gradients it
+    returns live until ``adam_step`` returns, and Adam's moments are stored
+    up to each parameter's last live row (``AdamState``).
 
-    ``.grad`` is cleared just before the backward, its only writer, so the
-    values equal those of clearing before the forward.  ``ad.backward`` and
-    ``adam_step`` are looked up at call time, so a hook on either sees every
-    step.
+    ``ad.backward`` and ``adam_step`` are looked up at call time, so a hook
+    on either sees every step.
     """
     value = loss.item()
     if not math.isfinite(value):
         raise DivergenceError(f"non-finite loss {value} at step {state.step + 1}")
     params = [p for _, p in model.params()]
-    for p in params:
-        p.zero_grad()
     adam_step(params, ad.backward(loss), state, config, {id(p) for p in model.scale_params()})
     return value
 

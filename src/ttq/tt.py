@@ -355,18 +355,17 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     """Batched y = W x in plain numpy along ``tt_stages(plan)``.
 
     Every stage is one ``Stage.forward`` matmul, into a recycled buffer with
-    ``recycle`` (a recorded training forward).  ``post(i, stage, acc, core,
-    out)`` sees stage i's input, core and output and returns what the next
-    stage consumes: integer inference requantizes it, calibration folds its
-    peak.  Returns the (batch, rows) result.
+    ``recycle`` (a recorded training forward).  ``post(i, out)`` sees stage
+    i's output and returns what the next stage consumes: integer inference
+    requantizes it, calibration folds its peak.  Returns the (batch, rows)
+    result.
     """
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
     acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
     for i, stage in enumerate(tt_stages(plan)):
-        core = cores[stage.core]
-        out = stage.forward(acc, core, recycle)
-        acc = post(i, stage, acc, core, out) if post else out
+        out = stage.forward(acc, cores[stage.core], recycle)
+        acc = post(i, out) if post else out
     return acc.reshape(batch, plan.padded_rows)[:, : plan.rows]
 
 

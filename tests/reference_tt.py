@@ -265,7 +265,7 @@ def chain_peaks(x2d, cores, plan) -> np.ndarray:
     """max |out| of each stage of ``tt.tt_chain(x2d, cores, plan)``."""
     peaks = []
 
-    def record(i, stage, acc, core, out):
+    def record(i, out):
         peaks.append(np.abs(out).max())
         return out
 

@@ -185,19 +185,16 @@ class TestCriterion4GradientCheck:
                 trace = model.forward(ids, mask, mode="train")
                 return intent_slot_loss(trace, intents, slots).item()
 
-        params = [p for _, p in model.params()]
-        for p in params:
-            p.zero_grad()
         trace = model.forward(ids, mask, mode="train")
         loss = intent_slot_loss(trace, intents, slots)
-        ad.backward(loss)
+        grads = ad.backward(loss)
 
         h = 1e-5
         worst = 0.0
         n_checked = 0
         for name, p in model.params():
             flat = p.data.reshape(-1)
-            gflat = p.grad.reshape(-1)
+            gflat = grads[id(p)].reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h

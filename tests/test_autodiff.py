@@ -36,14 +36,11 @@ def finite_diff(f, x, h=1e-6):
 
 def check_op(build_loss, params, rtol=1e-6, atol=1e-8, h=1e-6):
     """build_loss() -> scalar Tensor; params: list of leaf Tensors."""
-    for p in params:
-        p.zero_grad()
-    loss = build_loss()
-    ad.backward(loss)
+    grads = ad.backward(build_loss())
     for p in params:
         fd = finite_diff(lambda: build_loss().item(), p.data, h=h)
-        assert p.grad is not None, f"no grad for {p}"
-        np.testing.assert_allclose(p.grad, fd, rtol=rtol, atol=atol)
+        assert id(p) in grads, f"no grad for {p}"
+        np.testing.assert_allclose(grads[id(p)], fd, rtol=rtol, atol=atol)
 
 
 rng = np.random.default_rng(42)
@@ -82,11 +79,11 @@ class TestElementwiseOps:
         x = ad.Parameter(data)
         up = data_rng.normal(size=shape).astype(dtype)
         out = ad.gelu(x)
-        ad.backward(ad.sum_all(ad.mul(out, up)))
+        gx = ad.backward(ad.sum_all(ad.mul(out, up)))[id(x)]
         want, want_grad = np.asarray(gelu(x.data)), np.asarray(gelu_vjp(x.data, up))
-        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        assert out.data.dtype == dtype and gx.dtype == dtype
         np.testing.assert_array_equal(bits_of(out.data), bits_of(want))
-        np.testing.assert_array_equal(bits_of(x.grad), bits_of(want_grad))
+        np.testing.assert_array_equal(bits_of(gx), bits_of(want_grad))
 
     def test_gelu_allocates_outputs_and_block_scratch_only(self):
         x = ad.Parameter(np.random.default_rng(3).normal(size=(256, 3072)).astype(np.float32))
@@ -209,8 +206,8 @@ class TestRebuiltOutputs:
             a_scale = ad.Parameter(np.asarray(np.abs(x.data).max() / 127, dtype=np.float32))
             w_scale = ad.Parameter(np.asarray(0.01, dtype=np.float32))
             y = ad.tt_linear(x, params, plan, act=(a_scale, act_bits), weight=(w_scale, 8))
-            ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
-            grads.append([p.grad for p in leaves + params + [a_scale, w_scale]])
+            g = ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+            grads.append([g.get(id(p)) for p in leaves + params + [a_scale, w_scale]])
         for got, want in zip(*grads):
             if want is not None:
                 np.testing.assert_array_equal(bits_of(got), bits_of(want))
@@ -232,10 +229,10 @@ class TestShapeOps:
         a = randp(3, 5, 2, 4)
         idx = np.array([4, 0, -1, 4, 2, 0, 4, 1, -3, 4])  # -1 is row 4, -3 is row 2
         w = rng.integers(-9, 10, size=(3, idx.size, 2, 4)).astype(np.float64)
-        ad.backward(ad.sum_all(ad.mul(ad.take(a, idx, axis=1), w)))
+        grads = ad.backward(ad.sum_all(ad.mul(ad.take(a, idx, axis=1), w)))
         ref = np.zeros_like(a.data)
         np.add.at(np.moveaxis(ref, 1, 0), idx, np.moveaxis(w, 1, 0))
-        np.testing.assert_array_equal(a.grad, ref)
+        np.testing.assert_array_equal(grads[id(a)], ref)
 
     def test_slice_axis(self):
         a = randp(4, 6)
@@ -286,11 +283,11 @@ class TestContractionOps:
         np.testing.assert_allclose(res.data, np.einsum(subscripts, *[o.data for o in ops]),
                                    rtol=1e-10, atol=0)
         w = r.normal(size=res.shape)
-        ad.backward(ad.sum_all(ad.mul(res, w)))
+        grads = ad.backward(ad.sum_all(ad.mul(res, w)))
         for i, sub in enumerate(in_subs):
             other = in_subs[1 - i]
             ref = np.einsum(f"{out},{other}->{sub}", w, ops[1 - i].data)
-            np.testing.assert_allclose(ops[i].grad, ref, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(grads[id(ops[i])], ref, rtol=1e-10, atol=0)
 
     def test_einsum_private_index_rejected(self):
         a = randp(3, 4)
@@ -344,26 +341,26 @@ class TestFakeQuantNode:
         s = ad.Parameter(np.asarray(0.1))
         up = np.array([1.0, 2.0, 3.0, 4.0])
         loss = ad.sum_all(ad.mul(ad.fake_quant(x, s, 4), up))
-        ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, up * ste_grad_input(x.data, 0.1, 4))
+        grads = ad.backward(loss)
+        np.testing.assert_array_equal(grads[id(x)], up * ste_grad_input(x.data, 0.1, 4))
 
     def test_scale_gradient_is_weighted_branch_sum(self):
         x = ad.Parameter(np.array([0.4, 10.0, -10.0, 0.23]))
         s = ad.Parameter(np.asarray(0.1))
         up = np.array([1.0, 2.0, 3.0, 4.0])
         loss = ad.sum_all(ad.mul(ad.fake_quant(x, s, 4), up))
-        ad.backward(loss)
+        grads = ad.backward(loss)
         expected = (up * ste_grad_scale(x.data, 0.1, 4)).sum()
-        np.testing.assert_allclose(s.grad, expected, rtol=1e-12)
+        np.testing.assert_allclose(grads[id(s)], expected, rtol=1e-12)
 
     def test_shared_scale_accumulates_over_uses(self):
         xs = [ad.Parameter(rng.normal(size=5)) for _ in range(3)]
         s = ad.Parameter(np.asarray(0.3))
         loss = ad.sum_all(ad.add(ad.add(ad.fake_quant(xs[0], s, 4), ad.fake_quant(xs[1], s, 4)),
                                  ad.fake_quant(xs[2], s, 4)))
-        ad.backward(loss)
+        grads = ad.backward(loss)
         expected = sum(ste_grad_scale(x.data, 0.3, 4).sum() for x in xs)
-        np.testing.assert_allclose(s.grad, expected, rtol=1e-12)
+        np.testing.assert_allclose(grads[id(s)], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -377,12 +374,12 @@ class TestFakeQuantNode:
         x = ad.Parameter((ratios * scale).astype(dtype))
         s = ad.Parameter(np.asarray(scale))
         up = rng.normal(size=x.shape).astype(dtype)
-        ad.backward(ad.sum_all(ad.mul(ad.fake_quant(x, s, bits), up)))
+        grads = ad.backward(ad.sum_all(ad.mul(ad.fake_quant(x, s, bits), up)))
         gx = up * ste_grad_input(x.data, scale, bits).astype(dtype)
-        assert x.grad.dtype == dtype
-        np.testing.assert_array_equal(x.grad.view(f"u{x.grad.itemsize}"), gx.view(f"u{gx.itemsize}"))
-        assert s.grad.dtype == np.float64
-        assert_scale_grad_within_dot_bound(s.grad, x.data, up, scale, bits)
+        assert grads[id(x)].dtype == dtype
+        np.testing.assert_array_equal(bits_of(grads[id(x)]), bits_of(gx))
+        assert grads[id(s)].dtype == np.float64
+        assert_scale_grad_within_dot_bound(grads[id(s)], x.data, up, scale, bits)
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNEL_SHAPES),
            st.sampled_from([np.float32, np.float64]), st.sampled_from([2, 4, 8]),
@@ -408,15 +405,15 @@ class TestFakeQuantNode:
             up = up_rng.normal(size=shape).astype(dtype)
             loss = ad.sum_all(ad.mul(out, up))
             g = up
-        ad.backward(loss)
+        grads = ad.backward(loss)
         expected = (scale * quantize(x.data, scale, bits)).astype(dtype)
         assert out.data.dtype == dtype
         np.testing.assert_array_equal(bits_of(out.data), bits_of(expected))
         gx = g * ste_grad_input(x.data, scale, bits).astype(dtype)
-        assert x.grad.dtype == dtype and x.grad.shape == shape
-        np.testing.assert_array_equal(bits_of(x.grad), bits_of(gx))
-        assert s.grad.dtype == dtype and s.grad.shape == ()
-        assert_scale_grad_within_dot_bound(s.grad, x.data, g, scale, bits)
+        assert grads[id(x)].dtype == dtype and grads[id(x)].shape == shape
+        np.testing.assert_array_equal(bits_of(grads[id(x)]), bits_of(gx))
+        assert grads[id(s)].dtype == dtype and grads[id(s)].shape == ()
+        assert_scale_grad_within_dot_bound(grads[id(s)], x.data, g, scale, bits)
 
     def test_full_precision_sentinel_passthrough(self):
         x = randp(4)
@@ -448,21 +445,14 @@ class TestBackwardMechanics:
         a = randp(4)
         b = ad.mul(a, a)
         loss = ad.sum_all(ad.add(b, b))
-        ad.backward(loss)
-        np.testing.assert_allclose(a.grad, 4 * a.data, rtol=1e-12)
+        grads = ad.backward(loss)
+        np.testing.assert_allclose(grads[id(a)], 4 * a.data, rtol=1e-12)
 
     def test_no_grad_context_skips_recording(self):
         a = randp(3)
         with ad.no_grad():
             out = ad.sum_all(ad.mul(a, a))
         assert out._node is None and not out.requires_grad
-
-    def test_grad_accumulates_across_backwards(self):
-        a = randp(3)
-        ad.backward(ad.sum_all(ad.mul(a, a)))
-        first = a.grad.copy()
-        ad.backward(ad.sum_all(ad.mul(a, a)))
-        np.testing.assert_allclose(a.grad, 2 * first, rtol=1e-12)
 
     def test_no_grad_loss_has_no_graph(self):
         a = randp(3)
@@ -475,15 +465,13 @@ class TestBackwardMechanics:
         a = randp(3)
         b = ad.mul(a, a)
         ad.backward(ad.sum_all(b))
-        first = a.grad.copy()
         with pytest.raises(ad.BackwardError):
             ad.backward(ad.sum_all(ad.scale(b, 2.0)))
-        np.testing.assert_array_equal(a.grad, first)  # raised before any gradient moved
 
     def test_leaf_loss_gets_gradient_one(self):
         a = ad.Parameter(np.asarray(2.5))
         grads = ad.backward(a)
-        assert list(grads) == [id(a)] and a.grad == 1.0
+        assert list(grads) == [id(a)] and grads[id(a)] == 1.0
 
 
 def gelu_loss(keep_input: bool):
@@ -507,15 +495,14 @@ class TestSavedArrays:
         w = rng.normal(size=(6, 5))
         grads = []
         for keep in (True, False):
-            a.zero_grad(), b.zero_grad()
             y = ad.add(a, b)
             alive = weakref.ref(y.data)
             loss = ad.sum_all(ad.mul(ad.scale(y, 3.0), w))
             if not keep:
                 del y
                 assert alive() is None
-            ad.backward(loss)
-            grads.append([a.grad, b.grad])
+            g = ad.backward(loss)
+            grads.append([g[id(a)], g[id(b)]])
         for held, freed in zip(*grads):
             np.testing.assert_array_equal(bits_of(freed), bits_of(held))
 
@@ -524,10 +511,10 @@ class TestSavedArrays:
         for keep in (True, False):
             leaves, loss, alive, _held = gelu_loss(keep)
             assert alive() is not None
-            ad.backward(loss)
+            g = ad.backward(loss)
             if not keep:
                 assert alive() is None  # the consumed node let go of it
-            grads.append([p.grad for p in leaves])
+            grads.append([g[id(p)] for p in leaves])
         for held, freed in zip(*grads):
             np.testing.assert_array_equal(bits_of(freed), bits_of(held))
 

@@ -293,6 +293,16 @@ class TestReports:
             assert isinstance(faults, int) and faults >= 0
         assert "minor faults" in (out / "bench_report.txt").read_text()
 
+    @pytest.mark.parametrize("argv, repeats", [([], 2), (["--repeats", "1"], 1)],
+                             ids=["from-config", "from-flag"])
+    def test_bench_manifest_records_the_repeats_it_ran(self, tmp_path, corpus, argv, repeats):
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["bench", str(cfg_path), *argv]) == 0
+        assert json.loads((out / "manifest.json").read_text())["repeats"] == repeats
+        recs = [json.loads(l) for l in (out / "bench_report.jsonl").read_text().split("\n") if l]
+        assert {r["repeats"] for r in recs} == {repeats}
+
     def test_bench_times_infer_int_only_for_quantized_models(self, tmp_path, corpus):
         out = tmp_path / "run"
         cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out, weight_bits=32))

@@ -625,12 +625,10 @@ class TestPacking:
         slots = rng.integers(0, cfg.num_slots, size=ids.shape)
 
         def loss_and_grads(cols):
-            for _, p in model.params():
-                p.grad = None
             loss = intent_slot_loss(model.forward(ids[:, :cols], mask[:, :cols], mode="train"),
                                     intents, slots[:, :cols])
-            ad.backward(loss)
-            return float(loss.data), [p.grad for _, p in model.params()]
+            grads = ad.backward(loss)
+            return float(loss.data), [grads.get(id(p)) for _, p in model.params()]
 
         ref_loss, ref_grads = loss_and_grads(width)
         loss, grads = loss_and_grads(width + extra)
@@ -707,8 +705,8 @@ class TestRecordedForwardMemory:
             tracemalloc.stop()
         ffn_bytes = int(mask.sum()) * cfg.ffn_dim * 4
         assert sum(t.size == ffn_bytes for t in traces) == 2 * cfg.num_layers
-        ad.backward(intent_slot_loss(trace, intents, slots))
-        assert all(p.grad is not None for p in model.encoders[0].ffn_up.cores)
+        grads = ad.backward(intent_slot_loss(trace, intents, slots))
+        assert all(id(p) in grads for p in model.encoders[0].ffn_up.cores)
 
 
 class TestAccounting:

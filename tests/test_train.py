@@ -105,11 +105,11 @@ class TestTtMatvecVjp:
         xt = ad.Parameter(x.reshape(1, -1))
         y = tt_chain_apply(xt, params, plan)
         loss = ad.sum_all(ad.mul(y, ad.Tensor(u.reshape(1, -1))))
-        ad.backward(loss)
+        got = ad.backward(loss)
         grads, gx = tt_matvec_vjp(cores, plan, x, u)
         for p, g in zip(params, grads):
-            np.testing.assert_allclose(p.grad, g, rtol=1e-11, atol=1e-12)
-        np.testing.assert_allclose(xt.grad.reshape(-1), gx, rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(got[id(p)], g, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(got[id(xt)].reshape(-1), gx, rtol=1e-11, atol=1e-12)
 
 
 class TestAdam:
@@ -264,8 +264,6 @@ class TestArenaAdam:
         ids, mask, intents, slots = batch
         train_step(model, state, config, intent_slot_loss(model.forward(ids, mask), intents, slots))
         params = [p for _, p in ref.params()]
-        for p in params:
-            p.zero_grad()
         loss = intent_slot_loss(ref.forward(ids, mask), intents, slots)
         per_parameter_adam_step(params, ad.backward(loss), ref_state, config,
                                 {id(p) for p in ref.scale_params()})
@@ -329,13 +327,13 @@ class TestArenaAdam:
         grads = ad.backward(intent_slot_loss(model.forward(ids, mask), intents, slots))
         grads[id(params[-1])] = np.full_like(grads[id(params[-1])], np.inf)
         data = [(p.data, p.data.tobytes()) for p in params]
-        arenas = [[buf.tobytes() for buf in (*a.values, *a.grad, a.m, a.v)] for a in state.arenas]
+        arenas = [[buf.tobytes() for buf in (a.values, a.grad, a.m, a.v)] for a in state.arenas]
         with pytest.raises(DivergenceError, match=f"{params[-1].name!r} at step 3"):
             adam_step(params, grads, state, config, {id(p) for p in model.scale_params()})
         assert state.step == 2
         for p, (array, raw) in zip(params, data):
             assert p.data is array and p.data.tobytes() == raw
-        assert arenas == [[buf.tobytes() for buf in (*a.values, *a.grad, a.m, a.v)]
+        assert arenas == [[buf.tobytes() for buf in (a.values, a.grad, a.m, a.v)]
                           for a in state.arenas]
 
     def test_set_cores_between_steps_is_adopted(self):
@@ -367,8 +365,58 @@ class TestArenaAdam:
             self.step_both(model, ref, state, ref_state, config, batch)
             self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
                              state, ref_state, step)
-        arena = state.arenas[0]
-        assert all(p.data is view for p, view in zip(arena.params, arena.views))
+        assert all(p.data is state.bound[id(p)] for p in state.arenas[0].params)
+
+    @staticmethod
+    def arena_and_live_row_steps(arrays, steps, before_step=lambda step, params: None):
+        """``steps`` Adam steps on a parameter built from each of ``arrays``
+        (a (2, 3) and a (5, 3) one): every row of the first gets a gradient,
+        so it joins an arena, and only rows 0 and 1 of the second do, so it
+        stays on the live-row path.  ``before_step(step, params)`` runs
+        before each step; returns the parameters' ``.data`` after each."""
+        rng = np.random.default_rng(4)
+        params = [ad.Parameter(a) for a in arrays]
+        state, config = AdamState(), TrainConfig(learning_rate=0.01, epochs=1)
+        bound = []
+        for step in range(steps):
+            before_step(step, params)
+            grads = {id(p): rng.normal(size=p.data.shape) for p in params}
+            grads[id(params[1])][2:] = 0.0
+            adam_step(params, grads, state, config)
+            bound.append([p.data for p in params])
+        assert len(state.arenas) == 1 and state.arenas[0].params == [params[0]]
+        assert id(params[1]) in state.live
+        return bound
+
+    def test_each_parameter_is_updated_in_one_storage(self):
+        """Each step after the first writes an arena parameter and a
+        live-row parameter in place in the storage the first step copied
+        them into, and binds ``p.data`` to a fresh view object of it."""
+        rng = np.random.default_rng(5)
+        bound = self.arena_and_live_row_steps([rng.normal(size=(2, 3)),
+                                               rng.normal(size=(5, 3))], 5)
+        for last, now in zip(bound, bound[1:]):
+            for old, new in zip(last, now):
+                assert new is not old and np.shares_memory(new, old)
+
+    def test_arrays_from_outside_keep_their_bytes(self):
+        """The arrays the parameters were built from, and arrays assigned to
+        ``.data`` between steps, are copied into Adam's storage and never
+        written, on the arena and on the live-row path."""
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(size=(2, 3)), rng.normal(size=(5, 3))]
+        assigned = [rng.normal(size=a.shape) for a in arrays]
+        kept = [a.copy() for a in arrays + assigned]
+
+        def assign(step, params):
+            if step == 3:
+                for p, a in zip(params, assigned):
+                    p.data = a
+
+        bound = self.arena_and_live_row_steps(arrays, 5, assign)
+        for a, raw in zip(arrays + assigned, kept):
+            assert a.tobytes() == raw.tobytes()
+        assert not any(np.shares_memory(a, b) for a in arrays + assigned for b in bound[-1])
 
 
 def assert_stored_moment(stored, full, label=None):

@@ -33,10 +33,10 @@ def run_layer(layer_fn, plan, arrays, act_bits, w_bits, use_bias):
     b = ad.Parameter(bias.copy()) if use_bias else None
     a_s, w_s = ad.Parameter(a_scale.copy()), ad.Parameter(w_scale.copy())
     y = layer_fn(xt, params, plan, b, (a_s, act_bits), (w_s, w_bits))
-    ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+    grads = ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
     leaves = [xt, *params] + ([b] if use_bias else [])
     leaves += [s for s, bits in ((a_s, act_bits), (w_s, w_bits)) if bits != q.FULL_PRECISION]
-    return [y.data] + [leaf.grad for leaf in leaves]
+    return [y.data] + [grads.get(id(leaf)) for leaf in leaves]
 
 
 def layer_arrays(plan, batch, dtype, clip, seed):
@@ -105,9 +105,9 @@ def test_ttm_node_is_byte_identical_to_the_composition(data, bits, dtype, clip, 
         params = [ad.Parameter(c.copy()) for c in cores]
         s = ad.Parameter(scale.copy())
         y = lookup(ids, params, plan, (s, bits))
-        ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
+        grads = ad.backward(ad.sum_all(ad.mul(y, ad.Tensor(u))))
         leaves = params + ([s] if bits != q.FULL_PRECISION else [])
-        return [y.data] + [leaf.grad for leaf in leaves]
+        return [y.data] + [grads.get(id(leaf)) for leaf in leaves]
 
     got, want = run(ad.ttm_lookup), run(composed_ttm_lookup)
     assert len(got) == len(want)
