@@ -27,7 +27,10 @@ from ``buffers.take``, buffers kept across steps: GELU's output, ``tanh``
 and input gradient, a TT layer's input codes and values, its stage outputs
 and their gradients (``tt.Stage``) and its dequantized input, and a rebuilt
 output.  So after warm-up a training step maps no fresh pages for them.  A
-``no_grad`` forward allocates fresh arrays, which go to its caller.
+``no_grad`` forward allocates fresh arrays, which go to its caller, and
+keeps one only while a later op reads it: an op handed a Tensor that
+nothing else holds (``Tensor.spare``) may write its output over it, as
+GELU and a TT layer's input quantizer do.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
@@ -51,6 +54,7 @@ distinct rows, so each is the other's plain-indexing adjoint.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,6 +151,50 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+
+    def spare(self) -> bool:
+        """Whether a ``no_grad`` op handed this Tensor may write over its
+        array: no later op can read it.
+
+        Nothing records (``no_grad``), the op's caller handed the Tensor
+        over (the op's argument is its only reference), and the Tensor alone
+        references its array, a C-contiguous, writeable one that owns its
+        memory or views a base only it references.  An op asks this first
+        thing, of its own argument: the reference count then tells a Tensor
+        passed as a temporary from one its caller still holds, as
+        ``_probe_refs`` read them at import.  On an interpreter where the
+        two read the same (one that borrows references for arguments),
+        nothing is spare.  A Tensor passed on through one more call, or
+        through a wrapper, has one reference more: it is not spare either.
+        """
+        if _grad_enabled or not _HANDED_OVER < _HELD or sys.getrefcount(self) != _HANDED_OVER:
+            return False
+        if sys.getrefcount(self.data) != 2:  # the slot's reference and the argument's
+            return False
+        x = self.data
+        base = x.base  # numpy points a view at the array that owns the memory
+        return x.flags.c_contiguous and x.flags.writeable and (
+            base is None or isinstance(base, np.ndarray) and base.base is None
+            and sys.getrefcount(base) == 3)  # x's, ``base``'s and the argument's
+
+
+class _Probe:
+    __slots__ = ()
+
+    def refs(self) -> int:
+        return sys.getrefcount(self)
+
+
+def _probe_refs() -> tuple[int, int]:
+    """What ``Tensor.spare`` reads, in an op, for a Tensor the op's caller
+    handed over as a temporary and for one the caller still holds."""
+    def op(t):
+        return t.refs()
+    held = _Probe()
+    return op(_Probe()), op(held)
+
+
+_HANDED_OVER, _HELD = _probe_refs()
 
 
 def Parameter(data, name: str | None = None) -> Tensor:
@@ -279,7 +327,9 @@ def gelu(a) -> Tensor:
     elements, each an in-place chain through block-sized scratch, so nothing
     activation-sized is allocated beyond the output, the gradient and, only
     when a backward will read it, the kept ``tanh``; a recorded node takes
-    those from ``buffers.take``.  A recorded output
+    those from ``buffers.take``.  Under ``no_grad`` the output is written
+    over the input when nothing else holds it (``Tensor.spare``): each block's
+    ``tanh`` is taken before its input is overwritten.  A recorded output
     carries a ``Rebuild`` that computes its elements again from the input and
     the kept ``tanh``, so a consumer need not keep it.  The operations and
     their order are those of ``0.5*x*(1 + t)`` with
@@ -288,6 +338,7 @@ def gelu(a) -> Tensor:
     again: at ATIS shape that took 1.7 ms a call in the backward and 2.2 ms
     a call in the rebuild, against 0.6 ms for the rebuild from it.
     """
+    overwrite = isinstance(a, Tensor) and a.spare()
     a = _as_tensor(a)
     x = a.data
     keep = _records(a)
@@ -295,7 +346,8 @@ def gelu(a) -> Tensor:
     if keep:  # C order: flat views
         out, t = buffers.take(x.shape, x.dtype), buffers.take(x.shape, x.dtype)
     else:
-        out, t = np.empty(x.shape, dtype=x.dtype), np.empty(width, dtype=x.dtype)
+        out = x if overwrite else np.empty(x.shape, dtype=x.dtype)
+        t = np.empty(width, dtype=x.dtype)
     xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
     scratch = np.empty(width, dtype=x.dtype)
     for start in range(0, xf.size, q.BLOCK):
@@ -503,7 +555,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     float input, ``Rebuild.array()`` when there is one.  So
     every gradient equals that of a ``fake_quant`` node per input and core
     feeding a plain TT product and a bias ``add``.  Under ``no_grad``
-    nothing is kept.
+    nothing is kept, and the input quantizer makes no codes, only the
+    values.
     """
     x2d = _as_tensor(x2d)
     cores = [_as_tensor(c) for c in cores]
@@ -516,8 +569,8 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     if act is not None:
         a_scale, a_bits = float(act[0].data), act[1]
         a_like = (act[0].data.dtype, act[0].data.shape)
-        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype,
-                                          buffers.take if keep else np.empty)
+        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8 if keep else None,
+                                          xd.dtype, buffers.take if keep else np.empty)
     if quant_w:
         w_in, w_values, w_ste = _quantize_cores(masters, weight)
     y = tt_chain(x_in, w_in, plan, recycle=keep)
@@ -704,9 +757,10 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
     """Quantize-dequantize with straight-through gradients.
 
     Forward emits the dequantized surrogate in ``x``'s dtype and keeps only
-    the int8 codes.  Backward passes the upstream gradient through in-range
-    elements to x, and routes the branch-value surrogate, summed over every
-    element sharing the scale, to ``scale_t``.
+    the int8 codes, which it makes only when a backward will read them.
+    Backward passes the upstream gradient through in-range elements to x,
+    and routes the branch-value surrogate, summed over every element sharing
+    the scale, to ``scale_t``.
     """
     x = _as_tensor(x)
     scale_t = _as_tensor(scale_t)
@@ -715,7 +769,8 @@ def fake_quant(x, scale_t: Tensor, bits: int) -> Tensor:
     s = float(scale_t.data)
     xd = x.data
     s_like = (scale_t.data.dtype, scale_t.data.shape)
-    codes, out = q.quantize_blocks(xd, s, bits, np.int8, xd.dtype)
+    keep = _records(x, scale_t)
+    codes, out = q.quantize_blocks(xd, s, bits, np.int8 if keep else None, xd.dtype)
 
     def vjp(g):
         gx, gs = q.ste_backward(xd, codes, s, bits, g)

@@ -23,6 +23,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,15 +265,16 @@ def cmd_bench(args) -> int:
     records = []
     text_lines = [f"bench: batch={batch} seq={seq} repeats={repeats} (informational only)"]
 
-    def record(name, mode, timed, times, faults):
+    def record(name, mode, timed, times, faults, **extra):
         """``faults``: minor page faults over the timed repeats."""
         rec = {"model": name, "mode": mode, "timed": timed, "mean_s": float(np.mean(times)),
                "std_s": float(np.std(times)), "repeats": repeats,
-               "minor_faults_per_step": round(faults / repeats)}
+               "minor_faults_per_step": round(faults / repeats), **extra}
         records.append(rec)
+        peak = f"  peak {rec['peak_mib']:7.2f} MiB" if "peak_mib" in rec else ""
         text_lines.append(f"  {name:18s} {timed:10s} mean {rec['mean_s']*1e3:8.2f} ms  "
                           f"std {rec['std_s']*1e3:6.2f} ms  "
-                          f"{rec['minor_faults_per_step']:6d} minor faults")
+                          f"{rec['minor_faults_per_step']:6d} minor faults{peak}")
 
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -286,7 +288,17 @@ def cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 model.forward(ids, mask, mode=mode)
                 times.append(time.perf_counter() - t0)
-        record(name, mode, "forward", times, minor_faults() - faults)
+            faults = minor_faults() - faults
+            # the working set: one more, untimed repeat's traced peak above
+            # what was held before it
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                model.forward(ids, mask, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        record(name, mode, "forward", times, faults, peak_mib=peak / 2 ** 20)
     # training steps change the parameters, so they run after every forward
     intents = rng.integers(0, cfg.model.num_intents, size=batch)
     slots = rng.integers(0, cfg.model.num_slots, size=(batch, seq))

@@ -338,11 +338,19 @@ class TTLinearLayer(CoreLayer):
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
         """The first ``train`` forward with an input quantizer and rows sets
         its scale from them; while ``_calib_peaks`` is set (calibration), a
-        ``train`` forward is ``_calibration_forward``."""
+        ``train`` forward is ``_calibration_forward``.
+
+        A ``no_grad`` forward handed an input that nothing else holds
+        (``Tensor.spare``: the GELU output that feeds ``ffn_down``, the
+        attention context that feeds the o-projection) writes the input
+        quantizer's output over it: the integer codes of ``_forward_int``,
+        or the fake-quant values, which the ``ad.tt_linear`` node then reads
+        as an input with no quantizer of its own."""
+        overwrite = x2d.spare()
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
         if mode == "infer_int":
-            return ad.Tensor(self._forward_int(x2d.data))
+            return ad.Tensor(self._forward_int(x2d.data, overwrite))
         if mode not in ("train", "infer_fp"):
             raise ModeError(f"unknown mode {mode!r}")
         act = None
@@ -352,24 +360,32 @@ class TTLinearLayer(CoreLayer):
                                                  dtype=self.act_scale.data.dtype)
                 self.act_scale_ready = True
             if self._calib_peaks is not None:
-                return self._calibration_forward(x2d.data)
+                return self._calibration_forward(x2d.data, overwrite)
             act = (self.act_scale, self.act_bits)
+            if overwrite:
+                x2d, act = ad.Tensor(self._input_values(x2d.data, True)), None
         return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act,
                               self.weight_quantizer(mode))
 
-    def _calibration_forward(self, x2d: np.ndarray) -> ad.Tensor:
+    def _input_values(self, x2d: np.ndarray, overwrite: bool) -> np.ndarray:
+        """The input quantizer's fake-quant values of ``x2d``, bit for bit
+        those of the ``ad.tt_linear`` node, written over ``x2d`` when
+        ``overwrite``; no codes are stored."""
+        return q.quantize_blocks(x2d, float(self.act_scale.data), self.act_bits, None,
+                                 x2d.dtype, _alloc_over(x2d, overwrite))[1]
+
+    def _calibration_forward(self, x2d: np.ndarray, overwrite: bool) -> ad.Tensor:
         """The ``train`` forward's output, bit for bit that of its ``no_grad``
         ``ad.tt_linear`` node, with each stage's peak folded into
-        ``_calib_peaks``: the input's and the cores' fake-quant values from
-        ``quant.quantize_blocks`` as the node makes them, ``tt.tt_chain``
-        with ``_fold_peaks`` as its hook, then the bias.  Nothing is recorded
-        or kept: the cores are frozen in ``set_stage_scales``."""
-        x_in = q.quantize_blocks(x2d, float(self.act_scale.data), self.act_bits, np.int8,
-                                 x2d.dtype)[1]
-        cores = [c.data for c in self.cores]
-        if self.bits != q.FULL_PRECISION:
-            scale = float(self.weight_scale.data)
-            cores = [q.quantize_blocks(c, scale, self.bits, np.int8, c.dtype)[1] for c in cores]
+        ``_calib_peaks``: the input's fake-quant values (``_input_values``),
+        the cores' from ``frozen_cores``, which quantizes them once per
+        weight state and not once per batch, ``tt.tt_chain`` with
+        ``_fold_peaks`` as its hook, then the bias.  Nothing is recorded."""
+        x_in = self._input_values(x2d, overwrite)
+        if self.bits == q.FULL_PRECISION:
+            cores = [c.data for c in self.cores]
+        else:
+            cores = self.frozen_cores().values
         y, b = tt_chain(x_in, cores, self.plan, self._fold_peaks), self.bias.data
         in_place = y.flags.c_contiguous and np.result_type(y, b) == y.dtype
         return ad.Tensor(np.add(y, b, out=y if in_place else None))
@@ -409,7 +425,11 @@ class TTLinearLayer(CoreLayer):
         self.frozen_cores()
         self.stage_scales = [max(float(p), 1e-12) / 127.0 for p in peaks]
 
-    def _forward_int(self, x2d: np.ndarray) -> np.ndarray:
+    def _forward_int(self, x2d: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The integer TT walk of ``x2d``: its codes in the frozen stage
+        dtype, written over ``x2d`` when ``overwrite`` and the dtypes match,
+        each stage a GEMM requantized by its static scale
+        (``quant.requantize``), then the last stage's scale and the bias."""
         if self.stage_scales is None:
             raise ModeError(f"{self.name}: calibrate_int must run before integer inference")
         if self.bits == q.FULL_PRECISION or self.act_bits == q.FULL_PRECISION:
@@ -418,7 +438,6 @@ class TTLinearLayer(CoreLayer):
         # whose sums are exact integers in any order, as an int64 walk's.
         frozen = self.frozen_cores()
         a_scale = float(self.act_scale.data)
-        x_codes, _ = q.quantize_blocks(x2d, a_scale, self.act_bits, frozen.codes[0].dtype)
         last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
 
@@ -430,12 +449,25 @@ class TTLinearLayer(CoreLayer):
             in_scale = self.stage_scales[i]
             return q.requantize(out, real_scale / in_scale)
 
-        codes = tt_chain(x_codes, frozen.codes, self.plan, requantize)
+        # the input codes go to the chain as a temporary, freed after stage 0
+        codes = tt_chain(q.quantize_blocks(x2d, a_scale, self.act_bits, frozen.codes[0].dtype,
+                                           alloc=_alloc_over(x2d, overwrite))[0],
+                         frozen.codes, self.plan, requantize)
         # the last stage's scale and bias, in place in the codes' dtype (a
         # float32 bias widens to float64 exactly), then one cast
         codes *= codes.dtype.type(in_scale * frozen.scale)
         codes += self.bias.data
         return codes.astype(x2d.dtype, copy=False)
+
+
+def _alloc_over(x: np.ndarray, overwrite: bool):
+    """``quant.quantize_blocks``' ``alloc``: with ``overwrite``, one that
+    hands back ``x`` for an output of its shape and dtype, so the output is
+    written over it; else ``np.empty``."""
+    if not overwrite:
+        return np.empty
+    return lambda shape, dtype: (x if shape == x.shape and np.dtype(dtype) == x.dtype
+                                 else np.empty(shape, dtype))
 
 
 class DenseLinear:
@@ -580,20 +612,28 @@ class EncoderBlock:
             t = ad.reshape(ad.scatter_rows(t, rows, b * s), (b, s, self.num_heads, dh))
             return ad.transpose(t, (0, 2, 1, 3))
 
-        qh = split_heads(self.q_proj.forward(x, mode))
-        kh = split_heads(self.k_proj.forward(x, mode))
-        vh = split_heads(self.v_proj.forward(x, mode))
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        def context(attn, v):
+            t = ad.transpose(ad.matmul(attn, split_heads(v)), (0, 2, 1, 3))
+            return ad.gather_rows(ad.reshape(t, (b * s, h)), rows)
+
+        # Under no_grad an activation lives only while a later op reads it:
+        # the heads, the scores and the context are gone before the
+        # o-projection's output, and each is before the FFN.  The context,
+        # the FFN's up-projection and its GELU are handed to their readers
+        # as temporaries, which those may overwrite (``Tensor.spare``).  A
+        # recorded graph keeps what its backward reads.
+        scores = ad.matmul(split_heads(self.q_proj.forward(x, mode)),
+                           ad.transpose(split_heads(self.k_proj.forward(x, mode)), (0, 1, 3, 2)))
         bias = ((1.0 - mask) * MASK_NEG).reshape(b, 1, 1, s)
-        scores = ad.add(scores, ad.Tensor(bias.astype(scores.data.dtype)))
+        scores = ad.add(ad.scale(scores, 1.0 / math.sqrt(dh)),
+                        ad.Tensor(bias.astype(scores.data.dtype)))
         attn = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(attn, vh)
-        ctx = ad.gather_rows(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * s, h)), rows)
-        attn_out = self.o_proj.forward(ctx, mode)
+        del scores
+        attn_out = self.o_proj.forward(context(attn, self.v_proj.forward(x, mode)), mode)
         x = self.ln_attn.forward(ad.add(x, attn_out))
+        del attn_out
         ffn = self.ffn_down.forward(ad.gelu(self.ffn_up.forward(x, mode)), mode)
-        x = self.ln_ffn.forward(ad.add(x, ffn))
-        return x, attn
+        return self.ln_ffn.forward(ad.add(x, ffn)), attn
 
 
 class ClassifierHead:
@@ -687,6 +727,7 @@ class TransformerModel:
         pos = ad.slice_axis(self.pos_emb, 0, 0, s)
         pos = ad.add(pos, ad.Tensor(np.zeros((b, 1, 1), dtype=pos.data.dtype)))
         x = self.ln_emb.forward(ad.add(emb, ad.gather_rows(ad.reshape(pos, (b * s, h)), rows)))
+        del emb, pos  # read by no later op
         emb_out = padded(x)
         outs, attns = [], []
         for enc in self.encoders:

@@ -18,10 +18,11 @@ between forward and backward; ``dequantize`` rebuilds the values from them
 bit for bit, and ``ste_backward`` allocates nothing shaped like the input
 but the input gradient, which it may write over ``g``.  The training
 callers draw their activation-sized codes and values from
-``buffers.take`` (the ``alloc`` arguments).  Codes and values are bit for
-bit those of the elementwise float64 reference (the float64 ratio
-``x / scale``, clipped and rounded half away from zero), and so is the
-input gradient:
+``buffers.take`` (the ``alloc`` arguments); a ``no_grad`` caller whose
+input nothing else holds has the codes or the values written over it.
+Codes and values are bit for bit those of the elementwise float64
+reference (the float64 ratio ``x / scale``, clipped and rounded half away
+from zero), and so is the input gradient:
 
 * the elementwise work runs in float32 when that is exact (a float32 input
   with a float32 scale), else in float64.  ``round_ratio`` rounds the
@@ -144,21 +145,28 @@ def round_ratio(r: np.ndarray, out: np.ndarray, exact) -> np.ndarray:
     return out
 
 
-def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
-                    value_dtype=None, alloc=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
+def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype, value_dtype=None,
+                    alloc=np.empty) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The quantizer kernel: codes round(clip(x/scale, lo, hi)) shaped like x.
 
-    Returns ``(codes, values)``: the codes stored as ``code_dtype`` and, when
-    ``value_dtype`` is given, the dequantized surrogate ``scale * codes``
-    stored as ``value_dtype`` (else ``None``), each in a C-contiguous array
-    from ``alloc(shape, dtype)`` (``buffers.take`` for a training
-    activation).  Each block of
-    ``block_size`` elements runs divide, clip, ``round_ratio`` and store into
-    reused buffers (straight into the codes when ``code_dtype`` is the
-    working dtype); a block whose ratios all lie in range skips the clip,
-    and the two reductions that tell also catch a non-finite input.  The
-    clip bounds every code and the entry check makes ``code_dtype`` hold
-    that range, so the codes need no range check of their own.
+    Returns ``(codes, values)``: the codes stored as ``code_dtype`` (else
+    ``None``, when ``code_dtype`` is None) and, when ``value_dtype`` is
+    given, the dequantized surrogate ``scale * codes`` stored as
+    ``value_dtype`` (else ``None``), each in a C-contiguous array from
+    ``alloc(shape, dtype)`` (``buffers.take`` for a training activation).
+    Each block of ``block_size`` elements runs divide, clip, ``round_ratio``
+    and store into reused buffers (straight into the codes when
+    ``code_dtype`` is the working dtype and the codes are not ``x``); a
+    block whose ratios all lie in range skips the clip, and the two
+    reductions that tell also catch a non-finite input.  The clip bounds
+    every code and the entry check makes ``code_dtype`` hold that range, so
+    the codes need no range check of their own.
+
+    ``alloc`` may hand back ``x`` itself (same shape and dtype, C-contiguous)
+    to write the codes or the values over the input.  Such an output is
+    rounded in the block scratch and stored only after ``round_ratio``,
+    whose exact fallback reads the block of ``x`` again at half-integer
+    ratios; any other overlap with ``x`` raises ``ValueError``.
 
     The working dtype is float32 when ``x`` is float32 and ``scale`` is a
     float32 value (every scale of a float32 model), else float64.  In
@@ -175,19 +183,21 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
     if scale <= 0:
         raise QuantParamError(f"scale must be positive, got {scale}")
     lo, hi = code_bounds(bits)
-    if np.dtype(code_dtype).kind == "i" and np.iinfo(code_dtype).max < hi:
+    if (code_dtype is not None and np.dtype(code_dtype).kind == "i"
+            and np.iinfo(code_dtype).max < hi):
         raise QuantParamError(f"{np.dtype(code_dtype)} cannot hold {bits}-bit codes")
     x = np.asarray(x)
     flat = x.reshape(-1)
     n = flat.size
     work = np.float32 if x.dtype == np.float32 and float(np.float32(scale)) == scale else np.float64
-    codes = alloc(x.shape, code_dtype).reshape(-1)
-    values = None if value_dtype is None else alloc(x.shape, value_dtype).reshape(-1)
+    codes = None if code_dtype is None else _output(alloc(x.shape, code_dtype), x)
+    values = None if value_dtype is None else _output(alloc(x.shape, value_dtype), x)
     value_work = None if values is None or values.dtype == work else np.float64
     step = block_size(work)
     width = min(n, step)
     ratio = np.empty(width, dtype=work)
-    direct = codes.dtype == work  # round straight into the codes
+    # round straight into the codes, unless they are x, which the fallback reads
+    direct = codes is not None and codes.dtype == work and not np.may_share_memory(codes, x)
     code = None if direct else np.empty(width, dtype=work)
     for start in range(0, n, step):
         xb = flat[start:start + step]
@@ -200,11 +210,23 @@ def quantize_blocks(x: np.ndarray, scale: float, bits: int, code_dtype,
                 raise QuantInputError("input contains non-finite values")
             np.clip(r, lo, hi, out=r)
         round_ratio(r, c, lambda idx: np.clip(np.divide(xb[idx], scale, dtype=np.float64), lo, hi))
-        if not direct:
+        if codes is not None and not direct:
             codes[start:start + k] = c
         if values is not None:
             np.multiply(c, scale, out=values[start:start + k], dtype=value_work)
-    return codes.reshape(x.shape), None if values is None else values.reshape(x.shape)
+    return (None if codes is None else codes.reshape(x.shape),
+            None if values is None else values.reshape(x.shape))
+
+
+def _output(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out`` flat, after checking that it is ``x`` itself or does not
+    overlap it: block by block, only an output laid over ``x`` element for
+    element is written after its block of ``x`` was read."""
+    if np.may_share_memory(out, x) and not (
+            out.dtype == x.dtype and out.shape == x.shape and x.flags.c_contiguous
+            and out.flags.c_contiguous and out.ctypes.data == x.ctypes.data):
+        raise ValueError("a quantizer output may overlap its input only as the input itself")
+    return out.reshape(-1)
 
 
 def dequantize(codes: np.ndarray, scale: float, dtype, alloc=np.empty) -> np.ndarray:

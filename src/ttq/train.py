@@ -86,6 +86,12 @@ class AdamState:
     values that the last step bound to each parameter's ``.data``
     (``bound``).
 
+    Each entry belongs to one Parameter object, which ``owners`` holds, so
+    no new Tensor can take its ``id`` while the entry lives.  A step drops
+    the entries of every parameter it is no longer passed (one that
+    ``CoreLayer.set_cores`` replaced, say), so a new parameter starts from
+    zero moments.
+
     A parameter of rank >= 1 stores its moments only up to the last row that
     ever had a nonzero gradient; the rows past the stored ones are +0.0.  So
     the position table's moments cover the positions batches have reached,
@@ -104,6 +110,16 @@ class AdamState:
     arenas: list = field(default_factory=list)
     layout: tuple = ()
     bound: dict = field(default_factory=dict)
+    owners: dict = field(default_factory=dict)
+
+    def adopt(self, params: list):
+        """Hold ``params`` as the owners of their entries, and drop the
+        entries of the parameters held before that are not among them."""
+        owners = {id(p): p for p in params}
+        for key in self.owners.keys() - owners.keys():
+            for entries in (self.m, self.v, self.live, self.bound):
+                entries.pop(key, None)
+        self.owners = owners
 
 
 def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float,
@@ -243,6 +259,7 @@ def adam_step(params: list[ad.Tensor], grads: dict[int, np.ndarray], state: Adam
         if g is not None and g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise DivergenceError(f"non-finite gradient for parameter {p.name!r} "
                                   f"at step {state.step + 1}")
+    state.adopt(params)
     state.step += 1
     t = state.step
     full = []

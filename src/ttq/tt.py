@@ -358,11 +358,13 @@ def tt_chain(x2d: np.ndarray, cores: Sequence[np.ndarray], plan: TensorShapePlan
     ``recycle`` (a recorded training forward).  ``post(i, out)`` sees stage
     i's output and returns what the next stage consumes: integer inference
     requantizes it, calibration folds its peak.  Returns the (batch, rows)
-    result.
+    result.  Each stage's input is dropped once the stage ran, ``x2d`` too
+    when the caller passed it as a temporary.
     """
     batch = x2d.shape[0]
     pad = plan.padded_cols - plan.cols
     acc = np.pad(x2d, ((0, 0), (0, pad))) if pad else x2d
+    del x2d
     for i, stage in enumerate(tt_stages(plan)):
         out = stage.forward(acc, cores[stage.core], recycle)
         acc = post(i, out) if post else out

@@ -39,10 +39,18 @@ class PerParameterAdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     live: dict = field(default_factory=dict)
+    owners: dict = field(default_factory=dict)  # id -> the Parameter it keys
 
 
 def per_parameter_adam_step(params, grads, state, config, scale_params=frozenset()):
-    """One Adam step over ``params``, one ``adam_update`` per parameter."""
+    """One Adam step over ``params``, one ``adam_update`` per parameter.  The
+    entries of a parameter no longer passed are dropped, and those passed are
+    held, so a new parameter never takes an old one's id and moments."""
+    owners = {id(p): p for p in params}
+    for key in state.owners.keys() - owners.keys():
+        for entries in (state.m, state.v, state.live):
+            entries.pop(key, None)
+    state.owners = owners
     state.step += 1
     t = state.step
     for p in params:

@@ -293,6 +293,23 @@ class TestReports:
             assert isinstance(faults, int) and faults >= 0
         assert "minor faults" in (out / "bench_report.txt").read_text()
 
+    def test_bench_reports_each_forward_modes_working_set(self, tmp_path, corpus):
+        """Each forward record's ``peak_mib`` is the traced peak of one more,
+        untimed repeat: more than the model's logits, far less than the
+        whole process; a training step reports none."""
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["bench", str(cfg_path), "--repeats", "2"]) == 0
+        recs = [json.loads(l) for l in (out / "bench_report.jsonl").read_text().split("\n") if l]
+        forwards = [r for r in recs if r["timed"] == "forward"]
+        assert [r["model"] for r in forwards] == ["dense", "tensor_compressed", "infer_fp",
+                                                  "infer_int"]
+        logits_mib = 2 * 8 * (3 + 5) * 4 / 2 ** 20  # bench batch x seq, intents + slots
+        for r in forwards:
+            assert logits_mib < r["peak_mib"] < 16
+        assert all("peak_mib" not in r for r in recs if r["timed"] == "train_step")
+        assert (out / "bench_report.txt").read_text().count("MiB") == len(forwards)
+
     @pytest.mark.parametrize("argv, repeats", [([], 2), (["--repeats", "1"], 1)],
                              ids=["from-config", "from-flag"])
     def test_bench_manifest_records_the_repeats_it_ran(self, tmp_path, corpus, argv, repeats):

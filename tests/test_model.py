@@ -1,5 +1,6 @@
 """Model-level tests: TT layer modes, encoder behaviour, traces, accounting."""
 
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -707,6 +708,64 @@ class TestRecordedForwardMemory:
         assert sum(t.size == ffn_bytes for t in traces) == 2 * cfg.num_layers
         grads = ad.backward(intent_slot_loss(trace, intents, slots))
         assert all(id(p) in grads for p in model.encoders[0].ffn_up.cores)
+
+
+class TestNoGradForwardMemory:
+    @pytest.mark.parametrize("mode", ["infer_int", "train"])
+    def test_int8_forward_never_holds_two_ffn_arrays(self, mode):
+        """A ``no_grad`` forward's tracemalloc peak above what was held
+        before it stays below two float (N, ffn_dim) arrays: GELU writes over
+        its input, and ``ffn_down``'s input quantizer over GELU's output
+        (codes in ``infer_int``, fake-quant values in ``train``).  Holding
+        GELU's input beside its output, or its output beside the quantized
+        input, read 2.22 (``infer_int``) and 2.61 (``train``) such arrays
+        here.  ffn_dim = 3000 factors without padding and is unlike any
+        other dimension, and N * ffn_dim is several kernel blocks, so the
+        blocks' scratch is a small share of an array."""
+        cfg = toy_config(hidden=8, ffn_dim=3000, act_bits=8, weight_bits=8, dtype="float32")
+        model = TransformerModel(cfg, 0)
+        ids, mask = random_batch(cfg, batch=10, seq=8)
+        with ad.no_grad():
+            model.forward(ids, mask)  # the first forward sets the input scales
+        model.calibrate_int([(ids, mask)])
+        ffn_bytes = int(mask.sum()) * cfg.ffn_dim * 4
+        with ad.no_grad():
+            model.forward(ids, mask, mode=mode)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                model.forward(ids, mask, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert ffn_bytes < peak < 2 * ffn_bytes
+
+
+class TestLogitPins:
+    """The logits of a toy float32 INT8 model, by sha256 of the intent then
+    the slot logits of three ragged batches, recorded before ``no_grad``
+    forwards wrote GELU and the quantized TT inputs over their inputs.  Any
+    later change that moves a bit of either path fails here."""
+
+    PINS = {"infer_int": "946c55a3276775b0ae2da8ae5d46a9092c9eb6424f5cb0d8623671d8fd17871f",
+            "train": "1e2cb9881120d993e36e6fb306a681f844c7a4e3e9f17ff6cf46337a9d8aea88"}
+
+    @pytest.mark.parametrize("mode", ["infer_int", "train"])
+    def test_no_grad_logits_are_pinned(self, mode):
+        cfg = toy_config(hidden=16, ffn_dim=48, act_bits=8, weight_bits=8, dtype="float32")
+        model = TransformerModel(cfg, 21)
+        batches = [ragged_batch(cfg, lengths, 8, seed) for seed, lengths in
+                   enumerate([(8, 5, 3), (2, 7), (6, 6, 1, 4)])]
+        with ad.no_grad():
+            model.forward(*batches[0])  # the first forward sets the input scales
+        model.calibrate_int(batches[:2])
+        digest = hashlib.sha256()
+        for ids, mask in batches:
+            with ad.no_grad():
+                trace = model.forward(ids, mask, mode=mode)
+            digest.update(trace.intent_logits.data.tobytes())
+            digest.update(trace.slot_logits.data.tobytes())
+        assert digest.hexdigest() == self.PINS[mode]
 
 
 class TestAccounting:

@@ -185,6 +185,41 @@ def half_integer(q: np.ndarray) -> np.ndarray:
     return q - np.floor(q) == 0.5
 
 
+class TestWrittenOverTheInput:
+    """An ``alloc`` that hands back the input: codes or values written over
+    it equal a fresh output bit for bit.  Every ratio here lies on a
+    half-integer, where ``round_ratio``'s exact fallback reads the input's
+    block again after rounding it, so codes rounded straight into the input
+    would be wrong."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_equal_to_a_fresh_output(self, dtype, bits):
+        lo, hi = code_bounds(bits)
+        scale = 0.375  # a float32 value: the float32 path for a float32 input
+        halves = (np.arange(lo - 2, hi + 2) + 0.5) * scale  # exact in both dtypes
+        x = np.resize(halves, (2, BLOCK + 7)).astype(dtype)  # several blocks
+        ratios = x.astype(np.float64) / scale
+        assert half_integer(ratios[(lo <= ratios) & (ratios <= hi)]).all()
+        for code_dtype, value_dtype in ((dtype, None), (None, dtype), (np.int8, dtype)):
+            want = quantize_blocks(x, scale, bits, code_dtype, value_dtype)
+            over = x.copy()
+            got = quantize_blocks(over, scale, bits, code_dtype, value_dtype,
+                                  lambda shape, d: over if d == over.dtype else np.empty(shape, d))
+            assert any(g is not None and np.shares_memory(g, over) for g in got)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if g is not None:
+                    np.testing.assert_array_equal(bits_of(g), bits_of(w))
+
+    def test_any_other_overlap_raises(self):
+        x = np.linspace(-3.0, 3.0, 40)
+        for head, out in ((x, x[::-1]), (x[:20].reshape(4, 5), x.reshape(4, 10)[:, :5]),
+                          (x, x.view(np.int64))):
+            with pytest.raises(ValueError, match="overlap"):
+                quantize_blocks(head, 0.1, 8, out.dtype, alloc=lambda shape, d: out)
+
+
 class TestFloat32Path:
     """A float32 input with a float32 scale is divided, clipped and rounded
     in float32; its codes and values must still be those of the float64

@@ -454,6 +454,27 @@ def test_calibration_leaves_every_integer_plan_frozen(monkeypatch):
         assert plan is not None and layer.frozen_cores() is plan
 
 
+def test_calibration_quantizes_each_layers_cores_once(monkeypatch):
+    """Over four calibration batches each TT layer's cores are quantized
+    once, by ``frozen_cores`` for the weight state, and not once per batch:
+    the calibration forwards read the frozen values."""
+    model, _, _, (ids, mask) = int8_model_layer()
+    for layer in model.tt_layers():  # a new weight state: the frozen cores are stale
+        for c in layer.cores:
+            c.data = c.data.copy()
+    calls = []
+    quantize_blocks = q.quantize_blocks
+
+    def counting(x, *args, **kwargs):
+        calls.append(id(x))
+        return quantize_blocks(x, *args, **kwargs)
+
+    monkeypatch.setattr(q, "quantize_blocks", counting)
+    model.calibrate_int([(ids, mask), (ids[1:], mask[1:]), (ids[:2], mask[:2]), (ids, mask)])
+    for layer in model.tt_layers():
+        assert [calls.count(id(c.data)) for c in layer.cores] == [1] * len(layer.cores)
+
+
 def test_embedding_integer_lookup_reads_the_fake_quant_values():
     model, _, _, (ids, mask) = int8_model_layer()
     rows = ids.reshape(-1)[mask.reshape(-1) > 0]

@@ -349,6 +349,42 @@ class TestArenaAdam:
             self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
                              state, ref_state, step)
 
+    def test_set_cores_of_other_shapes_start_from_zero_moments(self, monkeypatch):
+        """``set_cores`` to a plan of another rank before each of three
+        steps: the steps run, each new core's moments after its first step
+        are those of a fresh Adam state, and every step matches the oracle.
+        Moments keyed by an ``id`` alone passed a freed core's moments to a
+        new core that took its ``id``, and ``_Arena`` raised on their
+        shapes."""
+        model, ref, batches = self.model_pair("float32")
+        state, ref_state = AdamState(), PerParameterAdamState()
+        config = TrainConfig(learning_rate=0.01, scale_lr=0.003, epochs=1)
+        rng = np.random.default_rng(5)
+        adam, seen = train.adam_step, []
+
+        def adam_hook(params, grads, *args, **kwargs):
+            seen.append({id(c): grads[id(c)].copy() for c in layer.cores})
+            adam(params, grads, *args, **kwargs)
+
+        monkeypatch.setattr(train, "adam_step", adam_hook)
+        for step, batch in enumerate(batches[:5]):
+            if step >= 2:
+                plan = PlanSpec(d=2, rank=1 + step).resolve(32, 16)  # ranks 3, 4, 5
+                cores = init_tt_cores(plan, rng, dtype=np.float32)
+                for m in (model, ref):
+                    m.encoders[0].ffn_up.set_cores([c.copy() for c in cores], plan)
+            layer = model.encoders[0].ffn_up
+            self.step_both(model, ref, state, ref_state, config, batch)
+            self.assert_same([p for _, p in model.params()], [p for _, p in ref.params()],
+                             state, ref_state, step)
+            if step >= 2:
+                assert layer.plan.ranks[1] == 1 + step
+                for c in layer.cores:
+                    alone, fresh = ad.Parameter(c.data.copy()), PerParameterAdamState()
+                    per_parameter_adam_step([alone], {id(alone): seen[-1][id(c)]}, fresh, config)
+                    for mine, theirs in ((state.m, fresh.m), (state.v, fresh.v)):
+                        assert mine[id(c)].tobytes() == theirs[id(alone)].tobytes(), (step, c.name)
+
     def test_values_set_from_outside_are_adopted(self, tmp_path):
         """Values loaded from a checkpoint of an earlier state and assigned
         to the parameters between steps are what the next step updates."""
