@@ -565,15 +565,16 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     inputs = [x2d, *cores] + [t for t in [bias] if t is not None] + scales
     keep = _records(*inputs)
     xd, masters = x2d.data, [c.data for c in cores]
-    x_in, w_in, quant_w = xd, masters, weight is not None
+    x_in, w_in, quant_w = [xd], masters, weight is not None
     if act is not None:
         a_scale, a_bits = float(act[0].data), act[1]
         a_like = (act[0].data.dtype, act[0].data.shape)
-        x_codes, x_in = q.quantize_blocks(xd, a_scale, a_bits, np.int8 if keep else None,
-                                          xd.dtype, buffers.take if keep else np.empty)
+        x_codes, x_in[0] = q.quantize_blocks(xd, a_scale, a_bits, np.int8 if keep else None,
+                                             xd.dtype, buffers.take if keep else np.empty)
     if quant_w:
         w_in, w_values, w_ste = _quantize_cores(masters, weight)
-    y = tt_chain(x_in, w_in, plan, recycle=keep)
+    # the quantized input goes to the chain as a temporary, freed after stage 0
+    y = tt_chain(x_in.pop(), w_in, plan, recycle=keep)
     if bias is not None:
         b = bias.data
         fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype
@@ -669,9 +670,8 @@ def _whole(x) -> np.ndarray:
 def _owned(g: np.ndarray) -> np.ndarray | None:
     """``g`` as ``ste_backward``'s in-place ``out`` when it is C-contiguous,
     else None (a fresh output).  A cropped stage-0 gradient, when the columns
-    are padded, is a strided view: ``ste_backward`` reads it as it is, since
-    its float64 dot products differ in the last bit between a strided and a
-    contiguous copy of the same values."""
+    are padded, is a strided view, which cannot take the masked gradient in
+    place."""
     return g if g.flags.c_contiguous else None
 
 

@@ -39,12 +39,11 @@ from zero), and so is the input gradient:
   ``ratio_thresholds``: the smallest and the largest ``x`` of its dtype
   whose float64 ratio lies in ``[lo, hi]``.  The rounded ratio is monotone
   in ``x``, so the thresholds are exact and found by ``nextafter`` steps;
-* the scale gradient is two float64 dot products,
-  ``sum(g * code) - sum(g_in * x) / scale``, taken per leaf of
-  ``pairwise_sum`` (runs of at most ``BLOCK`` terms) and added along
-  numpy's pairwise tree.  It equals the sum of ``g`` times the
-  elementwise scale surrogate (``code - x/scale`` in range, the clip bound
-  outside) within the float64 dot-product error bound.
+* the scale gradient is two float64 dot products over the whole flat
+  arrays, ``sum(g * code) - sum(g_in * x) / scale``, one ``einsum`` each.
+  It equals the sum of ``g`` times the elementwise scale surrogate
+  (``code - x/scale`` in range, the clip bound outside) within the float64
+  dot-product error bound.
 
 Bit width 32 is the full-precision sentinel: quantization becomes the
 identity and no codes exist.
@@ -320,26 +319,6 @@ def ratio_thresholds(scale: float, bits: int, dtype) -> tuple:
     return t_lo, t_hi
 
 
-def pairwise_sum(leaf_sum, start: int, stop: int):
-    """Sum of float64 terms ``start..stop-1`` in numpy's pairwise order.
-
-    numpy sums a contiguous float64 run by halving any run longer than 128
-    at ``n//2`` rounded down to a multiple of 8 and adding the two halves'
-    sums.  This follows the same splits down to runs of at most ``BLOCK``
-    terms, gets each run's sum from ``leaf_sum(start, stop)`` (numpy's own
-    sum of that run gives numpy's subtree sum), calls it in ascending order
-    and adds the results in the same tree order.  So with ``leaf_sum`` =
-    ``a[start:stop].sum()``, ``pairwise_sum(leaf_sum, 0, a.size)`` is
-    ``a.sum()`` bit for bit.  A leaf may return an array of several sums;
-    they are added elementwise along the same tree.
-    """
-    n = stop - start
-    if n <= BLOCK:
-        return leaf_sum(start, stop)
-    half = start + n // 2 - (n // 2) % 8
-    return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, half, stop)
-
-
 def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
                  g: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Straight-through vector-Jacobian product of the fake quantizer
@@ -355,11 +334,16 @@ def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
     itself.  The mask is two compares of ``x`` against ``ratio_thresholds``.
     In range the surrogate is ``code - x/scale`` and outside it the code, so
     the scale gradient is the two dot products
-    ``sum(g * code) - sum(gx * x) / scale``: each leaf of ``pairwise_sum``
-    takes both in float64 (``g``'s before its block is masked), and the
-    leaves add along the pairwise tree.  Their order differs from an
-    elementwise sum's, so the two agree within the float64 dot-product error
-    bound, not bit for bit.
+    ``sum(g * code) - sum(gx * x) / scale``, each one float64 ``einsum``
+    over the whole flat arrays: ``g``'s before the mask pass may write over
+    it, ``gx``'s after.  The mask pass runs in blocks of ``BLOCK`` elements,
+    and the ``einsum`` casts through its own small buffers, so nothing
+    shaped like the input is allocated but ``gx`` (and a flat copy of a
+    ``g`` that is not contiguous).  The dots add in another order than an
+    elementwise sum, so the two agree within the float64 dot-product error
+    bound, not bit for bit.  Cast to a float32 scale's dtype, the gradient
+    moves with the order only where the float64 sum lies within a few
+    float64 ulps of a float32 rounding boundary.
     """
     t_lo, t_hi = ratio_thresholds(scale, bits, x.dtype)
     cflat = codes.reshape(-1)
@@ -372,23 +356,19 @@ def ste_backward(x, codes: np.ndarray, scale: float, bits: int,
         gx = out.reshape(-1)
     else:
         raise ValueError("out must be a C-contiguous array of g's shape and dtype")
+    g_code = np.einsum("i,i->", gflat, cflat, dtype=np.float64)  # before gx may overwrite g
     width = min(n, BLOCK)
     inside = np.empty(width, dtype=bool)
     not_above = np.empty(width, dtype=bool)
     xflat = x.reshape(-1)
-
-    def leaf_sum(start, stop):
-        xb, cb, gb = xflat[start:stop], cflat[start:stop], gflat[start:stop]
+    for start in range(0, n, BLOCK):
+        xb = xflat[start:start + BLOCK]
         m, o = inside[:xb.size], not_above[:xb.size]
         np.greater_equal(xb, t_lo, out=m)
         np.less_equal(xb, t_hi, out=o)
         m &= o
-        g_code = np.einsum("i,i->", gb, cb, dtype=np.float64)
-        gxb = gx[start:stop]
-        np.multiply(gb, m, out=gxb)
-        return np.array([g_code, np.einsum("i,i->", gxb, xb, dtype=np.float64)])
-
-    g_code, gx_x = pairwise_sum(leaf_sum, 0, n)
+        np.multiply(gflat[start:start + BLOCK], m, out=gx[start:start + BLOCK])
+    gx_x = np.einsum("i,i->", gx, xflat, dtype=np.float64)
     return gx.reshape(codes.shape), np.float64(g_code - gx_x / scale)
 
 

@@ -86,18 +86,28 @@ def test_desk_config_is_the_spelled_out_desk_model(compress, weight_bits, act_bi
         assert getattr(resolved, f.name) == getattr(spelled_out, f.name), f.name
 
 
+# Criteria 5 and 7, as scripts/report_acceptance_margins.py retrains them too
+DESK_CORPUS = dict(seed=11, vocab_size=120, num_intents=6, num_slots=8, num_examples=2000)
 DESK_TRAIN = dict(learning_rate=1e-3, epochs=30, batch_size=32, seed=42)
+DESK_MODEL_SEED = 42  # the dense baseline and criterion 5's quantized models
+STUDENT_SEED = 7
+STUDENT_DISTILL = dict(stage_epochs=3, final_epochs=8, stage_lr=1e-3, final_lr=1e-3,
+                       batch_size=32, seed=42)
+
+
+def student_config():
+    """Criterion 7's INT8 TT student, with a rank-4 embedding."""
+    return desk_model_config(True, 8, 8, rank=4, emb_rank=4)
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return gen_synthetic_dataset(seed=11, vocab_size=120, num_intents=6,
-                                 num_slots=8, num_examples=2000)
+    return gen_synthetic_dataset(**DESK_CORPUS)
 
 
 @pytest.fixture(scope="module")
 def dense_baseline(corpus):
-    model = TransformerModel(desk_model_config(False, 32, 32), 42)
+    model = TransformerModel(desk_model_config(False, 32, 32), DESK_MODEL_SEED)
     train_end_to_end(model, corpus["train"], None, TrainConfig(**DESK_TRAIN))
     metrics = evaluate(model, corpus["test"])
     return model, metrics
@@ -222,11 +232,11 @@ class TestCriterion5EndToEndTraining:
         _, dense_metrics = dense_baseline
         dense_acc = dense_metrics["intent_accuracy"]
 
-        int8 = TransformerModel(desk_model_config(True, 8, 8), 42)
+        int8 = TransformerModel(desk_model_config(True, 8, 8), DESK_MODEL_SEED)
         train_end_to_end(int8, corpus["train"], None, TrainConfig(**DESK_TRAIN))
         int8_acc = evaluate(int8, corpus["test"])["intent_accuracy"]
 
-        int2 = TransformerModel(desk_model_config(True, 2, 8), 42)
+        int2 = TransformerModel(desk_model_config(True, 2, 8), DESK_MODEL_SEED)
         train_end_to_end(int2, corpus["train"], None, TrainConfig(**DESK_TRAIN))
         int2_acc = evaluate(int2, corpus["test"])["intent_accuracy"]
 
@@ -282,11 +292,8 @@ class TestCriterion7LayerByLayerDistillation:
     def test_int8_student_tracks_teacher(self, corpus, dense_baseline):
         t0 = time.time()
         teacher, teacher_metrics = dense_baseline
-        student_cfg = desk_model_config(True, 8, 8, rank=4, emb_rank=4)
-        student = TransformerModel(student_cfg, 7)
-        dcfg = DistillConfig(stage_epochs=3, final_epochs=8, stage_lr=1e-3,
-                             final_lr=1e-3, batch_size=32, seed=42)
-        run_distillation(teacher, student, corpus["train"], dcfg)
+        student = TransformerModel(student_config(), STUDENT_SEED)
+        run_distillation(teacher, student, corpus["train"], DistillConfig(**STUDENT_DISTILL))
         s_acc = evaluate(student, corpus["test"])["intent_accuracy"]
         t_acc = teacher_metrics["intent_accuracy"]
         elapsed = time.time() - t0

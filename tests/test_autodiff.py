@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_dense import gelu, gelu_vjp
-from reference_quant import ste_grad_input, ste_grad_scale
+from reference_quant import assert_scale_grad_within_dot_bound, ste_grad_input, ste_grad_scale
 from test_quant import KERNEL_SHAPES, bits_of, kernel_input
 from ttq import autodiff as ad
 from ttq.quant import BLOCK, code_bounds, quantize
@@ -314,25 +314,6 @@ class TestFusedOps:
         x, g, b = randp(4, 6), randp(6), randp(6)
         w = rng.normal(size=(4, 6))
         check_op(lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), w)), [x, g, b], rtol=1e-5)
-
-
-def assert_scale_grad_within_dot_bound(got, x, g, scale, bits):
-    """``got`` (the scale's gradient, in the scale's dtype) against the
-    reference ``(g * ste_grad_scale(x)).sum()``, both summed in float64.
-
-    Each term has ``|term| <= |g| (|code| + |x| / scale)``; call the sum of
-    those bounds S.  Any float64 summation of n terms is within
-    n * 2**-53 * S of the exact sum.  The reference adds four roundings per
-    term and the two dot products three per result, so the two sums differ
-    by at most (2n + 8) * 2**-53 * S, plus the cast to the scale's dtype.
-    """
-    x64, g64 = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
-    codes = quantize(x, scale, bits)
-    ref = (g * ste_grad_scale(x, scale, bits)).sum()
-    terms = np.abs(g64) * (np.abs(codes) + np.abs(x64) / scale)
-    bound = (2 * x64.size + 8) * 2.0 ** -53 * terms.sum()
-    bound += np.spacing(np.abs(got)).astype(np.float64)  # the cast of the float64 sum
-    assert abs(np.float64(got) - ref) <= bound
 
 
 class TestFakeQuantNode:

@@ -740,6 +740,30 @@ class TestNoGradForwardMemory:
                 tracemalloc.stop()
         assert ffn_bytes < peak < 2 * ffn_bytes
 
+    def test_tt_layer_drops_its_quantized_input_after_stage_0(self):
+        """A ``no_grad`` ``train`` forward hands the input quantizer's values
+        to ``tt.tt_chain`` as a temporary, which drops them after stage 0, so
+        they are not held beside the last stage's output.  The input stays
+        held by its caller, as the residual stream holds an encoder's, so
+        the peak counts the values, the stage outputs and the block scratch.
+        Square and 256 rows: the output is as large as the values, and the
+        scratch is a small share of either.  Holding the values to the end
+        read 2.13 input-sized arrays here."""
+        plan = plan_factorization(2048, 2048, 2, 4)
+        layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(0), dtype=np.float32)
+        x = ad.Tensor(np.random.default_rng(1).normal(size=(256, 2048)).astype(np.float32))
+        with ad.no_grad():
+            want = layer.forward(x).data  # the first forward sets the input scale
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                got = layer.forward(x).data
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert x.data.nbytes < peak < 1.5 * x.data.nbytes
+
 
 class TestLogitPins:
     """The logits of a toy float32 INT8 model, by sha256 of the intent then

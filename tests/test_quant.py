@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_quant import ste_grad_input, ste_grad_scale
+from reference_quant import assert_scale_grad_within_dot_bound, ste_grad_input, ste_grad_scale
 
 from ttq import autodiff as ad
 from ttq.quant import (
@@ -21,7 +21,6 @@ from ttq.quant import (
     code_bounds,
     dequantize,
     init_scale,
-    pairwise_sum,
     quantize,
     quantize_blocks,
     ratio_thresholds,
@@ -509,12 +508,20 @@ class TestSteBackward:
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3, 786_432])
     def test_pairwise_leaf_sum_equals_numpy_sum(self, n):
+        """The scale gradient, two float64 dot products over the whole flat
+        arrays, against the elementwise reference sum within the
+        dot-product bound, at sizes around the mask pass's blocks (the name
+        is that of the pairwise leaf sum the dots were once split into)."""
         # mixed signs over 60 binades: the sum's bits depend on the adding order
         rng = np.random.default_rng(n)
-        a = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
-        got = pairwise_sum(lambda start, stop: a[start:stop].sum(), 0, n)
-        assert isinstance(got, np.float64)
-        assert got.tobytes() == a.sum().tobytes()
+        scale = 0.05
+        x = (rng.normal(size=n) * 60 * scale).astype(np.float32)  # ~3% past the clip bounds
+        g = (rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))).astype(np.float32)
+        codes, _ = quantize_blocks(x, scale, 8, np.int8)
+        gx, gs = ste_backward(x, codes, scale, 8, g)
+        assert isinstance(gs, np.float64)
+        np.testing.assert_array_equal(gx, g * ste_grad_input(x, scale, 8).astype(np.float32))
+        assert_scale_grad_within_dot_bound(gs, x, g, scale, 8)
 
     def test_backward_allocates_its_output_and_block_scratch_only(self):
         # the old backward filled a float64 product shaped like x (6.3 MB here)
