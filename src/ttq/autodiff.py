@@ -34,22 +34,23 @@ GELU and a TT layer's input quantizer do.
 
 Quantization nodes use straight-through surrogates from :mod:`ttq.quant`;
 everything else is an exact vector-Jacobian product.  Contractions, forward
-and backward, run through BLAS matrix products.  A TT layer (input and
-weight quantizers, TT product and bias) is one node, ``tt_linear``, with
-no stage hook: calibration runs a chain of its own
-(``model.TTLinearLayer._calibration_forward``).  The node keeps the int8
-codes of its input and cores and its input's ``Rebuild`` (else its input).
-Its backward rebuilds the quantized values from the codes and runs
-``tt.tt_chain_vjp``, which reruns the stage forwards before the stage
-adjoints; the input quantizer's straight-through backward reads the float
-input, rebuilt once for all its consumers.  For an ATIS-shaped INT8 batch
-of 233 real tokens a train forward so leaves 25.9 MB for its backward
-(tracemalloc), against 45.6 MB when the node kept its stage inputs and its
-input.  A TTM row lookup and its weight quantizer are one node too,
-``ttm_lookup``, over ``tt.ttm_lookup_vjp``; both nodes' weight quantizers
-are ``_quantize_cores``.  Scatter-adds (``take``, the lookup's backward) are
-one sorted ``tt.segment_sum``; ``gather_rows`` and ``scatter_rows`` move
-distinct rows, so each is the other's plain-indexing adjoint.
+and backward, run through BLAS matrix products.  A recorded TT layer (input
+and weight quantizers, TT product and bias) is one node, ``tt_linear``, with
+no stage hook; a layer's ``no_grad`` forward is its own walk over its frozen
+cores (``model.TTLinearLayer._forward_float``), as ``grad_enabled()`` tells
+it.  The node keeps the int8 codes of its input and cores and its input's
+``Rebuild`` (else its input).  Its backward rebuilds the quantized values
+from the codes and runs ``tt.tt_chain_vjp``, which reruns the stage forwards
+before the stage adjoints; the input quantizer's straight-through backward
+reads the float input, rebuilt once for all its consumers.  For an
+ATIS-shaped INT8 batch of 233 real tokens a train forward so leaves 25.9 MB
+for its backward (tracemalloc), against 45.6 MB when the node kept its stage
+inputs and its input.  A TTM row lookup and its weight quantizer are one
+node too, ``ttm_lookup``, over ``tt.ttm_lookup_vjp``; both nodes' weight
+quantizers are ``_quantize_cores``.  Scatter-adds (``take``, the lookup's
+backward) are one sorted ``tt.segment_sum``; ``gather_rows`` and
+``scatter_rows`` move distinct rows, so each is the other's plain-indexing
+adjoint.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self.prev
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether operations are recorded: False inside ``no_grad``."""
+    return _grad_enabled
 
 
 class BackwardError(RuntimeError):
@@ -554,34 +560,28 @@ def tt_linear(x2d, cores: Sequence, plan: TensorShapePlan, bias=None, act=None,
     make that gradient a strided view); ``quant.ste_backward`` reads the
     float input, ``Rebuild.array()`` when there is one.  So
     every gradient equals that of a ``fake_quant`` node per input and core
-    feeding a plain TT product and a bias ``add``.  Under ``no_grad``
-    nothing is kept, and the input quantizer makes no codes, only the
-    values.
+    feeding a plain TT product and a bias ``add``.  A layer's ``no_grad``
+    forward is its own walk (``model.TTLinearLayer._forward_float``).
     """
     x2d = _as_tensor(x2d)
     cores = [_as_tensor(c) for c in cores]
     act, weight = _quantizer(act), _quantizer(weight)
     scales = [spec[0] for spec in (act, weight) if spec is not None]
     inputs = [x2d, *cores] + [t for t in [bias] if t is not None] + scales
-    keep = _records(*inputs)
     xd, masters = x2d.data, [c.data for c in cores]
-    x_in, w_in, quant_w = [xd], masters, weight is not None
-    if act is not None:
+    x_in, w_in, quant_x, quant_w = [xd], masters, act is not None, weight is not None
+    if quant_x:
         a_scale, a_bits = float(act[0].data), act[1]
         a_like = (act[0].data.dtype, act[0].data.shape)
-        x_codes, x_in[0] = q.quantize_blocks(xd, a_scale, a_bits, np.int8 if keep else None,
-                                             xd.dtype, buffers.take if keep else np.empty)
+        x_codes, x_in[0] = q.quantize_blocks(xd, a_scale, a_bits, np.int8, xd.dtype, buffers.take)
     if quant_w:
         w_in, w_values, w_ste = _quantize_cores(masters, weight)
     # the quantized input goes to the chain as a temporary, freed after stage 0
-    y = tt_chain(x_in.pop(), w_in, plan, recycle=keep)
+    y = tt_chain(x_in.pop(), w_in, plan, recycle=True)
     if bias is not None:
         b = bias.data
         fresh = not y.flags.c_contiguous or np.result_type(y, b) != y.dtype
         y = np.add(y, b, out=None if fresh else y)
-    if not keep:
-        return Tensor(y)
-    quant_x = act is not None
     x_float, x_dtype = x2d.rebuild or xd, xd.dtype
     bias_shape = None if bias is None else bias.data.shape
 

@@ -165,8 +165,11 @@ def cmd_eval(args) -> int:
                               f"weight_bits={mc.weight_bits}, act_bits={mc.act_bits}")
         if "train" not in data:
             raise DataFormatError(f"--int8 calibrates on the train split, absent from {cfg.data_dir}")
-        batches = itertools.islice(data["train"].batches(cfg.train.batch_size), 4)
-        model.calibrate_int((ids, mask) for ids, mask, _, _ in batches)
+        batches = [b[:2] for b in itertools.islice(data["train"].batches(cfg.train.batch_size), 4)]
+        if not any(mask.any() for _, mask in batches):
+            raise DataFormatError(f"--int8 calibrates on the train split of {cfg.data_dir}, "
+                                  f"whose first {len(batches)} batches hold no token")
+        model.calibrate_int(batches)
         metrics = _int8_metrics(model, split)
     else:
         metrics = evaluate(model, split)

@@ -229,6 +229,7 @@ class FrozenCores:
     scale: float
     codes: list[np.ndarray]  # integer codes, in the dtype of the layer's integer GEMMs
     value_dtype: type  # the cores' dtype
+    overflow: int | None = None  # the first integer stage whose sums may pass 2**31
 
     @cached_property
     def values(self) -> list[np.ndarray]:
@@ -297,23 +298,24 @@ class CoreLayer:
         if (frozen is None or frozen.scale != scale or len(frozen.sources) != len(self.cores)
                 or any(ref() is not c.data for ref, c in zip(frozen.sources, self.cores))):
             codes = [q.quantize_blocks(c.data, scale, self.bits, np.int8)[0] for c in self.cores]
-            dtype = self._code_dtype(codes)
+            dtype, overflow = self._code_dtype(codes)
             frozen = self._frozen = FrozenCores(
                 tuple(weakref.ref(c.data) for c in self.cores), scale,
-                [c.astype(dtype, copy=False) for c in codes], self.cores[0].data.dtype)
+                [c.astype(dtype, copy=False) for c in codes], self.cores[0].data.dtype, overflow)
         return frozen
 
-    def _code_dtype(self, codes: list[np.ndarray]) -> type:
-        """The dtype the frozen codes are kept in: int8, unless the layer
-        contracts them."""
-        return np.int8
+    def _code_dtype(self, codes: list[np.ndarray]) -> tuple[type, int | None]:
+        """The dtype the frozen codes are kept in, int8 unless the layer
+        contracts them, and the first stage whose sums may overflow."""
+        return np.int8, None
 
 
 class TTLinearLayer(CoreLayer):
     """TT-compressed linear map with one shared weight scale and an INT8
-    input quantizer (when ``act_bits`` < 32).  A ``train`` or ``infer_fp``
-    forward is one ``ad.tt_linear`` node (through ``tt_chain_apply``): input
-    quantizer, weight quantizer, TT product and bias together."""
+    input quantizer (when ``act_bits`` < 32).  A recorded ``train`` or
+    ``infer_fp`` forward is one ``ad.tt_linear`` node (through
+    ``tt_chain_apply``): input quantizer, weight quantizer, TT product and
+    bias together; a ``no_grad`` one is ``_forward_float``."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, act_bits: int,
                  rng: np.random.Generator, dtype=np.float32, name: str = "tt_linear"):
@@ -337,15 +339,13 @@ class TTLinearLayer(CoreLayer):
 
     def forward(self, x2d: ad.Tensor, mode: str = "train") -> ad.Tensor:
         """The first ``train`` forward with an input quantizer and rows sets
-        its scale from them; while ``_calib_peaks`` is set (calibration), a
-        ``train`` forward is ``_calibration_forward``.
+        its scale from them.
 
         A ``no_grad`` forward handed an input that nothing else holds
         (``Tensor.spare``: the GELU output that feeds ``ffn_down``, the
         attention context that feeds the o-projection) writes the input
         quantizer's output over it: the integer codes of ``_forward_int``,
-        or the fake-quant values, which the ``ad.tt_linear`` node then reads
-        as an input with no quantizer of its own."""
+        or the fake-quant values of ``_forward_float``."""
         overwrite = x2d.spare()
         if x2d.shape[-1] != self.plan.cols:
             raise ValueError(f"{self.name}: expected input dim {self.plan.cols}, got {x2d.shape[-1]}")
@@ -359,36 +359,29 @@ class TTLinearLayer(CoreLayer):
                 self.act_scale.data = np.asarray(q.init_scale(x2d.data, self.act_bits),
                                                  dtype=self.act_scale.data.dtype)
                 self.act_scale_ready = True
-            if self._calib_peaks is not None:
-                return self._calibration_forward(x2d.data, overwrite)
             act = (self.act_scale, self.act_bits)
-            if overwrite:
-                x2d, act = ad.Tensor(self._input_values(x2d.data, True)), None
-        return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act,
-                              self.weight_quantizer(mode))
+        weight = self.weight_quantizer(mode)
+        if ad.grad_enabled():
+            return tt_chain_apply(x2d, self.cores, self.plan, self.bias, act, weight)
+        return ad.Tensor(self._forward_float(x2d.data, act, weight, overwrite))
 
-    def _input_values(self, x2d: np.ndarray, overwrite: bool) -> np.ndarray:
-        """The input quantizer's fake-quant values of ``x2d``, bit for bit
-        those of the ``ad.tt_linear`` node, written over ``x2d`` when
-        ``overwrite``; no codes are stored."""
-        return q.quantize_blocks(x2d, float(self.act_scale.data), self.act_bits, None,
-                                 x2d.dtype, _alloc_over(x2d, overwrite))[1]
-
-    def _calibration_forward(self, x2d: np.ndarray, overwrite: bool) -> ad.Tensor:
-        """The ``train`` forward's output, bit for bit that of its ``no_grad``
-        ``ad.tt_linear`` node, with each stage's peak folded into
-        ``_calib_peaks``: the input's fake-quant values (``_input_values``),
-        the cores' from ``frozen_cores``, which quantizes them once per
-        weight state and not once per batch, ``tt.tt_chain`` with
-        ``_fold_peaks`` as its hook, then the bias.  Nothing is recorded."""
-        x_in = self._input_values(x2d, overwrite)
-        if self.bits == q.FULL_PRECISION:
-            cores = [c.data for c in self.cores]
-        else:
-            cores = self.frozen_cores().values
-        y, b = tt_chain(x_in, cores, self.plan, self._fold_peaks), self.bias.data
+    def _forward_float(self, x2d: np.ndarray, act, weight, overwrite: bool) -> np.ndarray:
+        """The ``ad.tt_linear`` node's output bit for bit, in plain numpy: the
+        input quantizer ``act``'s values (written over ``x2d`` when
+        ``overwrite``), the cores' values from ``frozen_cores`` under
+        ``weight`` (quantized once per weight state) or else the masters,
+        ``tt.tt_chain`` with ``_fold_peaks`` as its hook while
+        ``_calib_peaks`` is set (calibration), then the bias."""
+        x_in = [x2d]
+        if act:
+            x_in[0] = q.quantize_blocks(x2d, float(act[0].data), act[1], None, x2d.dtype,
+                                        _alloc_over(x2d, overwrite))[1]
+        cores = self.frozen_cores().values if weight else [c.data for c in self.cores]
+        post = None if self._calib_peaks is None else self._fold_peaks
+        # the quantized input goes to the chain as a temporary, freed after stage 0
+        y, b = tt_chain(x_in.pop(), cores, self.plan, post), self.bias.data
         in_place = y.flags.c_contiguous and np.result_type(y, b) == y.dtype
-        return ad.Tensor(np.add(y, b, out=y if in_place else None))
+        return np.add(y, b, out=y if in_place else None)
 
     def _fold_peaks(self, i, out):
         """Fold stage i's max |out| (no copy of ``out``), if it has rows, and
@@ -399,23 +392,23 @@ class TTLinearLayer(CoreLayer):
 
     # -- integer inference -------------------------------------------------
 
-    def _code_dtype(self, codes: list[np.ndarray]) -> type:
+    def _code_dtype(self, codes: list[np.ndarray]) -> tuple[type, int | None]:
         """The stage GEMM dtype, from the static bound 128 * peak|code| * K
         of each stage's sums of K = ``Stage.terms`` products of input codes
         (|code| <= 128) and core codes: float32 for float32 cores when every
         bound is below 2**24, so that every partial sum is an exact float32
-        integer, else float64.  A bound of 2**31 or more raises: the sums
-        would overflow a 32-bit accumulator."""
-        worst = 0
+        integer, else float64; and the first stage whose sums would overflow
+        a 32-bit accumulator (a bound of 2**31 or more)."""
+        worst, overflow = 0, None
         for i, stage in enumerate(tt_stages(self.plan)):
             core = codes[stage.core]
             peak_w = max(int(core.max()), -int(core.min()))  # no int8 abs: |-128| wraps
             bound = 128 * peak_w * stage.terms
-            if bound >= 2 ** 31:
-                raise q.KernelError(f"{self.name}: stage {i} exceeds the 32-bit accumulator bound")
+            if bound >= 2 ** 31 and overflow is None:
+                overflow = i
             worst = max(worst, bound)
         exact32 = worst < 2 ** 24 and self.cores[0].data.dtype == np.float32
-        return np.float32 if exact32 else np.float64
+        return np.float32 if exact32 else np.float64, overflow
 
     def set_stage_scales(self, peaks: np.ndarray):
         """Per-stage scales max|out| / 127 from each stage's calibration peak;
@@ -437,6 +430,9 @@ class TTLinearLayer(CoreLayer):
         # Codes ride in the frozen stage dtype so each stage is a BLAS GEMM
         # whose sums are exact integers in any order, as an int64 walk's.
         frozen = self.frozen_cores()
+        if frozen.overflow is not None:  # the float walks read the values only
+            raise q.KernelError(f"{self.name}: stage {frozen.overflow} exceeds the 32-bit "
+                                f"accumulator bound")
         a_scale = float(self.act_scale.data)
         last = len(tt_stages(self.plan)) - 1
         in_scale = a_scale
@@ -502,7 +498,8 @@ class DenseLinear:
 class TTMEmbedding(CoreLayer):
     """TTM-compressed embedding table.  A lookup is one ``ad.ttm_lookup`` node
     along ``tt.ttm_stages``: shared prefix and suffix tables, then one join
-    per distinct id."""
+    per distinct id.  A quantized ``no_grad`` or ``infer_int`` lookup reads
+    the frozen cores' values, bit for bit the weight quantizer's."""
 
     def __init__(self, plan: TensorShapePlan, bits: int, rng: np.random.Generator,
                  dtype=np.float32):
@@ -512,7 +509,7 @@ class TTMEmbedding(CoreLayer):
         if np.any(ids >= self.plan.rows) or np.any(ids < 0):
             raise IndexError(f"{self.name}: token id out of vocabulary range")
         quantizer = self.weight_quantizer(mode)
-        if mode == "infer_int" and quantizer is not None:  # bit for bit the train cores
+        if quantizer is not None and (mode == "infer_int" or not ad.grad_enabled()):
             return ad.ttm_lookup(ids, self.frozen_cores().values, self.plan)
         return ad.ttm_lookup(ids, self.cores, self.plan, quantizer)
 
@@ -742,11 +739,11 @@ class TransformerModel:
 
     def calibrate_int(self, batches: Iterable[tuple[np.ndarray, np.ndarray]]):
         """Run ``no_grad`` surrogate forwards over calibration batches.  In
-        them each encoder TT layer runs ``_calibration_forward``, which
-        folds its chain's stage outputs into running per-stage max-abs peaks,
-        and afterwards derives its static requantization scales from them.
-        The frozen cores of every TT layer and of a quantized TTM embedding
-        are built here, so the first integer forward quantizes only
+        them each encoder TT layer's ``_forward_float`` folds its chain's
+        stage outputs into running per-stage max-abs peaks, from which the
+        layer afterwards derives its static requantization scales.  Those
+        forwards read the frozen cores of every TT layer and of a quantized
+        TTM embedding, so the first integer forward quantizes only
         activations."""
         layers = self.tt_layers()
         for layer in layers:
@@ -757,8 +754,6 @@ class TransformerModel:
                     self.forward(ids, mask, mode="train")
             for layer in layers:
                 layer.set_stage_scales(layer._calib_peaks)
-            if isinstance(self.embedding, TTMEmbedding) and self.embedding.weight_scale is not None:
-                self.embedding.frozen_cores().values  # builds the integer lookup's cores
         finally:
             for layer in layers:
                 layer._calib_peaks = None

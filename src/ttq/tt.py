@@ -9,8 +9,8 @@ each carrying one row mode and one column mode jointly.
 ``tt_stages(plan)`` is the one TT contraction schedule: a tuple of stages,
 each one matmul with one core, holding its forward, its adjoint and its
 multiply count.  ``tt_chain`` walks it forward for the ``ad.tt_linear``
-node's forward, and with a stage hook for integer inference and
-calibration.
+node and, with a stage hook, for a TT layer's ``no_grad`` walks: the float
+one (calibration folds its peaks) and the integer one (it requantizes).
 ``tt_chain_vjp``, that node's backward, reruns the forward walk to rebuild
 the stage inputs and then walks the adjoints in reverse, so a forward keeps
 no stage input for it.  Its twin ``ttm_stages(plan)`` is the TTM row

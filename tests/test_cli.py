@@ -187,6 +187,22 @@ class TestTrainEval:
             assert record["slot_f1"] == 0.0
         assert record["mode"] == "infer_int" and record["int_logit_err"] == 0.0
 
+    def test_int8_eval_on_a_train_split_of_empty_utterances_is_a_data_error(
+            self, tmp_path, corpus, capsys):
+        """``eval --int8`` calibrates on the train split's first batches.
+        When they hold no token, no calibration data reaches a TT layer:
+        that is a data error naming the split, not a traceback."""
+        out = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, toy_cfg_dict(corpus, out))
+        assert main(["train", str(cfg_path)]) == 0
+        (corpus / "train.tsv").write_text("0\t\n2\t\n1\t\n")
+        capsys.readouterr()
+        assert main(["eval", str(cfg_path), "--checkpoint", str(out / "model.ttq"),
+                     "--split", "test", "--int8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: --int8 calibrates on the train split")
+        assert "Traceback" not in err
+
 
 class TestDistillCommand:
     def test_distill_runs_from_teacher_checkpoint(self, tmp_path, corpus):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,12 @@ from reference_tt import (calibrate_layer, chain_peaks, quantized_operands, tt_t
 
 from ttq import autodiff as ad
 from ttq import quant as q
+from ttq.cli import _int8_metrics
 from ttq.config import RunConfig
+from ttq.data import gen_synthetic_dataset
+from ttq.distill import DistillConfig, run_distillation
 from ttq.model import (
+    INT_LOGIT_BOUND,
     ModeError,
     ModelConfig,
     PlanSpec,
@@ -28,7 +33,7 @@ from ttq.model import (
     model_size_bytes,
 )
 from ttq.quant import KernelError
-from ttq.train import intent_slot_loss
+from ttq.train import SCORING_BATCH, evaluate, intent_slot_loss
 from ttq.tt import (
     TensorShapePlan,
     TTFormat,
@@ -165,11 +170,12 @@ class TestTTLinearLayer:
         with pytest.raises(ModeError):
             layer.forward(ad.Tensor(np.zeros((1, 8))), mode="infer_int")
 
-    @pytest.mark.parametrize("core1_code, raises", [(-128, True), (-127, False)])
-    def test_infer_int_accumulator_bound_names_stage(self, core1_code, raises):
-        # d=1: stage 0, a column stage, contracts core 1 (1, 2**17, 1) over
-        # its 2**17 modes, so saturated inputs (|code| 128) against |core
-        # code| 128 sum to 2**31.  Stage 1, a row stage, sums one term.
+    @staticmethod
+    def saturated_d1_layer(core1_code):
+        """d=1: stage 0, a column stage, contracts core 1 (1, 2**17, 1) over
+        its 2**17 modes, so saturated inputs (|code| 128) against |core
+        code| 128 sum to 2**31.  Stage 1, a row stage, sums one term.
+        Returns the layer, scales set, and such an input."""
         n = 2 ** 17
         plan = TensorShapePlan(1, n, (1,), (n,), (1, 1, 1))
         layer = TTLinearLayer(plan, 8, 8, np.random.default_rng(8), dtype=np.float64)
@@ -177,13 +183,30 @@ class TestTTLinearLayer:
         layer.cores[1].data = np.full((1, n, 1), float(core1_code))
         layer.weight_scale.data = np.asarray(1.0)
         layer.act_scale.data = np.asarray(1.0)
+        layer.act_scale_ready = True
         layer.stage_scales = [1.0, 1.0]
-        x = ad.Tensor(np.full((1, n), -1000.0))
+        return layer, np.full((1, n), -1000.0)
+
+    @pytest.mark.parametrize("core1_code, raises", [(-128, True), (-127, False)])
+    def test_infer_int_accumulator_bound_names_stage(self, core1_code, raises):
+        layer, x = self.saturated_d1_layer(core1_code)
         if raises:
             with pytest.raises(KernelError, match="stage 0 exceeds"):
-                layer.forward(x, mode="infer_int")
+                layer.forward(ad.Tensor(x), mode="infer_int")
         else:
-            assert np.all(np.isfinite(layer.forward(x, mode="infer_int").data))
+            assert np.all(np.isfinite(layer.forward(ad.Tensor(x), mode="infer_int").data))
+
+    def test_accumulator_bound_refuses_the_integer_path_only(self):
+        """The bound is the integer walk's: its sums must fit a 32-bit
+        accumulator.  The ``no_grad`` ``train`` forward sums the same
+        2**17 products of 128 * 128 in float64, to 2**31 exactly, from the
+        frozen cores' values."""
+        layer, x = self.saturated_d1_layer(-128)
+        with ad.no_grad():
+            y = layer.forward(ad.Tensor(x), mode="train").data
+        assert y.tolist() == [[2.0 ** 31]]
+        with pytest.raises(KernelError, match="stage 0 exceeds"):
+            layer.forward(ad.Tensor(x), mode="infer_int")
 
     def test_infer_int_row_stage_bound_counts_rank_terms(self):
         # d=1: stage 1, a row stage, contracts core 0 (1, 512, 256) over its
@@ -763,6 +786,65 @@ class TestNoGradForwardMemory:
                 tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
         assert x.data.nbytes < peak < 1.5 * x.data.nbytes
+
+
+class TestOneNoGradPath:
+    """A ``no_grad`` forward of a quantized layer is the layer's own walk
+    over its frozen cores; only a recorded forward is an autodiff node."""
+
+    @staticmethod
+    def int8_model_and_data():
+        cfg = toy_config(vocab_size=40, max_seq=12, num_intents=3, num_slots=5,
+                         weight_bits=8, act_bits=8, dtype="float32")
+        data = gen_synthetic_dataset(seed=7, vocab_size=40, num_intents=3, num_slots=4,
+                                     num_examples=120)
+        return TransformerModel(cfg, 31), data
+
+    def test_no_grad_programs_run_no_quantizing_node(self, monkeypatch):
+        """Evaluation, calibration, the integer evaluation's reference pass
+        and a TT INT8 teacher's distillation pass run with ``ad.tt_linear``
+        and the quantizing ``ad.ttm_lookup`` refused."""
+        model, data = self.int8_model_and_data()
+        lookup = ad.ttm_lookup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a no_grad forward ran ad.tt_linear")
+
+        def plain_lookup(ids, cores, plan, weight=None):
+            assert weight is None, "a no_grad forward ran a quantizing ad.ttm_lookup"
+            return lookup(ids, cores, plan)
+
+        monkeypatch.setattr(ad, "tt_linear", refuse)
+        monkeypatch.setattr(ad, "ttm_lookup", plain_lookup)
+        assert 0.0 <= evaluate(model, data["dev"])["intent_accuracy"] <= 1.0
+        model.calibrate_int(batch[:2] for batch in data["train"].batches(16))
+        assert _int8_metrics(model, data["dev"])["int_logit_err"] < INT_LOGIT_BOUND
+        student = TransformerModel(replace(model.config, compress=False, weight_bits=32,
+                                           act_bits=32), 32)
+        report = run_distillation(model, student, data["train"],
+                                  DistillConfig(stage_epochs=1, final_epochs=1))
+        assert len(report["stages"]) == model.config.num_layers + 2
+
+    def test_two_evaluations_quantize_each_layers_cores_once(self, monkeypatch):
+        """With no step between them, two ``evaluate`` calls quantize each
+        quantized layer's cores once (``frozen_cores``), and otherwise only
+        each TT layer's input, once per batch."""
+        model, data = self.int8_model_and_data()
+        calls = []
+        quantize_blocks = q.quantize_blocks
+
+        def counting(x, *args, **kwargs):
+            calls.append(id(x))
+            return quantize_blocks(x, *args, **kwargs)
+
+        monkeypatch.setattr(q, "quantize_blocks", counting)
+        for _ in range(2):
+            evaluate(model, data["dev"])
+        layers = [model.embedding] + model.tt_layers()
+        cores = [id(c.data) for layer in layers for c in layer.cores]
+        assert [calls.count(c) for c in cores] == [1] * len(cores)
+        batches = len(list(data["dev"].batches(SCORING_BATCH)))
+        assert len(calls) == len(cores) + 2 * batches * len(model.tt_layers())
 
 
 class TestLogitPins:

@@ -157,10 +157,11 @@ def held_bytes(fn):
 
 @pytest.mark.parametrize("plan", [PADDED, plan_factorization(64, 64, 2, 4)], ids=["padded", "64"])
 def test_node_keeps_codes_not_values(plan):
-    """Under ``no_grad`` the node keeps nothing but its output.  Recorded,
-    it keeps the int8 codes of its input and cores and a few scalars: no
-    float copy of the quantized input or cores, and no stage input, which
-    the backward computes again from the codes."""
+    """Under ``no_grad`` the layer's walk keeps nothing but its output (the
+    warm-up call builds the frozen cores).  Recorded, the node keeps the
+    int8 codes of its input and cores and a few scalars: no float copy of
+    the quantized input or cores, and no stage input, which the backward
+    computes again from the codes."""
     rng = np.random.default_rng(4)
     layer = TTLinearLayer(plan, 8, 8, rng)
     x = ad.Parameter(rng.normal(size=(256, plan.cols)).astype(np.float32))
@@ -177,9 +178,10 @@ def test_node_keeps_codes_not_values(plan):
 
 
 def test_recorded_calibration_folds_each_stage_once_per_forward():
-    """A calibrating layer's forward folds stage i once, to the peaks of
-    ``chain_peaks``, records nothing, and returns the ``no_grad`` node's
-    output bit for bit (padded rows and columns, float64, included)."""
+    """A calibrating ``no_grad`` forward, the layer's own walk, folds stage
+    i once, to the peaks of ``chain_peaks``, records nothing, and returns
+    the recorded node's output bit for bit (padded rows and columns,
+    float64, included)."""
     for plan, dtype in ((plan_factorization(12, 16, 2, 3), np.float32), (PADDED, np.float64)):
         rng = np.random.default_rng(6)
         layer = TTLinearLayer(plan, 8, 8, rng, dtype=dtype)
@@ -188,11 +190,12 @@ def test_recorded_calibration_folds_each_stage_once_per_forward():
         calls = []
         fold = layer._fold_peaks
         layer._fold_peaks = lambda i, *args: calls.append(i) or fold(i, *args)
-        with ad.no_grad():
-            want_y = layer.forward(x).data
+        want_y = layer.forward(x)
+        assert want_y._node is not None and not calls
         layer._calib_peaks = np.full(n, -np.inf)
-        y = layer.forward(x)
+        with ad.no_grad():
+            y = layer.forward(x)
         assert y._node is None and calls == list(range(n))
-        assert y.data.dtype == want_y.dtype and y.data.tobytes() == want_y.tobytes()
+        assert y.data.dtype == want_y.data.dtype and y.data.tobytes() == want_y.data.tobytes()
         want = chain_peaks(*quantized_operands(layer, x.data, dtype), layer.plan)
         np.testing.assert_array_equal(layer._calib_peaks, want)
